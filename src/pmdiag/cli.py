@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -80,16 +80,10 @@ class RunConfig:
                 "counts": {cls.name: n for cls, n in sorted(self.counts.items(), key=lambda kv: int(kv[0]))},
                 "severity_range": list(self.severity_range),
             },
-            "preprocess": {
-                "smooth_window": self.preprocess_cfg.smooth_window,
-                "active_threshold_frac": self.preprocess_cfg.active_threshold_frac,
-                "noise_floor": self.preprocess_cfg.noise_floor,
-                "feature_length": self.preprocess_cfg.feature_length,
-                "plateau_core_frac": self.preprocess_cfg.plateau_core_frac,
-            },
+            "preprocess": asdict(self.preprocess_cfg),
             "train": self.train_cfg.to_obj(),
             "conformal": {"alpha": self.alpha},
-            "split": self.split_spec.to_obj(),
+            "split": asdict(self.split_spec),
             "paths": dict(self.paths),
         }
 
@@ -226,23 +220,13 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
         paths=dict(paths),
     )
     if seed_override is not None:
-        cfg = _override_seeds(cfg, seed_override)
+        cfg = replace(
+            cfg,
+            synth_cfg=replace(cfg.synth_cfg, seed=seed_override),
+            train_cfg=replace(cfg.train_cfg, seed=seed_override),
+            split_spec=replace(cfg.split_spec, seed=seed_override),
+        )
     return cfg
-
-
-def _override_seeds(cfg: RunConfig, seed: int) -> RunConfig:
-    from dataclasses import replace
-
-    return RunConfig(
-        synth_cfg=replace(cfg.synth_cfg, seed=seed),
-        counts=cfg.counts,
-        severity_range=cfg.severity_range,
-        preprocess_cfg=cfg.preprocess_cfg,
-        train_cfg=replace(cfg.train_cfg, seed=seed),
-        alpha=cfg.alpha,
-        split_spec=replace(cfg.split_spec, seed=seed),
-        paths=cfg.paths,
-    )
 
 
 def load_run_config(path: "str | None", seed_override: "int | None" = None) -> RunConfig:
@@ -332,9 +316,34 @@ def _train_weights(cfg: RunConfig, labelled) -> model.TrainConfig:
     for _, label in labelled:
         counts[label] = counts.get(label, 0) + 1
     weights = model.weight_vector(model.class_weights(counts))
-    from dataclasses import replace
-
     return replace(cfg.train_cfg, class_weights=weights)
+
+
+def _train_and_save(cfg: RunConfig, labelled, out: Path, provenance: str) -> model.TrainResult:
+    train_cfg = _stage("train", _train_weights, cfg, labelled)
+    result = _stage("train", model.train, labelled, train_cfg)
+    model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=provenance)
+    return result
+
+
+def _calibrate_and_save(mdl, labelled, alpha: float, out: Path) -> conformal.ConformalPredictor:
+    predictor = _stage("calibrate", conformal.calibrate, mdl, labelled, alpha)
+    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
+    return predictor
+
+
+def _diagnose_rows(predictor, mdl, records, stage: str = "diagnose"):
+    """(label, Diagnosis) per (FeatureVector, label) record, in order."""
+    return [
+        (label, _stage(stage, conformal.diagnose, predictor, mdl, fv)) for fv, label in records
+    ]
+
+
+def _metrics(classified, covered) -> evaluation.MetricsReport:
+    """Classification metrics over `classified` rows, coverage over `covered` rows."""
+    predictions = [(d.argmax_class, label) for label, d in classified]
+    coverage, mean_size = evaluation.coverage_eval(covered)
+    return evaluation.build_metrics(predictions, coverage, mean_size)
 
 
 def cmd_train(args) -> int:
@@ -343,9 +352,7 @@ def cmd_train(args) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     records = _stage("load", preprocess.load_features, features_path)
     labelled = _labelled(records, "train")
-    train_cfg = _stage("train", _train_weights, cfg, labelled)
-    result = _stage("train", model.train, labelled, train_cfg)
-    model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=str(features_path))
+    result = _train_and_save(cfg, labelled, out, str(features_path))
     evaluation.write_report({"epoch_losses": result.epoch_losses}, out / TRAINING_LOG_FILE)
     print(f"trained on {len(labelled)} features; final loss {result.epoch_losses[-1]:.6f}")
     return 0
@@ -359,8 +366,7 @@ def cmd_calibrate(args) -> int:
     mdl = _stage("load", model.load_model, model_path)
     records = _stage("load", preprocess.load_features, features_path)
     labelled = _labelled(records, "calibrate")
-    predictor = _stage("calibrate", conformal.calibrate, mdl, labelled, cfg.alpha)
-    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
+    predictor = _calibrate_and_save(mdl, labelled, cfg.alpha, out)
     print(
         f"calibrated on {predictor.n_calibration} features: "
         f"alpha={predictor.alpha} qhat={predictor.qhat:.6f}"
@@ -379,28 +385,13 @@ def cmd_diagnose(args) -> int:
     conformal.check_digest(predictor, mdl)
     ds = _stage("load", load_dataset, dataset_path)
     records = _preprocess_dataset(ds, cfg.preprocess_cfg)
-    diagnoses = [
-        _stage("diagnose", conformal.diagnose, predictor, mdl, fv) for fv, _ in records
-    ]
+    diagnoses = [d for _, d in _diagnose_rows(predictor, mdl, records)]
     conformal.save_diagnoses(diagnoses, out / DIAGNOSES_JSONL)
     guarantee = 100.0 * (1.0 - predictor.alpha)
     for d in diagnoses:
         members = ", ".join(f"{cls.name}:{prob:.3f}" for cls, prob in d.prediction_set)
         print(f"{d.source_id}: {{{members}}} (set covers the true class at {guarantee:.0f}%)")
     return 0
-
-
-def _evaluate(mdl, predictor, records):
-    labelled = _labelled(records, "evaluate")
-    predictions = []
-    diagnoses = []
-    for fv, label in labelled:
-        d = conformal.diagnose(predictor, mdl, fv)
-        diagnoses.append((label, d))
-        predictions.append((d.argmax_class, label))
-    coverage, mean_size = evaluation.coverage_eval(predictor, mdl, labelled)
-    metrics = evaluation.build_metrics(predictions, coverage, mean_size)
-    return metrics, diagnoses
 
 
 def cmd_evaluate(args) -> int:
@@ -413,14 +404,15 @@ def cmd_evaluate(args) -> int:
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
     records = _stage("load", preprocess.load_features, features_path)
-    metrics, diagnoses = _stage("evaluate", _evaluate, mdl, predictor, records)
+    rows = _diagnose_rows(predictor, mdl, _labelled(records, "evaluate"), "evaluate")
+    metrics = _metrics(rows, rows)
     report = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": cfg.to_obj(),
         "metrics": metrics.to_obj(),
     }
     evaluation.write_report(report, out / REPORT_FILE)
-    evaluation.write_diagnoses_csv(diagnoses, out / DIAGNOSES_CSV)
+    evaluation.write_diagnoses_csv(rows, out / DIAGNOSES_CSV)
     print(
         f"precision={metrics.precision:.4f} fpr={metrics.fpr:.4f} "
         f"fnr={metrics.fnr:.4f} coverage={metrics.coverage:.4f}"
@@ -446,29 +438,19 @@ def cmd_pipeline(args) -> int:
 
     train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)
     train_records = [features_by_id[m.id] for m in train_ds]
-    train_cfg = _stage("train", _train_weights, cfg, train_records)
-    result = _stage("train", model.train, train_records, train_cfg)
-    model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
+    result = _train_and_save(cfg, train_records, out, ds.provenance)
 
     cal_ds, hold_ds = _stage("calibrate", evaluation.split_calibration, test_ds, cfg.split_spec)
     cal_records = [features_by_id[m.id] for m in cal_ds]
-    predictor = _stage("calibrate", conformal.calibrate, result.model, cal_records, cfg.alpha)
-    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
+    predictor = _calibrate_and_save(result.model, cal_records, cfg.alpha, out)
 
-    # classification metrics over the whole test split; coverage over holdout
+    # each test manoeuvre is diagnosed once: classification metrics over the
+    # whole test split, coverage and the CSV over its holdout half
     test_records = [features_by_id[m.id] for m in test_ds]
-    predictions = [
-        (model.argmax_class(model.forward(result.model, fv.values)), label)
-        for fv, label in test_records
-    ]
-    hold_records = [features_by_id[m.id] for m in hold_ds]
-    diagnoses = [
-        (label, conformal.diagnose(predictor, result.model, fv)) for fv, label in hold_records
-    ]
-    coverage, mean_size = _stage(
-        "diagnose", evaluation.coverage_eval, predictor, result.model, hold_records
-    )
-    metrics = evaluation.build_metrics(predictions, coverage, mean_size)
+    test_rows = _diagnose_rows(predictor, result.model, test_records)
+    rows_by_id = {d.source_id: (label, d) for label, d in test_rows}
+    hold_rows = [rows_by_id[m.id] for m in hold_ds]
+    metrics = _metrics(test_rows, hold_rows)
 
     report = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -493,7 +475,7 @@ def cmd_pipeline(args) -> int:
         "training_log": result.epoch_losses,
     }
     evaluation.write_report(report, out / REPORT_FILE)
-    evaluation.write_diagnoses_csv(diagnoses, out / DIAGNOSES_CSV)
+    evaluation.write_diagnoses_csv(hold_rows, out / DIAGNOSES_CSV)
     print(
         f"pipeline done: precision={metrics.precision:.4f} fpr={metrics.fpr:.4f} "
         f"fnr={metrics.fnr:.4f} coverage={metrics.coverage:.4f} "

@@ -59,30 +59,29 @@ class ConformalPredictor:
 
 
 @dataclass(frozen=True)
-class PredictionSet:
-    """Classes accumulated until the calibrated mass threshold is reached."""
-
-    members: tuple[tuple[FaultClass, float], ...]
-    singleton: bool
-    argmax_class: FaultClass
-
-
-@dataclass(frozen=True)
 class Diagnosis:
-    """Operator-facing result: prediction set plus the coverage guarantee."""
+    """Operator-facing result: `predict_set`'s members plus the coverage guarantee."""
 
     source_id: str
     prediction_set: tuple[tuple[FaultClass, float], ...]
     alpha: float
     qhat: float
-    singleton: bool
-    argmax_class: FaultClass
+
+    @property
+    def singleton(self) -> bool:
+        return len(self.prediction_set) == 1
+
+    @property
+    def argmax_class(self) -> FaultClass:
+        return self.prediction_set[0][0]
 
 
 def _checked_probs(probs) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 1 or p.size != len(FaultClass):
         raise BadDistributionError(f"need {len(FaultClass)} probabilities, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise BadDistributionError("non-finite probability entry")
     if (p < 0).any():
         raise BadDistributionError("negative probability entry")
     total = float(p.sum())
@@ -143,11 +142,11 @@ def calibrate(model: MlpModel, calibration_set, alpha: float = 0.05) -> Conforma
     )
 
 
-def predict_set(predictor: ConformalPredictor, probs) -> PredictionSet:
+def predict_set(predictor: ConformalPredictor, probs) -> tuple[tuple[FaultClass, float], ...]:
     """Smallest descending-probability prefix with cumulative mass >= qhat.
 
-    The argmax class always enters (the first element is unconditional), so
-    the set is never empty; a larger qhat can only grow the set.
+    Returns its (class, probability) members, argmax first. The argmax always
+    enters, so the set is never empty; a larger qhat can only grow the set.
     """
     raw = np.asarray(probs, dtype=np.float64)
     p = _checked_probs(probs)
@@ -155,23 +154,20 @@ def predict_set(predictor: ConformalPredictor, probs) -> PredictionSet:
     cum = np.cumsum(p[order])
     size = int(np.searchsorted(cum, predictor.qhat, side="left")) + 1
     size = min(max(size, 1), p.size)
-    members = tuple((FaultClass(int(c)), float(raw[c])) for c in order[:size])
-    return PredictionSet(
-        members=members, singleton=size == 1, argmax_class=members[0][0]
-    )
+    return tuple((FaultClass(int(c)), float(raw[c])) for c in order[:size])
 
 
 def diagnose(predictor: ConformalPredictor, model: MlpModel, feature) -> Diagnosis:
-    """Classify one feature vector and wrap it in a calibrated prediction set."""
-    probs = forward(model, feature.values)
-    ps = predict_set(predictor, probs)
+    """Classify one feature vector and wrap it in a calibrated prediction set.
+
+    One row per forward pass: a stacked batch takes another BLAS path, so its
+    probabilities could depend on how many manoeuvres a call holds.
+    """
     return Diagnosis(
         source_id=feature.source_id,
-        prediction_set=ps.members,
+        prediction_set=predict_set(predictor, forward(model, feature.values)),
         alpha=predictor.alpha,
         qhat=predictor.qhat,
-        singleton=ps.singleton,
-        argmax_class=ps.argmax_class,
     )
 
 

@@ -261,7 +261,6 @@ def load_dataset(path: str | Path) -> Dataset:
     except OSError as exc:
         raise DatasetIoError(f"cannot read {path}: {exc}") from exc
     manoeuvres: list[Manoeuvre] = []
-    seen: set[str] = set()
     for line_number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -273,10 +272,8 @@ def load_dataset(path: str | Path) -> Dataset:
         issue = validate_manoeuvre(m)
         if issue is not None:
             raise ValidationError(m.id, issue.rule, issue.detail)
-        if m.id in seen:
-            raise DuplicateIdError(m.id)
-        seen.add(m.id)
         manoeuvres.append(m)
+    # Dataset rejects a repeated id with DuplicateIdError
     return Dataset(manoeuvres=tuple(manoeuvres), provenance=str(path))
 
 

@@ -16,9 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import ConformalPredictor, predict_set
 from .core import Dataset, FaultClass, PmDiagError, atomic_write_text
-from .model import MlpModel, forward
 
 N_CLASSES = len(FaultClass)
 
@@ -42,13 +40,6 @@ class SplitSpec:
             raise ValueError("train_frac must be in (0, 1)")
         if not 0 < self.calibration_frac_of_test < 1:
             raise ValueError("calibration_frac_of_test must be in (0, 1)")
-
-    def to_obj(self) -> dict:
-        return {
-            "train_frac": self.train_frac,
-            "calibration_frac_of_test": self.calibration_frac_of_test,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -173,23 +164,18 @@ def per_class_metrics(conf: np.ndarray) -> dict:
     return out
 
 
-def coverage_eval(
-    predictor: ConformalPredictor, model: MlpModel, holdout
-) -> tuple[float, float]:
-    """Empirical coverage and mean set size over labelled holdout features.
+def coverage_eval(rows) -> tuple[float, float]:
+    """Empirical coverage and mean set size over labelled diagnoses.
 
-    `holdout` is a sequence of (FeatureVector, FaultClass) pairs.
+    `rows` is a sequence of (true FaultClass, Diagnosis), the shape
+    `write_diagnoses_csv` takes. A row is covered when its true class is a
+    member of the diagnosis's prediction set.
     """
-    items = list(holdout)
+    items = list(rows)
     if not items:
-        raise ValueError("holdout must be nonempty")
-    covered = 0
-    sizes = 0
-    for fv, label in items:
-        ps = predict_set(predictor, forward(model, fv.values))
-        classes = {cls for cls, _ in ps.members}
-        covered += label in classes
-        sizes += len(classes)
+        raise ValueError("rows must be nonempty")
+    covered = sum(label in {cls for cls, _ in d.prediction_set} for label, d in items)
+    sizes = sum(len(d.prediction_set) for _, d in items)
     return covered / len(items), sizes / len(items)
 
 

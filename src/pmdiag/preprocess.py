@@ -76,19 +76,12 @@ class PhaseSegmentation:
     plateau_level: float
 
 
-@dataclass(frozen=True)
-class FeatureAux:
-    move_duration_s: float
-    peak_ratio: float
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
     """Fixed-length normalized representation of one manoeuvre."""
 
     values: np.ndarray
     source_id: str
-    aux: FeatureAux
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -215,18 +208,10 @@ def preprocess(m: Manoeuvre, cfg: PreprocessConfig = PreprocessConfig()) -> Feat
     grid = p0 + (p1 - p0) * np.arange(L, dtype=np.float64) / (L - 1)
     values = np.interp(grid, np.arange(s.size, dtype=np.float64), s) / seg.plateau_level
     values = np.maximum(values, 0.0)
-
-    u0, u1 = seg.unlock_peak
-    m0, m1 = seg.movement
-    aux = FeatureAux(
-        move_duration_s=(m1 - m0) / m.sample_rate,
-        peak_ratio=float(s[u0:u1].max()) / seg.plateau_level,
-    )
-    return FeatureVector(values=values, source_id=m.id, aux=aux)
+    return FeatureVector(values=values, source_id=m.id)
 
 
-FEATURE_KEYS = {"source_id", "values", "aux", "label"}
-AUX_KEYS = {"move_duration_s", "peak_ratio"}
+FEATURE_KEYS = {"source_id", "values", "label"}
 
 
 def save_features(
@@ -235,14 +220,7 @@ def save_features(
     """Write features as JSONL with pass-through labels."""
     lines = []
     for fv, label in records:
-        obj = {
-            "source_id": fv.source_id,
-            "values": [float(v) for v in fv.values],
-            "aux": {
-                "move_duration_s": fv.aux.move_duration_s,
-                "peak_ratio": fv.aux.peak_ratio,
-            },
-        }
+        obj = {"source_id": fv.source_id, "values": [float(v) for v in fv.values]}
         if label is not None:
             obj["label"] = label.name
         lines.append(json.dumps(obj))
@@ -269,14 +247,14 @@ def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | N
         if not isinstance(obj, dict) or not FEATURE_KEYS >= set(obj):
             raise ParseError(line_number, "not a feature object")
         try:
-            aux = FeatureAux(**{k: float(obj["aux"][k]) for k in AUX_KEYS})
             label = FaultClass.from_name(obj["label"]) if "label" in obj else None
             fv = FeatureVector(
                 values=np.asarray(obj["values"], dtype=np.float64),
                 source_id=obj["source_id"],
-                aux=aux,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(line_number, f"bad feature record: {exc}") from None
+        if not np.isfinite(fv.values).all():
+            raise ParseError(line_number, f"non-finite value in features of {fv.source_id!r}")
         records.append((fv, label))
     return records

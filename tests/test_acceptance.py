@@ -90,7 +90,8 @@ def test_criterion_2_conformal_coverage(seed1_experiment):
             exp["model"], [exp["features"][m.id] for m in cal_ds], alpha=0.05
         )
         coverage, _ = evaluation.coverage_eval(
-            predictor, exp["model"], [exp["features"][m.id] for m in hold_ds]
+            (label, conformal.diagnose(predictor, exp["model"], fv))
+            for fv, label in (exp["features"][m.id] for m in hold_ds)
         )
         coverages.append(coverage)
     coverages = np.array(coverages)
@@ -113,7 +114,7 @@ def test_criterion_3_aps_oracle_equivalence():
     for _ in range(1000):
         p = rng.dirichlet(np.ones(5) * float(rng.uniform(0.2, 3.0)))
         qhat = 1.0 - float(rng.uniform(0.0, 1.0))
-        got = [c for c, _ in conformal.predict_set(predictor_with(qhat), p).members]
+        got = [c for c, _ in conformal.predict_set(predictor_with(qhat), p)]
         matches += got == brute_force_set(p, qhat)
     verdict(3, "APS oracle equivalence", matches == 1000, f"{matches}/1000")
 

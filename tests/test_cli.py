@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -97,6 +98,12 @@ class TestPipeline:
         rows = (out / "diagnoses.csv").read_text().splitlines()
         holdout_total = sum(report["counts"]["holdout"].values())
         assert len(rows) == holdout_total + 1
+        # the report's coverage and set size are those of the CSV it ships
+        shipped = list(csv.DictReader(rows))
+        sets = [row["set"].split("|") for row in shipped]
+        covered = sum(row["true_label"] in s for row, s in zip(shipped, sets))
+        assert metrics["coverage"] == covered / len(shipped)
+        assert metrics["mean_set_size"] == sum(map(len, sets)) / len(shipped)
 
     def test_deterministic_outputs(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -185,6 +192,26 @@ class TestDiagnose:
         ])
         assert code == 0
 
+    def test_batch_of_one_equals_batch_of_n(self, tmp_path, trained_out, config_path):
+        ds = load_dataset(trained_out / "dataset.jsonl")
+        picked = list(ds)[:5]
+        bound = ["--model", str(trained_out / "model.json"),
+                 "--predictor", str(trained_out / "predictor.json")]
+
+        def diagnosed(manoeuvres, name):
+            ds_path = tmp_path / f"{name}.jsonl"
+            save_dataset(Dataset(manoeuvres=tuple(manoeuvres), provenance=name), ds_path)
+            out = tmp_path / name
+            assert run(["diagnose", "--config", config_path, "--out", str(out),
+                        "--dataset", str(ds_path), *bound]) == 0
+            return [json.loads(l) for l in (out / "diagnoses.jsonl").read_text().splitlines()]
+
+        batch = diagnosed(picked, "batch")
+        assert [row["source_id"] for row in batch] == [m.id for m in picked]
+        for m, row in zip(picked, batch):
+            [alone] = diagnosed([m], f"alone-{m.id}")
+            assert alone["prediction_set"] == row["prediction_set"]
+
 
 class TestStageCommands:
     def test_preprocess_train_calibrate_evaluate(self, tmp_path, config_path, capsys):
@@ -199,6 +226,20 @@ class TestStageCommands:
         assert run(["evaluate", "--config", config_path, "--out", str(out)]) == 0
         assert (out / "report.json").exists()
         assert (out / "diagnoses.csv").exists()
+
+    def test_nan_feature_exits_4_naming_manoeuvre(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", config_path, "--out", str(out)]) == 0
+        lines = (out / "features.jsonl").read_text().splitlines()
+        k = next(i for i, l in enumerate(lines) if json.loads(l)["label"] == "Obstacle")
+        obj = json.loads(lines[k])
+        obj["values"][10] = float("nan")
+        lines[k] = json.dumps(obj)
+        (out / "features.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["evaluate", "--config", config_path, "--out", str(out)])
+        assert code == 4
+        assert obj["source_id"] in capsys.readouterr().err
 
     def test_seed_override_changes_dataset(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -5,6 +5,7 @@ from pmdiag import model as mlp, preprocess, synth
 from pmdiag.conformal import (
     BadDistributionError,
     ConformalPredictor,
+    Diagnosis,
     DigestMismatchError,
     EmptyCalibrationError,
     aps_score,
@@ -119,25 +120,26 @@ class TestCalibrate:
 class TestPredictSet:
     def test_singleton(self):
         ps = predict_set(predictor_with(0.85), np.array([0.90, 0.05, 0.03, 0.01, 0.01]))
-        assert [c for c, _ in ps.members] == [FaultClass.Nominal]
-        assert ps.singleton
-        assert ps.argmax_class is FaultClass.Nominal
+        assert [c for c, _ in ps] == [FaultClass.Nominal]
+        d = Diagnosis("x", ps, alpha=0.05, qhat=0.85)
+        assert d.singleton
+        assert d.argmax_class is FaultClass.Nominal
 
     def test_two_classes(self):
         ps = predict_set(predictor_with(0.85), PROBS)
-        assert [c for c, _ in ps.members] == [FaultClass.Nominal, FaultClass.Obstacle]
-        assert not ps.singleton
+        assert [c for c, _ in ps] == [FaultClass.Nominal, FaultClass.Obstacle]
+        assert not Diagnosis("x", ps, alpha=0.05, qhat=0.85).singleton
 
     def test_qhat_one_gives_all_classes(self):
         ps = predict_set(predictor_with(1.0), PROBS)
-        assert len(ps.members) == 5
+        assert len(ps) == 5
 
     def test_probabilities_descending(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             p = rng.dirichlet(np.ones(5))
             ps = predict_set(predictor_with(float(rng.uniform(0.1, 1.0))), p)
-            probs = [prob for _, prob in ps.members]
+            probs = [prob for _, prob in ps]
             assert probs == sorted(probs, reverse=True)
 
     def test_monotone_in_qhat(self):
@@ -145,8 +147,8 @@ class TestPredictSet:
         for _ in range(200):
             p = rng.dirichlet(np.ones(5))
             q1, q2 = sorted(rng.uniform(0.05, 1.0, size=2))
-            s1 = {c for c, _ in predict_set(predictor_with(float(q1)), p).members}
-            s2 = {c for c, _ in predict_set(predictor_with(float(q2)), p).members}
+            s1 = {c for c, _ in predict_set(predictor_with(float(q1)), p)}
+            s2 = {c for c, _ in predict_set(predictor_with(float(q2)), p)}
             assert s1 <= s2
 
     def test_oracle_equivalence_1000(self):
@@ -154,8 +156,13 @@ class TestPredictSet:
         for _ in range(1000):
             p = rng.dirichlet(np.ones(5) * float(rng.uniform(0.2, 3.0)))
             qhat = 1.0 - float(rng.uniform(0.0, 1.0))  # in (0, 1]
-            got = [c for c, _ in predict_set(predictor_with(qhat), p).members]
+            got = [c for c, _ in predict_set(predictor_with(qhat), p)]
             assert got == brute_force_set(p, qhat)
+
+    def test_nan_vector_rejected(self):
+        # abs(nan - 1) > tol is False, so a sum check alone lets NaN through
+        with pytest.raises(BadDistributionError):
+            predict_set(predictor_with(0.9), np.array([np.nan, 0.5, 0.5, 0.0, 0.0]))
 
 
 class TestDiagnose:

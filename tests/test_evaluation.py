@@ -178,7 +178,9 @@ class TestCoverage:
             alpha=0.05, qhat=1.0, n_calibration=10, model_digest="x"
         )
         records = [small_run["features"][m.id] for m in small_run["holdout"]]
-        coverage, mean_size = coverage_eval(predictor, flat, records)
+        coverage, mean_size = coverage_eval(
+            (label, conformal.diagnose(predictor, flat, fv)) for fv, label in records
+        )
         assert coverage == 1.0
         assert mean_size == 5.0
 
@@ -188,7 +190,9 @@ class TestCoverage:
         )
         mdl = small_run["model"]
         records = [small_run["features"][m.id] for m in small_run["holdout"]]
-        coverage, mean_size = coverage_eval(predictor, mdl, records)
+        coverage, mean_size = coverage_eval(
+            (label, conformal.diagnose(predictor, mdl, fv)) for fv, label in records
+        )
         assert mean_size == 1.0
         correct = sum(
             mlp.argmax_class(mlp.forward(mdl, fv.values)) is label for fv, label in records

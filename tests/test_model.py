@@ -10,7 +10,7 @@ from pmdiag.model import (
     MlpModel,
     TrainConfig,
 )
-from pmdiag.preprocess import FeatureAux, FeatureVector
+from pmdiag.preprocess import FeatureVector
 
 
 def uniform_model(input_dim=4):
@@ -231,7 +231,7 @@ def feature_records(n, dim=128, seed=0):
         v[:half] = 1.0 if i % 2 == 0 else 0.05
         v[half:] = 0.05 if i % 2 == 0 else 1.0
         v = np.abs(v + rng.normal(0, 0.01, dim))
-        fv = FeatureVector(v, f"f{i}", FeatureAux(1.0, 2.0))
+        fv = FeatureVector(v, f"f{i}")
         records.append((fv, FaultClass(i % 2)))
     return records
 

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from pmdiag import preprocess, synth
-from pmdiag.core import FaultClass, Manoeuvre
+from pmdiag.core import FaultClass, Manoeuvre, ParseError
 from pmdiag.preprocess import (
     FlatSignalError,
     PreprocessConfig,
@@ -158,11 +160,6 @@ class TestPreprocess:
         rms = float(np.sqrt(np.mean((fv.values - oracle) ** 2)))
         assert rms <= 0.01
 
-    def test_aux_fields(self, clean_cfg):
-        fv = preprocess.preprocess(synth.generate_nominal(clean_cfg, 7), PCFG)
-        assert 4.5 < fv.aux.move_duration_s < 6.0
-        assert abs(fv.aux.peak_ratio - 8.0 / 3.0) / (8.0 / 3.0) < 0.05
-
     def test_flat_signal_propagates(self):
         m = Manoeuvre("flat", "MJ", 0.0, np.zeros(100), 100.0)
         with pytest.raises(FlatSignalError):
@@ -189,7 +186,23 @@ class TestFeatureIo:
             assert fv.source_id == fv2.source_id
             assert label == label2
             assert np.array_equal(fv.values, fv2.values)
-            assert fv.aux == fv2.aux
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        good = {"source_id": "ok", "values": [1.0] * 4}
+        bad = {"source_id": "bad-7", "values": [1.0, float("nan"), 1.0, 1.0]}
+        p = tmp_path / "features.jsonl"
+        p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_features(p)
+        assert err.value.line_number == 2
+        assert "bad-7" in str(err.value)
+
+    def test_stale_aux_key_rejected(self, tmp_path):
+        old = {"source_id": "a", "values": [1.0], "aux": {"move_duration_s": 5.0, "peak_ratio": 2.6}}
+        p = tmp_path / "features.jsonl"
+        p.write_text(json.dumps(old) + "\n")
+        with pytest.raises(ParseError):
+            load_features(p)
 
 
 class TestConfig:
