@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -52,6 +53,9 @@ class StageError(PmDiagError):
         super().__init__(f"stage {stage}: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        return type(self), (self.stage, self.cause), self.__dict__
 
 
 DEFAULT_COUNTS = {
@@ -253,6 +257,10 @@ def _class_counts_obj(ds: Dataset) -> dict:
     return {cls.name: n for cls, n in sorted(ds.class_counts().items(), key=lambda kv: int(kv[0]))}
 
 
+def _manoeuvre_failure(stage: str, manoeuvre_id: str, exc: PmDiagError) -> StageError:
+    return StageError(stage, PmDiagError(f"manoeuvre {manoeuvre_id!r}: {exc}"))
+
+
 def _preprocess_dataset(ds: Dataset, cfg: preprocess.PreprocessConfig):
     """Features in dataset order; failures name the offending manoeuvre."""
     records = []
@@ -260,7 +268,7 @@ def _preprocess_dataset(ds: Dataset, cfg: preprocess.PreprocessConfig):
         try:
             records.append((preprocess.preprocess(m, cfg), m.label))
         except PmDiagError as exc:
-            raise StageError("preprocess", PmDiagError(f"manoeuvre {m.id!r}: {exc}")) from exc
+            raise _manoeuvre_failure("preprocess", m.id, exc) from exc
     return records
 
 
@@ -319,11 +327,9 @@ def _train_weights(cfg: RunConfig, labelled) -> model.TrainConfig:
     return replace(cfg.train_cfg, class_weights=weights)
 
 
-def _train_and_save(cfg: RunConfig, labelled, out: Path, provenance: str) -> model.TrainResult:
+def _train(cfg: RunConfig, labelled) -> "tuple[model.TrainConfig, model.TrainResult]":
     train_cfg = _stage("train", _train_weights, cfg, labelled)
-    result = _stage("train", model.train, labelled, train_cfg)
-    model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=provenance)
-    return result
+    return train_cfg, _stage("train", model.train, labelled, train_cfg)
 
 
 def _calibrate_and_save(mdl, labelled, alpha: float, out: Path) -> conformal.ConformalPredictor:
@@ -333,10 +339,15 @@ def _calibrate_and_save(mdl, labelled, alpha: float, out: Path) -> conformal.Con
 
 
 def _diagnose_rows(predictor, mdl, records, stage: str = "diagnose"):
-    """(label, Diagnosis) per (FeatureVector, label) record, in order."""
-    return [
-        (label, _stage(stage, conformal.diagnose, predictor, mdl, fv)) for fv, label in records
-    ]
+    """(label, Diagnosis) per (FeatureVector, label) record, in order; failures
+    name the offending manoeuvre."""
+    rows = []
+    for fv, label in records:
+        try:
+            rows.append((label, conformal.diagnose(predictor, mdl, fv)))
+        except PmDiagError as exc:
+            raise _manoeuvre_failure(stage, fv.source_id, exc) from exc
+    return rows
 
 
 def _metrics(classified, covered) -> evaluation.MetricsReport:
@@ -352,7 +363,8 @@ def cmd_train(args) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     records = _stage("load", preprocess.load_features, features_path)
     labelled = _labelled(records, "train")
-    result = _train_and_save(cfg, labelled, out, str(features_path))
+    train_cfg, result = _train(cfg, labelled)
+    model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=str(features_path))
     evaluation.write_report({"epoch_losses": result.epoch_losses}, out / TRAINING_LOG_FILE)
     print(f"trained on {len(labelled)} features; final loss {result.epoch_losses[-1]:.6f}")
     return 0
@@ -420,6 +432,58 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _save_inputs(ds: Dataset, records, out: Path) -> None:
+    save_dataset(ds, out / DATASET_FILE)
+    preprocess.save_features(records, out / FEATURES_FILE)
+
+
+def _save_inputs_in_writer(ds: Dataset, records, out: Path) -> None:
+    try:
+        _save_inputs(ds, records, out)
+    except Exception:
+        # exit 1 without a traceback: the parent repeats the writes and
+        # reports the failure as its own
+        sys.exit(1)
+
+
+@contextmanager
+def _inputs_saved_alongside(ds: Dataset, records, out: Path):
+    """Write dataset.jsonl and features.jsonl in a forked process while the
+    block runs, and join it on leaving the block, also when the block raised.
+
+    The writer runs only JSON encoding and atomic writes, no BLAS, so forking
+    the parent is safe. If it did not exit 0, the writes run again here, so a
+    write failure raises the same exception, with the same exit code and
+    stderr, as writing in-process, and outranks a failure of the block, as it
+    would have if the files were written first. Where no process can be
+    forked, the writes run here before the block.
+    """
+    # imported here: every CLI call pays the module-level imports, and only pipeline forks
+    import multiprocessing
+
+    writer = None
+    if "fork" in multiprocessing.get_all_start_methods():
+        writer = multiprocessing.get_context("fork").Process(
+            target=_save_inputs_in_writer, args=(ds, records, out)
+        )
+        try:
+            writer.start()
+        except OSError:  # no process to spare (EAGAIN, ENOMEM): write here
+            writer = None
+    if writer is None:
+        _save_inputs(ds, records, out)
+        yield
+        return
+    try:
+        yield
+    finally:
+        writer.join()
+        failed = writer.exitcode != 0
+        writer.close()
+        if failed:
+            _save_inputs(ds, records, out)
+
+
 def cmd_pipeline(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     out = _out_dir(args)
@@ -430,15 +494,22 @@ def cmd_pipeline(args) -> int:
         ds = _stage(
             "generate", synth.generate_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range
         )
-    save_dataset(ds, out / DATASET_FILE)
 
-    records = _preprocess_dataset(ds, cfg.preprocess_cfg)
-    preprocess.save_features(records, out / FEATURES_FILE)
+    try:
+        records = _preprocess_dataset(ds, cfg.preprocess_cfg)
+    except StageError:
+        # a run that fails here still leaves the dataset it failed on
+        save_dataset(ds, out / DATASET_FILE)
+        raise
     features_by_id = {fv.source_id: (fv, label) for fv, label in records}
 
-    train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)
-    train_records = [features_by_id[m.id] for m in train_ds]
-    result = _train_and_save(cfg, train_records, out, ds.provenance)
+    # the input files are written on a second core while training runs;
+    # model.json is written only once they are complete
+    with _inputs_saved_alongside(ds, records, out):
+        train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)
+        train_records = [features_by_id[m.id] for m in train_ds]
+        train_cfg, result = _train(cfg, train_records)
+    model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
 
     cal_ds, hold_ds = _stage("calibrate", evaluation.split_calibration, test_ds, cfg.split_spec)
     cal_records = [features_by_id[m.id] for m in cal_ds]

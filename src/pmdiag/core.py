@@ -26,7 +26,13 @@ REQUIRED_DATASET_KEYS = DATASET_KEYS - {"label"}
 
 
 class PmDiagError(Exception):
-    """Base class for every toolkit error."""
+    """Base class for every toolkit error.
+
+    A subclass whose constructor takes other arguments than the message
+    defines ``__reduce__`` to rebuild itself from them: the default pickles
+    only the message, which such a constructor cannot take back, and an error
+    raised in a worker process reaches its parent through pickle.
+    """
 
 
 class DatasetIoError(PmDiagError):
@@ -41,6 +47,9 @@ class ParseError(PmDiagError):
         self.line_number = line_number
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.line_number, self.reason), self.__dict__
+
 
 class ValidationError(PmDiagError):
     """A manoeuvre violated an invariant; carries the first broken rule."""
@@ -52,6 +61,10 @@ class ValidationError(PmDiagError):
         super().__init__(msg)
         self.manoeuvre_id = manoeuvre_id
         self.rule = rule
+        self.detail = detail
+
+    def __reduce__(self):
+        return type(self), (self.manoeuvre_id, self.rule, self.detail), self.__dict__
 
 
 class DuplicateIdError(PmDiagError):
@@ -60,6 +73,9 @@ class DuplicateIdError(PmDiagError):
     def __init__(self, manoeuvre_id: str):
         super().__init__(f"duplicate manoeuvre id {manoeuvre_id!r}")
         self.manoeuvre_id = manoeuvre_id
+
+    def __reduce__(self):
+        return type(self), (self.manoeuvre_id,), self.__dict__
 
 
 class FaultClass(IntEnum):

@@ -34,6 +34,10 @@ class DimensionMismatchError(PmDiagError):
     """Input length does not match the model's input layer."""
 
 
+class NonFiniteInputError(PmDiagError):
+    """An input feature vector holds NaN or an infinity."""
+
+
 class DegenerateDataError(PmDiagError):
     """Training data holds fewer than two classes."""
 
@@ -186,6 +190,9 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"input length {x.size} != layer_dims[0] {model.layer_dims[0]}"
         )
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NonFiniteInputError(f"input value {int(np.flatnonzero(~finite)[0])} is not finite")
     probs, _ = _forward_batch(model, x[None, :])
     return probs[0]
 
@@ -200,10 +207,34 @@ def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, w
 
 
-def _loss_arrays(model: MlpModel, x, y, w) -> float:
+def _row_losses(model: MlpModel, x, y, w) -> np.ndarray:
     probs, _ = _forward_batch(model, x)
     p_true = probs[np.arange(len(y)), y]
-    return float(np.mean(w * -np.log(np.maximum(p_true, PROB_FLOOR))))
+    return w * -np.log(np.maximum(p_true, PROB_FLOOR))
+
+
+def _loss_arrays(model: MlpModel, x, y, w) -> float:
+    return float(np.mean(_row_losses(model, x, y, w)))
+
+
+def _blocked_loss(model: MlpModel, x, y, w, block_rows: int) -> float:
+    """`_loss_arrays` over at least two rows, run `block_rows` rows at a time.
+
+    The value equals `_loss_arrays` on the same rows bit for bit (the tests
+    check it): every block runs gemm, as the full-set product does, and the
+    mean is taken over the joined per-row losses. OpenBLAS puts a
+    product on several threads once m*n*k exceeds 4*65536, so one full-set
+    product would wake a second BLAS thread every epoch, while blocks the size
+    of a training batch run on the threads a gradient step runs on: the
+    calling thread alone for the default 32 rows. Blocks hold at least two
+    rows and there is no one-row tail, because numpy runs a one-row product
+    through gemv, whose sums can differ in the last bit.
+    """
+    n = len(y)
+    starts = list(range(0, n - 1, max(block_rows, 2)))
+    ends = starts[1:] + [n]
+    losses = [_row_losses(model, x[lo:hi], y[lo:hi], w[lo:hi]) for lo, hi in zip(starts, ends)]
+    return float(np.mean(np.concatenate(losses)))
 
 
 def loss(model: MlpModel, batch) -> float:
@@ -279,7 +310,7 @@ def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainRes
                 velocity_b[l] = cfg.momentum * velocity_b[l] - lr * g.biases[l]
                 mdl.weights[l] += velocity_w[l]
                 mdl.biases[l] += velocity_b[l]
-        epoch_losses.append(_loss_arrays(mdl, x, y, w))
+        epoch_losses.append(_blocked_loss(mdl, x, y, w, cfg.batch_size))
     return TrainResult(model=mdl, epoch_losses=epoch_losses)
 
 

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pmdiag import cli, synth
+from pmdiag import cli, model, synth
 from pmdiag.core import FaultClass, Manoeuvre, Dataset, save_dataset, load_dataset
 
 
@@ -38,6 +42,27 @@ def config_path(tmp_path):
 
 def run(argv):
     return cli.main(argv)
+
+
+def assert_no_child_processes():
+    """No child process is running or waiting to be reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def output_files(out):
+    """Each output file's bytes; report.json without its timestamp."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    report = json.loads(files.pop("report.json"))
+    report.pop("timestamp")
+    return files, report
+
+
+def test_import_starts_no_multiprocessing():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, pmdiag.cli; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestGenerate:
@@ -117,6 +142,53 @@ class TestPipeline:
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
         assert (out1 / "dataset.jsonl").read_bytes() == (out2 / "dataset.jsonl").read_bytes()
 
+    @pytest.mark.parametrize("no_fork", ["no_fork_method", "fork_fails"])
+    def test_inline_writes_match_writer_process(self, tmp_path, config_path, monkeypatch, no_fork):
+        import multiprocessing
+
+        assert run(["pipeline", "--config", config_path, "--out", str(tmp_path / "forked")]) == 0
+        if no_fork == "no_fork_method":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        else:
+            def refuse(self):
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        assert run(["pipeline", "--config", config_path, "--out", str(tmp_path / "inline")]) == 0
+        assert output_files(tmp_path / "inline") == output_files(tmp_path / "forked")
+        assert_no_child_processes()
+
+    def test_input_write_failure_exits_3_before_model(self, tmp_path, config_path, capfd):
+        out = tmp_path / "out"
+        (out / "dataset.jsonl").mkdir(parents=True)
+        code = run(["pipeline", "--config", config_path, "--out", str(out)])
+        assert_no_child_processes()
+        err = capfd.readouterr().err
+        assert code == 3
+        # the in-process write's message alone: the writer process printed nothing
+        assert err.startswith(f"i/o error: cannot write {out / 'dataset.jsonl'}: ")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.jsonl"]
+
+    def test_stage_failure_after_fork_leaves_complete_inputs(self, tmp_path, config_path, capsys, monkeypatch):
+        ref = tmp_path / "ref"
+        assert run(["generate", "--config", config_path, "--out", str(ref)]) == 0
+        assert run(["preprocess", "--config", config_path, "--out", str(ref)]) == 0
+
+        def fail(*args, **kwargs):
+            raise model.DegenerateDataError("no training today")
+
+        monkeypatch.setattr(model, "train", fail)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run(["pipeline", "--config", config_path, "--out", str(out)])
+        assert_no_child_processes()
+        assert code == 4
+        assert capsys.readouterr().err == "pipeline failure in train: no training today\n"
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.jsonl", "features.jsonl"]
+        for name in ("dataset.jsonl", "features.jsonl"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
     def test_flat_signal_exits_4_naming_stage(self, tmp_path, capsys):
         cfg = synth.SynthConfig(profile=synth.DEFAULT_PROFILES["MJ"], noise_sigma=0.05)
         good = [
@@ -133,6 +205,8 @@ class TestPipeline:
         assert code == 4
         assert "preprocess" in captured.err
         assert "flat-1" in captured.err
+        # the dataset is written before preprocessing fails
+        assert (tmp_path / "o" / "dataset.jsonl").read_bytes() == ds_path.read_bytes()
 
 
 class TestDiagnose:
@@ -174,6 +248,17 @@ class TestDiagnose:
             "--model", str(other_path),
         ])
         assert code == 5
+
+    def test_diagnose_failure_names_manoeuvre(self, tmp_path, trained_out, capsys):
+        # features of another length than the model's input fail in forward
+        p = tmp_path / "short.json"
+        p.write_text(json.dumps({**SMALL_CONFIG, "preprocess": {"feature_length": 64}}))
+        first = next(iter(load_dataset(trained_out / "dataset.jsonl"))).id
+        capsys.readouterr()
+        code = run(["diagnose", "--config", str(p), "--out", str(trained_out)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"pipeline failure in diagnose: manoeuvre {first!r}: ")
 
     def test_unlabelled_dataset_runs(self, tmp_path, trained_out, config_path):
         ds = load_dataset(trained_out / "dataset.jsonl")

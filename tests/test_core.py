@@ -1,8 +1,10 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from pmdiag.cli import StageError
 from pmdiag.core import (
     Dataset,
     DatasetIoError,
@@ -184,3 +186,26 @@ class TestSaveRoundTrip:
         m = make_manoeuvre(np.ones(64))
         with pytest.raises(ValueError):
             m.samples[0] = 2.0
+
+
+class TestErrorPickling:
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ParseError(3, "bad"),
+            ValidationError("m7", "TooShort", "length 4 < 32"),
+            ValidationError("m7", "TooShort"),
+            DuplicateIdError("m7"),
+            StageError("train", ParseError(3, "bad")),
+        ],
+        ids=lambda e: type(e).__name__,
+    )
+    def test_round_trip(self, error):
+        # an error raised in a worker process reaches its parent through pickle
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error)
+        assert str(copy) == str(error)
+        assert copy.args == error.args
+        assert {k: str(v) for k, v in vars(copy).items()} == {
+            k: str(v) for k, v in vars(error).items()
+        }

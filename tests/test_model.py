@@ -8,8 +8,10 @@ from pmdiag.model import (
     DimensionMismatchError,
     EmptyClassError,
     MlpModel,
+    NonFiniteInputError,
     TrainConfig,
 )
+from pmdiag.core import PmDiagError
 from pmdiag.preprocess import FeatureVector
 
 
@@ -157,6 +159,14 @@ class TestForward:
         with pytest.raises(DimensionMismatchError):
             mlp.forward(uniform_model(4), np.ones(64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x = np.ones(4)
+        x[2] = bad
+        with pytest.raises(NonFiniteInputError, match="input value 2") as info:
+            mlp.forward(uniform_model(4), x)
+        assert isinstance(info.value, PmDiagError)
+
 
 class TestLoss:
     def test_uniform_single_item(self):
@@ -254,6 +264,19 @@ class TestTrain:
         assert all(np.array_equal(a, b) for a, b in zip(r1.model.weights, r2.model.weights))
         assert all(np.array_equal(a, b) for a, b in zip(r1.model.biases, r2.model.biases))
         assert r1.epoch_losses == r2.epoch_losses
+
+    def test_epoch_loss_blocks_equal_whole_set_loss(self):
+        # train logs the loss in row blocks; one product over all rows is the
+        # reference, and a one-row block (numpy's gemv path) would differ
+        rng = np.random.default_rng(0)
+        m = mlp.init_params(seed=3)
+        for n in (2, 3, 41, 887):
+            x = rng.uniform(0, 3, (n, 128))
+            y = rng.integers(0, 5, n)
+            w = rng.uniform(0.5, 2, n)
+            whole = mlp._loss_arrays(m, x, y, w)
+            for block_rows in (1, 2, 7, 32, 64):
+                assert mlp._blocked_loss(m, x, y, w, block_rows) == whole, (n, block_rows)
 
     def test_single_class_rejected(self):
         records = [(fv, FaultClass.Nominal) for fv, _ in feature_records(10)]
