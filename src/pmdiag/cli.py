@@ -10,20 +10,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from . import conformal, evaluation, model, preprocess, synth
 from .core import (
     Dataset,
     DatasetIoError,
     FaultClass,
+    ParseError,
     PmDiagError,
     TechnologyProfile,
+    ValidationError,
+    check_unique_ids,
+    iter_manoeuvres,
     load_dataset,
+    read_jsonl_text,
     save_dataset,
 )
 
@@ -40,6 +48,12 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_STAGE = 4
 EXIT_DIGEST = 5
+
+# A dataset file with fewer lines is loaded in this process alone. One fork,
+# its pipe and the reap cost about 4.5 ms, against about 0.8 ms to load and
+# preprocess one 760-sample manoeuvre, and a one-manoeuvre diagnose must
+# never fork.
+FORK_MIN_LINES = 64
 
 
 class ConfigError(PmDiagError):
@@ -294,16 +308,151 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _input_dataset(cfg: RunConfig, out: Path) -> Dataset:
-    path = cfg.paths.get("dataset", str(out / DATASET_FILE))
-    return load_dataset(path)
+def _start_forked(fn, *args):
+    """Start fn(*args) in a forked child process and return a function that
+    waits for the child and returns fn's result.
+
+    Only for work that starts no BLAS thread, so that forking is safe.
+    Where no process can be forked (no fork start method, or the fork
+    fails), or the child did not send its result and exit 0, the returned
+    function runs fn(*args) in this process, so the caller gets the
+    in-process result, or the in-process exception with its exit code and
+    stderr.
+    """
+    # imported here: every CLI call pays the module-level imports, and only
+    # pipeline and large inputs fork
+    import multiprocessing
+
+    def here():
+        return fn(*args)
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return here
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_result, args=(sender, fn, args))
+    try:
+        child.start()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM): run here
+        receiver.close()
+        return here
+    finally:
+        sender.close()
+
+    def join():
+        # receive before joining: a result larger than the pipe buffer holds
+        # the child in send until it is read
+        with receiver:
+            try:
+                sent = [receiver.recv()]
+            except EOFError:  # the child failed before it sent a result
+                sent = []
+        child.join()
+        ok = sent and child.exitcode == 0
+        child.close()
+        return sent[0] if ok else here()
+
+    return join
+
+
+def _send_result(sender, fn, args) -> None:
+    """Body of a forked child: send fn(*args) to the parent."""
+    try:
+        sender.send(fn(*args))
+    except Exception:
+        # exit 1 without a traceback: the parent runs fn again and reports
+        # the failure as its own
+        sys.exit(1)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Chunk(NamedTuple):
+    """What one process loaded from a contiguous run of dataset lines.
+
+    `ids` and `labels` hold every manoeuvre parsed, in line order, and
+    `features` one row per id unless `error` or `failure` is set. `error` is
+    the first load error, where the chunk ends; `failure` is the manoeuvre id
+    and error of the first preprocess failure.
+    """
+
+    ids: list
+    features: np.ndarray
+    labels: list
+    error: "ParseError | ValidationError | None"
+    failure: "tuple[str, PmDiagError] | None"
+
+
+def _load_chunk(text: str, start: int, end: int, cfg: preprocess.PreprocessConfig) -> _Chunk:
+    """Parse, validate and preprocess the dataset lines in text[start:end].
+
+    Errors are returned, not raised, because the parent ranks them across
+    chunks. After a preprocess failure the chunk goes on parsing: a later
+    load error or duplicate id outranks it.
+    """
+    ids, values, labels = [], [], []
+    error = failure = None
+    try:
+        for m in iter_manoeuvres(text, start, end):
+            ids.append(m.id)
+            labels.append(m.label)
+            if failure is None:
+                try:
+                    values.append(preprocess.preprocess(m, cfg).values)
+                except PmDiagError as exc:
+                    failure = (m.id, exc)
+    except (ParseError, ValidationError) as exc:
+        error = exc
+    features = np.stack(values) if values else np.empty((0, cfg.feature_length))
+    return _Chunk(ids, features, labels, error, failure)
+
+
+def _load_records(path, cfg: preprocess.PreprocessConfig):
+    """(FeatureVector, label) records of a dataset file, in line order.
+
+    From FORK_MIN_LINES line feeds up, the file is cut at line ends into one
+    chunk of about equal size per CPU: this process loads the first while a
+    forked child loads each other one. Errors come out as from load_dataset
+    followed by _preprocess_dataset: the first load error in line order,
+    then the first repeated id, then the first preprocess failure.
+    """
+    text = read_jsonl_text(path)
+    procs = _cpus() if text.count("\n") >= FORK_MIN_LINES else 1
+    cuts = [0]
+    for k in range(1, procs):
+        lf = text.find("\n", max(cuts[-1], len(text) * k // procs))
+        cuts.append(len(text) if lf < 0 else lf + 1)
+    cuts.append(len(text))
+    joins = [_start_forked(_load_chunk, text, a, b, cfg) for a, b in zip(cuts[1:], cuts[2:])]
+    try:
+        own = _load_chunk(text, 0, cuts[1], cfg)
+    finally:
+        others = [join() for join in joins]
+    chunks = [own, *others]
+    for chunk in chunks:
+        if chunk.error is not None:
+            raise chunk.error
+    check_unique_ids(mid for chunk in chunks for mid in chunk.ids)
+    for chunk in chunks:
+        if chunk.failure is not None:
+            raise _manoeuvre_failure("preprocess", *chunk.failure)
+    return [
+        (preprocess.FeatureVector(values, mid), label)
+        for chunk in chunks
+        for mid, values, label in zip(chunk.ids, chunk.features, chunk.labels)
+    ]
 
 
 def cmd_preprocess(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     out = _out_dir(args)
-    ds = _stage("load", _input_dataset, cfg, out)
-    records = _preprocess_dataset(ds, cfg.preprocess_cfg)
+    dataset_path = cfg.paths.get("dataset", str(out / DATASET_FILE))
+    records = _stage("load", _load_records, dataset_path, cfg.preprocess_cfg)
     preprocess.save_features(records, out / FEATURES_FILE)
     print(f"wrote {len(records)} feature vectors to {out / FEATURES_FILE}")
     return 0
@@ -395,8 +544,7 @@ def cmd_diagnose(args) -> int:
     mdl = _stage("load", model.load_model, model_path)
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
-    ds = _stage("load", load_dataset, dataset_path)
-    records = _preprocess_dataset(ds, cfg.preprocess_cfg)
+    records = _stage("load", _load_records, dataset_path, cfg.preprocess_cfg)
     diagnoses = [d for _, d in _diagnose_rows(predictor, mdl, records)]
     conformal.save_diagnoses(diagnoses, out / DIAGNOSES_JSONL)
     guarantee = 100.0 * (1.0 - predictor.alpha)
@@ -437,53 +585,6 @@ def _save_inputs(ds: Dataset, records, out: Path) -> None:
     preprocess.save_features(records, out / FEATURES_FILE)
 
 
-def _save_inputs_in_writer(ds: Dataset, records, out: Path) -> None:
-    try:
-        _save_inputs(ds, records, out)
-    except Exception:
-        # exit 1 without a traceback: the parent repeats the writes and
-        # reports the failure as its own
-        sys.exit(1)
-
-
-@contextmanager
-def _inputs_saved_alongside(ds: Dataset, records, out: Path):
-    """Write dataset.jsonl and features.jsonl in a forked process while the
-    block runs, and join it on leaving the block, also when the block raised.
-
-    The writer runs only JSON encoding and atomic writes, no BLAS, so forking
-    the parent is safe. If it did not exit 0, the writes run again here, so a
-    write failure raises the same exception, with the same exit code and
-    stderr, as writing in-process, and outranks a failure of the block, as it
-    would have if the files were written first. Where no process can be
-    forked, the writes run here before the block.
-    """
-    # imported here: every CLI call pays the module-level imports, and only pipeline forks
-    import multiprocessing
-
-    writer = None
-    if "fork" in multiprocessing.get_all_start_methods():
-        writer = multiprocessing.get_context("fork").Process(
-            target=_save_inputs_in_writer, args=(ds, records, out)
-        )
-        try:
-            writer.start()
-        except OSError:  # no process to spare (EAGAIN, ENOMEM): write here
-            writer = None
-    if writer is None:
-        _save_inputs(ds, records, out)
-        yield
-        return
-    try:
-        yield
-    finally:
-        writer.join()
-        failed = writer.exitcode != 0
-        writer.close()
-        if failed:
-            _save_inputs(ds, records, out)
-
-
 def cmd_pipeline(args) -> int:
     cfg = load_run_config(args.config, args.seed)
     out = _out_dir(args)
@@ -503,12 +604,17 @@ def cmd_pipeline(args) -> int:
         raise
     features_by_id = {fv.source_id: (fv, label) for fv, label in records}
 
-    # the input files are written on a second core while training runs;
-    # model.json is written only once they are complete
-    with _inputs_saved_alongside(ds, records, out):
+    # the input files are written on a second core while training runs, and
+    # are complete once joined, also when a stage here failed; model.json is
+    # written only after that. A write failure reaches the join, and so
+    # outranks a failure here, as it would if the files were written first.
+    inputs_saved = _start_forked(_save_inputs, ds, records, out)
+    try:
         train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)
         train_records = [features_by_id[m.id] for m in train_ds]
         train_cfg, result = _train(cfg, train_records)
+    finally:
+        inputs_saved()
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
 
     cal_ds, hold_ds = _stage("calibrate", evaluation.split_calibration, test_ds, cfg.split_spec)

@@ -160,6 +160,15 @@ class Manoeuvre:
     __hash__ = None  # type: ignore[assignment]
 
 
+def check_unique_ids(ids) -> None:
+    """Raise DuplicateIdError naming the first id that repeats an earlier one."""
+    seen: set[str] = set()
+    for mid in ids:
+        if mid in seen:
+            raise DuplicateIdError(mid)
+        seen.add(mid)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Ordered collection of manoeuvres with a provenance tag."""
@@ -169,11 +178,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "manoeuvres", tuple(self.manoeuvres))
-        seen: set[str] = set()
-        for m in self.manoeuvres:
-            if m.id in seen:
-                raise DuplicateIdError(m.id)
-            seen.add(m.id)
+        check_unique_ids(m.id for m in self.manoeuvres)
 
     def __len__(self) -> int:
         return len(self.manoeuvres)
@@ -269,17 +274,43 @@ def _manoeuvre_from_obj(obj: dict, line_number: int) -> Manoeuvre:
     )
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Load and validate a JSONL dataset, preserving line order."""
+def read_jsonl_text(path: str | Path) -> str:
+    """The whole text of a JSONL file; DatasetIoError when it cannot be read."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetIoError(f"cannot read {path}: {exc}") from exc
-    manoeuvres: list[Manoeuvre] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+
+
+def jsonl_lines(text: str, start: int = 0, end: int | None = None):
+    """Yield (line number, line) for each non-blank line of text[start:end].
+
+    Lines end at LF only, not at the other line breaks of str.splitlines():
+    U+2028, U+2029 and U+0085 may stand raw inside a JSON string, and a CR
+    before the LF is JSON whitespace. Line numbers count
+    from the start of `text`, so a slice that starts at a line start reports
+    the same numbers as the whole text.
+    """
+    end = len(text) if end is None else end
+    line_number = text.count("\n", 0, start)
+    while start < end:
+        stop = text.find("\n", start, end)
+        stop = end if stop < 0 else stop
+        line_number += 1
+        line = text[start:stop]
+        if line.strip():
+            yield line_number, line
+        start = stop + 1
+
+
+def iter_manoeuvres(text: str, start: int = 0, end: int | None = None):
+    """Parse and validate each manoeuvre line of text[start:end] in order.
+
+    Raises ParseError or ValidationError at the first bad line, after
+    yielding every manoeuvre before it.
+    """
+    for line_number, line in jsonl_lines(text, start, end):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -288,9 +319,14 @@ def load_dataset(path: str | Path) -> Dataset:
         issue = validate_manoeuvre(m)
         if issue is not None:
             raise ValidationError(m.id, issue.rule, issue.detail)
-        manoeuvres.append(m)
+        yield m
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Load and validate a JSONL dataset, preserving line order."""
+    manoeuvres = tuple(iter_manoeuvres(read_jsonl_text(path)))
     # Dataset rejects a repeated id with DuplicateIdError
-    return Dataset(manoeuvres=tuple(manoeuvres), provenance=str(path))
+    return Dataset(manoeuvres=manoeuvres, provenance=str(Path(path)))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:

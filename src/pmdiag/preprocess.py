@@ -18,13 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    DatasetIoError,
     FaultClass,
     Manoeuvre,
     ParseError,
     PmDiagError,
     ValidationError,
     atomic_write_text,
+    jsonl_lines,
+    read_jsonl_text,
     validate_manoeuvre,
 )
 
@@ -231,15 +232,8 @@ def save_features(
 
 
 def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | None]]":
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetIoError(f"cannot read {path}: {exc}") from exc
     records: list[tuple[FeatureVector, FaultClass | None]] = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_number, line in jsonl_lines(read_jsonl_text(path)):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:

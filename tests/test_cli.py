@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmdiag import cli, model, synth
-from pmdiag.core import FaultClass, Manoeuvre, Dataset, save_dataset, load_dataset
+from pmdiag import cli, model, preprocess, synth
+from pmdiag.core import FaultClass, Manoeuvre, Dataset, PmDiagError, save_dataset, load_dataset
 
 
 SMALL_CONFIG = {
@@ -48,6 +49,19 @@ def assert_no_child_processes():
     """No child process is running or waiting to be reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def no_fork(monkeypatch, how):
+    """Make forking impossible: no fork start method, or a fork that fails."""
+    import multiprocessing
+
+    if how == "no_fork_method":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    else:
+        def refuse(self):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
 
 def output_files(out):
@@ -142,18 +156,10 @@ class TestPipeline:
         assert (out1 / "model.json").read_bytes() == (out2 / "model.json").read_bytes()
         assert (out1 / "dataset.jsonl").read_bytes() == (out2 / "dataset.jsonl").read_bytes()
 
-    @pytest.mark.parametrize("no_fork", ["no_fork_method", "fork_fails"])
-    def test_inline_writes_match_writer_process(self, tmp_path, config_path, monkeypatch, no_fork):
-        import multiprocessing
-
+    @pytest.mark.parametrize("how", ["no_fork_method", "fork_fails"])
+    def test_inline_writes_match_writer_process(self, tmp_path, config_path, monkeypatch, how):
         assert run(["pipeline", "--config", config_path, "--out", str(tmp_path / "forked")]) == 0
-        if no_fork == "no_fork_method":
-            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        else:
-            def refuse(self):
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-
-            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        no_fork(monkeypatch, how)
         assert run(["pipeline", "--config", config_path, "--out", str(tmp_path / "inline")]) == 0
         assert output_files(tmp_path / "inline") == output_files(tmp_path / "forked")
         assert_no_child_processes()
@@ -296,6 +302,155 @@ class TestDiagnose:
         for m, row in zip(picked, batch):
             [alone] = diagnosed([m], f"alone-{m.id}")
             assert alone["prediction_set"] == row["prediction_set"]
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A SMALL_CONFIG pipeline run: a model, its predictor and a 76-line dataset."""
+    out = tmp_path_factory.mktemp("trained")
+    (out / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    assert run(["pipeline", "--config", str(out / "config.json"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Load on three processes whatever the host has, and count the forks."""
+    import multiprocessing
+
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def counted(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    return started
+
+
+class TestForkedLoad:
+    def command(self, trained_run, tmp_path, name, ds_path):
+        config = tmp_path / f"{name}-config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "paths": {"dataset": str(ds_path)}}))
+        argv = [name, "--config", str(config), "--out", str(tmp_path / "out")]
+        if name == "diagnose":
+            argv += ["--model", str(trained_run / "model.json"),
+                     "--predictor", str(trained_run / "predictor.json")]
+        return argv
+
+    def outcome(self, argv, out, capsys):
+        """Exit code, stdout, stderr and output files of one call; clears `out`."""
+        capsys.readouterr()
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert_no_child_processes()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return code, captured.out, captured.err, files
+
+    def defective(self, trained_run, tmp_path, edits):
+        """The pipeline's dataset with line k replaced by edits[k](object of line k)."""
+        lines = (trained_run / "dataset.jsonl").read_text().splitlines()
+        objs = [json.loads(l) for l in lines]
+        for k, edit in edits.items():
+            lines[k] = edit(objs, k)
+        p = tmp_path / "defective.jsonl"
+        p.write_text("\n".join(lines) + "\n")
+        return p
+
+    @pytest.mark.parametrize("name", ["diagnose", "preprocess"])
+    def test_forked_matches_in_process(
+        self, trained_run, tmp_path, capsys, monkeypatch, forks, name
+    ):
+        ds_path = trained_run / "dataset.jsonl"
+        assert len(ds_path.read_text().splitlines()) >= cli.FORK_MIN_LINES
+        argv = self.command(trained_run, tmp_path, name, ds_path)
+        out = tmp_path / "out"
+        forked = self.outcome(argv, out, capsys)
+        assert forked[0] == 0
+        assert len(forks) == 2
+        for how in ("no_fork_method", "fork_fails"):
+            with monkeypatch.context() as patch:
+                no_fork(patch, how)
+                assert self.outcome(argv, out, capsys) == forked, how
+        if name == "preprocess":
+            # the features the one-process path of pipeline computes
+            records = cli._preprocess_dataset(load_dataset(ds_path), preprocess.PreprocessConfig())
+            preprocess.save_features(records, tmp_path / "reference.jsonl")
+            assert forked[3]["features.jsonl"] == (tmp_path / "reference.jsonl").read_bytes()
+
+    DEFECTS = {
+        "broken_json": lambda objs, k: "{oops",
+        "non_finite": lambda objs, k: json.dumps({**objs[k], "samples": [float("nan")] * 100}),
+        # takes the id of a manoeuvre in the other end chunk
+        "duplicate_id": lambda objs, k: json.dumps({**objs[k], "id": objs[len(objs) - 1 - k]["id"]}),
+        "flat_signal": lambda objs, k: json.dumps({**objs[k], "samples": [0.0] * 100}),
+    }
+
+    @pytest.mark.parametrize("where", ["first_chunk", "last_chunk"])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_error_precedence_matches_in_process(
+        self, trained_run, tmp_path, capsys, monkeypatch, forks, defect, where
+    ):
+        n = len((trained_run / "dataset.jsonl").read_text().splitlines())
+        k = 1 if where == "first_chunk" else n - 2
+        ds_path = self.defective(trained_run, tmp_path, {k: self.DEFECTS[defect]})
+        self.assert_fails_as_in_process(trained_run, tmp_path, capsys, monkeypatch, forks, ds_path)
+
+    @pytest.mark.parametrize("where", ["first_chunk", "last_chunk"])
+    def test_parse_error_outranks_earlier_preprocess_failure(
+        self, trained_run, tmp_path, capsys, monkeypatch, forks, where
+    ):
+        n = len((trained_run / "dataset.jsonl").read_text().splitlines())
+        k = 3 if where == "first_chunk" else n - 2
+        ds_path = self.defective(
+            trained_run, tmp_path, {1: self.DEFECTS["flat_signal"], k: self.DEFECTS["broken_json"]}
+        )
+        err = self.assert_fails_as_in_process(
+            trained_run, tmp_path, capsys, monkeypatch, forks, ds_path
+        )
+        assert err.startswith(f"pipeline failure in load: line {k + 1}: invalid JSON: ")
+
+    def assert_fails_as_in_process(
+        self, trained_run, tmp_path, capsys, monkeypatch, forks, ds_path
+    ):
+        argv = self.command(trained_run, tmp_path, "diagnose", ds_path)
+        out = tmp_path / "out"
+        code, stdout, err, files = self.outcome(argv, out, capsys)
+        assert len(forks) == 2
+        assert (code, stdout, files) == (4, "", {})
+        with monkeypatch.context() as patch:
+            no_fork(patch, "no_fork_method")
+            assert self.outcome(argv, out, capsys) == (code, stdout, err, files)
+        # the error load_dataset and then per-manoeuvre preprocessing raise first
+        try:
+            cli._preprocess_dataset(load_dataset(ds_path), preprocess.PreprocessConfig())
+        except cli.StageError as exc:
+            expected = f"pipeline failure in {exc.stage}: {exc.cause}\n"
+        except PmDiagError as exc:
+            expected = f"pipeline failure in load: {exc}\n"
+        assert err == expected
+        return err
+
+    @pytest.mark.parametrize("lines", [1, 0, None], ids=["one_manoeuvre", "empty", "blank_lines"])
+    def test_small_input_never_forks(self, trained_run, tmp_path, capsys, monkeypatch, lines):
+        import multiprocessing
+
+        def refuse(self):
+            pytest.fail("a small input forked")
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 4)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        first = (trained_run / "dataset.jsonl").read_text().splitlines()[: lines or 0]
+        ds_path = tmp_path / "small.jsonl"
+        ds_path.write_text("".join(l + "\n" for l in first) if lines is not None else "\n \n\r\n")
+        argv = self.command(trained_run, tmp_path, "diagnose", ds_path)
+        code, stdout, err, files = self.outcome(argv, tmp_path / "out", capsys)
+        assert (code, err) == (0, "")
+        rows = [json.loads(r) for r in files["diagnoses.jsonl"].decode().splitlines()]
+        assert [r["source_id"] for r in rows] == [json.loads(l)["id"] for l in first]
 
 
 class TestStageCommands:

@@ -139,6 +139,19 @@ class TestLoad:
         with pytest.raises(DatasetIoError):
             load_dataset(tmp_path / "nope.jsonl")
 
+    def test_lines_end_at_lf_only(self, tmp_path):
+        # U+2028, U+2029 and U+0085 may stand raw in a JSON string, and
+        # str.splitlines() breaks lines at each of them
+        mid = "field\u2028\u2029\x851"
+        raw = json.dumps(json.loads(self.line(mid)), ensure_ascii=False)
+        p = tmp_path / "ds.jsonl"
+        p.write_text(self.line("a") + "\r\n" + raw, encoding="utf-8")
+        assert [m.id for m in load_dataset(p)] == ["a", mid]
+        p.write_text(raw + "\n{oops\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_dataset(p)
+        assert err.value.line_number == 2
+
 
 class TestSaveRoundTrip:
     def test_empty_dataset(self, tmp_path):

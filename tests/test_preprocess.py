@@ -197,6 +197,16 @@ class TestFeatureIo:
         assert err.value.line_number == 2
         assert "bad-7" in str(err.value)
 
+    def test_lines_end_at_lf_only(self, tmp_path):
+        # U+2028, U+2029 and U+0085 may stand raw in a JSON string, and
+        # str.splitlines() breaks lines at each of them
+        obj = {"source_id": "m\u2028\u2029\x851", "values": [1.0] * 4, "label": "Nominal"}
+        p = tmp_path / "features.jsonl"
+        p.write_text(json.dumps(obj, ensure_ascii=False) + "\r\n", encoding="utf-8")
+        [(fv, label)] = load_features(p)
+        assert fv.source_id == obj["source_id"]
+        assert label is FaultClass.Nominal
+
     def test_stale_aux_key_rejected(self, tmp_path):
         old = {"source_id": "a", "values": [1.0], "aux": {"move_duration_s": 5.0, "peak_ratio": 2.6}}
         p = tmp_path / "features.jsonl"
