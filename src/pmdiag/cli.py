@@ -252,7 +252,7 @@ def load_run_config(path: "str | None", seed_override: "int | None" = None) -> R
         return parse_run_config({}, seed_override)
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)

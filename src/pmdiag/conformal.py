@@ -207,7 +207,7 @@ def load_predictor(path: str | Path) -> ConformalPredictor:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetIoError(f"{path} is not valid JSON: {exc.msg}") from None

@@ -229,7 +229,7 @@ def _manoeuvre_to_obj(m: Manoeuvre) -> dict:
         "technology": m.technology,
         "timestamp": m.timestamp,
         "sample_rate": m.sample_rate,
-        "samples": [float(v) for v in m.samples],
+        "samples": m.samples.tolist(),
     }
     if m.label is not None:
         obj["label"] = m.label.name
@@ -279,7 +279,7 @@ def read_jsonl_text(path: str | Path) -> str:
     path = Path(path)
     try:
         return path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIoError(f"cannot read {path}: {exc}") from exc
 
 

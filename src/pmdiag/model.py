@@ -164,8 +164,13 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Probabilities plus post-activation caches for backprop."""
+def _forward_batch(
+    model: MlpModel, x: np.ndarray, matmul=np.matmul
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Probabilities plus post-activation caches for backprop.
+
+    `matmul(a, w)` returns each layer's product as a new array.
+    """
     if x.ndim != 2 or x.shape[1] != model.layer_dims[0]:
         raise DimensionMismatchError(
             f"input width {x.shape[-1]} != layer_dims[0] {model.layer_dims[0]}"
@@ -174,7 +179,8 @@ def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.
     a = x
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = matmul(a, w)
+        z += b
         if l < last:
             a = np.maximum(z, 0.0)
             activations.append(a)
@@ -207,8 +213,8 @@ def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return x, y, w
 
 
-def _row_losses(model: MlpModel, x, y, w) -> np.ndarray:
-    probs, _ = _forward_batch(model, x)
+def _row_losses(model: MlpModel, x, y, w, matmul=np.matmul) -> np.ndarray:
+    probs, _ = _forward_batch(model, x, matmul)
     p_true = probs[np.arange(len(y)), y]
     return w * -np.log(np.maximum(p_true, PROB_FLOOR))
 
@@ -218,23 +224,30 @@ def _loss_arrays(model: MlpModel, x, y, w) -> float:
 
 
 def _blocked_loss(model: MlpModel, x, y, w, block_rows: int) -> float:
-    """`_loss_arrays` over at least two rows, run `block_rows` rows at a time.
+    """`_loss_arrays` over at least two rows, its products run `block_rows` rows at a time.
 
     The value equals `_loss_arrays` on the same rows bit for bit (the tests
-    check it): every block runs gemm, as the full-set product does, and the
-    mean is taken over the joined per-row losses. OpenBLAS puts a
-    product on several threads once m*n*k exceeds 4*65536, so one full-set
-    product would wake a second BLAS thread every epoch, while blocks the size
-    of a training batch run on the threads a gradient step runs on: the
-    calling thread alone for the default 32 rows. Blocks hold at least two
-    rows and there is no one-row tail, because numpy runs a one-row product
-    through gemv, whose sums can differ in the last bit.
+    check it): each block of a product runs gemm, as the full-set product
+    does, and a row's gemm result does not depend on the block it sits in;
+    the bias add, ReLU, softmax and mean then run once over all rows.
+    OpenBLAS puts a product on several threads once m*n*k exceeds 4*65536,
+    so one full-set product would wake a second BLAS thread every epoch,
+    while blocks the size of a training batch run on the threads a gradient
+    step runs on: the calling thread alone for the default 32 rows. Blocks
+    hold at least two rows and there is no one-row tail, because numpy runs a
+    one-row product through gemv, whose sums can differ in the last bit.
     """
     n = len(y)
-    starts = list(range(0, n - 1, max(block_rows, 2)))
-    ends = starts[1:] + [n]
-    losses = [_row_losses(model, x[lo:hi], y[lo:hi], w[lo:hi]) for lo, hi in zip(starts, ends)]
-    return float(np.mean(np.concatenate(losses)))
+    starts = range(0, n - 1, max(block_rows, 2))
+    blocks = list(zip(starts, [*starts[1:], n]))
+
+    def matmul(a, b):
+        out = np.empty((n, b.shape[1]))
+        for lo, hi in blocks:
+            np.matmul(a[lo:hi], b, out=out[lo:hi])
+        return out
+
+    return float(np.mean(_row_losses(model, x, y, w, matmul)))
 
 
 def loss(model: MlpModel, batch) -> float:
@@ -243,7 +256,8 @@ def loss(model: MlpModel, batch) -> float:
     return _loss_arrays(model, x, y, w)
 
 
-def _grad_arrays(model: MlpModel, x, y, w) -> Gradients:
+def _grad_arrays(model: MlpModel, x, y, w, out: Gradients) -> None:
+    """Fill `out`'s arrays with the gradient of the batch loss."""
     n = len(y)
     probs, activations = _forward_batch(model, x)
     p_true = probs[np.arange(n), y]
@@ -253,20 +267,30 @@ def _grad_arrays(model: MlpModel, x, y, w) -> Gradients:
     delta[np.arange(n), y] -= 1.0
     delta *= (eff_w / n)[:, None]
 
-    grad_w = [np.empty(0)] * len(model.weights)
-    grad_b = [np.empty(0)] * len(model.biases)
     for l in range(len(model.weights) - 1, -1, -1):
-        grad_w[l] = activations[l].T @ delta
-        grad_b[l] = delta.sum(axis=0)
+        np.matmul(activations[l].T, delta, out=out.weights[l])
+        delta.sum(axis=0, out=out.biases[l])
         if l > 0:
             delta = (delta @ model.weights[l].T) * (activations[l] > 0.0)
-    return Gradients(weights=grad_w, biases=grad_b)
 
 
 def grad(model: MlpModel, batch) -> Gradients:
     """Analytic gradient of `loss` with respect to every weight and bias."""
     x, y, w = _batch_arrays(batch)
-    return _grad_arrays(model, x, y, w)
+    out = Gradients(
+        weights=[np.empty_like(m) for m in model.weights],
+        biases=[np.empty_like(b) for b in model.biases],
+    )
+    _grad_arrays(model, x, y, w, out)
+    return out
+
+
+def _layer_views(flat: np.ndarray, model: MlpModel) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Consecutive views of `flat` shaped like the model's weights, then its biases."""
+    arrays = [*model.weights, *model.biases]
+    parts = np.split(flat, np.cumsum([a.size for a in arrays])[:-1])
+    views = [part.reshape(a.shape) for part, a in zip(parts, arrays)]
+    return views[: len(model.weights)], views[len(model.weights) :]
 
 
 def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainResult:
@@ -293,8 +317,14 @@ def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainRes
     w = cw[y]
 
     mdl = init_params(layer_dims, cfg.seed)
-    velocity_w = [np.zeros_like(m) for m in mdl.weights]
-    velocity_b = [np.zeros_like(b) for b in mdl.biases]
+    # parameters, gradients and velocity each live in one flat vector, so the
+    # momentum step is three whole-vector statements; the model's and the
+    # gradient's arrays are views into those vectors
+    params = np.concatenate([a.ravel() for a in (*mdl.weights, *mdl.biases)])
+    grads = np.empty_like(params)
+    velocity = np.zeros_like(params)
+    g = Gradients(*_layer_views(grads, mdl))
+    mdl.weights, mdl.biases = _layer_views(params, mdl)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
 
     n = len(y)
@@ -304,13 +334,14 @@ def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainRes
         order = shuffle_rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            g = _grad_arrays(mdl, x[idx], y[idx], w[idx])
-            for l in range(len(mdl.weights)):
-                velocity_w[l] = cfg.momentum * velocity_w[l] - lr * g.weights[l]
-                velocity_b[l] = cfg.momentum * velocity_b[l] - lr * g.biases[l]
-                mdl.weights[l] += velocity_w[l]
-                mdl.biases[l] += velocity_b[l]
+            _grad_arrays(mdl, x[idx], y[idx], w[idx], g)
+            velocity *= cfg.momentum
+            velocity -= lr * grads
+            params += velocity
         epoch_losses.append(_blocked_loss(mdl, x, y, w, cfg.batch_size))
+    # arrays that own their memory, as load_model's do
+    mdl.weights = [a.copy() for a in mdl.weights]
+    mdl.biases = [a.copy() for a in mdl.biases]
     return TrainResult(model=mdl, epoch_losses=epoch_losses)
 
 
@@ -363,7 +394,7 @@ def load_model(path: str | Path) -> MlpModel:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DatasetIoError(f"{path} is not valid JSON: {exc.msg}") from None

@@ -221,7 +221,7 @@ def save_features(
     """Write features as JSONL with pass-through labels."""
     lines = []
     for fv, label in records:
-        obj = {"source_id": fv.source_id, "values": [float(v) for v in fv.values]}
+        obj = {"source_id": fv.source_id, "values": fv.values.tolist()}
         if label is not None:
             obj["label"] = label.name
         lines.append(json.dumps(obj))

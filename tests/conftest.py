@@ -4,6 +4,10 @@ from pmdiag import evaluation, model, preprocess, synth
 from pmdiag.core import FaultClass, TechnologyProfile
 
 
+# -0.0, the smallest subnormal, both sides of repr's switch to exponent
+# notation, a value with no exact binary form, and the largest finite double
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e-05, 1e-04, 0.1, 1e16, 1.7976931348623157e308]
+
 MJ_COUNTS = {
     FaultClass.Nominal: 356,
     FaultClass.Obstacle: 274,

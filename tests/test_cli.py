@@ -313,6 +313,24 @@ def trained_run(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize(
+    "name", ["dataset.jsonl", "features.jsonl", "model.json", "predictor.json", "config.json"]
+)
+def test_file_not_utf8_exits_with_one_line(trained_run, tmp_path, capsys, name):
+    out = tmp_path / "out"
+    shutil.copytree(trained_run, out)
+    path = out / name
+    path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+    command = "evaluate" if name == "features.jsonl" else "diagnose"
+    capsys.readouterr()
+    code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    expected = (2, "config error: ") if name == "config.json" else (3, "i/o error: ")
+    assert (code, err[: len(expected[1])]) == expected
+    assert err.count("\n") == 1 and name in err
+    assert_no_child_processes()
+
+
 @pytest.fixture()
 def forks(monkeypatch):
     """Load on three processes whatever the host has, and count the forks."""

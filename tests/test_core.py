@@ -18,6 +18,8 @@ from pmdiag.core import (
     validate_manoeuvre,
 )
 
+from conftest import AWKWARD_FLOATS
+
 
 def make_manoeuvre(samples, mid="m1", rate=100.0, label=None):
     return Manoeuvre(
@@ -189,6 +191,27 @@ class TestSaveRoundTrip:
             assert a.sample_rate == b.sample_rate
             assert a.label == b.label
             assert np.array_equal(a.samples, b.samples)
+
+    def test_bytes_equal_float_list_reference(self, tmp_path):
+        samples = np.tile(AWKWARD_FLOATS, 5)
+        ds = Dataset(
+            manoeuvres=(
+                make_manoeuvre(samples, "a", label=FaultClass.Friction),
+                make_manoeuvre(-samples[::-1], "b"),
+            ),
+            provenance="x",
+        )
+        reference = "".join(
+            json.dumps({
+                "id": m.id, "technology": m.technology, "timestamp": m.timestamp,
+                "sample_rate": m.sample_rate, "samples": [float(v) for v in m.samples],
+                **({"label": m.label.name} if m.label is not None else {}),
+            }) + "\n"
+            for m in ds
+        )
+        p = tmp_path / "ds.jsonl"
+        save_dataset(ds, p)
+        assert p.read_bytes() == reference.encode("utf-8")
 
     def test_write_to_directory_path_fails(self, tmp_path):
         ds = Dataset(manoeuvres=(make_manoeuvre(np.ones(64)),), provenance="x")

@@ -246,6 +246,55 @@ def feature_records(n, dim=128, seed=0):
     return records
 
 
+def reference_grad(model, x, y, w):
+    """The gradient of the batch loss in fresh per-layer arrays."""
+    last = len(model.weights) - 1
+    activations = [x]
+    for l, (wl, b) in enumerate(zip(model.weights, model.biases)):
+        z = activations[-1] @ wl + b
+        if l < last:
+            activations.append(np.maximum(z, 0.0))
+    probs = mlp._softmax(z)
+    rows = np.arange(len(y))
+    eff_w = np.where(probs[rows, y] > mlp.PROB_FLOOR, w, 0.0)
+    delta = probs.copy()
+    delta[rows, y] -= 1.0
+    delta *= (eff_w / len(y))[:, None]
+    grad_w, grad_b = [None] * (last + 1), [None] * (last + 1)
+    for l in range(last, -1, -1):
+        grad_w[l] = activations[l].T @ delta
+        grad_b[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ model.weights[l].T) * (activations[l] > 0.0)
+    return grad_w, grad_b
+
+
+def reference_train(features, cfg):
+    """train as a per-layer momentum loop that logs the loss in one full-set product."""
+    x = np.stack([fv.values for fv, _ in features])
+    y = np.asarray([int(label) for _, label in features], dtype=np.int64)
+    w = np.asarray(cfg.class_weights)[y]
+    mdl = mlp.init_params(mlp.DEFAULT_LAYER_DIMS, cfg.seed)
+    velocity_w = [np.zeros_like(m) for m in mdl.weights]
+    velocity_b = [np.zeros_like(b) for b in mdl.biases]
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
+    n = len(y)
+    epoch_losses = []
+    for epoch in range(cfg.epochs):
+        lr = cfg.learning_rate * (1.0 - epoch / cfg.epochs)
+        order = shuffle_rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            grad_w, grad_b = reference_grad(mdl, x[idx], y[idx], w[idx])
+            for l in range(len(mdl.weights)):
+                velocity_w[l] = cfg.momentum * velocity_w[l] - lr * grad_w[l]
+                velocity_b[l] = cfg.momentum * velocity_b[l] - lr * grad_b[l]
+                mdl.weights[l] += velocity_w[l]
+                mdl.biases[l] += velocity_b[l]
+        epoch_losses.append(mlp._loss_arrays(mdl, x, y, w))
+    return mdl, epoch_losses
+
+
 class TestTrain:
     def test_separable_sanity(self):
         records = feature_records(40)
@@ -277,6 +326,25 @@ class TestTrain:
             whole = mlp._loss_arrays(m, x, y, w)
             for block_rows in (1, 2, 7, 32, 64):
                 assert mlp._blocked_loss(m, x, y, w, block_rows) == whole, (n, block_rows)
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 7, 32, 41])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equals_per_layer_reference_loop(self, seed, batch_size):
+        rng = np.random.default_rng(seed)
+        records = [
+            (FeatureVector(rng.uniform(0, 2, 128), f"f{i}"), FaultClass(i % 5)) for i in range(41)
+        ]
+        cfg = TrainConfig(epochs=20, batch_size=batch_size, seed=seed,
+                          class_weights=(1.0, 2.0, 0.5, 1.5, 3.0))
+        result = mlp.train(records, cfg)
+        ref_model, ref_losses = reference_train(records, cfg)
+        for got, want in zip(result.model.weights + result.model.biases,
+                             ref_model.weights + ref_model.biases):
+            assert got.tobytes() == want.tobytes()
+        assert result.epoch_losses == ref_losses
+        arrays = result.model.weights + result.model.biases
+        assert all(a.flags.owndata for a in arrays)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
     def test_single_class_rejected(self):
         records = [(fv, FaultClass.Nominal) for fv, _ in feature_records(10)]

@@ -6,6 +6,7 @@ import pytest
 from pmdiag import preprocess, synth
 from pmdiag.core import FaultClass, Manoeuvre, ParseError
 from pmdiag.preprocess import (
+    FeatureVector,
     FlatSignalError,
     PreprocessConfig,
     SegmentationFailedError,
@@ -18,7 +19,7 @@ from pmdiag.preprocess import (
 )
 from pmdiag.synth import FaultSpec, SynthConfig
 
-from conftest import profile_at_rate
+from conftest import AWKWARD_FLOATS, profile_at_rate
 
 PCFG = PreprocessConfig()
 
@@ -186,6 +187,21 @@ class TestFeatureIo:
             assert fv.source_id == fv2.source_id
             assert label == label2
             assert np.array_equal(fv.values, fv2.values)
+
+    def test_bytes_equal_float_list_reference(self, tmp_path):
+        values = np.asarray(AWKWARD_FLOATS)
+        records = [(FeatureVector(values, "a"), FaultClass.Obstacle),
+                   (FeatureVector(-values[::-1], "b"), None)]
+        reference = "".join(
+            json.dumps({
+                "source_id": fv.source_id, "values": [float(v) for v in fv.values],
+                **({"label": label.name} if label is not None else {}),
+            }) + "\n"
+            for fv, label in records
+        )
+        p = tmp_path / "features.jsonl"
+        save_features(records, p)
+        assert p.read_bytes() == reference.encode("utf-8")
 
     def test_non_finite_value_rejected(self, tmp_path):
         good = {"source_id": "ok", "values": [1.0] * 4}
