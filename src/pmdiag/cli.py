@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -41,7 +41,6 @@ MODEL_FILE = "model.json"
 TRAINING_LOG_FILE = "training_log.json"
 PREDICTOR_FILE = "predictor.json"
 REPORT_FILE = "report.json"
-DIAGNOSES_CSV = "diagnoses.csv"
 DIAGNOSES_JSONL = "diagnoses.jsonl"
 
 EXIT_CONFIG = 2
@@ -94,30 +93,35 @@ class RunConfig:
     def to_obj(self) -> dict:
         return {
             "synth": {
-                **self.synth_cfg.to_obj(),
+                **asdict(self.synth_cfg),
                 "counts": {cls.name: n for cls, n in sorted(self.counts.items(), key=lambda kv: int(kv[0]))},
                 "severity_range": list(self.severity_range),
             },
             "preprocess": asdict(self.preprocess_cfg),
-            "train": self.train_cfg.to_obj(),
+            "train": asdict(self.train_cfg),
             "conformal": {"alpha": self.alpha},
             "split": asdict(self.split_spec),
             "paths": dict(self.paths),
         }
 
 
-def _check_keys(section: str, obj: dict, allowed: set) -> None:
+def _check_section(section: str, obj, allowed: set) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"section {section!r} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
 
 
-def _build_section(section: str, obj: dict, allowed: set, factory):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    _check_keys(section, obj, allowed)
+def _field_names(factory) -> set:
+    return {f.name for f in fields(factory)}
+
+
+def _build_section(section: str, obj, factory, **defaults):
+    """factory(**obj) over `defaults`; the keys allowed are the factory's fields."""
+    _check_section(section, obj, _field_names(factory))
     try:
-        return factory(**obj)
+        return factory(**{**defaults, **obj})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"section {section!r}: {exc}") from None
 
@@ -129,8 +133,7 @@ def _parse_profile(obj) -> TechnologyProfile:
                 f"unknown profile {obj!r}; known: {sorted(synth.DEFAULT_PROFILES)}"
             )
         return synth.DEFAULT_PROFILES[obj]
-    allowed = {"name", "supply", "sample_rate", "nominal_peak_amps", "plateau_amps", "move_duration"}
-    return _build_section("synth.profile", obj, allowed, TechnologyProfile)
+    return _build_section("synth.profile", obj, TechnologyProfile)
 
 
 def _parse_counts(obj) -> "dict[FaultClass, int]":
@@ -152,80 +155,45 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
     """Validate and materialize a RunConfig; unknown keys are rejected."""
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys("<root>", obj, {"synth", "preprocess", "train", "conformal", "split", "paths"})
+    _check_section("<root>", obj, {"synth", "preprocess", "train", "conformal", "split", "paths"})
 
-    synth_obj = dict(obj.get("synth", {}))
-    _check_keys(
-        "synth",
-        synth_obj,
-        {
-            "profile",
-            "unlock_peak_duration",
-            "lock_peak_duration",
-            "noise_sigma",
-            "amplitude_jitter",
-            "duration_jitter",
-            "seed",
-            "counts",
-            "severity_range",
-        },
-    )
-    profile = _parse_profile(synth_obj.pop("profile", "MJ"))
-    counts = _parse_counts(synth_obj.pop("counts", {c.name: n for c, n in DEFAULT_COUNTS.items()}))
-    severity_range = synth_obj.pop("severity_range", [0.3, 1.0])
+    synth_obj = obj.get("synth", {})
+    _check_section("synth", synth_obj, _field_names(synth.SynthConfig) | {"counts", "severity_range"})
+    profile = _parse_profile(synth_obj.get("profile", "MJ"))
+    counts = _parse_counts(synth_obj.get("counts", {c.name: n for c, n in DEFAULT_COUNTS.items()}))
+    severity_range = synth_obj.get("severity_range", [0.3, 1.0])
     if (
         not isinstance(severity_range, (list, tuple))
         or len(severity_range) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in severity_range)
     ):
         raise ConfigError("synth.severity_range must be [lo, hi]")
-    defaults = {
-        "noise_sigma": 0.03 * profile.plateau_amps,
-        "amplitude_jitter": 0.05,
-        "duration_jitter": 0.05,
-        "seed": 42,
-    }
-    for key, value in defaults.items():
-        synth_obj.setdefault(key, value)
-    try:
-        synth_cfg = synth.SynthConfig(profile=profile, **synth_obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"section 'synth': {exc}") from None
+    if not 0 <= severity_range[0] <= severity_range[1] <= 1:
+        raise ConfigError("synth.severity_range must satisfy 0 <= lo <= hi <= 1")
+    synth_cfg = _build_section(
+        "synth",
+        {k: v for k, v in synth_obj.items() if k not in ("profile", "counts", "severity_range")},
+        synth.SynthConfig,
+        profile=profile,
+        noise_sigma=0.03 * profile.plateau_amps,
+        amplitude_jitter=0.05,
+        duration_jitter=0.05,
+        seed=42,
+    )
 
-    preprocess_cfg = _build_section(
-        "preprocess",
-        obj.get("preprocess", {}),
-        {"smooth_window", "active_threshold_frac", "noise_floor", "feature_length", "plateau_core_frac"},
-        preprocess.PreprocessConfig,
-    )
-    train_obj = dict(obj.get("train", {}))
-    train_obj.setdefault("seed", 7)
-    train_cfg = _build_section(
-        "train",
-        train_obj,
-        {"learning_rate", "momentum", "epochs", "batch_size", "seed", "class_weights"},
-        model.TrainConfig,
-    )
+    preprocess_cfg = _build_section("preprocess", obj.get("preprocess", {}), preprocess.PreprocessConfig)
+    train_cfg = _build_section("train", obj.get("train", {}), model.TrainConfig, seed=7)
     conformal_obj = obj.get("conformal", {})
-    if not isinstance(conformal_obj, dict):
-        raise ConfigError("section 'conformal' must be an object")
-    _check_keys("conformal", conformal_obj, {"alpha"})
+    _check_section("conformal", conformal_obj, {"alpha"})
     alpha = conformal_obj.get("alpha", 0.05)
     if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
         raise ConfigError("conformal.alpha must be in (0, 1)")
 
-    split_obj = dict(obj.get("split", {}))
-    split_obj.setdefault("seed", 11)
-    split_spec = _build_section(
-        "split",
-        split_obj,
-        {"train_frac", "calibration_frac_of_test", "seed"},
-        evaluation.SplitSpec,
-    )
+    split_spec = _build_section("split", obj.get("split", {}), evaluation.SplitSpec, seed=11)
     paths = obj.get("paths", {})
     if not isinstance(paths, dict) or not all(isinstance(v, str) for v in paths.values()):
         raise ConfigError("section 'paths' must map names to path strings")
-    _check_keys("paths", paths, {"dataset", "features", "model", "predictor"})
+    _check_section("paths", paths, {"dataset", "features", "model", "predictor"})
 
     cfg = RunConfig(
         synth_cfg=synth_cfg,
@@ -238,12 +206,15 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
         paths=dict(paths),
     )
     if seed_override is not None:
-        cfg = replace(
-            cfg,
-            synth_cfg=replace(cfg.synth_cfg, seed=seed_override),
-            train_cfg=replace(cfg.train_cfg, seed=seed_override),
-            split_spec=replace(cfg.split_spec, seed=seed_override),
-        )
+        try:
+            cfg = replace(
+                cfg,
+                synth_cfg=replace(cfg.synth_cfg, seed=seed_override),
+                train_cfg=replace(cfg.train_cfg, seed=seed_override),
+                split_spec=replace(cfg.split_spec, seed=seed_override),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"--seed {seed_override}: {exc}") from None
     return cfg
 
 
@@ -273,17 +244,6 @@ def _class_counts_obj(ds: Dataset) -> dict:
 
 def _manoeuvre_failure(stage: str, manoeuvre_id: str, exc: PmDiagError) -> StageError:
     return StageError(stage, PmDiagError(f"manoeuvre {manoeuvre_id!r}: {exc}"))
-
-
-def _preprocess_dataset(ds: Dataset, cfg: preprocess.PreprocessConfig):
-    """Features in dataset order; failures name the offending manoeuvre."""
-    records = []
-    for m in ds:
-        try:
-            records.append((preprocess.preprocess(m, cfg), m.label))
-        except PmDiagError as exc:
-            raise _manoeuvre_failure("preprocess", m.id, exc) from exc
-    return records
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -373,12 +333,13 @@ def _cpus() -> int:
 
 
 class _Chunk(NamedTuple):
-    """What one process loaded from a contiguous run of dataset lines.
+    """What one process made of a run of manoeuvres, such as a contiguous run
+    of dataset lines.
 
-    `ids` and `labels` hold every manoeuvre parsed, in line order, and
-    `features` one row per id unless `error` or `failure` is set. `error` is
-    the first load error, where the chunk ends; `failure` is the manoeuvre id
-    and error of the first preprocess failure.
+    `ids` and `labels` hold every manoeuvre read, in order, and `features`
+    one row per id unless `error` or `failure` is set. `error` is the first
+    load error, where the chunk ends; `failure` is the manoeuvre id and error
+    of the first preprocess failure.
     """
 
     ids: list
@@ -388,17 +349,18 @@ class _Chunk(NamedTuple):
     failure: "tuple[str, PmDiagError] | None"
 
 
-def _load_chunk(text: str, start: int, end: int, cfg: preprocess.PreprocessConfig) -> _Chunk:
-    """Parse, validate and preprocess the dataset lines in text[start:end].
+def _features(manoeuvres, cfg: preprocess.PreprocessConfig) -> _Chunk:
+    """Preprocess each manoeuvre of an iterable, such as `iter_manoeuvres`,
+    which parses and validates dataset lines as it goes.
 
-    Errors are returned, not raised, because the parent ranks them across
-    chunks. After a preprocess failure the chunk goes on parsing: a later
+    Errors are returned, not raised, because `_records` ranks them across
+    chunks. After a preprocess failure the chunk goes on reading: a later
     load error or duplicate id outranks it.
     """
     ids, values, labels = [], [], []
     error = failure = None
     try:
-        for m in iter_manoeuvres(text, start, end):
+        for m in manoeuvres:
             ids.append(m.id)
             labels.append(m.label)
             if failure is None:
@@ -418,8 +380,7 @@ def _load_records(path, cfg: preprocess.PreprocessConfig):
     From FORK_MIN_LINES line feeds up, the file is cut at line ends into one
     chunk of about equal size per CPU: this process loads the first while a
     forked child loads each other one. Errors come out as from load_dataset
-    followed by _preprocess_dataset: the first load error in line order,
-    then the first repeated id, then the first preprocess failure.
+    followed by preprocessing each manoeuvre in order (see `_records`).
     """
     text = read_jsonl_text(path)
     procs = _cpus() if text.count("\n") >= FORK_MIN_LINES else 1
@@ -428,12 +389,23 @@ def _load_records(path, cfg: preprocess.PreprocessConfig):
         lf = text.find("\n", max(cuts[-1], len(text) * k // procs))
         cuts.append(len(text) if lf < 0 else lf + 1)
     cuts.append(len(text))
-    joins = [_start_forked(_load_chunk, text, a, b, cfg) for a, b in zip(cuts[1:], cuts[2:])]
+    # a chunk's generator runs once: in its child, or here if no child sent it
+    joins = [
+        _start_forked(_features, iter_manoeuvres(text, a, b), cfg) for a, b in zip(cuts[1:], cuts[2:])
+    ]
     try:
-        own = _load_chunk(text, 0, cuts[1], cfg)
+        own = _features(iter_manoeuvres(text, 0, cuts[1]), cfg)
     finally:
         others = [join() for join in joins]
-    chunks = [own, *others]
+    return _records([own, *others])
+
+
+def _records(chunks) -> list:
+    """(FeatureVector, label) records of the chunks, in order.
+
+    Raises the error that ranks first across the chunks: the first load
+    error, then the first repeated id, then the first preprocess failure.
+    """
     for chunk in chunks:
         if chunk.error is not None:
             raise chunk.error
@@ -481,22 +453,25 @@ def _train(cfg: RunConfig, labelled) -> "tuple[model.TrainConfig, model.TrainRes
     return train_cfg, _stage("train", model.train, labelled, train_cfg)
 
 
-def _calibrate_and_save(mdl, labelled, alpha: float, out: Path) -> conformal.ConformalPredictor:
-    predictor = _stage("calibrate", conformal.calibrate, mdl, labelled, alpha)
-    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
-    return predictor
-
-
-def _diagnose_rows(predictor, mdl, records, stage: str = "diagnose"):
-    """(label, Diagnosis) per (FeatureVector, label) record, in order; failures
-    name the offending manoeuvre."""
-    rows = []
-    for fv, label in records:
+def _probabilities(mdl, records, stage: str) -> list:
+    """Class probabilities per (FeatureVector, label) record, in order, one
+    row per forward pass (see `conformal.diagnose`); failures name the
+    offending manoeuvre."""
+    probs = []
+    for fv, _ in records:
         try:
-            rows.append((label, conformal.diagnose(predictor, mdl, fv)))
+            probs.append(model.forward(mdl, fv.values))
         except PmDiagError as exc:
             raise _manoeuvre_failure(stage, fv.source_id, exc) from exc
-    return rows
+    return probs
+
+
+def _diagnoses(predictor, records, probs) -> list:
+    """(label, Diagnosis) per (FeatureVector, label) record and its probabilities."""
+    return [
+        (label, conformal.diagnosis(predictor, fv.source_id, p))
+        for (fv, label), p in zip(records, probs)
+    ]
 
 
 def _metrics(classified, covered) -> evaluation.MetricsReport:
@@ -527,7 +502,10 @@ def cmd_calibrate(args) -> int:
     mdl = _stage("load", model.load_model, model_path)
     records = _stage("load", preprocess.load_features, features_path)
     labelled = _labelled(records, "calibrate")
-    predictor = _calibrate_and_save(mdl, labelled, cfg.alpha, out)
+    probs = _probabilities(mdl, labelled, "calibrate")
+    scored = [(p, label) for p, (_, label) in zip(probs, labelled)]
+    predictor = _stage("calibrate", conformal.calibrate_probs, scored, cfg.alpha, model.model_digest(mdl))
+    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
     print(
         f"calibrated on {predictor.n_calibration} features: "
         f"alpha={predictor.alpha} qhat={predictor.qhat:.6f}"
@@ -545,10 +523,11 @@ def cmd_diagnose(args) -> int:
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
     records = _stage("load", _load_records, dataset_path, cfg.preprocess_cfg)
-    diagnoses = [d for _, d in _diagnose_rows(predictor, mdl, records)]
-    conformal.save_diagnoses(diagnoses, out / DIAGNOSES_JSONL)
+    probs = _probabilities(mdl, records, "diagnose")
+    rows = _stage("diagnose", _diagnoses, predictor, records, probs)
+    conformal.save_diagnoses(rows, out / DIAGNOSES_JSONL)
     guarantee = 100.0 * (1.0 - predictor.alpha)
-    for d in diagnoses:
+    for _, d in rows:
         members = ", ".join(f"{cls.name}:{prob:.3f}" for cls, prob in d.prediction_set)
         print(f"{d.source_id}: {{{members}}} (set covers the true class at {guarantee:.0f}%)")
     return 0
@@ -564,15 +543,17 @@ def cmd_evaluate(args) -> int:
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
     records = _stage("load", preprocess.load_features, features_path)
-    rows = _diagnose_rows(predictor, mdl, _labelled(records, "evaluate"), "evaluate")
+    labelled = _labelled(records, "evaluate")
+    probs = _probabilities(mdl, labelled, "evaluate")
+    rows = _stage("evaluate", _diagnoses, predictor, labelled, probs)
     metrics = _metrics(rows, rows)
     report = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": cfg.to_obj(),
-        "metrics": metrics.to_obj(),
+        "metrics": asdict(metrics),
     }
     evaluation.write_report(report, out / REPORT_FILE)
-    evaluation.write_diagnoses_csv(rows, out / DIAGNOSES_CSV)
+    conformal.save_diagnoses(rows, out / DIAGNOSES_JSONL)
     print(
         f"precision={metrics.precision:.4f} fpr={metrics.fpr:.4f} "
         f"fnr={metrics.fnr:.4f} coverage={metrics.coverage:.4f}"
@@ -597,7 +578,7 @@ def cmd_pipeline(args) -> int:
         )
 
     try:
-        records = _preprocess_dataset(ds, cfg.preprocess_cfg)
+        records = _records([_features(ds, cfg.preprocess_cfg)])
     except StageError:
         # a run that fails here still leaves the dataset it failed on
         save_dataset(ds, out / DATASET_FILE)
@@ -618,13 +599,21 @@ def cmd_pipeline(args) -> int:
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
 
     cal_ds, hold_ds = _stage("calibrate", evaluation.split_calibration, test_ds, cfg.split_spec)
-    cal_records = [features_by_id[m.id] for m in cal_ds]
-    predictor = _calibrate_and_save(result.model, cal_records, cfg.alpha, out)
-
-    # each test manoeuvre is diagnosed once: classification metrics over the
-    # whole test split, coverage and the CSV over its holdout half
+    # each test manoeuvre goes through the model once: calibration reads the
+    # probabilities of the calibration half, the classification metrics the
+    # whole test split's diagnoses, coverage and diagnoses.jsonl the holdout's
     test_records = [features_by_id[m.id] for m in test_ds]
-    test_rows = _diagnose_rows(predictor, result.model, test_records)
+    probs = _probabilities(result.model, test_records, "calibrate")
+    scored = {fv.source_id: (p, label) for (fv, label), p in zip(test_records, probs)}
+    predictor = _stage(
+        "calibrate",
+        conformal.calibrate_probs,
+        [scored[m.id] for m in cal_ds],
+        cfg.alpha,
+        model.model_digest(result.model),
+    )
+    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
+    test_rows = _stage("diagnose", _diagnoses, predictor, test_records, probs)
     rows_by_id = {d.source_id: (label, d) for label, d in test_rows}
     hold_rows = [rows_by_id[m.id] for m in hold_ds]
     metrics = _metrics(test_rows, hold_rows)
@@ -648,11 +637,11 @@ def cmd_pipeline(args) -> int:
             "qhat": predictor.qhat,
             "n_calibration": predictor.n_calibration,
         },
-        "metrics": metrics.to_obj(),
+        "metrics": asdict(metrics),
         "training_log": result.epoch_losses,
     }
     evaluation.write_report(report, out / REPORT_FILE)
-    evaluation.write_diagnoses_csv(hold_rows, out / DIAGNOSES_CSV)
+    conformal.save_diagnoses(hold_rows, out / DIAGNOSES_JSONL)
     print(
         f"pipeline done: precision={metrics.precision:.4f} fpr={metrics.fpr:.4f} "
         f"fnr={metrics.fnr:.4f} coverage={metrics.coverage:.4f} "

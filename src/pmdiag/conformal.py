@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text
+from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, read_json, write_jsonl
 from .model import MlpModel, forward, model_digest
 
 PROB_SUM_TOL = 1e-9
@@ -126,20 +126,29 @@ def quantile_threshold(scores, alpha: float) -> float:
     return float(np.sort(s)[k - 1])
 
 
-def calibrate(model: MlpModel, calibration_set, alpha: float = 0.05) -> ConformalPredictor:
-    """Calibrate the set threshold on labelled (FeatureVector, FaultClass) pairs."""
+def calibrate_probs(scored, alpha: float, digest: str) -> ConformalPredictor:
+    """Calibrate the set threshold on (probability vector, true FaultClass) pairs.
+
+    `digest` is the `model_digest` of the model that gave the probabilities.
+    """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
-    items = list(calibration_set)
+    items = list(scored)
     if not items:
         raise EmptyCalibrationError("calibration set is empty")
-    scores = [aps_score(forward(model, fv.values), label) for fv, label in items]
+    scores = [aps_score(probs, label) for probs, label in items]
     return ConformalPredictor(
         alpha=alpha,
         qhat=quantile_threshold(scores, alpha),
         n_calibration=len(scores),
-        model_digest=model_digest(model),
+        model_digest=digest,
     )
+
+
+def calibrate(model: MlpModel, calibration_set, alpha: float = 0.05) -> ConformalPredictor:
+    """Calibrate the set threshold on labelled (FeatureVector, FaultClass) pairs."""
+    scored = ((forward(model, fv.values), label) for fv, label in calibration_set)
+    return calibrate_probs(scored, alpha, model_digest(model))
 
 
 def predict_set(predictor: ConformalPredictor, probs) -> tuple[tuple[FaultClass, float], ...]:
@@ -157,22 +166,27 @@ def predict_set(predictor: ConformalPredictor, probs) -> tuple[tuple[FaultClass,
     return tuple((FaultClass(int(c)), float(raw[c])) for c in order[:size])
 
 
+def diagnosis(predictor: ConformalPredictor, source_id: str, probs) -> Diagnosis:
+    """Wrap one manoeuvre's class probabilities in a calibrated prediction set."""
+    return Diagnosis(
+        source_id=source_id,
+        prediction_set=predict_set(predictor, probs),
+        alpha=predictor.alpha,
+        qhat=predictor.qhat,
+    )
+
+
 def diagnose(predictor: ConformalPredictor, model: MlpModel, feature) -> Diagnosis:
     """Classify one feature vector and wrap it in a calibrated prediction set.
 
     One row per forward pass: a stacked batch takes another BLAS path, so its
     probabilities could depend on how many manoeuvres a call holds.
     """
-    return Diagnosis(
-        source_id=feature.source_id,
-        prediction_set=predict_set(predictor, forward(model, feature.values)),
-        alpha=predictor.alpha,
-        qhat=predictor.qhat,
-    )
+    return diagnosis(predictor, feature.source_id, forward(model, feature.values))
 
 
-def diagnosis_to_obj(d: Diagnosis) -> dict:
-    return {
+def diagnosis_to_obj(d: Diagnosis, label: FaultClass | None = None) -> dict:
+    obj = {
         "source_id": d.source_id,
         "prediction_set": [
             {"class": cls.name, "probability": prob} for cls, prob in d.prediction_set
@@ -182,15 +196,15 @@ def diagnosis_to_obj(d: Diagnosis) -> dict:
         "singleton": d.singleton,
         "argmax_class": d.argmax_class.name,
     }
+    if label is not None:
+        obj["label"] = label.name
+    return obj
 
 
-def save_diagnoses(diagnoses, path: str | Path) -> None:
-    """Write diagnoses as JSONL, one object per manoeuvre."""
-    lines = [json.dumps(diagnosis_to_obj(d)) for d in diagnoses]
-    text = "\n".join(lines)
-    if lines:
-        text += "\n"
-    atomic_write_text(path, text)
+def save_diagnoses(rows, path: str | Path) -> None:
+    """Write (true FaultClass or None, Diagnosis) rows as JSONL, one object per
+    manoeuvre; `label` is written where the true class is known."""
+    write_jsonl(path, (diagnosis_to_obj(d, label) for label, d in rows))
 
 
 def save_predictor(predictor: ConformalPredictor, path: str | Path) -> None:
@@ -205,12 +219,7 @@ def save_predictor(predictor: ConformalPredictor, path: str | Path) -> None:
 
 def load_predictor(path: str | Path) -> ConformalPredictor:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetIoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetIoError(f"{path} is not valid JSON: {exc.msg}") from None
+    obj = read_json(path)
     try:
         return ConformalPredictor(
             alpha=float(obj["alpha"]),

@@ -275,12 +275,20 @@ def _manoeuvre_from_obj(obj: dict, line_number: int) -> Manoeuvre:
 
 
 def read_jsonl_text(path: str | Path) -> str:
-    """The whole text of a JSONL file; DatasetIoError when it cannot be read."""
+    """The whole text of a JSON or JSONL file; DatasetIoError when it cannot be read."""
     path = Path(path)
     try:
         return path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetIoError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path: str | Path):
+    """The JSON value a file holds; DatasetIoError when it cannot be read or parsed."""
+    try:
+        return json.loads(read_jsonl_text(path))
+    except json.JSONDecodeError as exc:
+        raise DatasetIoError(f"{Path(path)} is not valid JSON: {exc.msg}") from None
 
 
 def jsonl_lines(text: str, start: int = 0, end: int | None = None):
@@ -331,7 +339,12 @@ def load_dataset(path: str | Path) -> Dataset:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as JSONL (atomic: temp file + rename)."""
-    lines = [json.dumps(_manoeuvre_to_obj(m)) for m in ds.manoeuvres]
+    write_jsonl(path, (_manoeuvre_to_obj(m) for m in ds.manoeuvres))
+
+
+def write_jsonl(path: str | Path, objs) -> None:
+    """Write each object as one JSON line, each line ending in LF (atomic)."""
+    lines = [json.dumps(obj) for obj in objs]
     text = "\n".join(lines)
     if lines:
         text += "\n"

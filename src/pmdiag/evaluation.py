@@ -7,8 +7,6 @@ alongside for detail.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +38,8 @@ class SplitSpec:
             raise ValueError("train_frac must be in (0, 1)")
         if not 0 < self.calibration_frac_of_test < 1:
             raise ValueError("calibration_frac_of_test must be in (0, 1)")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -51,17 +51,6 @@ class MetricsReport:
     coverage: float
     mean_set_size: float
     per_class: dict
-
-    def to_obj(self) -> dict:
-        return {
-            "precision": self.precision,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "confusion": [list(row) for row in self.confusion],
-            "coverage": self.coverage,
-            "mean_set_size": self.mean_set_size,
-            "per_class": self.per_class,
-        }
 
 
 def _grouped_indices(ds: Dataset) -> "dict[FaultClass, list[int]]":
@@ -168,7 +157,7 @@ def coverage_eval(rows) -> tuple[float, float]:
     """Empirical coverage and mean set size over labelled diagnoses.
 
     `rows` is a sequence of (true FaultClass, Diagnosis), the shape
-    `write_diagnoses_csv` takes. A row is covered when its true class is a
+    `conformal.save_diagnoses` takes. A row is covered when its true class is a
     member of the diagnosis's prediction set.
     """
     items = list(rows)
@@ -196,25 +185,3 @@ def build_metrics(predictions, coverage: float, mean_set_size: float) -> Metrics
 def write_report(report_obj: dict, path: str | Path) -> None:
     """Write report.json with stable key order (byte-identical reruns)."""
     atomic_write_text(path, json.dumps(report_obj, sort_keys=True, indent=2) + "\n")
-
-
-def write_diagnoses_csv(rows, path: str | Path) -> None:
-    """One row per holdout manoeuvre: id, true label, argmax, set, probs.
-
-    `rows` is a sequence of (true_label or None, Diagnosis). Set members and
-    their probabilities are pipe-joined in descending-probability order.
-    """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "true_label", "argmax", "set", "probs"])
-    for true_label, diag in rows:
-        writer.writerow(
-            [
-                diag.source_id,
-                true_label.name if true_label is not None else "",
-                diag.argmax_class.name,
-                "|".join(cls.name for cls, _ in diag.prediction_set),
-                "|".join(repr(prob) for _, prob in diag.prediction_set),
-            ]
-        )
-    atomic_write_text(path, buf.getvalue())

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from .core import (
     FaultClass,
     PmDiagError,
     atomic_write_text,
+    read_json,
     sha256_of_obj,
 )
 
@@ -99,16 +100,8 @@ class TrainConfig:
             raise ValueError("class_weights must have one entry per class")
         if any(w <= 0 for w in self.class_weights):
             raise ValueError("class_weights must all be positive")
-
-    def to_obj(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "class_weights": list(self.class_weights),
-        }
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass
@@ -384,7 +377,7 @@ def save_model(
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
         "class_names": list(model.class_names),
-        "train_config": train_config.to_obj() if train_config is not None else None,
+        "train_config": asdict(train_config) if train_config is not None else None,
         "provenance": provenance,
     }
     atomic_write_text(path, json.dumps(obj, sort_keys=True))
@@ -392,12 +385,7 @@ def save_model(
 
 def load_model(path: str | Path) -> MlpModel:
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DatasetIoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DatasetIoError(f"{path} is not valid JSON: {exc.msg}") from None
+    obj = read_json(path)
     try:
         return MlpModel(
             layer_dims=tuple(obj["layer_dims"]),

@@ -23,10 +23,10 @@ from .core import (
     ParseError,
     PmDiagError,
     ValidationError,
-    atomic_write_text,
     jsonl_lines,
     read_jsonl_text,
     validate_manoeuvre,
+    write_jsonl,
 )
 
 # Peak/plateau boundary: a phase boundary is where the smoothed signal
@@ -215,20 +215,18 @@ def preprocess(m: Manoeuvre, cfg: PreprocessConfig = PreprocessConfig()) -> Feat
 FEATURE_KEYS = {"source_id", "values", "label"}
 
 
+def _feature_to_obj(fv: FeatureVector, label: FaultClass | None) -> dict:
+    obj = {"source_id": fv.source_id, "values": fv.values.tolist()}
+    if label is not None:
+        obj["label"] = label.name
+    return obj
+
+
 def save_features(
     records: "list[tuple[FeatureVector, FaultClass | None]]", path: str | Path
 ) -> None:
     """Write features as JSONL with pass-through labels."""
-    lines = []
-    for fv, label in records:
-        obj = {"source_id": fv.source_id, "values": fv.values.tolist()}
-        if label is not None:
-            obj["label"] = label.name
-        lines.append(json.dumps(obj))
-    text = "\n".join(lines)
-    if lines:
-        text += "\n"
-    atomic_write_text(path, text)
+    write_jsonl(path, (_feature_to_obj(fv, label) for fv, label in records))
 
 
 def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | None]]":

@@ -16,7 +16,7 @@ Generation is pure given a seed; per-manoeuvre sub-streams are spawned from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -78,24 +78,6 @@ class SynthConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
-    def to_obj(self) -> dict:
-        return {
-            "profile": {
-                "name": self.profile.name,
-                "supply": self.profile.supply.value,
-                "sample_rate": self.profile.sample_rate,
-                "nominal_peak_amps": self.profile.nominal_peak_amps,
-                "plateau_amps": self.profile.plateau_amps,
-                "move_duration": self.profile.move_duration,
-            },
-            "unlock_peak_duration": self.unlock_peak_duration,
-            "lock_peak_duration": self.lock_peak_duration,
-            "noise_sigma": self.noise_sigma,
-            "amplitude_jitter": self.amplitude_jitter,
-            "duration_jitter": self.duration_jitter,
-            "seed": self.seed,
-        }
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -144,11 +126,6 @@ class CurveParams:
     @property
     def move_end(self) -> int:
         return self.move_start + self.n_move
-
-    @property
-    def unlock_support(self) -> tuple[int, int]:
-        """Index range of the constructed unlock peak, pad excluded."""
-        return self.n_pad, self.move_start
 
     @property
     def lock_support(self) -> tuple[int, int]:
@@ -360,7 +337,7 @@ def generate_dataset(
     provenance = "synth:" + sha256_of_obj(
         {
             "counts": {cls.name: counts[cls] for cls in sorted(counts, key=int)},
-            "config": cfg.to_obj(),
+            "config": asdict(cfg),
             "severity_range": [lo, hi],
             "seed": cfg.seed if seed is None else seed,
         }

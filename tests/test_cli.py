@@ -1,4 +1,3 @@
-import csv
 import json
 import os
 import shutil
@@ -9,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmdiag import cli, model, preprocess, synth
+from pmdiag import cli, conformal, model, preprocess, synth
 from pmdiag.core import FaultClass, Manoeuvre, Dataset, PmDiagError, save_dataset, load_dataset
 
 
@@ -104,10 +103,41 @@ class TestGenerate:
     def test_missing_config_exits_2(self, tmp_path):
         assert run(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
-    def test_unknown_key_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "section", ["<root>", "synth", "synth.profile", "preprocess", "train", "conformal", "split", "paths"]
+    )
+    def test_unknown_key_exits_2(self, tmp_path, capsys, section):
+        cfg = {"wavelets": "x"}
+        if section != "<root>":
+            for key in reversed(section.split(".")):
+                cfg = {key: cfg}
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"synth": {"wavelets": True}}))
+        p.write_text(json.dumps(cfg))
         assert run(["generate", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: unknown keys in section {section!r}: ['wavelets']\n"
+
+    @pytest.mark.parametrize(
+        "cfg, flags",
+        [
+            ({"synth": 5}, []),
+            ({"train": [1]}, []),
+            ({"split": "x"}, []),
+            ({"train": [["epochs", 1]]}, []),
+            ({"synth": {"severity_range": [0.9, 0.1]}}, []),
+            ({"train": {"seed": -1}}, []),
+            ({"split": {"seed": 2**64}}, []),
+            ({}, ["--seed", "-1"]),
+            ({}, ["--seed", str(2**64)]),
+        ],
+        ids=["synth_number", "train_list", "split_string", "train_pairs", "severity_reversed",
+             "train_seed_negative", "split_seed_2_64", "seed_negative", "seed_2_64"],
+    )
+    def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, cfg, flags):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(cfg))
+        code = run(["generate", "--config", str(p), "--out", str(tmp_path / "o"), *flags])
+        err = capsys.readouterr().err
+        assert (code, err[: len("config error: ")], err.count("\n")) == (2, "config error: ", 1)
 
     def test_invalid_json_exits_2(self, tmp_path):
         p = tmp_path / "c.json"
@@ -125,7 +155,7 @@ class TestPipeline:
             "model.json",
             "predictor.json",
             "report.json",
-            "diagnoses.csv",
+            "diagnoses.jsonl",
         ):
             assert (out / name).exists(), name
         report = json.loads((out / "report.json").read_text())
@@ -134,15 +164,29 @@ class TestPipeline:
             assert key in metrics
         assert 0.0 <= metrics["precision"] <= 1.0
         assert report["counts"]["dataset"]["Nominal"] == 26
-        rows = (out / "diagnoses.csv").read_text().splitlines()
-        holdout_total = sum(report["counts"]["holdout"].values())
-        assert len(rows) == holdout_total + 1
-        # the report's coverage and set size are those of the CSV it ships
-        shipped = list(csv.DictReader(rows))
-        sets = [row["set"].split("|") for row in shipped]
-        covered = sum(row["true_label"] in s for row, s in zip(shipped, sets))
+        shipped = [json.loads(l) for l in (out / "diagnoses.jsonl").read_text().splitlines()]
+        assert len(shipped) == sum(report["counts"]["holdout"].values())
+        # the report's coverage and set size are those of the diagnoses it ships
+        sets = [[member["class"] for member in row["prediction_set"]] for row in shipped]
+        covered = sum(row["label"] in s for row, s in zip(shipped, sets))
         assert metrics["coverage"] == covered / len(shipped)
         assert metrics["mean_set_size"] == sum(map(len, sets)) / len(shipped)
+
+    def test_one_forward_pass_per_test_row(self, tmp_path, config_path, monkeypatch):
+        rows = []
+        forward = model.forward
+
+        def counted(mdl, x):
+            rows.append(np.asarray(x).tobytes())
+            return forward(mdl, x)
+
+        # conformal holds a name of its own for forward
+        monkeypatch.setattr(model, "forward", counted)
+        monkeypatch.setattr(conformal, "forward", counted)
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", config_path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(rows) == len(set(rows)) == sum(report["counts"]["test"].values())
 
     def test_deterministic_outputs(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -394,8 +438,7 @@ class TestForkedLoad:
                 no_fork(patch, how)
                 assert self.outcome(argv, out, capsys) == forked, how
         if name == "preprocess":
-            # the features the one-process path of pipeline computes
-            records = cli._preprocess_dataset(load_dataset(ds_path), preprocess.PreprocessConfig())
+            records, _ = self.reference(ds_path)
             preprocess.save_features(records, tmp_path / "reference.jsonl")
             assert forked[3]["features.jsonl"] == (tmp_path / "reference.jsonl").read_bytes()
 
@@ -442,15 +485,24 @@ class TestForkedLoad:
         with monkeypatch.context() as patch:
             no_fork(patch, "no_fork_method")
             assert self.outcome(argv, out, capsys) == (code, stdout, err, files)
-        # the error load_dataset and then per-manoeuvre preprocessing raise first
-        try:
-            cli._preprocess_dataset(load_dataset(ds_path), preprocess.PreprocessConfig())
-        except cli.StageError as exc:
-            expected = f"pipeline failure in {exc.stage}: {exc.cause}\n"
-        except PmDiagError as exc:
-            expected = f"pipeline failure in load: {exc}\n"
-        assert err == expected
+        assert err == self.reference(ds_path)[1]
         return err
+
+    @staticmethod
+    def reference(ds_path):
+        """(records, None), or (None, the stderr line of the first failure), of
+        load_dataset and then preprocessing each manoeuvre in order."""
+        try:
+            ds = load_dataset(ds_path)
+        except PmDiagError as exc:
+            return None, f"pipeline failure in load: {exc}\n"
+        records = []
+        for m in ds:
+            try:
+                records.append((preprocess.preprocess(m), m.label))
+            except PmDiagError as exc:
+                return None, f"pipeline failure in preprocess: manoeuvre {m.id!r}: {exc}\n"
+        return records, None
 
     @pytest.mark.parametrize("lines", [1, 0, None], ids=["one_manoeuvre", "empty", "blank_lines"])
     def test_small_input_never_forks(self, trained_run, tmp_path, capsys, monkeypatch, lines):
@@ -483,7 +535,7 @@ class TestStageCommands:
         assert (out / "predictor.json").exists()
         assert run(["evaluate", "--config", config_path, "--out", str(out)]) == 0
         assert (out / "report.json").exists()
-        assert (out / "diagnoses.csv").exists()
+        assert (out / "diagnoses.jsonl").exists()
 
     def test_nan_feature_exits_4_naming_manoeuvre(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"

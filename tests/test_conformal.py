@@ -10,6 +10,7 @@ from pmdiag.conformal import (
     EmptyCalibrationError,
     aps_score,
     calibrate,
+    calibrate_probs,
     check_digest,
     diagnose,
     load_predictor,
@@ -107,6 +108,15 @@ class TestCalibrate:
     def test_empty_calibration(self, small_run):
         with pytest.raises(EmptyCalibrationError):
             calibrate(small_run["model"], [], alpha=0.05)
+
+    def test_stored_probabilities_give_the_same_predictor(self, small_run):
+        records = [small_run["features"][m.id] for m in small_run["calibration"]]
+        mdl = small_run["model"]
+        stored = [(mlp.forward(mdl, fv.values), label) for fv, label in records]
+        from_probs = calibrate_probs(stored, 0.05, mlp.model_digest(mdl))
+        from_model = calibrate(mdl, records, alpha=0.05)
+        assert from_probs == from_model
+        assert from_probs.qhat.hex() == from_model.qhat.hex()
 
     def test_digest_binding(self, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]]

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,6 @@ from pmdiag.evaluation import (
     coverage_eval,
     split_calibration,
     stratified_split,
-    write_diagnoses_csv,
     write_report,
 )
 from pmdiag.evaluation import TestTooSmallError as SplitTooSmallError
@@ -211,26 +213,33 @@ class TestReports:
 
         assert json.loads(p1.read_text()) == obj
 
-    def test_diagnoses_csv(self, tmp_path, small_run):
+    def test_diagnoses_jsonl(self, tmp_path, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]]
         predictor = conformal.calibrate(small_run["model"], records, alpha=0.05)
         rows = []
-        for m in small_run["holdout"]:
+        for k, m in enumerate(small_run["holdout"]):
             fv, label = small_run["features"][m.id]
-            rows.append((label, conformal.diagnose(predictor, small_run["model"], fv)))
-        path = tmp_path / "diagnoses.csv"
-        write_diagnoses_csv(rows, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id,true_label,argmax,set,probs"
-        assert len(lines) == len(rows) + 1
-        first = lines[1].split(",")
-        assert first[1] in {c.name for c in FaultClass}
-        assert "|" in lines[1] or first[3] in {c.name for c in FaultClass}
+            # every other row as from unlabelled field data
+            rows.append((label if k % 2 else None, conformal.diagnose(predictor, small_run["model"], fv)))
+        path = tmp_path / "diagnoses.jsonl"
+        conformal.save_diagnoses(rows, path)
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(objs) == len(rows)
+        for (label, d), obj in zip(rows, objs):
+            assert obj["source_id"] == d.source_id
+            assert obj["argmax_class"] == d.argmax_class.name
+            assert [(e["class"], e["probability"]) for e in obj["prediction_set"]] == [
+                (cls.name, prob) for cls, prob in d.prediction_set
+            ]
+            if label is None:
+                assert "label" not in obj
+            else:
+                assert obj["label"] == label.name
 
     def test_metrics_report_fields(self, small_run):
         pairs = [(FaultClass.Nominal, FaultClass.Nominal)] * 4
         mr = build_metrics(pairs, coverage=0.95, mean_set_size=1.5)
-        obj = mr.to_obj()
+        obj = json.loads(json.dumps(asdict(mr)))
         for key in ("precision", "fpr", "fnr", "confusion", "coverage", "mean_set_size"):
             assert key in obj
         assert 0 <= obj["precision"] <= 1

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -189,6 +190,5 @@ class TestSynthConfig:
             SynthConfig(profile=mj_profile, amplitude_jitter=1.0)
 
     def test_config_serializes(self, noisy_cfg):
-        obj = noisy_cfg.to_obj()
-        assert json.dumps(obj)
+        obj = json.loads(json.dumps(asdict(noisy_cfg)))
         assert obj["profile"]["supply"] == "AC"
