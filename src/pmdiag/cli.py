@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -79,6 +80,11 @@ DEFAULT_COUNTS = {
 }
 
 
+def _counts_obj(counts: "dict[FaultClass, int]") -> dict:
+    """Class name to count, in class-code order."""
+    return {cls.name: n for cls, n in sorted(counts.items(), key=lambda kv: int(kv[0]))}
+
+
 @dataclass
 class RunConfig:
     synth_cfg: synth.SynthConfig
@@ -94,7 +100,7 @@ class RunConfig:
         return {
             "synth": {
                 **asdict(self.synth_cfg),
-                "counts": {cls.name: n for cls, n in sorted(self.counts.items(), key=lambda kv: int(kv[0]))},
+                "counts": _counts_obj(self.counts),
                 "severity_range": list(self.severity_range),
             },
             "preprocess": asdict(self.preprocess_cfg),
@@ -118,8 +124,11 @@ def _field_names(factory) -> set:
 
 
 def _build_section(section: str, obj, factory, **defaults):
-    """factory(**obj) over `defaults`; the keys allowed are the factory's fields."""
+    """factory(**obj) over `defaults`; keys are the factory's fields, and an `int` field takes an int."""
     _check_section(section, obj, _field_names(factory))
+    for f in fields(factory):
+        if f.type in (int, "int") and type(obj.get(f.name, 0)) is not int:  # bool is no integer
+            raise ConfigError(f"section {section!r}: {f.name} must be an integer, not {obj[f.name]!r}")
     try:
         return factory(**{**defaults, **obj})
     except (TypeError, ValueError) as exc:
@@ -151,10 +160,20 @@ def _parse_counts(obj) -> "dict[FaultClass, int]":
     return counts
 
 
+def _check_finite(obj, where: str) -> None:
+    """Reject NaN and the infinities: json.loads reads them, and NaN fails no range check."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ConfigError(f"{where} must be a finite number, not {obj!r}")
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            _check_finite(value, f"{where}.{key}")
+
+
 def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig:
     """Validate and materialize a RunConfig; unknown keys are rejected."""
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_finite(obj, "config")
     _check_section("<root>", obj, {"synth", "preprocess", "train", "conformal", "split", "paths"})
 
     synth_obj = obj.get("synth", {})
@@ -232,16 +251,6 @@ def load_run_config(path: "str | None", seed_override: "int | None" = None) -> R
     return parse_run_config(obj, seed_override)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _class_counts_obj(ds: Dataset) -> dict:
-    return {cls.name: n for cls, n in sorted(ds.class_counts().items(), key=lambda kv: int(kv[0]))}
-
-
 def _manoeuvre_failure(stage: str, manoeuvre_id: str, exc: PmDiagError) -> StageError:
     return StageError(stage, PmDiagError(f"manoeuvre {manoeuvre_id!r}: {exc}"))
 
@@ -255,9 +264,7 @@ def _stage(name: str, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def cmd_generate(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
     ds = _stage(
         "generate", synth.generate_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range
     )
@@ -420,9 +427,7 @@ def _records(chunks) -> list:
     ]
 
 
-def cmd_preprocess(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_preprocess(args, cfg: RunConfig, out: Path) -> int:
     dataset_path = cfg.paths.get("dataset", str(out / DATASET_FILE))
     records = _stage("load", _load_records, dataset_path, cfg.preprocess_cfg)
     preprocess.save_features(records, out / FEATURES_FILE)
@@ -450,7 +455,10 @@ def _train_weights(cfg: RunConfig, labelled) -> model.TrainConfig:
 
 def _train(cfg: RunConfig, labelled) -> "tuple[model.TrainConfig, model.TrainResult]":
     train_cfg = _stage("train", _train_weights, cfg, labelled)
-    return train_cfg, _stage("train", model.train, labelled, train_cfg)
+    # the input width is the features' (model.train rejects an empty set first)
+    width = labelled[0][0].values.size if labelled else 0
+    layer_dims = (width, *model.DEFAULT_LAYER_DIMS[1:])
+    return train_cfg, _stage("train", model.train, labelled, train_cfg, layer_dims)
 
 
 def _probabilities(mdl, records, stage: str) -> list:
@@ -481,9 +489,7 @@ def _metrics(classified, covered) -> evaluation.MetricsReport:
     return evaluation.build_metrics(predictions, coverage, mean_size)
 
 
-def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     records = _stage("load", preprocess.load_features, features_path)
     labelled = _labelled(records, "train")
@@ -494,9 +500,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
     model_path = cfg.paths.get("model", str(out / MODEL_FILE))
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     mdl = _stage("load", model.load_model, model_path)
@@ -513,9 +517,7 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_diagnose(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
     model_path = args.model or cfg.paths.get("model", str(out / MODEL_FILE))
     predictor_path = args.predictor or cfg.paths.get("predictor", str(out / PREDICTOR_FILE))
     dataset_path = args.dataset or cfg.paths.get("dataset", str(out / DATASET_FILE))
@@ -533,9 +535,7 @@ def cmd_diagnose(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    out = _out_dir(args)
+def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     model_path = cfg.paths.get("model", str(out / MODEL_FILE))
     predictor_path = cfg.paths.get("predictor", str(out / PREDICTOR_FILE))
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
@@ -566,10 +566,7 @@ def _save_inputs(ds: Dataset, records, out: Path) -> None:
     preprocess.save_features(records, out / FEATURES_FILE)
 
 
-def cmd_pipeline(args) -> int:
-    cfg = load_run_config(args.config, args.seed)
-    out = _out_dir(args)
-
+def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     if "dataset" in cfg.paths:
         ds = _stage("load", load_dataset, cfg.paths["dataset"])
     else:
@@ -626,11 +623,11 @@ def cmd_pipeline(args) -> int:
             "model_digest": predictor.model_digest,
         },
         "counts": {
-            "dataset": _class_counts_obj(ds),
-            "train": _class_counts_obj(train_ds),
-            "test": _class_counts_obj(test_ds),
-            "calibration": _class_counts_obj(cal_ds),
-            "holdout": _class_counts_obj(hold_ds),
+            "dataset": _counts_obj(ds.class_counts()),
+            "train": _counts_obj(train_ds.class_counts()),
+            "test": _counts_obj(test_ds.class_counts()),
+            "calibration": _counts_obj(cal_ds.class_counts()),
+            "holdout": _counts_obj(hold_ds.class_counts()),
         },
         "conformal": {
             "alpha": predictor.alpha,
@@ -693,7 +690,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_run_config(args.config, args.seed)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

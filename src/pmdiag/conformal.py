@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -208,13 +208,7 @@ def save_diagnoses(rows, path: str | Path) -> None:
 
 
 def save_predictor(predictor: ConformalPredictor, path: str | Path) -> None:
-    obj = {
-        "alpha": predictor.alpha,
-        "qhat": predictor.qhat,
-        "n_calibration": predictor.n_calibration,
-        "model_digest": predictor.model_digest,
-    }
-    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(asdict(predictor), sort_keys=True, indent=2) + "\n")
 
 
 def load_predictor(path: str | Path) -> ConformalPredictor:

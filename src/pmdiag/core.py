@@ -195,31 +195,21 @@ class Dataset:
         return counts
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    """First violated validation rule, with context."""
-
-    rule: str
-    detail: str = ""
-
-    def __str__(self) -> str:
-        return f"{self.rule}({self.detail})" if self.detail else self.rule
-
-
-def validate_manoeuvre(m: Manoeuvre) -> ValidationIssue | None:
-    """Return None when all invariants hold, else the first violated rule.
+def validate_manoeuvre(m: Manoeuvre) -> ValidationError | None:
+    """Return None when all invariants hold, else the unraised
+    ValidationError of the first violated rule.
 
     Never raises: rules are checked in a fixed order (TooShort,
     NonFiniteSample, BadSampleRate).
     """
     if len(m.samples) < MIN_SAMPLES:
-        return ValidationIssue("TooShort", f"length {len(m.samples)} < {MIN_SAMPLES}")
+        return ValidationError(m.id, "TooShort", f"length {len(m.samples)} < {MIN_SAMPLES}")
     finite = np.isfinite(m.samples)
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])
-        return ValidationIssue("NonFiniteSample", str(idx))
+        return ValidationError(m.id, "NonFiniteSample", str(idx))
     if not (math.isfinite(m.sample_rate) and m.sample_rate > 0):
-        return ValidationIssue("BadSampleRate", repr(m.sample_rate))
+        return ValidationError(m.id, "BadSampleRate", repr(m.sample_rate))
     return None
 
 
@@ -291,8 +281,9 @@ def read_json(path: str | Path):
         raise DatasetIoError(f"{Path(path)} is not valid JSON: {exc.msg}") from None
 
 
-def jsonl_lines(text: str, start: int = 0, end: int | None = None):
-    """Yield (line number, line) for each non-blank line of text[start:end].
+def jsonl_objects(text: str, start: int = 0, end: int | None = None):
+    """Yield (line number, parsed JSON value) for each non-blank line of
+    text[start:end]; ParseError at the first line that is not valid JSON.
 
     Lines end at LF only, not at the other line breaks of str.splitlines():
     U+2028, U+2029 and U+0085 may stand raw inside a JSON string, and a CR
@@ -308,7 +299,11 @@ def jsonl_lines(text: str, start: int = 0, end: int | None = None):
         line_number += 1
         line = text[start:stop]
         if line.strip():
-            yield line_number, line
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
+            yield line_number, obj
         start = stop + 1
 
 
@@ -318,15 +313,11 @@ def iter_manoeuvres(text: str, start: int = 0, end: int | None = None):
     Raises ParseError or ValidationError at the first bad line, after
     yielding every manoeuvre before it.
     """
-    for line_number, line in jsonl_lines(text, start, end):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
+    for line_number, obj in jsonl_objects(text, start, end):
         m = _manoeuvre_from_obj(obj, line_number)
-        issue = validate_manoeuvre(m)
-        if issue is not None:
-            raise ValidationError(m.id, issue.rule, issue.detail)
+        error = validate_manoeuvre(m)
+        if error is not None:
+            raise error
         yield m
 
 

@@ -27,6 +27,10 @@ class TestTooSmallError(PmDiagError):
     """The test set is too small to split into calibration and holdout."""
 
 
+class UnlabelledError(PmDiagError, ValueError):
+    """A manoeuvre to split carries no label."""
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_frac: float = 0.8
@@ -57,7 +61,7 @@ def _grouped_indices(ds: Dataset) -> "dict[FaultClass, list[int]]":
     groups: dict[FaultClass, list[int]] = {}
     for i, m in enumerate(ds):
         if m.label is None:
-            raise ValueError(f"manoeuvre {m.id!r} is unlabelled; splits need labels")
+            raise UnlabelledError(f"manoeuvre {m.id!r} is unlabelled; splits need labels")
         groups.setdefault(m.label, []).append(i)
     return groups
 

@@ -354,16 +354,19 @@ def predict_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return probs.argmax(axis=1), probs
 
 
+def _params_obj(model: MlpModel) -> dict:
+    """The parameters as JSON values, as model.json holds them and the digest covers them."""
+    return {
+        "layer_dims": list(model.layer_dims),
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "class_names": list(model.class_names),
+    }
+
+
 def model_digest(model: MlpModel) -> str:
     """Stable content digest binding a conformal predictor to its model."""
-    return sha256_of_obj(
-        {
-            "layer_dims": list(model.layer_dims),
-            "weights": [w.tolist() for w in model.weights],
-            "biases": [b.tolist() for b in model.biases],
-            "class_names": list(model.class_names),
-        }
-    )
+    return sha256_of_obj(_params_obj(model))
 
 
 def save_model(
@@ -373,10 +376,7 @@ def save_model(
     provenance: str | None = None,
 ) -> None:
     obj = {
-        "layer_dims": list(model.layer_dims),
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "class_names": list(model.class_names),
+        **_params_obj(model),
         "train_config": asdict(train_config) if train_config is not None else None,
         "provenance": provenance,
     }

@@ -10,7 +10,6 @@ shape and nothing about the installation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +21,7 @@ from .core import (
     Manoeuvre,
     ParseError,
     PmDiagError,
-    ValidationError,
-    jsonl_lines,
+    jsonl_objects,
     read_jsonl_text,
     validate_manoeuvre,
     write_jsonl,
@@ -196,9 +194,9 @@ def preprocess(m: Manoeuvre, cfg: PreprocessConfig = PreprocessConfig()) -> Feat
     amplitude, and invariant within interpolation tolerance under change of
     sample rate for the same underlying shape.
     """
-    issue = validate_manoeuvre(m)
-    if issue is not None:
-        raise ValidationError(m.id, issue.rule, issue.detail)
+    error = validate_manoeuvre(m)
+    if error is not None:
+        raise error
     s = smooth(m.samples, cfg.smooth_window)
     active = detect_active_window(s, cfg)
     seg = segment_phases(s, active, cfg)
@@ -231,11 +229,7 @@ def save_features(
 
 def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | None]]":
     records: list[tuple[FeatureVector, FaultClass | None]] = []
-    for line_number, line in jsonl_lines(read_jsonl_text(path)):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
+    for line_number, obj in jsonl_objects(read_jsonl_text(path)):
         if not isinstance(obj, dict) or not FEATURE_KEYS >= set(obj):
             raise ParseError(line_number, "not a feature object")
         try:

@@ -81,27 +81,20 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Fault class plus severity and optional pinned geometry.
+    """Fault class plus severity.
 
-    `obstacle_center_frac` pins the bump centre inside the movement phase
-    (fraction of the movement, default random in the middle 80%);
-    `ripple_phase` offsets the PowerSupply ripple, which is phase-locked to
-    the start of the trace (the supply sag oscillation responds to the load
-    step, so its phase is not free).
+    The PowerSupply ripple is phase-locked to the start of the trace: the
+    supply sag oscillation responds to the load step, so its phase is not free.
     """
 
     fault_class: FaultClass
     severity: float
-    obstacle_center_frac: float | None = None
-    ripple_phase: float = 0.0
 
     def __post_init__(self):
         if self.fault_class == FaultClass.Nominal:
             raise InvalidFaultError("fault class must not be Nominal")
         if not 0 <= self.severity <= 1:
             raise ValueError("severity must be in [0, 1]")
-        if self.obstacle_center_frac is not None and not 0.1 <= self.obstacle_center_frac <= 0.9:
-            raise ValueError("obstacle_center_frac must be in [0.1, 0.9]")
 
 
 @dataclass(frozen=True)
@@ -185,16 +178,19 @@ def build_curve(p: CurveParams) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _jitter_draws(cfg: SynthConfig, rng: np.random.Generator) -> tuple[float, float]:
-    amp = rng.uniform(-cfg.amplitude_jitter, cfg.amplitude_jitter)
-    dur = rng.uniform(-cfg.duration_jitter, cfg.duration_jitter)
-    return 1.0 + amp, 1.0 + dur
-
-
 def _seed_sequence(rng) -> np.random.SeedSequence:
     if isinstance(rng, np.random.SeedSequence):
         return rng
     return np.random.SeedSequence(rng)
+
+
+def _draw(cfg: SynthConfig, rng) -> tuple[CurveParams, np.random.SeedSequence, np.random.SeedSequence]:
+    """A trace's jittered nominal layout, and its noise and fault streams."""
+    jitter_ss, noise_ss, fault_ss = _seed_sequence(cfg.seed if rng is None else rng).spawn(3)
+    jitter = np.random.default_rng(jitter_ss)
+    amp_scale = 1.0 + jitter.uniform(-cfg.amplitude_jitter, cfg.amplitude_jitter)
+    dur_scale = 1.0 + jitter.uniform(-cfg.duration_jitter, cfg.duration_jitter)
+    return nominal_params(cfg, amp_scale, dur_scale), noise_ss, fault_ss
 
 
 def _finish(cfg, curve, noise_ss, manoeuvre_id, timestamp, label) -> Manoeuvre:
@@ -219,10 +215,8 @@ def generate_nominal(
     timestamp: float = 0.0,
 ) -> Manoeuvre:
     """Generate one healthy manoeuvre; bit-identical for a given seed."""
-    ss = _seed_sequence(cfg.seed if rng is None else rng)
-    common_ss, noise_ss, _fault_ss = ss.spawn(3)
-    amp_scale, dur_scale = _jitter_draws(cfg, np.random.default_rng(common_ss))
-    curve = build_curve(nominal_params(cfg, amp_scale, dur_scale))
+    params, noise_ss, _ = _draw(cfg, rng)
+    curve = build_curve(params)
     return _finish(cfg, curve, noise_ss, manoeuvre_id, timestamp, FaultClass.Nominal)
 
 
@@ -240,22 +234,14 @@ def inject_fault(
     so for equal seeds the faulty trace differs from its nominal twin only by
     the fault deformation (and by length, for Misalignment).
     """
-    if spec.fault_class == FaultClass.Nominal:
-        raise InvalidFaultError("fault class must not be Nominal")
-    ss = _seed_sequence(cfg.seed if rng is None else rng)
-    common_ss, noise_ss, fault_ss = ss.spawn(3)
-    amp_scale, dur_scale = _jitter_draws(cfg, np.random.default_rng(common_ss))
-    fault_rng = np.random.default_rng(fault_ss)
-    params = nominal_params(cfg, amp_scale, dur_scale)
+    params, noise_ss, fault_ss = _draw(cfg, rng)
     s = spec.severity
     fs = cfg.profile.sample_rate
 
     if spec.fault_class == FaultClass.Obstacle:
         curve = build_curve(params)
         width = max(1, round((0.05 + 0.15 * s) * params.n_move))
-        center_frac = spec.obstacle_center_frac
-        if center_frac is None:
-            center_frac = fault_rng.uniform(0.1, 0.9)
+        center_frac = np.random.default_rng(fault_ss).uniform(0.1, 0.9)
         center = params.move_start + center_frac * params.n_move
         start = int(round(center - width / 2))
         start = min(max(start, params.move_start), params.move_end - width)
@@ -271,7 +257,7 @@ def inject_fault(
         ripple_hz = 2.0 * SUPPLY_RIPPLE_HZ[cfg.profile.supply]
         t = np.arange(curve.size, dtype=np.float64) / fs
         scale = 1.0 - 0.2 - 0.3 * s
-        ripple = 0.05 * s * np.sin(2.0 * np.pi * ripple_hz * t + spec.ripple_phase)
+        ripple = 0.05 * s * np.sin(2.0 * np.pi * ripple_hz * t)
         curve = curve * scale * (1.0 + ripple)
     else:  # Misalignment
         lock_widen = 1.0 + 2.0 * s

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -128,9 +129,24 @@ class TestGenerate:
             ({"split": {"seed": 2**64}}, []),
             ({}, ["--seed", "-1"]),
             ({}, ["--seed", str(2**64)]),
+            ({"train": {"epochs": 2.5}}, []),
+            ({"train": {"epochs": True}}, []),
+            ({"train": {"batch_size": 32.0}}, []),
+            ({"preprocess": {"smooth_window": 5.0}}, []),
+            ({"synth": {"seed": 1.5}}, []),
+            ({"split": {"seed": 1.5}}, []),
+            ({"train": {"seed": 2.5}}, []),
+            ({"synth": {"profile": {**asdict(synth.DEFAULT_PROFILES["MJ"]), "sample_rate": float("nan")}}}, []),
+            ({"synth": {"noise_sigma": float("nan")}}, []),
+            ({"synth": {"noise_sigma": float("inf")}}, []),
+            ({"train": {"learning_rate": float("nan")}}, []),
+            ({"train": {"class_weights": [1.0, 1.0, float("nan"), 1.0, 1.0]}}, []),
         ],
         ids=["synth_number", "train_list", "split_string", "train_pairs", "severity_reversed",
-             "train_seed_negative", "split_seed_2_64", "seed_negative", "seed_2_64"],
+             "train_seed_negative", "split_seed_2_64", "seed_negative", "seed_2_64",
+             "epochs_float", "epochs_bool", "batch_size_float", "smooth_window_float", "synth_seed_float",
+             "split_seed_float", "train_seed_float", "sample_rate_nan", "noise_sigma_nan",
+             "noise_sigma_inf", "learning_rate_nan", "class_weight_nan"],
     )
     def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, cfg, flags):
         p = tmp_path / "c.json"
@@ -257,6 +273,32 @@ class TestPipeline:
         assert "flat-1" in captured.err
         # the dataset is written before preprocessing fails
         assert (tmp_path / "o" / "dataset.jsonl").read_bytes() == ds_path.read_bytes()
+
+
+    def test_unlabelled_manoeuvre_exits_4_naming_it(self, tmp_path, capsys):
+        cfg = synth.SynthConfig(profile=synth.DEFAULT_PROFILES["MJ"], noise_sigma=0.05)
+        ds = synth.generate_dataset({FaultClass.Nominal: 4, FaultClass.Obstacle: 4}, cfg)
+        manoeuvres = list(ds)
+        m = manoeuvres[2]
+        manoeuvres[2] = Manoeuvre(m.id, m.technology, m.timestamp, m.samples, m.sample_rate)
+        ds_path = tmp_path / "partly_labelled.jsonl"
+        save_dataset(Dataset(manoeuvres=tuple(manoeuvres), provenance="handmade"), ds_path)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"paths": {"dataset": str(ds_path)}}))
+        code = run(["pipeline", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert_no_child_processes()
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"pipeline failure in split: manoeuvre {m.id!r} is unlabelled; splits need labels\n"
+        )
+
+    def test_feature_length_sets_model_input_width(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({**SMALL_CONFIG, "preprocess": {"feature_length": 64}}))
+        out = tmp_path / "out"
+        assert run(["pipeline", "--config", str(p), "--out", str(out)]) == 0
+        assert json.loads((out / "model.json").read_text())["layer_dims"] == [64, 64, 32, 5]
+        assert run(["diagnose", "--config", str(p), "--out", str(out)]) == 0
 
 
 class TestDiagnose:
