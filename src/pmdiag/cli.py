@@ -461,25 +461,22 @@ def _train(cfg: RunConfig, labelled) -> "tuple[model.TrainConfig, model.TrainRes
     return train_cfg, _stage("train", model.train, labelled, train_cfg, layer_dims)
 
 
-def _probabilities(mdl, records, stage: str) -> list:
-    """Class probabilities per (FeatureVector, label) record, in order, one
-    row per forward pass (see `conformal.diagnose`); failures name the
-    offending manoeuvre."""
-    probs = []
-    for fv, _ in records:
-        try:
-            probs.append(model.forward(mdl, fv.values))
-        except PmDiagError as exc:
-            raise _manoeuvre_failure(stage, fv.source_id, exc) from exc
-    return probs
+def _probabilities(mdl, records, stage: str) -> np.ndarray:
+    """Class probabilities of (FeatureVector, label) records, one row per
+    record, in order, from one `model.forward_rows` call: each row is its own
+    one-row product, so a row's bits do not depend on the rows beside it. A
+    failure names the first failing manoeuvre."""
+    x = np.stack([fv.values for fv, _ in records]) if records else np.empty((0, mdl.layer_dims[0]))
+    try:
+        return model.forward_rows(mdl, x)
+    except model.RowError as exc:
+        raise _manoeuvre_failure(stage, records[exc.row][0].source_id, exc) from exc
 
 
 def _diagnoses(predictor, records, probs) -> list:
-    """(label, Diagnosis) per (FeatureVector, label) record and its probabilities."""
-    return [
-        (label, conformal.diagnosis(predictor, fv.source_id, p))
-        for (fv, label), p in zip(records, probs)
-    ]
+    """(label, Diagnosis) per (FeatureVector, label) record and its row of `probs`."""
+    diagnosed = conformal.diagnoses(predictor, [fv.source_id for fv, _ in records], probs)
+    return [(label, d) for (_, label), d in zip(records, diagnosed)]
 
 
 def _metrics(classified, covered) -> evaluation.MetricsReport:
@@ -522,6 +519,10 @@ def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
     predictor_path = args.predictor or cfg.paths.get("predictor", str(out / PREDICTOR_FILE))
     dataset_path = args.dataset or cfg.paths.get("dataset", str(out / DATASET_FILE))
     mdl = _stage("load", model.load_model, model_path)
+    width = cfg.preprocess_cfg.feature_length
+    if width != mdl.layer_dims[0]:  # checked before the dataset load, most of a call
+        raise StageError("diagnose", PmDiagError(
+            f"preprocess.feature_length {width} != the model's input width {mdl.layer_dims[0]}"))
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
     records = _stage("load", _load_records, dataset_path, cfg.preprocess_cfg)

@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, read_json, write_jsonl
-from .model import MlpModel, forward, model_digest
+from .model import MlpModel, RowError, forward, model_digest
 
 PROB_SUM_TOL = 1e-9
 
 
-class BadDistributionError(PmDiagError):
+class BadDistributionError(RowError):
     """Probability vector has a negative entry or does not sum to one."""
 
 
@@ -76,17 +76,22 @@ class Diagnosis:
         return self.prediction_set[0][0]
 
 
-def _checked_probs(probs) -> np.ndarray:
+def _checked_probs(probs, ndim: int = 1) -> np.ndarray:
+    """`probs` with `ndim` axes, each row along the last one a distribution over
+    the classes; an error's `row` is the first bad row."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 1 or p.size != len(FaultClass):
+    if p.ndim != ndim or p.shape[-1] != len(FaultClass):
         raise BadDistributionError(f"need {len(FaultClass)} probabilities, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise BadDistributionError("non-finite probability entry")
-    if (p < 0).any():
-        raise BadDistributionError("negative probability entry")
-    total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise BadDistributionError(f"probabilities sum to {total!r}")
+    total = p.sum(axis=-1, keepdims=True)
+    ok = np.isfinite(p).all(-1) & (p >= 0).all(-1) & (np.abs(total[..., 0] - 1.0) <= PROB_SUM_TOL)
+    if not ok.all():
+        row = int(np.argmin(ok.reshape(-1)))
+        bad = p.reshape(-1, p.shape[-1])[row]
+        if not np.isfinite(bad).all():
+            raise BadDistributionError("non-finite probability entry", row)
+        if (bad < 0).any():
+            raise BadDistributionError("negative probability entry", row)
+        raise BadDistributionError(f"probabilities sum to {float(bad.sum())!r}", row)
     # normalize so the full cumulative mass is exactly 1.0
     return p / total
 
@@ -151,38 +156,47 @@ def calibrate(model: MlpModel, calibration_set, alpha: float = 0.05) -> Conforma
     return calibrate_probs(scored, alpha, model_digest(model))
 
 
+def predict_sets(predictor: ConformalPredictor, probs) -> list:
+    """`predict_set` of each row of an (n, classes) probability matrix."""
+    return _sets(predictor.qhat, probs, 2)
+
+
 def predict_set(predictor: ConformalPredictor, probs) -> tuple[tuple[FaultClass, float], ...]:
     """Smallest descending-probability prefix with cumulative mass >= qhat.
 
     Returns its (class, probability) members, argmax first. The argmax always
     enters, so the set is never empty; a larger qhat can only grow the set.
     """
+    return _sets(predictor.qhat, probs, 1)[0]
+
+
+def _sets(qhat: float, probs, ndim: int) -> list:
     raw = np.asarray(probs, dtype=np.float64)
-    p = _checked_probs(probs)
+    p = _checked_probs(raw, ndim).reshape(-1, len(FaultClass))
     order = _descending_order(p)
-    cum = np.cumsum(p[order])
-    size = int(np.searchsorted(cum, predictor.qhat, side="left")) + 1
-    size = min(max(size, 1), p.size)
-    return tuple((FaultClass(int(c)), float(raw[c])) for c in order[:size])
+    cum = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
+    # the prefix through the first class whose cumulative mass reaches qhat
+    sizes = np.clip((cum < qhat).sum(axis=1) + 1, 1, p.shape[1])
+    members = np.take_along_axis(raw.reshape(p.shape), order, axis=1)
+    return [
+        tuple(zip(map(FaultClass, codes[:size]), values[:size]))
+        for codes, values, size in zip(order.tolist(), members.tolist(), sizes.tolist())
+    ]
 
 
-def diagnosis(predictor: ConformalPredictor, source_id: str, probs) -> Diagnosis:
-    """Wrap one manoeuvre's class probabilities in a calibrated prediction set."""
-    return Diagnosis(
-        source_id=source_id,
-        prediction_set=predict_set(predictor, probs),
-        alpha=predictor.alpha,
-        qhat=predictor.qhat,
-    )
+def diagnoses(predictor: ConformalPredictor, source_ids, probs) -> list[Diagnosis]:
+    """A calibrated prediction set per manoeuvre: `source_ids[i]` and row i of
+    an (n, classes) probability matrix."""
+    return [
+        Diagnosis(source_id, members, predictor.alpha, predictor.qhat)
+        for source_id, members in zip(source_ids, predict_sets(predictor, probs))
+    ]
 
 
 def diagnose(predictor: ConformalPredictor, model: MlpModel, feature) -> Diagnosis:
-    """Classify one feature vector and wrap it in a calibrated prediction set.
-
-    One row per forward pass: a stacked batch takes another BLAS path, so its
-    probabilities could depend on how many manoeuvres a call holds.
-    """
-    return diagnosis(predictor, feature.source_id, forward(model, feature.values))
+    """Classify one feature vector and wrap it in a calibrated prediction set:
+    the one-row case of `model.forward_rows` and `diagnoses`."""
+    return diagnoses(predictor, [feature.source_id], forward(model, feature.values)[None, :])[0]
 
 
 def diagnosis_to_obj(d: Diagnosis, label: FaultClass | None = None) -> dict:

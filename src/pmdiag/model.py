@@ -31,11 +31,19 @@ CLASS_NAMES = tuple(c.name for c in FaultClass)
 PROB_FLOOR = 1e-12
 
 
-class DimensionMismatchError(PmDiagError):
+class RowError(PmDiagError):
+    """An input matrix failed a check; `row` is the index of the first bad row."""
+
+    def __init__(self, message: str, row: int = 0):
+        super().__init__(message)
+        self.row = row
+
+
+class DimensionMismatchError(RowError):
     """Input length does not match the model's input layer."""
 
 
-class NonFiniteInputError(PmDiagError):
+class NonFiniteInputError(RowError):
     """An input feature vector holds NaN or an infinity."""
 
 
@@ -182,18 +190,42 @@ def _forward_batch(
     raise AssertionError("unreachable")
 
 
+def _row_products(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # numpy runs a stack of (1, fan_in) rows as one gemv per row, the call a
+    # one-row product makes; a 2-D product runs gemm, whose sums can differ
+    return np.matmul(a[:, None, :], w)[:, 0]
+
+
+def forward_rows(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Class probabilities for each row of an (n, width) feature matrix.
+
+    Each row goes through the model as its own one-row product, so its
+    probabilities are those `forward` gives it alone, bit for bit, whatever
+    rows surround it. An error's `row` is the first bad row.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionMismatchError(f"need an (n, width) matrix, got shape {x.shape}")
+    if x.shape[1] != model.layer_dims[0]:
+        raise DimensionMismatchError(
+            f"input length {x.shape[1]} != layer_dims[0] {model.layer_dims[0]}"
+        )
+    finite = np.isfinite(x)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFiniteInputError(f"input value {int(col)} is not finite", int(row))
+    probs, _ = _forward_batch(model, x, _row_products)
+    return probs
+
+
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Class probability vector for one feature vector."""
+    """Class probability vector for one feature vector: `forward_rows` of one row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size != model.layer_dims[0]:
         raise DimensionMismatchError(
             f"input length {x.size} != layer_dims[0] {model.layer_dims[0]}"
         )
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise NonFiniteInputError(f"input value {int(np.flatnonzero(~finite)[0])} is not finite")
-    probs, _ = _forward_batch(model, x[None, :])
-    return probs[0]
+    return forward_rows(model, x[None, :])[0]
 
 
 def _batch_arrays(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -242,5 +242,10 @@ def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | N
             raise ParseError(line_number, f"bad feature record: {exc}") from None
         if not np.isfinite(fv.values).all():
             raise ParseError(line_number, f"non-finite value in features of {fv.source_id!r}")
+        # the records are scored as one matrix: every row is a list of one length
+        width = records[0][0].values.size if records else fv.values.size
+        if fv.values.shape != (width,):
+            raise ParseError(line_number, f"values of {fv.source_id!r} have shape "
+                             f"{fv.values.shape}, not ({width},) as in the first record")
         records.append((fv, label))
     return records

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmdiag import cli, conformal, model, preprocess, synth
+from pmdiag import cli, model, preprocess, synth
 from pmdiag.core import FaultClass, Manoeuvre, Dataset, PmDiagError, save_dataset, load_dataset
 
 
@@ -190,15 +190,14 @@ class TestPipeline:
 
     def test_one_forward_pass_per_test_row(self, tmp_path, config_path, monkeypatch):
         rows = []
-        forward = model.forward
+        forward_rows = model.forward_rows
 
         def counted(mdl, x):
-            rows.append(np.asarray(x).tobytes())
-            return forward(mdl, x)
+            rows.extend(row.tobytes() for row in np.asarray(x))
+            return forward_rows(mdl, x)
 
-        # conformal holds a name of its own for forward
-        monkeypatch.setattr(model, "forward", counted)
-        monkeypatch.setattr(conformal, "forward", counted)
+        # every inference path, the one-row forward too, goes through forward_rows
+        monkeypatch.setattr(model, "forward_rows", counted)
         out = tmp_path / "out"
         assert run(["pipeline", "--config", config_path, "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -341,16 +340,42 @@ class TestDiagnose:
         ])
         assert code == 5
 
-    def test_diagnose_failure_names_manoeuvre(self, tmp_path, trained_out, capsys):
-        # features of another length than the model's input fail in forward
+    def test_width_mismatch_exits_4_before_reading_dataset(self, tmp_path, trained_out, capsys):
         p = tmp_path / "short.json"
         p.write_text(json.dumps({**SMALL_CONFIG, "preprocess": {"feature_length": 64}}))
-        first = next(iter(load_dataset(trained_out / "dataset.jsonl"))).id
         capsys.readouterr()
-        code = run(["diagnose", "--config", str(p), "--out", str(trained_out)])
+        code = run(["diagnose", "--config", str(p), "--out", str(trained_out),
+                    "--dataset", str(tmp_path / "no-such-dataset.jsonl")])
         assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith(f"pipeline failure in diagnose: manoeuvre {first!r}: ")
+        assert capsys.readouterr().err == (
+            "pipeline failure in diagnose: "
+            "preprocess.feature_length 64 != the model's input width 128\n"
+        )
+
+    def test_diagnose_failure_names_manoeuvre(
+        self, tmp_path, trained_out, config_path, capsys, monkeypatch, forks
+    ):
+        # preprocess yields finite features, so two poisoned ones stand in for
+        # rows the model rejects: both past the parent's chunk, so the forked
+        # load and the scoring must keep the row order to name the first
+        ids = [m.id for m in load_dataset(trained_out / "dataset.jsonl")]
+        poisoned = {ids[-20], ids[-5]}
+        real = preprocess.preprocess
+
+        def poison(m, cfg):
+            fv = real(m, cfg)
+            if m.id in poisoned:
+                return preprocess.FeatureVector(np.full(fv.values.size, np.nan), m.id)
+            return fv
+
+        monkeypatch.setattr(preprocess, "preprocess", poison)
+        capsys.readouterr()
+        code = run(["diagnose", "--config", config_path, "--out", str(trained_out)])
+        assert len(forks) == 2
+        assert code == 4
+        assert capsys.readouterr().err == (
+            f"pipeline failure in diagnose: manoeuvre {ids[-20]!r}: input value 0 is not finite\n"
+        )
 
     def test_unlabelled_dataset_runs(self, tmp_path, trained_out, config_path):
         ds = load_dataset(trained_out / "dataset.jsonl")
@@ -369,9 +394,10 @@ class TestDiagnose:
         ])
         assert code == 0
 
-    def test_batch_of_one_equals_batch_of_n(self, tmp_path, trained_out, config_path):
-        ds = load_dataset(trained_out / "dataset.jsonl")
-        picked = list(ds)[:5]
+    def test_batch_of_one_equals_batch_of_n(self, tmp_path, trained_out, config_path, forks):
+        # a whole file: loaded on three processes and scored as one matrix
+        picked = list(load_dataset(trained_out / "dataset.jsonl"))
+        assert len(picked) >= cli.FORK_MIN_LINES
         bound = ["--model", str(trained_out / "model.json"),
                  "--predictor", str(trained_out / "predictor.json")]
 
@@ -384,10 +410,12 @@ class TestDiagnose:
             return [json.loads(l) for l in (out / "diagnoses.jsonl").read_text().splitlines()]
 
         batch = diagnosed(picked, "batch")
+        assert len(forks) == 2
         assert [row["source_id"] for row in batch] == [m.id for m in picked]
         for m, row in zip(picked, batch):
             [alone] = diagnosed([m], f"alone-{m.id}")
-            assert alone["prediction_set"] == row["prediction_set"]
+            assert alone == row
+        assert len(forks) == 2
 
 
 @pytest.fixture(scope="module")
@@ -592,6 +620,31 @@ class TestStageCommands:
         code = run(["evaluate", "--config", config_path, "--out", str(out)])
         assert code == 4
         assert obj["source_id"] in capsys.readouterr().err
+
+    RAGGED = {
+        "short_row": lambda values: values[:64],
+        "nested_row": lambda values: [values],
+    }
+
+    @pytest.mark.parametrize("defect", sorted(RAGGED))
+    @pytest.mark.parametrize("command", ["train", "calibrate", "evaluate"])
+    def test_feature_rows_of_another_shape_exit_4(
+        self, trained_run, tmp_path, capsys, command, defect
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(trained_run, out)
+        lines = (out / "features.jsonl").read_text().splitlines()
+        obj = json.loads(lines[5])
+        obj["values"] = self.RAGGED[defect](obj["values"])
+        lines[5] = json.dumps(obj)
+        (out / "features.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
+        shape = {"short_row": (64,), "nested_row": (1, 128)}[defect]
+        assert (code, capsys.readouterr().err) == (4, (
+            f"pipeline failure in load: line 6: values of {obj['source_id']!r} have shape {shape}, "
+            "not (128,) as in the first record\n"
+        ))
 
     def test_seed_override_changes_dataset(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

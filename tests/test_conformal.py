@@ -14,7 +14,9 @@ from pmdiag.conformal import (
     check_digest,
     diagnose,
     load_predictor,
+    diagnoses,
     predict_set,
+    predict_sets,
     quantile_threshold,
     save_predictor,
 )
@@ -173,6 +175,98 @@ class TestPredictSet:
         # abs(nan - 1) > tol is False, so a sum check alone lets NaN through
         with pytest.raises(BadDistributionError):
             predict_set(predictor_with(0.9), np.array([np.nan, 0.5, 0.5, 0.0, 0.0]))
+
+
+def reference_set(probs, qhat):
+    """One row's set as predict_set built it before sets were built from a
+    matrix: a binary search of the row's cumulative mass."""
+    raw = np.asarray(probs, dtype=np.float64)
+    p = raw / float(raw.sum())
+    order = np.argsort(-p, kind="stable")
+    cum = np.cumsum(p[order])
+    size = min(max(int(np.searchsorted(cum, qhat, side="left")) + 1, 1), p.size)
+    return tuple((FaultClass(int(c)), float(raw[c])) for c in order[:size])
+
+
+class TestPredictSets:
+    def assert_rows_match(self, probs, qhat):
+        predictor = predictor_with(qhat)
+        got = predict_sets(predictor, probs)
+        assert len(got) == len(probs)
+        for row, members in zip(probs, got):
+            assert members == reference_set(row, qhat) == predict_set(predictor, row)
+            assert [type(v) for pair in members for v in pair] == [FaultClass, float] * len(members)
+
+    @pytest.mark.parametrize("qhat", [0.9, 0.99996, "random"])
+    def test_dirichlet_rows_match_one_row_sets(self, qhat):
+        rng = np.random.default_rng(17)
+        concentration = rng.choice([0.05, 0.3, 1.0, 5.0], size=(10_000, 1))
+        probs = rng.gamma(concentration * np.ones(5))
+        probs /= probs.sum(axis=1, keepdims=True)
+        self.assert_rows_match(probs, float(rng.uniform(0.05, 1.0)) if qhat == "random" else qhat)
+
+    def test_exact_ties_go_to_the_lowest_class_code(self):
+        probs = np.array([
+            [0.2, 0.2, 0.2, 0.2, 0.2],
+            [0.1, 0.3, 0.3, 0.0, 0.3],
+            [0.0, 0.0, 0.5, 0.0, 0.5],
+            [0.25, 0.25, 0.0, 0.25, 0.25],
+        ])
+        for qhat in (0.1, 0.5, 0.6, 0.9, 1.0):
+            self.assert_rows_match(probs, qhat)
+        [ties] = predict_sets(predictor_with(1.0), probs[1:2])
+        codes = [c for c, _ in ties]
+        assert codes == [FaultClass(1), FaultClass(2), FaultClass(4), FaultClass(0), FaultClass(3)]
+
+    def test_qhat_equal_to_a_cumulative_mass(self):
+        # dyadic rows: every cumulative mass is exact, so qhat can equal one
+        dyadic = np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625], [0.0625, 0.125, 0.0625, 0.25, 0.5]])
+        for qhat in (0.5, 0.75, 0.875, 0.9375):
+            self.assert_rows_match(dyadic, qhat)
+            [members, _] = predict_sets(predictor_with(qhat), dyadic)
+            assert sum(prob for _, prob in members) == qhat
+        rng = np.random.default_rng(21)
+        probs = rng.dirichlet(np.ones(5), size=20)
+        for row in probs:
+            p = row / row.sum()
+            cum = np.cumsum(p[np.argsort(-p, kind="stable")])
+            for qhat in cum[cum <= 1.0]:
+                self.assert_rows_match(probs, float(qhat))
+
+    def test_qhat_one_includes_every_class_with_mass_left(self):
+        probs = np.array([[0.5, 0.5, 0.0, 0.0, 0.0], [0.6, 0.3, 0.06, 0.03, 0.01]])
+        self.assert_rows_match(probs, 1.0)
+        self.assert_rows_match(np.random.default_rng(3).dirichlet(np.ones(5), size=500), 1.0)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (1, -0.1, "negative probability entry"),
+            (0, np.nan, "non-finite probability entry"),
+            (2, 0.5, "probabilities sum to 1.44"),
+        ],
+    )
+    def test_first_bad_row_named(self, column, value, message):
+        probs = np.tile(PROBS, (6, 1))
+        probs[3, column] = value
+        probs[5] = np.inf
+        with pytest.raises(BadDistributionError, match=f"^{message}") as info:
+            predict_sets(predictor_with(0.9), probs)
+        assert info.value.row == 3
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5)])
+    def test_needs_a_probability_matrix(self, shape):
+        with pytest.raises(BadDistributionError, match="need 5 probabilities"):
+            predict_sets(predictor_with(0.9), np.full(shape, 0.2))
+
+    def test_diagnoses_wrap_each_row(self):
+        predictor = predictor_with(0.85)
+        probs = np.stack([PROBS, PROBS[::-1]])
+        got = diagnoses(predictor, ["a", "b"], probs)
+        assert [d.source_id for d in got] == ["a", "b"]
+        assert [d.prediction_set for d in got] == predict_sets(predictor, probs)
+        assert all((d.alpha, d.qhat) == (0.05, 0.85) for d in got)
+        assert diagnoses(predictor, [], np.empty((0, 5))) == []
 
 
 class TestDiagnose:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pmdiag.cli import StageError
+from pmdiag.conformal import BadDistributionError
 from pmdiag.core import (
     Dataset,
     DatasetIoError,
@@ -17,6 +18,7 @@ from pmdiag.core import (
     save_dataset,
     validate_manoeuvre,
 )
+from pmdiag.model import NonFiniteInputError
 
 from conftest import AWKWARD_FLOATS
 
@@ -233,6 +235,8 @@ class TestErrorPickling:
             ValidationError("m7", "TooShort"),
             DuplicateIdError("m7"),
             StageError("train", ParseError(3, "bad")),
+            NonFiniteInputError("input value 2 is not finite", 7),
+            BadDistributionError("negative probability entry", 3),
         ],
         ids=lambda e: type(e).__name__,
     )

@@ -168,6 +168,81 @@ class TestForward:
         assert isinstance(info.value, PmDiagError)
 
 
+def one_row_reference(model, x):
+    """Probabilities of one feature vector, each layer a (1, fan_in) product:
+    the path a one-row forward pass took before stacks of rows were scored."""
+    a = x[None, :]
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(a, w)
+        z += b
+        a = np.maximum(z, 0.0) if l < last else z
+    e = np.exp(a - a.max(axis=-1, keepdims=True)) + mlp.PROB_FLOOR
+    return (e / e.sum(axis=-1, keepdims=True))[0]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestForwardRows:
+    @staticmethod
+    def awkward_rows(rng, width):
+        """Zeros, negatives, and inputs large enough to saturate the softmax."""
+        return np.stack([
+            np.zeros(width),
+            -np.abs(rng.normal(size=width)),
+            rng.normal(size=width) * 1e6,
+            -rng.uniform(1e5, 1e7, size=width),
+        ])
+
+    @pytest.mark.parametrize("width", [128, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1999])
+    def test_rows_equal_one_row_forward_bit_for_bit(self, n, width):
+        rng = np.random.default_rng([n, width])
+        mdl = mlp.init_params((width, 64, 32, 5), seed=width)
+        awkward = self.awkward_rows(rng, width)
+        x = rng.normal(size=(n, width)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        # awkward rows first, so n = 1, 2 and 3 begin with them, then repeats
+        x[: len(awkward)] = awkward[:n]
+        x[len(awkward) :: 7] = x[n // 2]
+        got = mlp.forward_rows(mdl, x)
+        assert got.shape == (n, 5)
+        ref = np.stack([one_row_reference(mdl, row) for row in x])
+        assert np.array_equal(bits(got), bits(ref))
+        assert np.array_equal(bits(got), bits([mlp.forward(mdl, row) for row in x]))
+        if n > 2:
+            assert got[2].max() > 1.0 - 1e-9  # the softmax saturated
+
+    def test_each_awkward_row_alone(self):
+        rng = np.random.default_rng(8)
+        mdl = mlp.init_params((128, 64, 32, 5), seed=8)
+        for row in self.awkward_rows(rng, 128):
+            assert np.array_equal(bits(mlp.forward(mdl, row)), bits(one_row_reference(mdl, row)))
+
+    def test_first_non_finite_row_named(self):
+        x = np.ones((6, 4))
+        x[4, 0] = np.inf
+        x[2, 3] = np.nan
+        x[2, 1] = -np.inf
+        with pytest.raises(NonFiniteInputError, match="^input value 1 is not finite$") as info:
+            mlp.forward_rows(uniform_model(4), x)
+        assert info.value.row == 2
+
+    def test_width_mismatch_names_row_0(self):
+        with pytest.raises(DimensionMismatchError, match="^input length 64 != layer_dims") as info:
+            mlp.forward_rows(uniform_model(4), np.ones((3, 64)))
+        assert info.value.row == 0
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4), ()])
+    def test_needs_a_matrix(self, shape):
+        with pytest.raises(DimensionMismatchError, match="matrix"):
+            mlp.forward_rows(uniform_model(4), np.ones(shape))
+
+    def test_no_rows(self):
+        assert mlp.forward_rows(uniform_model(4), np.empty((0, 4))).shape == (0, 5)
+
+
 class TestLoss:
     def test_uniform_single_item(self):
         batch = [(np.ones(4), FaultClass.Nominal, 1.0)]
