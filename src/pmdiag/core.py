@@ -12,7 +12,6 @@ import hashlib
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -343,10 +342,16 @@ def write_jsonl(path: str | Path, objs) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename.
+
+    The file gets the mode a plain open(path, "w") gives it, 0o666 less the
+    umask, where tempfile.mkstemp would give 0o600.
+    """
     path = Path(path)
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        # O_EXCL: the temp file is new, never one that was already there
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

@@ -427,6 +427,21 @@ def trained_run(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize("alpha, shown", [(0.05, "95"), (0.025, "97.5"), (0.005, "99.5")])
+def test_diagnose_prints_one_minus_alpha_unrounded(trained_run, tmp_path, capsys, alpha, shown):
+    predictor = json.loads((trained_run / "predictor.json").read_text())
+    predictor_path = tmp_path / "predictor.json"
+    predictor_path.write_text(json.dumps({**predictor, "alpha": alpha}))
+    code = run([
+        "diagnose", "--config", str(trained_run / "config.json"), "--out", str(tmp_path),
+        "--model", str(trained_run / "model.json"), "--predictor", str(predictor_path),
+        "--dataset", str(trained_run / "dataset.jsonl"),
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 76
+    assert all(line.endswith(f" (set covers the true class at {shown}%)") for line in lines)
+
+
 @pytest.mark.parametrize(
     "name", ["dataset.jsonl", "features.jsonl", "model.json", "predictor.json", "config.json"]
 )

@@ -1,5 +1,7 @@
 import json
+import os
 import pickle
+import stat
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pmdiag.core import (
     Manoeuvre,
     ParseError,
     ValidationError,
+    atomic_write_text,
     load_dataset,
     save_dataset,
     validate_manoeuvre,
@@ -219,6 +222,22 @@ class TestSaveRoundTrip:
         ds = Dataset(manoeuvres=(make_manoeuvre(np.ones(64)),), provenance="x")
         with pytest.raises(DatasetIoError):
             save_dataset(ds, tmp_path)
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_file_mode_is_plain_open_mode(self, tmp_path, umask, mode):
+        ds = Dataset(manoeuvres=(make_manoeuvre(np.ones(64)),), provenance="x")
+        previous = os.umask(umask)
+        try:
+            save_dataset(ds, tmp_path / "ds.jsonl")
+            atomic_write_text(tmp_path / "report.json", "{}\n")
+            with open(tmp_path / "plain.json", "w") as fh:
+                fh.write("{}\n")
+        finally:
+            os.umask(previous)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        # the temp file was renamed, not left beside the output
+        assert modes == {"ds.jsonl": mode, "report.json": mode, "plain.json": mode}
 
     def test_samples_immutable(self):
         m = make_manoeuvre(np.ones(64))

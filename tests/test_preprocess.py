@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from pmdiag import preprocess, synth
-from pmdiag.core import FaultClass, Manoeuvre, ParseError
+from pmdiag.core import (
+    FaultClass, Manoeuvre, ParseError, PmDiagError, ValidationError, validate_manoeuvre,
+)
 from pmdiag.preprocess import (
     FeatureVector,
     FlatSignalError,
@@ -172,6 +175,195 @@ class TestPreprocess:
         m = Manoeuvre("short", "MJ", 0.0, np.ones(8), 100.0)
         with pytest.raises(ValidationError):
             preprocess.preprocess(m, PCFG)
+
+
+# A reference kernel in plain numpy: np.pad(..., mode="reflect") for the
+# edges, np.median for the plateau level and the run test as an integer
+# convolution. TestReferenceKernel holds preprocess to its bits and to its
+# failures.
+def reference_smooth(samples, window):
+    x = np.asarray(samples, dtype=np.float64)
+    if window % 2 == 0 or window < 3:
+        raise ValueError("window must be odd and >= 3")
+    if window > x.size:
+        raise WindowTooLargeError(f"window {window} > length {x.size}")
+    half = window // 2
+    padded = np.pad(x, half, mode="reflect")
+    return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
+
+
+def reference_active_window(s, cfg):
+    peak = float(s.max())
+    if peak <= cfg.noise_floor:
+        raise FlatSignalError(f"max {peak!r} <= noise floor {cfg.noise_floor!r}")
+    above = np.flatnonzero(s > cfg.active_threshold_frac * peak)
+    return int(above[0]), int(above[-1]) + 1
+
+
+def reference_segment_phases(smoothed, active, cfg):
+    a, b = active
+    n = b - a
+    if n < 32:
+        raise SegmentationFailedError(f"active window too short ({n} samples)")
+    s = np.asarray(smoothed[a:b], dtype=np.float64)
+    w = cfg.smooth_window
+    core_pad = int(math.floor(n * (1.0 - cfg.plateau_core_frac) / 2.0))
+    plateau_level = float(np.median(s[core_pad : n - core_pad]))
+    if plateau_level <= 0:
+        raise SegmentationFailedError("plateau level is not positive")
+    band = 1.15 * plateau_level
+    above = s > band
+    if not above.any():
+        raise SegmentationFailedError("no peak exceeds the plateau band")
+    p0 = int(np.argmax(above))
+    p1 = n - 1 - int(np.argmax(above[::-1]))
+    in_band = (s >= 0.0) & (s <= band)
+    if n < w:
+        raise SegmentationFailedError("active window shorter than smooth window")
+    run_ok = np.convolve(in_band.astype(np.int64), np.ones(w, dtype=np.int64), "valid") == w
+    starts = np.flatnonzero(run_ok[p0 + 1 :])
+    if starts.size == 0:
+        raise SegmentationFailedError("no plateau after the unlock peak")
+    i = p0 + 1 + int(starts[0])
+    last_start = p1 - w
+    ends = np.flatnonzero(run_ok[: last_start + 1]) if last_start >= 0 else np.array([], int)
+    if ends.size == 0:
+        raise SegmentationFailedError("no plateau before the lock peak")
+    k = int(ends[-1]) + w
+    if not i < k:
+        raise SegmentationFailedError("movement phase is empty")
+    return preprocess.PhaseSegmentation((a, b), (a, a + i), (a + i, a + k), (a + k, b), plateau_level)
+
+
+def reference_preprocess(m, cfg):
+    error = validate_manoeuvre(m)
+    if error is not None:
+        raise error
+    s = reference_smooth(m.samples, cfg.smooth_window)
+    active = reference_active_window(s, cfg)
+    seg = reference_segment_phases(s, active, cfg)
+    threshold = cfg.active_threshold_frac * float(s.max())
+    p0, p1 = preprocess._refined_endpoints(s, active, threshold)
+    L = cfg.feature_length
+    grid = p0 + (p1 - p0) * np.arange(L, dtype=np.float64) / (L - 1)
+    values = np.interp(grid, np.arange(s.size, dtype=np.float64), s) / seg.plateau_level
+    return np.maximum(values, 0.0)
+
+
+def outcome(fn, *args):
+    """What fn returned, as bytes, or the type and message of what it raised."""
+    try:
+        result = fn(*args)
+    except PmDiagError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, preprocess.PhaseSegmentation):
+        bounds = (result.active, result.unlock_peak, result.movement, result.lock_peak)
+        return bounds, np.float64(result.plateau_level).tobytes()
+    if isinstance(result, FeatureVector):
+        result = result.values
+    return result.dtype, result.shape, result.tobytes()
+
+
+def with_peaks(n, *at):
+    """A plateau at 1.0 with a peak of 5.0 at each index in at."""
+    s = np.ones(n)
+    s[list(at)] = 5.0
+    return s
+
+
+def reference_traces():
+    """Every fault class on each default profile, noiseless and noisy."""
+    traces = []
+    for profile in synth.DEFAULT_PROFILES.values():
+        for noise in (0.0, 0.09):
+            cfg = SynthConfig(profile=profile, noise_sigma=noise, amplitude_jitter=0.05,
+                              duration_jitter=0.05)
+            for seed, severity in enumerate((0.3, 0.65, 1.0)):
+                traces.append(synth.generate_nominal(cfg, seed))
+                traces += [synth.inject_fault(cfg, FaultSpec(cls, severity), seed)
+                           for cls in FaultClass if cls is not FaultClass.Nominal]
+    return traces
+
+
+class TestReferenceKernel:
+    TRACES = reference_traces()
+
+    @pytest.mark.parametrize("cfg", [
+        *(PreprocessConfig(smooth_window=w, plateau_core_frac=frac)
+          for w in (3, 5, 7, 9) for frac in (1.0, 0.5, 1e-9)),
+        PreprocessConfig(feature_length=16),
+    ], ids=lambda c: f"window{c.smooth_window}-core{c.plateau_core_frac:g}-length{c.feature_length}")
+    def test_same_bits_as_reference(self, cfg):
+        core_parities = set()
+        for m in self.TRACES:
+            s = reference_smooth(m.samples, cfg.smooth_window)
+            assert outcome(smooth, m.samples, cfg.smooth_window) == outcome(lambda: s)
+            active = reference_active_window(s, cfg)
+            assert detect_active_window(s, cfg) == active
+            assert outcome(segment_phases, s, active, cfg) == outcome(
+                reference_segment_phases, s, active, cfg)
+            assert outcome(preprocess.preprocess, m, cfg) == outcome(reference_preprocess, m, cfg)
+            n = active[1] - active[0]
+            core_parities.add((n - 2 * math.floor(n * (1.0 - cfg.plateau_core_frac) / 2.0)) % 2)
+        assert core_parities == {0, 1}  # the median of an odd and of an even count
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 9, 10, 64])
+    def test_smooth_window_up_to_trace_length(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        for window in range(3, n + 3, 2):
+            assert outcome(smooth, x, window) == outcome(reference_smooth, x, window)
+
+    @pytest.mark.parametrize("n", [32, 33, 64, 65])
+    def test_plateau_median_of_random_windows(self, n):
+        # two middle values within a factor 2 of each other have every
+        # midpoint formula agree; the spread here is wider
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            s = np.concatenate(([1e3], rng.uniform(0.01, 10.0, n - 2), [1e3]))
+            for frac in (1.0, 0.5, 1e-9):
+                cfg = PreprocessConfig(plateau_core_frac=frac)
+                assert outcome(segment_phases, s, (0, n), cfg) == outcome(
+                    reference_segment_phases, s, (0, n), cfg)
+
+    @pytest.mark.parametrize("s, active, reason", [
+        (np.ones(64), (0, 20), "active window too short"),
+        (-np.ones(64), (0, 64), "plateau level is not positive"),
+        (np.ones(64), (0, 64), "no peak exceeds the plateau band"),
+        (with_peaks(64, 63), (0, 64), "no plateau after the unlock peak"),
+        (with_peaks(64, 0), (0, 64), "no plateau before the lock peak"),
+        (with_peaks(64, 10, 12), (0, 64), "movement phase is empty"),
+    ], ids=["too-short", "not-positive", "no-peak", "no-plateau-after", "no-plateau-before",
+            "empty-movement"])
+    def test_same_segmentation_failures(self, s, active, reason):
+        expected = outcome(reference_segment_phases, s, active, PCFG)
+        assert expected[0] is SegmentationFailedError and expected[1].startswith(reason)
+        assert outcome(segment_phases, s, active, PCFG) == expected
+
+    def test_window_shorter_than_smooth_window(self):
+        s, cfg = with_peaks(33, 0, 32), PreprocessConfig(smooth_window=35)
+        expected = outcome(reference_segment_phases, s, (0, 33), cfg)
+        assert expected == (SegmentationFailedError, "active window shorter than smooth window")
+        assert outcome(segment_phases, s, (0, 33), cfg) == expected
+
+    @pytest.mark.parametrize("at", [2, 20, 32, 44, 61])
+    def test_nan_inside_and_outside_the_plateau_core(self, at):
+        s = with_peaks(64, 0, 63)
+        s[at] = np.nan
+        assert outcome(segment_phases, s, (0, 64), PCFG) == outcome(
+            reference_segment_phases, s, (0, 64), PCFG)
+
+    @pytest.mark.parametrize("samples, window, error", [
+        (np.ones(40), 41, WindowTooLargeError),
+        (np.zeros(100), 5, FlatSignalError),
+        (np.ones(8), 5, ValidationError),  # TooShort
+        (np.linspace(0.0, 5.0, 200), 5, SegmentationFailedError),
+    ], ids=["window-too-large", "flat", "too-short", "ramp"])
+    def test_same_preprocess_failures(self, samples, window, error):
+        m = Manoeuvre("m", "MJ", 0.0, samples, 100.0)
+        cfg = PreprocessConfig(smooth_window=window)
+        expected = outcome(reference_preprocess, m, cfg)
+        assert expected[0] is error
+        assert outcome(preprocess.preprocess, m, cfg) == expected
 
 
 class TestFeatureIo:
