@@ -12,6 +12,8 @@ import argparse
 import json
 import math
 import os
+import select
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -30,9 +32,9 @@ from .core import (
     TechnologyProfile,
     ValidationError,
     check_unique_ids,
+    decode_text,
     iter_manoeuvres,
     load_dataset,
-    read_jsonl_text,
     save_dataset,
 )
 
@@ -49,11 +51,19 @@ EXIT_IO = 3
 EXIT_STAGE = 4
 EXIT_DIGEST = 5
 
-# A dataset file with fewer lines is loaded in this process alone. One fork,
-# its pipe and the reap cost about 4.5 ms, against about 0.6 ms to load and
-# preprocess one 760-sample manoeuvre, and a one-manoeuvre diagnose must
-# never fork.
+# A dataset file with fewer lines is one piece, loaded in this process alone.
+# One fork, its pipe and the reap cost about 4.5 ms, against about 0.6 ms to
+# load and preprocess one 760-sample manoeuvre, and a one-manoeuvre diagnose
+# must never fork. A larger file is cut into pieces of about this many lines,
+# so that the last piece to finish keeps the other CPUs waiting for about
+# 40 ms at most (see _cuts).
 FORK_MIN_LINES = 64
+# a piece's index in the token pipe of _load_records
+_TOKEN_BYTES = 2
+# every token goes into the pipe in one write that never blocks
+_MAX_PIECES = select.PIPE_BUF // _TOKEN_BYTES
+# bytes read at once while looking for a line end
+_SCAN_BYTES = 1 << 16
 
 
 class ConfigError(PmDiagError):
@@ -340,19 +350,20 @@ def _cpus() -> int:
 
 
 class _Chunk(NamedTuple):
-    """What one process made of a run of manoeuvres, such as a contiguous run
-    of dataset lines.
+    """What one process made of a run of manoeuvres, such as a piece of a
+    dataset file.
 
     `ids` and `labels` hold every manoeuvre read, in order, and `features`
     one row per id unless `error` or `failure` is set. `error` is the first
-    load error, where the chunk ends; `failure` is the manoeuvre id and error
-    of the first preprocess failure.
+    load error, where the chunk ends, or the DatasetIoError of bytes that are
+    not UTF-8; `failure` is the manoeuvre id and error of the first
+    preprocess failure.
     """
 
     ids: list
     features: np.ndarray
     labels: list
-    error: "ParseError | ValidationError | None"
+    error: "ParseError | ValidationError | DatasetIoError | None"
     failure: "tuple[str, PmDiagError] | None"
 
 
@@ -384,38 +395,138 @@ def _features(manoeuvres, cfg: preprocess.PreprocessConfig) -> _Chunk:
 def _load_records(path, cfg: preprocess.PreprocessConfig):
     """(FeatureVector, label) records of a dataset file, in line order.
 
-    From FORK_MIN_LINES line feeds up, the file is cut at line ends into one
-    chunk of about equal size per CPU: this process loads the first while a
-    forked child loads each other one. Errors come out as from load_dataset
-    followed by preprocessing each manoeuvre in order (see `_records`).
+    The file is cut at line ends into pieces (`_cuts`), and a pipe holds one
+    token per piece. This process, and one forked child per further CPU if
+    there are several pieces, take tokens until the pipe runs dry; each loads
+    the pieces it takes (`_load_piece`), so no process holds the whole file
+    and no CPU idles while another has more than one piece left. A piece
+    that no process sent back, because its child died, is loaded here;
+    where no child can be forked, this process takes every token. A
+    dataset that is not a regular file, such as a pipe, is read whole and
+    cut into the same pieces in memory. Errors come out as from
+    load_dataset followed by preprocessing each manoeuvre in order (see
+    `_records`).
     """
-    text = read_jsonl_text(path)
-    procs = _cpus() if text.count("\n") >= FORK_MIN_LINES else 1
-    cuts = [0]
-    for k in range(1, procs):
-        lf = text.find("\n", max(cuts[-1], len(text) * k // procs))
-        cuts.append(len(text) if lf < 0 else lf + 1)
-    cuts.append(len(text))
-    # a chunk's generator runs once: in its child, or here if no child sent it
-    joins = [
-        _start_forked(_features, iter_manoeuvres(text, a, b), cfg) for a, b in zip(cuts[1:], cuts[2:])
-    ]
+    path = Path(path)
     try:
-        own = _features(iter_manoeuvres(text, 0, cuts[1]), cfg)
-    finally:
-        others = [join() for join in joins]
-    return _records([own, *others])
+        file = open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise DatasetIoError(f"cannot read {path}: {exc}") from exc
+    with file:
+        read, size = _reader(file, path)
+        procs = _cpus()
+        cuts = _cuts(read, size, procs)
+        pieces = range(len(cuts) - 1)
+        queue_end, feed_end = os.pipe()
+        with open(queue_end, "rb", buffering=0) as queue:
+            # one write of at most PIPE_BUF bytes, into an empty pipe, never
+            # blocks; closing the pipe for writing before any fork lets a
+            # read of the empty pipe return b"" in every process
+            with open(feed_end, "wb", buffering=0) as feed:
+                feed.write(b"".join(k.to_bytes(_TOKEN_BYTES, "little") for k in pieces))
+            args = (queue, read, cuts, path, cfg)
+            joins = [_start_forked(_take_pieces, *args) for _ in range(min(procs, len(pieces)) - 1)]
+            chunks = {}
+            try:
+                chunks.update(_take_pieces(*args))
+            finally:
+                for join in joins:
+                    chunks.update(join())
+        return _records([
+            chunks[k] if k in chunks else _load_piece(read, cuts[k], cuts[k + 1], path, cfg)
+            for k in pieces
+        ])
+
+
+def _reader(file, path: Path):
+    """(read, size) of an open dataset file: read(n, offset) returns the up
+    to n bytes at offset. A file that is not regular, such as a pipe, cannot
+    be read at an offset, so it is read here whole."""
+    fd = file.fileno()
+    try:
+        status = os.fstat(fd)
+        if stat.S_ISREG(status.st_mode):
+            return (lambda n, offset: os.pread(fd, n, offset)), status.st_size
+        data = file.readall()
+    except OSError as exc:
+        raise DatasetIoError(f"cannot read {path}: {exc}") from exc
+    return (lambda n, offset: data[offset : offset + n]), len(data)
+
+
+def _cuts(read, size: int, procs: int) -> list:
+    """Offsets of the pieces of a file of `size` bytes: 0, each offset just
+    past a line feed where a piece ends, and `size`.
+
+    Fewer than FORK_MIN_LINES line feeds make one piece. Otherwise a piece
+    is about as long as the first FORK_MIN_LINES lines, and no longer than
+    1/procs of the file, so that every process gets one; a large file gets
+    longer pieces, so that the tokens fit in one PIPE_BUF write. Only the
+    head and a block at each cut are read.
+    """
+    cuts = [0]
+    head = _past_line_feed(read, 0, FORK_MIN_LINES)
+    if head is not None:
+        step = max(min(head, size // procs), -(-size // _MAX_PIECES))
+        while (cut := _past_line_feed(read, cuts[-1] + step - 1)) is not None and cut < size:
+            cuts.append(cut)
+    cuts.append(size)
+    return cuts
+
+
+def _past_line_feed(read, pos: int, count: int = 1) -> "int | None":
+    """The offset just past the count-th line feed at or after `pos`, or
+    None where the data ends before it."""
+    while block := read(_SCAN_BYTES, pos):
+        found = block.count(b"\n")
+        if found >= count:
+            end = -1
+            for _ in range(count):
+                end = block.find(b"\n", end + 1)
+            return pos + end + 1
+        count -= found
+        pos += len(block)
+    return None
+
+
+def _take_pieces(queue, read, cuts: list, path: Path, cfg: preprocess.PreprocessConfig) -> dict:
+    """{piece index: _Chunk} of each piece whose token this process takes
+    from the `queue` pipe, until it runs dry."""
+    chunks = {}
+    # the tokens went in with one write, and a read of a pipe that holds
+    # data returns all it asks for, up to what the pipe holds: a whole token
+    while token := queue.read(_TOKEN_BYTES):
+        k = int.from_bytes(token, "little")
+        chunks[k] = _load_piece(read, cuts[k], cuts[k + 1], path, cfg)
+    return chunks
+
+
+def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.PreprocessConfig) -> _Chunk:
+    """The _Chunk of the dataset bytes from `start`, a line start, to `end`."""
+    try:
+        text = decode_text(read(end - start, start), path, start)
+    except DatasetIoError as exc:
+        return _features((), cfg)._replace(error=exc)
+
+    def lines_before():
+        blocks = range(0, start, _SCAN_BYTES)
+        return sum(read(min(_SCAN_BYTES, start - pos), pos).count(b"\n") for pos in blocks)
+
+    return _features(iter_manoeuvres(text, lines_before), cfg)
 
 
 def _records(chunks) -> list:
     """(FeatureVector, label) records of the chunks, in order.
 
-    Raises the error that ranks first across the chunks: the first load
-    error, then the first repeated id, then the first preprocess failure.
+    Raises the error that ranks first across the chunks: bytes that are not
+    UTF-8 anywhere, as a whole-file read would, then the first load error,
+    then the first repeated id, then the first preprocess failure.
     """
-    for chunk in chunks:
-        if chunk.error is not None:
-            raise chunk.error
+    errors = [chunk.error for chunk in chunks if chunk.error is not None]
+    for error in errors:
+        if isinstance(error, DatasetIoError):
+            raise error
+    if errors:
+        raise errors[0]
     check_unique_ids(mid for chunk in chunks for mid in chunk.ids)
     for chunk in chunks:
         if chunk.failure is not None:

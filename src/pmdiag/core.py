@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -241,12 +242,15 @@ def _manoeuvre_from_obj(obj: dict, line_number: int) -> Manoeuvre:
             label = FaultClass.from_name(obj["label"])
         except (ValueError, TypeError):
             raise ParseError(line_number, f"bad label {obj['label']!r}") from None
-    try:
-        samples = np.asarray(obj["samples"], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ParseError(line_number, "samples is not a numeric array") from None
-    if samples.ndim != 1:
+    samples = obj["samples"]
+    if not isinstance(samples, list):
         raise ParseError(line_number, "samples is not a flat array")
+    try:
+        # unlike np.asarray, array() takes no numeric string for a number
+        samples = array("d", samples)
+    except (TypeError, OverflowError):
+        shape = "flat" if any(isinstance(v, list) for v in samples) else "numeric"
+        raise ParseError(line_number, f"samples is not a {shape} array") from None
     if not isinstance(obj["id"], str) or not isinstance(obj["technology"], str):
         raise ParseError(line_number, "id and technology must be strings")
     if not isinstance(obj["timestamp"], (int, float)) or isinstance(obj["timestamp"], bool):
@@ -267,9 +271,30 @@ def read_jsonl_text(path: str | Path) -> str:
     """The whole text of a JSON or JSONL file; DatasetIoError when it cannot be read."""
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise DatasetIoError(f"cannot read {path}: {exc}") from exc
+    return decode_text(data, path)
+
+
+def decode_text(data: bytes, path: str | Path, offset: int = 0) -> str:
+    """`data`, the bytes of file `path` from `offset` on, as UTF-8 text.
+
+    No newline is translated: a lone CR stays a CR, which JSON reads as
+    whitespace. Bytes that are not UTF-8 raise DatasetIoError with the
+    message a decode of the whole file gives, which names the first bad byte
+    by its offset in the file.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        if offset:
+            # the bytes before `offset` only pad the offsets: the message
+            # names the bad bytes, which lie in `data`
+            exc = UnicodeDecodeError(
+                exc.encoding, bytes(offset) + data, offset + exc.start, offset + exc.end, exc.reason
+            )
+        raise DatasetIoError(f"cannot read {Path(path)}: {exc}") from exc
 
 
 def read_json(path: str | Path):
@@ -280,21 +305,18 @@ def read_json(path: str | Path):
         raise DatasetIoError(f"{Path(path)} is not valid JSON: {exc.msg}") from None
 
 
-def jsonl_objects(text: str, start: int = 0, end: int | None = None):
+def jsonl_objects(text: str):
     """Yield (line number, parsed JSON value) for each non-blank line of
-    text[start:end]; ParseError at the first line that is not valid JSON.
+    text; ParseError at the first line that is not valid JSON.
 
     Lines end at LF only, not at the other line breaks of str.splitlines():
     U+2028, U+2029 and U+0085 may stand raw inside a JSON string, and a CR
-    before the LF is JSON whitespace. Line numbers count
-    from the start of `text`, so a slice that starts at a line start reports
-    the same numbers as the whole text.
+    is JSON whitespace. Line numbers count from 1 at the start of `text`.
     """
-    end = len(text) if end is None else end
-    line_number = text.count("\n", 0, start)
-    while start < end:
-        stop = text.find("\n", start, end)
-        stop = end if stop < 0 else stop
+    start = line_number = 0
+    while start < len(text):
+        stop = text.find("\n", start)
+        stop = len(text) if stop < 0 else stop
         line_number += 1
         line = text[start:stop]
         if line.strip():
@@ -306,18 +328,26 @@ def jsonl_objects(text: str, start: int = 0, end: int | None = None):
         start = stop + 1
 
 
-def iter_manoeuvres(text: str, start: int = 0, end: int | None = None):
-    """Parse and validate each manoeuvre line of text[start:end] in order.
+def iter_manoeuvres(text: str, lines_before=None):
+    """Parse and validate each manoeuvre line of text in order.
 
     Raises ParseError or ValidationError at the first bad line, after
-    yielding every manoeuvre before it.
+    yielding every manoeuvre before it. `text` may be a piece of a file that
+    starts at a line start: `lines_before()` then returns the number of
+    lines before it. It is called only to number a ParseError in the whole
+    file, so no other line is counted.
     """
-    for line_number, obj in jsonl_objects(text, start, end):
-        m = _manoeuvre_from_obj(obj, line_number)
-        error = validate_manoeuvre(m)
-        if error is not None:
-            raise error
-        yield m
+    try:
+        for line_number, obj in jsonl_objects(text):
+            m = _manoeuvre_from_obj(obj, line_number)
+            error = validate_manoeuvre(m)
+            if error is not None:
+                raise error
+            yield m
+    except ParseError as exc:
+        if lines_before is None:
+            raise
+        raise ParseError(lines_before() + exc.line_number, exc.reason) from None
 
 
 def load_dataset(path: str | Path) -> Dataset:

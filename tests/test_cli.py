@@ -1,8 +1,11 @@
+import contextlib
+import functools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -477,6 +480,34 @@ def forks(monkeypatch):
     return started
 
 
+def open_fds() -> set:
+    """This process's open file descriptors."""
+    return set(os.listdir("/proc/self/fd"))
+
+
+@contextlib.contextmanager
+def fifo_fed(fifo, data: bytes):
+    """Write `data` into the FIFO `fifo` from a thread while the block runs."""
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        yield
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+
+
+@pytest.fixture(scope="module")
+def long_dataset(trained_run, tmp_path_factory):
+    """The pipeline's 76 lines four times over under new ids: 304 lines, so
+    three processes load five pieces of 64 lines or fewer."""
+    lines = (trained_run / "dataset.jsonl").read_text().splitlines()
+    objs = [{**json.loads(l), "id": f"{json.loads(l)['id']}-{rep}"} for rep in range(4) for l in lines]
+    path = tmp_path_factory.mktemp("long") / "long.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    return path
+
+
 class TestForkedLoad:
     def command(self, trained_run, tmp_path, name, ds_path):
         config = tmp_path / f"{name}-config.json"
@@ -487,19 +518,26 @@ class TestForkedLoad:
                      "--predictor", str(trained_run / "predictor.json")]
         return argv
 
-    def outcome(self, argv, out, capsys):
-        """Exit code, stdout, stderr and output files of one call; clears `out`."""
+    def outcome(self, argv, out, capsys, during=contextlib.nullcontext):
+        """Exit code, stdout, stderr and output files of one call, made
+        inside the context `during()`; clears `out`.
+
+        The call must leave no child process and no file descriptor open.
+        """
         capsys.readouterr()
-        code = run(argv)
+        fds = open_fds()
+        with during():
+            code = run(argv)
         captured = capsys.readouterr()
         assert_no_child_processes()
+        assert open_fds() == fds
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         shutil.rmtree(out)
         return code, captured.out, captured.err, files
 
-    def defective(self, trained_run, tmp_path, edits):
-        """The pipeline's dataset with line k replaced by edits[k](object of line k)."""
-        lines = (trained_run / "dataset.jsonl").read_text().splitlines()
+    def defective(self, source, tmp_path, edits):
+        """The dataset file `source` with line k replaced by edits[k](object of line k)."""
+        lines = source.read_text().splitlines()
         objs = [json.loads(l) for l in lines]
         for k, edit in edits.items():
             lines[k] = edit(objs, k)
@@ -542,7 +580,7 @@ class TestForkedLoad:
     ):
         n = len((trained_run / "dataset.jsonl").read_text().splitlines())
         k = 1 if where == "first_chunk" else n - 2
-        ds_path = self.defective(trained_run, tmp_path, {k: self.DEFECTS[defect]})
+        ds_path = self.defective(trained_run / "dataset.jsonl", tmp_path, {k: self.DEFECTS[defect]})
         self.assert_fails_as_in_process(trained_run, tmp_path, capsys, monkeypatch, forks, ds_path)
 
     @pytest.mark.parametrize("where", ["first_chunk", "last_chunk"])
@@ -552,12 +590,105 @@ class TestForkedLoad:
         n = len((trained_run / "dataset.jsonl").read_text().splitlines())
         k = 3 if where == "first_chunk" else n - 2
         ds_path = self.defective(
-            trained_run, tmp_path, {1: self.DEFECTS["flat_signal"], k: self.DEFECTS["broken_json"]}
+            trained_run / "dataset.jsonl", tmp_path,
+            {1: self.DEFECTS["flat_signal"], k: self.DEFECTS["broken_json"]},
         )
         err = self.assert_fails_as_in_process(
             trained_run, tmp_path, capsys, monkeypatch, forks, ds_path
         )
         assert err.startswith(f"pipeline failure in load: line {k + 1}: invalid JSON: ")
+
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_middle_piece_error_matches_in_process(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks, defect
+    ):
+        # line 150 lies in the third of five pieces, which three processes load
+        data = long_dataset.read_bytes()
+        cuts = cli._cuts(lambda n, offset: data[offset : offset + n], len(data), 3)
+        assert len(cuts) - 1 == 5 and cuts[2] < len(b"".join(data.splitlines(True)[:149])) < cuts[3]
+        ds_path = self.defective(long_dataset, tmp_path, {149: self.DEFECTS[defect]})
+        self.assert_fails_as_in_process(trained_run, tmp_path, capsys, monkeypatch, forks, ds_path)
+
+    def test_not_utf8_in_middle_piece_fails_as_whole_file_read(
+        self, trained_run, long_dataset, tmp_path, capsys, forks
+    ):
+        lines = long_dataset.read_bytes().splitlines(True)
+        lines[149] = lines[149][:1000] + b"\xff\xfe" + lines[149][1000:]
+        ds_path = tmp_path / "not-utf8.jsonl"
+        ds_path.write_bytes(b"".join(lines))
+        argv = self.command(trained_run, tmp_path, "diagnose", ds_path)
+        code, stdout, err, files = self.outcome(argv, tmp_path / "out", capsys)
+        assert len(forks) == 2
+        with pytest.raises(UnicodeDecodeError) as whole:
+            ds_path.read_bytes().decode("utf-8")
+        assert f"position {whole.value.start}:" in err
+        assert (code, stdout, err, files) == (3, "", f"i/o error: cannot read {ds_path}: {whole.value}\n", {})
+
+    def test_child_that_dies_after_taking_a_piece(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks
+    ):
+        argv = self.command(trained_run, tmp_path, "diagnose", long_dataset)
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            no_fork(patch, "no_fork_method")
+            alone = self.outcome(argv, out, capsys)
+        died = tmp_path / "died"
+        died.mkdir()
+        parent, load_piece = os.getpid(), cli._load_piece
+
+        def load_and_die(*args):
+            chunk = load_piece(*args)
+            if os.getpid() != parent:
+                (died / str(os.getpid())).touch()
+                os._exit(1)
+            return chunk
+
+        monkeypatch.setattr(cli, "_load_piece", load_and_die)
+        assert self.outcome(argv, out, capsys) == alone
+        assert alone[0] == 0 and len(forks) == 2
+        assert len(list(died.iterdir())) >= 1
+
+    def test_fifo_and_one_cpu_match_file(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks
+    ):
+        out = tmp_path / "out"
+        from_file = self.outcome(self.command(trained_run, tmp_path, "diagnose", long_dataset), out, capsys)
+        assert from_file[0] == 0 and len(forks) == 2
+        # a FIFO is read whole, then cut into the same pieces in memory
+        fifo = tmp_path / "fifo.jsonl"
+        os.mkfifo(fifo)
+        argv = self.command(trained_run, tmp_path, "diagnose", fifo)
+        fed = functools.partial(fifo_fed, fifo, long_dataset.read_bytes())
+        assert self.outcome(argv, out, capsys, during=fed) == from_file
+        assert len(forks) == 4
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        argv = self.command(trained_run, tmp_path, "diagnose", long_dataset)
+        assert self.outcome(argv, out, capsys) == from_file
+        assert len(forks) == 4
+
+    def test_more_processes_than_cores_match_one_process(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks
+    ):
+        # eight processes share eight pieces on a host of two or four cores: a
+        # token lost or taken twice would drop or repeat a diagnosis
+        argv = self.command(trained_run, tmp_path, "diagnose", long_dataset)
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        alone = self.outcome(argv, out, capsys)
+        assert alone[0] == 0 and len(alone[1].splitlines()) == 304 and forks == []
+        monkeypatch.setattr(cli, "_cpus", lambda: 8)
+        assert self.outcome(argv, out, capsys) == alone
+        assert len(forks) == 7
+
+    def test_lone_cr_loads_as_whitespace(self, trained_run, tmp_path, capsys):
+        first = (trained_run / "dataset.jsonl").read_bytes().split(b"\n")[0]
+        runs = []
+        for name, line in [("plain", first), ("cr", first.replace(b', "technology"', b',\r"technology"'))]:
+            ds_path = tmp_path / f"{name}.jsonl"
+            ds_path.write_bytes(line + b"\n")
+            argv = self.command(trained_run, tmp_path, "diagnose", ds_path)
+            runs.append(self.outcome(argv, tmp_path / "out", capsys))
+        assert runs[0][0] == 0 and runs[1] == runs[0]
 
     def assert_fails_as_in_process(
         self, trained_run, tmp_path, capsys, monkeypatch, forks, ds_path

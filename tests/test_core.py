@@ -159,6 +159,30 @@ class TestLoad:
             load_dataset(p)
         assert err.value.line_number == 2
 
+    def test_lone_cr_is_whitespace(self, tmp_path):
+        # a CR alone ends no line, and JSON reads it as whitespace
+        p = tmp_path / "ds.jsonl"
+        p.write_bytes(self.line("a").replace(', "technology"', ',\r"technology"').encode() + b"\n")
+        assert [m.id for m in load_dataset(p)] == ["a"]
+
+    @pytest.mark.parametrize(
+        "samples, shape",
+        [
+            (["0.5"] * 64, "numeric"),
+            ([1.0] * 63 + ["x"], "numeric"),
+            ([10**400] * 64, "numeric"),
+            ([[1.0] * 64], "flat"),
+            ([1.0] * 63 + [[1.0]], "flat"),
+            (1.0, "flat"),
+        ],
+        ids=["numeric_strings", "one_string", "int_beyond_float", "nested", "one_nested", "scalar"],
+    )
+    def test_samples_must_be_a_flat_array_of_numbers(self, tmp_path, samples, shape):
+        p = tmp_path / "ds.jsonl"
+        p.write_text(self.line("a", samples=samples) + "\n")
+        with pytest.raises(ParseError, match=f"^line 1: samples is not a {shape} array$"):
+            load_dataset(p)
+
 
 class TestSaveRoundTrip:
     def test_empty_dataset(self, tmp_path):
