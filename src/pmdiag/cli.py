@@ -9,6 +9,7 @@ Output files are written atomically, so failures never leave partial files.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -34,6 +35,7 @@ from .core import (
     check_unique_ids,
     decode_text,
     iter_manoeuvres,
+    json_error,
     load_dataset,
     save_dataset,
 )
@@ -56,12 +58,18 @@ EXIT_DIGEST = 5
 # load and preprocess one 760-sample manoeuvre, and a one-manoeuvre diagnose
 # must never fork. A larger file is cut into pieces of about this many lines,
 # so that the last piece to finish keeps the other CPUs waiting for about
-# 40 ms at most (see _cuts).
+# 40 ms at most (see _cuts). pipeline cuts the positions of its dataset the
+# same way; generating and preprocessing a manoeuvre takes about 0.2 ms.
 FORK_MIN_LINES = 64
-# a piece's index in the token pipe of _load_records
+# a piece's index in the token pipe of _share_pieces
 _TOKEN_BYTES = 2
 # every token goes into the pipe in one write that never blocks
 _MAX_PIECES = select.PIPE_BUF // _TOKEN_BYTES
+# A forked child posts a piece of a dataset (about 460 KB for 64 generated
+# manoeuvres) while this process is busy with a piece of its own; a pipe of
+# this size holds two such posts, so the child need not wait for the read.
+# It is Linux's default pipe-max-size; elsewhere a pipe keeps its own size.
+_PIPE_BYTES = 1 << 20
 # bytes read at once while looking for a line end
 _SCAN_BYTES = 1 << 16
 
@@ -256,8 +264,8 @@ def load_run_config(path: "str | None", seed_override: "int | None" = None) -> R
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {json_error(exc)}") from None
     return parse_run_config(obj, seed_override)
 
 
@@ -285,61 +293,86 @@ def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _start_forked(fn, *args):
-    """Start fn(*args) in a forked child process and return a function that
-    waits for the child and returns fn's result.
+def _start_forked(fn, *args) -> "_Child | None":
+    """Start fn(post, *args) in a forked child process, where post(message)
+    sends a picklable message to this process, and return the _Child that
+    receives them; None where no process can be forked (no fork start
+    method, or the fork fails).
 
-    Only for work that starts no BLAS thread, so that forking is safe.
-    Where no process can be forked (no fork start method, or the fork
-    fails), or the child did not send its result and exit 0, the returned
-    function runs fn(*args) in this process, so the caller gets the
-    in-process result, or the in-process exception with its exit code and
-    stderr.
+    The child exits 0 once fn returns, and 1, printing nothing, if fn
+    raises: the caller then does the child's work itself and reports any
+    failure as its own. A child may run matrix products: numpy's OpenBLAS
+    stops its threads before every fork (a pthread_atfork handler), so a
+    child starts its own where a product needs them.
     """
     # imported here: every CLI call pays the module-level imports, and only
     # pipeline and large inputs fork
     import multiprocessing
 
-    def here():
-        return fn(*args)
-
     if "fork" not in multiprocessing.get_all_start_methods():
-        return here
+        return None
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_result, args=(sender, fn, args))
+    _widen(sender)
+    process = ctx.Process(target=_run_child, args=(sender, fn, args))
     try:
-        child.start()
-    except OSError:  # no process to spare (EAGAIN, ENOMEM): run here
+        process.start()
+    except OSError:  # no process to spare (EAGAIN, ENOMEM)
         receiver.close()
-        return here
+        return None
     finally:
         sender.close()
-
-    def join():
-        # receive before joining: a result larger than the pipe buffer holds
-        # the child in send until it is read
-        with receiver:
-            try:
-                sent = [receiver.recv()]
-            except EOFError:  # the child failed before it sent a result
-                sent = []
-        child.join()
-        ok = sent and child.exitcode == 0
-        child.close()
-        return sent[0] if ok else here()
-
-    return join
+    return _Child(process, receiver)
 
 
-def _send_result(sender, fn, args) -> None:
-    """Body of a forked child: send fn(*args) to the parent."""
+def _widen(connection) -> None:
+    """Let the pipe of `connection` hold _PIPE_BYTES where the system allows."""
+    import fcntl
+
     try:
-        sender.send(fn(*args))
+        fcntl.fcntl(connection.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):  # not Linux, or above the system's pipe-max-size
+        pass
+
+
+def _run_child(sender, fn, args) -> None:
+    """Body of a forked child."""
+    try:
+        fn(sender.send, *args)
     except Exception:
-        # exit 1 without a traceback: the parent runs fn again and reports
-        # the failure as its own
+        # exit 1 without a traceback: the parent does the work again and
+        # reports the failure as its own
         sys.exit(1)
+
+
+class _Child:
+    """This process's end of a forked child: the messages it posts, and its exit."""
+
+    def __init__(self, process, receiver):
+        self.process = process
+        self.receiver = receiver
+
+    def recv(self, wait: bool = True):
+        """The next message the child posted; None once the child has ended
+        (exited or died), or, unless `wait`, while no message has arrived."""
+        if self.receiver.closed or not (wait or self.receiver.poll()):
+            return None
+        try:
+            return self.receiver.recv()
+        except (EOFError, OSError):  # OSError: the child died within a message
+            self.receiver.close()
+            return None
+
+    def join(self) -> bool:
+        """Wait for the child, dropping what it still posts; True when it exited 0."""
+        # receive before joining: a message larger than the pipe buffer
+        # holds the child in send until it is read
+        while self.recv() is not None:
+            pass
+        self.process.join()
+        ok = self.process.exitcode == 0
+        self.process.close()
+        return ok
 
 
 def _cpus() -> int:
@@ -347,6 +380,57 @@ def _cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _share_pieces(cuts: list, load, procs: int) -> list:
+    """[load(cuts[k], cuts[k + 1]) for each piece k], on up to `procs` processes.
+
+    A pipe holds one token per piece. This process, and one forked child per
+    further process if there are several pieces, take tokens until the pipe
+    runs dry, so no process idles while another has more than one piece
+    left. A child posts each piece as soon as it is loaded, and this process
+    receives what has arrived after each piece of its own, so no process
+    holds a child's whole share in one message. A piece that no process sent
+    back, because its child died, is loaded here; where no child can be
+    forked, this process takes every token.
+    """
+    count = len(cuts) - 1
+    loaded = {}
+    queue_end, feed_end = os.pipe()
+    with open(queue_end, "rb", buffering=0) as queue:
+        # one write of at most PIPE_BUF bytes, into an empty pipe, never
+        # blocks; closing the pipe for writing before any fork lets a read
+        # of the empty pipe return b"" in every process
+        with open(feed_end, "wb", buffering=0) as feed:
+            feed.write(b"".join(k.to_bytes(_TOKEN_BYTES, "little") for k in range(count)))
+        forked = [_start_forked(_post_pieces, queue, cuts, load) for _ in range(min(procs, count) - 1)]
+        children = [child for child in forked if child is not None]
+        try:
+            for k in _tokens(queue):
+                loaded[k] = load(cuts[k], cuts[k + 1])
+                for child in children:
+                    while (posted := child.recv(wait=False)) is not None:
+                        loaded.update([posted])
+        finally:
+            for child in children:
+                while (posted := child.recv()) is not None:
+                    loaded.update([posted])
+                child.join()
+    return [loaded[k] if k in loaded else load(cuts[k], cuts[k + 1]) for k in range(count)]
+
+
+def _tokens(queue):
+    """The piece indices this process takes from the token pipe `queue` until it runs dry."""
+    # the tokens went in with one write, and a read of a pipe that holds
+    # data returns all it asks for, up to what the pipe holds: a whole token
+    while token := queue.read(_TOKEN_BYTES):
+        yield int.from_bytes(token, "little")
+
+
+def _post_pieces(post, queue, cuts: list, load) -> None:
+    """Body of a child of _share_pieces: post (k, piece k) for each token it takes."""
+    for k in _tokens(queue):
+        post((k, load(cuts[k], cuts[k + 1])))
 
 
 class _Chunk(NamedTuple):
@@ -395,17 +479,12 @@ def _features(manoeuvres, cfg: preprocess.PreprocessConfig) -> _Chunk:
 def _load_records(path, cfg: preprocess.PreprocessConfig):
     """(FeatureVector, label) records of a dataset file, in line order.
 
-    The file is cut at line ends into pieces (`_cuts`), and a pipe holds one
-    token per piece. This process, and one forked child per further CPU if
-    there are several pieces, take tokens until the pipe runs dry; each loads
-    the pieces it takes (`_load_piece`), so no process holds the whole file
-    and no CPU idles while another has more than one piece left. A piece
-    that no process sent back, because its child died, is loaded here;
-    where no child can be forked, this process takes every token. A
-    dataset that is not a regular file, such as a pipe, is read whole and
-    cut into the same pieces in memory. Errors come out as from
-    load_dataset followed by preprocessing each manoeuvre in order (see
-    `_records`).
+    The file is cut at line ends into pieces (`_cuts`), which every CPU
+    loads (`_load_piece`) from a shared queue (`_share_pieces`), so no
+    process holds the whole file. A dataset that is not a regular file, such
+    as a pipe, is read whole and cut into the same pieces in memory. Errors
+    come out as from load_dataset followed by preprocessing each manoeuvre
+    in order (see `_records`).
     """
     path = Path(path)
     try:
@@ -416,26 +495,7 @@ def _load_records(path, cfg: preprocess.PreprocessConfig):
         read, size = _reader(file, path)
         procs = _cpus()
         cuts = _cuts(read, size, procs)
-        pieces = range(len(cuts) - 1)
-        queue_end, feed_end = os.pipe()
-        with open(queue_end, "rb", buffering=0) as queue:
-            # one write of at most PIPE_BUF bytes, into an empty pipe, never
-            # blocks; closing the pipe for writing before any fork lets a
-            # read of the empty pipe return b"" in every process
-            with open(feed_end, "wb", buffering=0) as feed:
-                feed.write(b"".join(k.to_bytes(_TOKEN_BYTES, "little") for k in pieces))
-            args = (queue, read, cuts, path, cfg)
-            joins = [_start_forked(_take_pieces, *args) for _ in range(min(procs, len(pieces)) - 1)]
-            chunks = {}
-            try:
-                chunks.update(_take_pieces(*args))
-            finally:
-                for join in joins:
-                    chunks.update(join())
-        return _records([
-            chunks[k] if k in chunks else _load_piece(read, cuts[k], cuts[k + 1], path, cfg)
-            for k in pieces
-        ])
+        return _records(_share_pieces(cuts, lambda start, end: _load_piece(read, start, end, path, cfg), procs))
 
 
 def _reader(file, path: Path):
@@ -486,18 +546,6 @@ def _past_line_feed(read, pos: int, count: int = 1) -> "int | None":
         count -= found
         pos += len(block)
     return None
-
-
-def _take_pieces(queue, read, cuts: list, path: Path, cfg: preprocess.PreprocessConfig) -> dict:
-    """{piece index: _Chunk} of each piece whose token this process takes
-    from the `queue` pipe, until it runs dry."""
-    chunks = {}
-    # the tokens went in with one write, and a read of a pipe that holds
-    # data returns all it asks for, up to what the pipe holds: a whole token
-    while token := queue.read(_TOKEN_BYTES):
-        k = int.from_bytes(token, "little")
-        chunks[k] = _load_piece(read, cuts[k], cuts[k + 1], path, cfg)
-    return chunks
 
 
 def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.PreprocessConfig) -> _Chunk:
@@ -564,12 +612,12 @@ def _train_weights(cfg: RunConfig, labelled) -> model.TrainConfig:
     return replace(cfg.train_cfg, class_weights=weights)
 
 
-def _train(cfg: RunConfig, labelled) -> "tuple[model.TrainConfig, model.TrainResult]":
+def _train_config(cfg: RunConfig, labelled) -> "tuple[model.TrainConfig, tuple]":
+    """The train config, class weights filled in, and the layer dims for `labelled`."""
     train_cfg = _stage("train", _train_weights, cfg, labelled)
     # the input width is the features' (model.train rejects an empty set first)
     width = labelled[0][0].values.size if labelled else 0
-    layer_dims = (width, *model.DEFAULT_LAYER_DIMS[1:])
-    return train_cfg, _stage("train", model.train, labelled, train_cfg, layer_dims)
+    return train_cfg, (width, *model.DEFAULT_LAYER_DIMS[1:])
 
 
 def _probabilities(mdl, records, stage: str) -> np.ndarray:
@@ -601,7 +649,8 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     records = _stage("load", preprocess.load_features, features_path)
     labelled = _labelled(records, "train")
-    train_cfg, result = _train(cfg, labelled)
+    train_cfg, layer_dims = _train_config(cfg, labelled)
+    result = _stage("train", model.train, labelled, train_cfg, layer_dims)
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=str(features_path))
     evaluation.write_report({"epoch_losses": result.epoch_losses}, out / TRAINING_LOG_FILE)
     print(f"trained on {len(labelled)} features; final loss {result.epoch_losses[-1]:.6f}")
@@ -680,33 +729,154 @@ def _save_inputs(ds: Dataset, records, out: Path) -> None:
     preprocess.save_features(records, out / FEATURES_FILE)
 
 
-def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
+def _position_cuts(n: int, procs: int) -> list:
+    """Cuts of n dataset positions into pieces, as `_cuts` cuts a file of n lines."""
+    if n < FORK_MIN_LINES:
+        return [0, n]
+    step = max(min(FORK_MIN_LINES, n // procs), -(-n // _MAX_PIECES))
+    return [*range(0, n, step), n]
+
+
+def _generated(plan: synth.DatasetPlan, start: int, end: int, cfg: preprocess.PreprocessConfig):
+    """The manoeuvres at positions start to end of a planned dataset, and their _Chunk."""
+    manoeuvres = [plan.manoeuvre(p) for p in range(start, end)]
+    return manoeuvres, _features(manoeuvres, cfg)
+
+
+def _pipeline_inputs(cfg: RunConfig) -> "tuple[Dataset, list]":
+    """pipeline's dataset, loaded or generated, and the _Chunks of its
+    features in dataset order, each piece of positions generated and
+    preprocessed on every CPU (`_share_pieces`)."""
+    procs = _cpus()
+    pcfg = cfg.preprocess_cfg
     if "dataset" in cfg.paths:
         ds = _stage("load", load_dataset, cfg.paths["dataset"])
-    else:
-        ds = _stage(
-            "generate", synth.generate_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range
-        )
+        cuts = _position_cuts(len(ds), procs)
+        return ds, _share_pieces(cuts, lambda start, end: _features(ds.manoeuvres[start:end], pcfg), procs)
+    plan = _stage("generate", synth.plan_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range)
+    cuts = _position_cuts(len(plan), procs)
+    pieces = _stage("generate", _share_pieces, cuts, lambda start, end: _generated(plan, start, end, pcfg), procs)
+    ds = Dataset(tuple(m for manoeuvres, _ in pieces for m in manoeuvres), plan.provenance)
+    return ds, [chunk for _, chunk in pieces]
 
+
+class _Writer:
+    """pipeline's writer: a forked child that writes dataset.jsonl and
+    features.jsonl while this process trains, and then takes over the epoch
+    loss log, as model.train's `loss_log`.
+
+    Once the files are written, the child posts a ready message. From the
+    next epoch end, `take` sends it each epoch's flat parameter vector down
+    a pipe, and the child posts back the loss `model.logged_loss` gives it,
+    the one train would log, bit for bit. A vector is kept here until its
+    loss comes back, so `losses` can compute here the loss of any epoch the
+    child did not answer, because it died. On one CPU no epoch is handed
+    over: the child would only take turns with this process. `join` writes
+    the files here where no child could be forked or it did not exit 0, so
+    that a write failure is reported exactly as without the writer.
+    """
+
+    def __init__(self, ds: Dataset, records, out: Path, loss_log_args: tuple):
+        self.inputs = (ds, records, out)
+        self.unanswered: collections.deque = collections.deque()
+        self.answered: list = []
+        self.started = False
+        params_in = self.params_out = None
+        if _cpus() > 1:
+            from multiprocessing.connection import Pipe
+
+            params_in, self.params_out = Pipe(duplex=False)
+            _widen(self.params_out)
+        self.child = _start_forked(_write_inputs, ds, records, out, params_in, self.params_out, loss_log_args)
+        if params_in is not None:
+            params_in.close()
+        if self.child is None:
+            self._close()
+
+    def take(self, params: np.ndarray) -> bool:
+        """Hand the epoch that just ended to the child, once it is ready (see model.train)."""
+        if not self.started:
+            # the child's first message says that its files are written
+            if self.params_out is None or self.child.recv(wait=False) is None:
+                return False
+            self.started = True
+        self.unanswered.append(params.copy())
+        try:
+            self.params_out.send_bytes(params)
+        except OSError:  # the child is gone: losses computes this epoch here
+            pass
+        self._collect(wait=False)
+        return True
+
+    def losses(self, loss_of) -> list:
+        """The losses of the epochs handed over, in order (see model.train)."""
+        self._close()  # the child stops once it has answered every vector
+        self._collect(wait=True)
+        return self.answered + [loss_of(params) for params in self.unanswered]
+
+    def join(self) -> None:
+        """Wait for the child; write the files here unless it did."""
+        self._close()
+        if self.child is None or not self.child.join():
+            _save_inputs(*self.inputs)
+
+    def _collect(self, wait: bool) -> None:
+        while self.unanswered and (loss := self.child.recv(wait)) is not None:
+            self.answered.append(loss)
+            self.unanswered.popleft()
+
+    def _close(self) -> None:
+        if self.params_out is not None:
+            self.params_out.close()
+            self.params_out = None
+
+
+def _write_inputs(post, ds: Dataset, records, out: Path, params_in, params_out, loss_log_args: tuple) -> None:
+    """Body of pipeline's writer child (see _Writer)."""
+    if params_out is not None:
+        # this process's copy of the parent's end: the pipe must close when the parent's does
+        params_out.close()
+    _save_inputs(ds, records, out)
+    if params_in is None:
+        return
+    loss_of = model.logged_loss(*loss_log_args)
+    post("ready")
+    with params_in:
+        while True:
+            try:
+                params = np.frombuffer(params_in.recv_bytes())
+            except EOFError:
+                return
+            post(loss_of(params))
+
+
+def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
+    ds, chunks = _pipeline_inputs(cfg)
     try:
-        records = _records([_features(ds, cfg.preprocess_cfg)])
+        records = _records(chunks)
     except StageError:
         # a run that fails here still leaves the dataset it failed on
         save_dataset(ds, out / DATASET_FILE)
         raise
     features_by_id = {fv.source_id: (fv, label) for fv, label in records}
-
-    # the input files are written on a second core while training runs, and
-    # are complete once joined, also when a stage here failed; model.json is
-    # written only after that. A write failure reaches the join, and so
-    # outranks a failure here, as it would if the files were written first.
-    inputs_saved = _start_forked(_save_inputs, ds, records, out)
     try:
         train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)
         train_records = [features_by_id[m.id] for m in train_ds]
-        train_cfg, result = _train(cfg, train_records)
+        train_cfg, layer_dims = _train_config(cfg, train_records)
+    except StageError:
+        # the input files are complete whenever a run ends after preprocessing
+        _save_inputs(ds, records, out)
+        raise
+
+    # the input files are written on a second core while training runs, and
+    # are complete once joined, also when training failed; model.json is
+    # written only after that. A write failure reaches the join, and so
+    # outranks a failure here, as it would if the files were written first.
+    writer = _Writer(ds, records, out, (train_records, train_cfg, layer_dims))
+    try:
+        result = _stage("train", model.train, train_records, train_cfg, layer_dims, loss_log=writer)
     finally:
-        inputs_saved()
+        writer.join()
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
 
     cal_ds, hold_ds = _stage("calibrate", evaluation.split_calibration, test_ds, cfg.split_spec)

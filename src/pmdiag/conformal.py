@@ -235,7 +235,7 @@ def load_predictor(path: str | Path) -> ConformalPredictor:
             n_calibration=int(obj["n_calibration"]),
             model_digest=str(obj["model_digest"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetIoError(f"{path} is not a valid predictor file: {exc}") from None
 
 

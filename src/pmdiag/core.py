@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -159,6 +160,10 @@ class Manoeuvre:
 
     __hash__ = None  # type: ignore[assignment]
 
+    def __reduce__(self):
+        # through the constructor, so that the samples come back read-only
+        return type(self), (self.id, self.technology, self.timestamp, self.samples, self.sample_rate, self.label)
+
 
 def check_unique_ids(ids) -> None:
     """Raise DuplicateIdError naming the first id that repeats an earlier one."""
@@ -257,14 +262,18 @@ def _manoeuvre_from_obj(obj: dict, line_number: int) -> Manoeuvre:
         raise ParseError(line_number, "timestamp must be a number")
     if not isinstance(obj["sample_rate"], (int, float)) or isinstance(obj["sample_rate"], bool):
         raise ParseError(line_number, "sample_rate must be a number")
-    return Manoeuvre(
-        id=obj["id"],
-        technology=obj["technology"],
-        timestamp=float(obj["timestamp"]),
-        samples=samples,
-        sample_rate=float(obj["sample_rate"]),
-        label=label,
-    )
+    try:
+        return Manoeuvre(
+            id=obj["id"],
+            technology=obj["technology"],
+            timestamp=float(obj["timestamp"]),
+            samples=samples,
+            sample_rate=float(obj["sample_rate"]),
+            label=label,
+        )
+    except OverflowError:  # an integer beyond float range
+        key = "timestamp" if abs(obj["timestamp"]) > sys.float_info.max else "sample_rate"
+        raise ParseError(line_number, f"{key} is beyond float range") from None
 
 
 def read_jsonl_text(path: str | Path) -> str:
@@ -301,8 +310,15 @@ def read_json(path: str | Path):
     """The JSON value a file holds; DatasetIoError when it cannot be read or parsed."""
     try:
         return json.loads(read_jsonl_text(path))
-    except json.JSONDecodeError as exc:
-        raise DatasetIoError(f"{Path(path)} is not valid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise DatasetIoError(f"{Path(path)} is not valid JSON: {json_error(exc)}") from None
+
+
+def json_error(exc: ValueError) -> str:
+    """Why json.loads failed, in one line. Besides a JSONDecodeError it
+    raises a plain ValueError for an integer of more digits than Python
+    converts (4300 by default)."""
+    return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
 def jsonl_objects(text: str):
@@ -322,8 +338,8 @@ def jsonl_objects(text: str):
         if line.strip():
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
+            except ValueError as exc:
+                raise ParseError(line_number, f"invalid JSON: {json_error(exc)}") from None
             yield line_number, obj
         start = stop + 1
 

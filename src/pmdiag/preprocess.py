@@ -274,7 +274,7 @@ def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | N
                 values=np.asarray(obj["values"], dtype=np.float64),
                 source_id=obj["source_id"],
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(line_number, f"bad feature record: {exc}") from None
         if not np.isfinite(fv.values).all():
             raise ParseError(line_number, f"non-finite value in features of {fv.source_id!r}")

@@ -275,17 +275,54 @@ def inject_fault(
     return _finish(cfg, curve, noise_ss, manoeuvre_id, timestamp, spec.fault_class)
 
 
-def generate_dataset(
+@dataclass(frozen=True, eq=False)
+class DatasetPlan:
+    """Everything `generate_dataset` draws before its first trace.
+
+    Manoeuvre i of the plan is the j-th of its class, classes in code order;
+    it is seeded by child i of the `root` seed sequence and, if faulty, has
+    severity severities[i]. `order` is the seeded shuffle: position p of the
+    dataset holds plan manoeuvre order[p]. Each manoeuvre depends on its own
+    seed alone, so any set of positions can be generated apart, by any
+    process, bit for bit, and generating one twice gives it twice.
+    """
+
+    cfg: SynthConfig
+    plan: tuple
+    root: np.random.SeedSequence
+    severities: np.ndarray
+    order: np.ndarray
+    provenance: str
+
+    def __len__(self) -> int:
+        return len(self.plan)
+
+    def manoeuvre(self, position: int) -> Manoeuvre:
+        """The manoeuvre at `position` of the dataset."""
+        i = int(self.order[position])
+        cls, j = self.plan[i]
+        seed = _child_seed(self.root, i)
+        mid = f"synth-{cls.name}-{j}"
+        ts = 60.0 * i
+        if cls == FaultClass.Nominal:
+            return generate_nominal(self.cfg, seed, manoeuvre_id=mid, timestamp=ts)
+        spec = FaultSpec(cls, float(self.severities[i]))
+        return inject_fault(self.cfg, spec, seed, manoeuvre_id=mid, timestamp=ts)
+
+
+def _child_seed(root: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
+    """Child i of `root`, as the i-th child `root.spawn` gives, without
+    counting it as spawned."""
+    return np.random.SeedSequence(root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size)
+
+
+def plan_dataset(
     counts: dict[FaultClass, int],
     cfg: SynthConfig,
     severity_range: tuple[float, float] = (0.3, 1.0),
     seed: "int | None" = None,
-) -> Dataset:
-    """Generate a labelled dataset with exactly the requested per-class counts.
-
-    Manoeuvre ids are "synth-{class}-{index}"; the output order is a seeded
-    shuffle over all classes. Fault severities are uniform in severity_range.
-    """
+) -> DatasetPlan:
+    """The plan of `generate_dataset(counts, cfg, severity_range, seed)`."""
     lo, hi = severity_range
     if not (0 <= lo <= hi <= 1):
         raise ValueError("severity_range must satisfy 0 <= lo <= hi <= 1")
@@ -299,27 +336,6 @@ def generate_dataset(
     total = len(plan)
 
     root = _seed_sequence(cfg.seed if seed is None else seed)
-    children = root.spawn(total + 2)
-    severities = np.random.default_rng(children[total]).uniform(lo, hi, size=total)
-
-    manoeuvres: list[Manoeuvre] = []
-    for i, (cls, j) in enumerate(plan):
-        mid = f"synth-{cls.name}-{j}"
-        ts = 60.0 * i
-        if cls == FaultClass.Nominal:
-            m = generate_nominal(cfg, children[i], manoeuvre_id=mid, timestamp=ts)
-        else:
-            m = inject_fault(
-                cfg,
-                FaultSpec(cls, float(severities[i])),
-                children[i],
-                manoeuvre_id=mid,
-                timestamp=ts,
-            )
-        manoeuvres.append(m)
-
-    perm = np.random.default_rng(children[total + 1]).permutation(total)
-    ordered = tuple(manoeuvres[k] for k in perm)
     provenance = "synth:" + sha256_of_obj(
         {
             "counts": {cls.name: counts[cls] for cls in sorted(counts, key=int)},
@@ -328,4 +344,29 @@ def generate_dataset(
             "seed": cfg.seed if seed is None else seed,
         }
     )[:16]
-    return Dataset(manoeuvres=ordered, provenance=provenance)
+    return DatasetPlan(
+        cfg=cfg,
+        plan=tuple(plan),
+        root=root,
+        severities=np.random.default_rng(_child_seed(root, total)).uniform(lo, hi, size=total),
+        order=np.random.default_rng(_child_seed(root, total + 1)).permutation(total),
+        provenance=provenance,
+    )
+
+
+def generate_dataset(
+    counts: dict[FaultClass, int],
+    cfg: SynthConfig,
+    severity_range: tuple[float, float] = (0.3, 1.0),
+    seed: "int | None" = None,
+) -> Dataset:
+    """Generate a labelled dataset with exactly the requested per-class counts.
+
+    Manoeuvre ids are "synth-{class}-{index}"; the output order is a seeded
+    shuffle over all classes. Fault severities are uniform in severity_range.
+    """
+    plan = plan_dataset(counts, cfg, severity_range, seed)
+    return Dataset(
+        manoeuvres=tuple(plan.manoeuvre(p) for p in range(len(plan))),
+        provenance=plan.provenance,
+    )

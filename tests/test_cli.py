@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -737,6 +738,176 @@ class TestForkedLoad:
         assert (code, err) == (0, "")
         rows = [json.loads(r) for r in files["diagnoses.jsonl"].decode().splitlines()]
         assert [r["source_id"] for r in rows] == [json.loads(l)["id"] for l in first]
+
+
+# a number JSON reads as an integer beyond float range, and one of more
+# digits than Python converts from a string (4300 by default)
+BIG_NUMBERS = {"beyond_float": "1" + "0" * 400, "too_many_digits": "9" * 5000}
+NUMBER_MARK = "@number@"
+
+
+@pytest.mark.parametrize("digits", BIG_NUMBERS)
+@pytest.mark.parametrize(
+    "name, edit, expected",
+    [
+        ("dataset.jsonl", lambda o: {**o, "timestamp": NUMBER_MARK}, (4, "pipeline failure in load: line 1: ")),
+        ("dataset.jsonl", lambda o: {**o, "sample_rate": NUMBER_MARK}, (4, "pipeline failure in load: line 1: ")),
+        ("features.jsonl", lambda o: {**o, "values": [NUMBER_MARK, *o["values"][1:]]},
+         (4, "pipeline failure in load: line 1: ")),
+        ("model.json", lambda o: {**o, "biases": [[NUMBER_MARK, *o["biases"][0][1:]], *o["biases"][1:]]},
+         (3, "i/o error: ")),
+        ("predictor.json", lambda o: {**o, "alpha": NUMBER_MARK}, (3, "i/o error: ")),
+        ("config.json", lambda o: {**o, "conformal": {"alpha": NUMBER_MARK}}, (2, "config error: ")),
+    ],
+    ids=["timestamp", "sample_rate", "feature", "model", "predictor", "config"],
+)
+def test_huge_integer_exits_with_one_line(trained_run, tmp_path, capsys, name, edit, expected, digits):
+    out = tmp_path / "out"
+    shutil.copytree(trained_run, out)
+    path = out / name
+    first, *rest = path.read_text().split("\n", 1) if name.endswith(".jsonl") else [path.read_text()]
+    first = json.dumps(edit(json.loads(first))).replace(f'"{NUMBER_MARK}"', BIG_NUMBERS[digits])
+    path.write_text("\n".join([first, *rest]))
+    command = "evaluate" if name == "features.jsonl" else "diagnose"
+    capsys.readouterr()
+    code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (code, err[: len(expected[1])]) == expected
+    assert err.count("\n") == 1
+
+
+class TestPipelineOnEveryCpu:
+    """pipeline generates and preprocesses on every CPU, and its writer
+    child takes over the epoch loss log once its files are written: every
+    output byte is that of one process doing it all."""
+
+    @pytest.fixture()
+    def argv(self, tmp_path, config_path):
+        return ["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]
+
+    def outcome(self, argv, capsys):
+        """Exit code, stdout, stderr and output files of one call; the call
+        must leave no child process and no file descriptor open."""
+        out = Path(argv[argv.index("--out") + 1])
+        capsys.readouterr()
+        fds = open_fds()
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert_no_child_processes()
+        assert open_fds() == fds
+        files = output_files(out) if code == 0 else {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        return code, captured.out, captured.err, files
+
+    @pytest.fixture()
+    def alone(self, argv, capsys, monkeypatch):
+        """The outcome of one process doing all the work."""
+        with monkeypatch.context() as patch:
+            no_fork(patch, "no_fork_method")
+            result = self.outcome(argv, capsys)
+        assert result[0] == 0
+        return result
+
+    @pytest.fixture()
+    def in_process_losses(self, monkeypatch):
+        """Count the epoch losses this process computes; a child's count stays in the child."""
+        parent, blocked_loss, counted = os.getpid(), model._blocked_loss, []
+
+        def counting(*args):
+            if os.getpid() == parent:
+                counted.append(1)
+            return blocked_loss(*args)
+
+        monkeypatch.setattr(model, "_blocked_loss", counting)
+        return counted
+
+    @staticmethod
+    def train_when_writer_ready(monkeypatch):
+        """Start training only once the writer child has posted that its files are written."""
+        train = model.train
+
+        def after_ready(features, cfg, layer_dims, loss_log=None):
+            # poll does not take the message: the first epoch end takes it
+            assert loss_log.child.receiver.poll(60)
+            return train(features, cfg, layer_dims, loss_log=loss_log)
+
+        monkeypatch.setattr(model, "train", after_ready)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_any_cpu_count_matches_one_process(self, argv, alone, capsys, monkeypatch, forks, cpus):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        assert self.outcome(argv, capsys) == alone
+        # 76 positions make at least `cpus` pieces: a child per further CPU, and the writer
+        assert len(forks) == cpus
+
+    def test_writer_takes_every_epoch(self, argv, alone, capsys, monkeypatch, in_process_losses):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        self.train_when_writer_ready(monkeypatch)
+        assert self.outcome(argv, capsys) == alone
+        assert in_process_losses == []
+
+    def test_writer_takes_no_epoch(self, argv, alone, capsys, monkeypatch, tmp_path, in_process_losses):
+        # the writer writes only once training is over
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        trained = tmp_path / "trained"
+        train, save_inputs = model.train, cli._save_inputs
+
+        def train_then_mark(*args, **kwargs):
+            result = train(*args, **kwargs)
+            trained.touch()
+            return result
+
+        def save_after_training(*args):
+            deadline = time.monotonic() + 60
+            while not trained.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            save_inputs(*args)
+
+        monkeypatch.setattr(model, "train", train_then_mark)
+        monkeypatch.setattr(cli, "_save_inputs", save_after_training)
+        assert self.outcome(argv, capsys) == alone
+        assert len(in_process_losses) == SMALL_CONFIG["train"]["epochs"]
+
+    def test_writer_that_dies_after_taking_an_epoch(
+        self, argv, alone, capsys, monkeypatch, tmp_path, in_process_losses
+    ):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        self.train_when_writer_ready(monkeypatch)
+        died = tmp_path / "died"
+        parent, blocked_loss = os.getpid(), model._blocked_loss
+
+        def loss_and_die(*args):
+            loss = blocked_loss(*args)
+            if os.getpid() != parent:
+                died.touch()
+                os._exit(1)
+            return loss
+
+        monkeypatch.setattr(model, "_blocked_loss", loss_and_die)
+        assert self.outcome(argv, capsys) == alone
+        assert died.exists()
+        # the writer took every epoch, and this process logged them all after it died
+        assert len(in_process_losses) == SMALL_CONFIG["train"]["epochs"]
+
+    def test_first_preprocess_failure_in_dataset_order(self, argv, tmp_path, capsys, monkeypatch, forks):
+        ref = tmp_path / "ref"
+        assert run(["generate", "--config", argv[2], "--out", str(ref)]) == 0
+        ids = [json.loads(l)["id"] for l in (ref / "dataset.jsonl").read_text().splitlines()]
+        # positions 30 and 60 lie in the second and third of four pieces
+        poisoned = {ids[30], ids[60]}
+        real = preprocess.preprocess
+
+        def poison(m, cfg=preprocess.PreprocessConfig()):
+            if m.id in poisoned:
+                raise PmDiagError("poisoned")
+            return real(m, cfg)
+
+        monkeypatch.setattr(preprocess, "preprocess", poison)
+        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        code, stdout, err, files = self.outcome(argv, capsys)
+        assert len(forks) == 2
+        assert (code, stdout, err) == (4, "", f"pipeline failure in preprocess: manoeuvre {ids[30]!r}: poisoned\n")
+        assert files == {"dataset.jsonl": (ref / "dataset.jsonl").read_bytes()}
 
 
 class TestStageCommands:

@@ -402,6 +402,35 @@ class TestTrain:
             for block_rows in (1, 2, 7, 32, 64):
                 assert mlp._blocked_loss(m, x, y, w, block_rows) == whole, (n, block_rows)
 
+    @pytest.mark.parametrize("start", [0, 1, 7, 12])
+    def test_loss_log_taken_over_from_any_epoch(self, start):
+        # a loss_log that keeps each vector and logs it with logged_loss, as
+        # pipeline's writer does in another process, gives train's own bits
+        records = feature_records(41)
+        cfg = TrainConfig(epochs=12, batch_size=7, seed=4, class_weights=(1.0, 2.0, 0.5, 1.5, 3.0))
+        alone = mlp.train(records, cfg)
+
+        class KeepVectors:
+            def __init__(self):
+                self.ended, self.kept = 0, []
+
+            def take(self, params):
+                self.ended += 1
+                if self.ended <= start:
+                    return False
+                self.kept.append(params.copy())
+                return True
+
+            def losses(self, loss_of):
+                logged = mlp.logged_loss(records, cfg)
+                return [logged(params) for params in self.kept]
+
+        log = KeepVectors()
+        handed = mlp.train(records, cfg, loss_log=log)
+        assert (log.ended, len(log.kept)) == (12, 12 - start)
+        assert handed.epoch_losses == alone.epoch_losses
+        assert mlp._params_obj(handed.model) == mlp._params_obj(alone.model)
+
     @pytest.mark.parametrize("batch_size", [1, 2, 7, 32, 41])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_equals_per_layer_reference_loop(self, seed, batch_size):

@@ -173,6 +173,17 @@ class TestGenerateDataset:
         labels = [m.label for m in ds]
         assert labels != sorted(labels, key=int)
 
+    def test_plan_positions_in_any_order(self, noisy_cfg):
+        # pipeline's processes each generate some positions of one plan
+        counts = {FaultClass.Nominal: 6, FaultClass.Obstacle: 5, FaultClass.Misalignment: 4}
+        ds = synth.generate_dataset(counts, noisy_cfg, seed=6)
+        plan = synth.plan_dataset(counts, noisy_cfg, seed=6)
+        backwards = [plan.manoeuvre(p) for p in reversed(range(len(plan)))]
+        assert backwards[::-1] == list(ds)
+        # a position generated again is the same manoeuvre
+        assert plan.manoeuvre(3) == ds.manoeuvres[3]
+        assert plan.provenance == ds.provenance
+
     def test_bad_severity_range(self, noisy_cfg):
         with pytest.raises(ValueError):
             synth.generate_dataset({FaultClass.Nominal: 1}, noisy_cfg, (0.9, 0.1))
