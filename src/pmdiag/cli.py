@@ -32,12 +32,14 @@ from .core import (
     PmDiagError,
     TechnologyProfile,
     ValidationError,
+    atomic_write_text,
     check_unique_ids,
     decode_text,
     iter_manoeuvres,
     json_error,
     load_dataset,
     save_dataset,
+    validate_manoeuvre,
 )
 
 DATASET_FILE = "dataset.jsonl"
@@ -440,51 +442,69 @@ class _Chunk(NamedTuple):
     `ids` and `labels` hold every manoeuvre read, in order, and `features`
     one row per id unless `error` or `failure` is set. `error` is the first
     load error, where the chunk ends, or the DatasetIoError of bytes that are
-    not UTF-8; `failure` is the manoeuvre id and error of the first
-    preprocess failure.
+    not UTF-8; `failure` is the StageError of the first preprocess failure.
     """
 
     ids: list
     features: np.ndarray
     labels: list
     error: "ParseError | ValidationError | DatasetIoError | None"
-    failure: "tuple[str, PmDiagError] | None"
+    failure: "StageError | None"
 
 
-def _features(manoeuvres, cfg: preprocess.PreprocessConfig) -> _Chunk:
-    """Preprocess each manoeuvre of an iterable, such as `iter_manoeuvres`,
-    which parses and validates dataset lines as it goes.
+def _features(manoeuvres, cfg: preprocess.PreprocessConfig, load: bool = False) -> _Chunk:
+    """Preprocess each manoeuvre of an iterable.
 
-    Errors are returned, not raised, because `_records` ranks them across
+    Errors are returned, not raised, because `_check` ranks them across
     chunks. After a preprocess failure the chunk goes on reading: a later
-    load error or duplicate id outranks it.
+    load error or duplicate id outranks it. With `load`, the manoeuvres come
+    from `iter_manoeuvres(..., validate=False)`: preprocess.preprocess
+    validates each, once, and a ValidationError is a load error, where the
+    chunk ends, as load_dataset would raise it.
     """
     ids, values, labels = [], [], []
     error = failure = None
     try:
         for m in manoeuvres:
-            ids.append(m.id)
-            labels.append(m.label)
             if failure is None:
                 try:
                     values.append(preprocess.preprocess(m, cfg).values)
                 except PmDiagError as exc:
-                    failure = (m.id, exc)
+                    if load and isinstance(exc, ValidationError):
+                        raise
+                    failure = _manoeuvre_failure("preprocess", m.id, exc)
+            elif load and (invalid := validate_manoeuvre(m)) is not None:
+                raise invalid
+            ids.append(m.id)
+            labels.append(m.label)
     except (ParseError, ValidationError) as exc:
         error = exc
     features = np.stack(values) if values else np.empty((0, cfg.feature_length))
     return _Chunk(ids, features, labels, error, failure)
 
 
-def _load_records(path, cfg: preprocess.PreprocessConfig):
-    """(FeatureVector, label) records of a dataset file, in line order.
+class _Piece(NamedTuple):
+    """A piece of a dataset file, finished where it was loaded (`_load_piece`):
+    the ids and `error` of its _Chunk, the StageError of its preprocess or
+    else scoring failure, and, where it has neither, the lines `finish` made
+    of it for the output file and for stdout."""
+
+    ids: list
+    error: "ParseError | ValidationError | DatasetIoError | None"
+    failure: "StageError | None"
+    lines: str
+    shown: str
+
+
+def _load(path, cfg: preprocess.PreprocessConfig, finish) -> list:
+    """The finished pieces (_Piece) of a dataset file, in line order.
 
     The file is cut at line ends into pieces (`_cuts`), which every CPU
-    loads (`_load_piece`) from a shared queue (`_share_pieces`), so no
-    process holds the whole file. A dataset that is not a regular file, such
-    as a pipe, is read whole and cut into the same pieces in memory. Errors
-    come out as from load_dataset followed by preprocessing each manoeuvre
-    in order (see `_records`).
+    loads and finishes (`_load_piece`) from a shared queue (`_share_pieces`),
+    so no process holds the whole file. A dataset that is not a regular
+    file, such as a pipe, is read whole and cut into the same pieces in
+    memory. Errors come out as from one process that loads, preprocesses
+    and finishes the manoeuvres in order (see `_check`).
     """
     path = Path(path)
     try:
@@ -495,7 +515,9 @@ def _load_records(path, cfg: preprocess.PreprocessConfig):
         read, size = _reader(file, path)
         procs = _cpus()
         cuts = _cuts(read, size, procs)
-        return _records(_share_pieces(cuts, lambda start, end: _load_piece(read, start, end, path, cfg), procs))
+        pieces = _share_pieces(cuts, lambda start, end: _load_piece(read, start, end, path, cfg, finish), procs)
+    _check(pieces)
+    return pieces
 
 
 def _reader(file, path: Path):
@@ -548,37 +570,55 @@ def _past_line_feed(read, pos: int, count: int = 1) -> "int | None":
     return None
 
 
-def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.PreprocessConfig) -> _Chunk:
-    """The _Chunk of the dataset bytes from `start`, a line start, to `end`."""
+def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.PreprocessConfig, finish) -> _Piece:
+    """The _Piece of the dataset bytes from `start`, a line start, to `end`.
+    finish(chunk) gives the (output file, stdout) lines of their _Chunk
+    where it holds no error or failure, or raises the StageError of a
+    scoring failure."""
     try:
         text = decode_text(read(end - start, start), path, start)
     except DatasetIoError as exc:
-        return _features((), cfg)._replace(error=exc)
+        return _Piece([], exc, None, "", "")
 
     def lines_before():
         blocks = range(0, start, _SCAN_BYTES)
         return sum(read(min(_SCAN_BYTES, start - pos), pos).count(b"\n") for pos in blocks)
 
-    return _features(iter_manoeuvres(text, lines_before), cfg)
+    chunk = _features(iter_manoeuvres(text, lines_before, validate=False), cfg, load=True)
+    lines = shown = ""
+    failure = chunk.failure
+    if chunk.error is None and failure is None:
+        try:
+            lines, shown = finish(chunk)
+        except StageError as exc:
+            failure = exc
+    return _Piece(chunk.ids, chunk.error, failure, lines, shown)
 
 
-def _records(chunks) -> list:
-    """(FeatureVector, label) records of the chunks, in order.
-
-    Raises the error that ranks first across the chunks: bytes that are not
-    UTF-8 anywhere, as a whole-file read would, then the first load error,
-    then the first repeated id, then the first preprocess failure.
-    """
-    errors = [chunk.error for chunk in chunks if chunk.error is not None]
+def _check(pieces) -> None:
+    """Raise the error that ranks first across pieces (each a _Chunk or a
+    _Piece), as one process that reads them in order would: bytes that are
+    not UTF-8 anywhere, as a whole-file read would, then the first load
+    error, then the first repeated id, then the first preprocess failure,
+    then the first scoring failure."""
+    errors = [piece.error for piece in pieces if piece.error is not None]
     for error in errors:
         if isinstance(error, DatasetIoError):
             raise error
     if errors:
         raise errors[0]
-    check_unique_ids(mid for chunk in chunks for mid in chunk.ids)
-    for chunk in chunks:
-        if chunk.failure is not None:
-            raise _manoeuvre_failure("preprocess", *chunk.failure)
+    check_unique_ids(mid for piece in pieces for mid in piece.ids)
+    failures = [piece.failure for piece in pieces if piece.failure is not None]
+    if failures:
+        # a piece with a preprocess failure is not scored, and the first
+        # such failure outranks a scoring failure in an earlier piece
+        raise min(failures, key=lambda failure: failure.stage != "preprocess")
+
+
+def _records(chunks) -> list:
+    """(FeatureVector, label) records of the chunks, in order, where
+    `_check` raises no error."""
+    _check(chunks)
     return [
         (preprocess.FeatureVector(values, mid), label)
         for chunk in chunks
@@ -586,11 +626,17 @@ def _records(chunks) -> list:
     ]
 
 
+def _features_lines(chunk: _Chunk) -> "tuple[str, str]":
+    """preprocess's finish (see _load_piece): the features.jsonl lines of a chunk."""
+    records = zip(map(preprocess.FeatureVector, chunk.features, chunk.ids), chunk.labels)
+    return preprocess.features_text(records), ""
+
+
 def cmd_preprocess(args, cfg: RunConfig, out: Path) -> int:
     dataset_path = cfg.paths.get("dataset", str(out / DATASET_FILE))
-    records = _stage("load", _load_records, dataset_path, cfg.preprocess_cfg)
-    preprocess.save_features(records, out / FEATURES_FILE)
-    print(f"wrote {len(records)} feature vectors to {out / FEATURES_FILE}")
+    pieces = _stage("load", _load, dataset_path, cfg.preprocess_cfg, _features_lines)
+    atomic_write_text(out / FEATURES_FILE, "".join(piece.lines for piece in pieces))
+    print(f"wrote {sum(len(piece.ids) for piece in pieces)} feature vectors to {out / FEATURES_FILE}")
     return 0
 
 
@@ -620,22 +666,26 @@ def _train_config(cfg: RunConfig, labelled) -> "tuple[model.TrainConfig, tuple]"
     return train_cfg, (width, *model.DEFAULT_LAYER_DIMS[1:])
 
 
-def _probabilities(mdl, records, stage: str) -> np.ndarray:
-    """Class probabilities of (FeatureVector, label) records, one row per
-    record, in order, from one `model.forward_rows` call: each row is its own
-    one-row product, so a row's bits do not depend on the rows beside it. A
-    failure names the first failing manoeuvre."""
-    x = np.stack([fv.values for fv, _ in records]) if records else np.empty((0, mdl.layer_dims[0]))
+def _chunk(records, width: int) -> _Chunk:
+    """The _Chunk of (FeatureVector, label) records with `width` features each."""
+    x = np.stack([fv.values for fv, _ in records]) if records else np.empty((0, width))
+    return _Chunk([fv.source_id for fv, _ in records], x, [label for _, label in records], None, None)
+
+
+def _probabilities(mdl, chunk: _Chunk, stage: str) -> np.ndarray:
+    """Class probabilities of a chunk's feature rows, in order, from one
+    `model.forward_rows` call: each row is its own one-row product, so a
+    row's bits do not depend on the rows beside it, nor on the process that
+    scores them. A failure names the first failing manoeuvre."""
     try:
-        return model.forward_rows(mdl, x)
+        return model.forward_rows(mdl, chunk.features)
     except model.RowError as exc:
-        raise _manoeuvre_failure(stage, records[exc.row][0].source_id, exc) from exc
+        raise _manoeuvre_failure(stage, chunk.ids[exc.row], exc) from exc
 
 
-def _diagnoses(predictor, records, probs) -> list:
-    """(label, Diagnosis) per (FeatureVector, label) record and its row of `probs`."""
-    diagnosed = conformal.diagnoses(predictor, [fv.source_id for fv, _ in records], probs)
-    return [(label, d) for (_, label), d in zip(records, diagnosed)]
+def _diagnoses(predictor, chunk: _Chunk, probs) -> list:
+    """(label, Diagnosis) per manoeuvre of a chunk and its row of `probs`."""
+    return list(zip(chunk.labels, conformal.diagnoses(predictor, chunk.ids, probs)))
 
 
 def _metrics(classified, covered) -> evaluation.MetricsReport:
@@ -662,9 +712,9 @@ def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     mdl = _stage("load", model.load_model, model_path)
     records = _stage("load", preprocess.load_features, features_path)
-    labelled = _labelled(records, "calibrate")
+    labelled = _chunk(_labelled(records, "calibrate"), mdl.layer_dims[0])
     probs = _probabilities(mdl, labelled, "calibrate")
-    scored = [(p, label) for p, (_, label) in zip(probs, labelled)]
+    scored = list(zip(probs, labelled.labels))
     predictor = _stage("calibrate", conformal.calibrate_probs, scored, cfg.alpha, model.model_digest(mdl))
     conformal.save_predictor(predictor, out / PREDICTOR_FILE)
     print(
@@ -672,6 +722,20 @@ def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
         f"alpha={predictor.alpha} qhat={predictor.qhat:.6f}"
     )
     return 0
+
+
+def _diagnosed(mdl, predictor, chunk: _Chunk) -> "tuple[str, str]":
+    """diagnose's finish (see _load_piece): the diagnoses.jsonl lines and
+    the stdout lines of a chunk."""
+    rows = _stage("diagnose", _diagnoses, predictor, chunk, _probabilities(mdl, chunk, "diagnose"))
+    # 1 - alpha as written, not rounded up: 97.5, 99.5; ten digits drop the
+    # float noise of 100 * (1 - alpha)
+    guarantee = f"{100.0 * (1.0 - predictor.alpha):.10g}"
+    shown = []
+    for _, d in rows:
+        members = ", ".join(f"{cls.name}:{prob:.3f}" for cls, prob in d.prediction_set)
+        shown.append(f"{d.source_id}: {{{members}}} (set covers the true class at {guarantee}%)\n")
+    return conformal.diagnoses_text(rows), "".join(shown)
 
 
 def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
@@ -685,16 +749,12 @@ def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
             f"preprocess.feature_length {width} != the model's input width {mdl.layer_dims[0]}"))
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
-    records = _stage("load", _load_records, dataset_path, cfg.preprocess_cfg)
-    probs = _probabilities(mdl, records, "diagnose")
-    rows = _stage("diagnose", _diagnoses, predictor, records, probs)
-    conformal.save_diagnoses(rows, out / DIAGNOSES_JSONL)
-    # 1 - alpha as written, not rounded up: 97.5, 99.5; ten digits drop the
-    # float noise of 100 * (1 - alpha)
-    guarantee = f"{100.0 * (1.0 - predictor.alpha):.10g}"
-    for _, d in rows:
-        members = ", ".join(f"{cls.name}:{prob:.3f}" for cls, prob in d.prediction_set)
-        print(f"{d.source_id}: {{{members}}} (set covers the true class at {guarantee}%)")
+    # each piece is scored and its lines made where it is loaded
+    pieces = _stage(
+        "load", _load, dataset_path, cfg.preprocess_cfg, lambda chunk: _diagnosed(mdl, predictor, chunk)
+    )
+    atomic_write_text(out / DIAGNOSES_JSONL, "".join(piece.lines for piece in pieces))
+    sys.stdout.write("".join(piece.shown for piece in pieces))
     return 0
 
 
@@ -706,7 +766,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
     records = _stage("load", preprocess.load_features, features_path)
-    labelled = _labelled(records, "evaluate")
+    labelled = _chunk(_labelled(records, "evaluate"), mdl.layer_dims[0])
     probs = _probabilities(mdl, labelled, "evaluate")
     rows = _stage("evaluate", _diagnoses, predictor, labelled, probs)
     metrics = _metrics(rows, rows)
@@ -883,9 +943,9 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     # each test manoeuvre goes through the model once: calibration reads the
     # probabilities of the calibration half, the classification metrics the
     # whole test split's diagnoses, coverage and diagnoses.jsonl the holdout's
-    test_records = [features_by_id[m.id] for m in test_ds]
-    probs = _probabilities(result.model, test_records, "calibrate")
-    scored = {fv.source_id: (p, label) for (fv, label), p in zip(test_records, probs)}
+    test = _chunk([features_by_id[m.id] for m in test_ds], result.model.layer_dims[0])
+    probs = _probabilities(result.model, test, "calibrate")
+    scored = {mid: (p, label) for mid, p, label in zip(test.ids, probs, test.labels)}
     predictor = _stage(
         "calibrate",
         conformal.calibrate_probs,
@@ -894,7 +954,7 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         model.model_digest(result.model),
     )
     conformal.save_predictor(predictor, out / PREDICTOR_FILE)
-    test_rows = _stage("diagnose", _diagnoses, predictor, test_records, probs)
+    test_rows = _stage("diagnose", _diagnoses, predictor, test, probs)
     rows_by_id = {d.source_id: (label, d) for label, d in test_rows}
     hold_rows = [rows_by_id[m.id] for m in hold_ds]
     metrics = _metrics(test_rows, hold_rows)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, read_json, write_jsonl
+from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, jsonl_text, read_json
 from .model import MlpModel, RowError, forward, model_digest
 
 PROB_SUM_TOL = 1e-9
@@ -215,10 +215,16 @@ def diagnosis_to_obj(d: Diagnosis, label: FaultClass | None = None) -> dict:
     return obj
 
 
+def diagnoses_text(rows) -> str:
+    """The diagnoses.jsonl lines of (true FaultClass or None, Diagnosis)
+    rows, one object per manoeuvre (see core.jsonl_text); `label` is
+    written where the true class is known."""
+    return jsonl_text(diagnosis_to_obj(d, label) for label, d in rows)
+
+
 def save_diagnoses(rows, path: str | Path) -> None:
-    """Write (true FaultClass or None, Diagnosis) rows as JSONL, one object per
-    manoeuvre; `label` is written where the true class is known."""
-    write_jsonl(path, (diagnosis_to_obj(d, label) for label, d in rows))
+    """Write `diagnoses_text(rows)` (atomic)."""
+    atomic_write_text(path, diagnoses_text(rows))
 
 
 def save_predictor(predictor: ConformalPredictor, path: str | Path) -> None:

@@ -22,10 +22,11 @@ from .core import (
     Manoeuvre,
     ParseError,
     PmDiagError,
+    atomic_write_text,
     jsonl_objects,
+    jsonl_text,
     read_jsonl_text,
     validate_manoeuvre,
-    write_jsonl,
 )
 
 # Peak/plateau boundary: a phase boundary is where the smoothed signal
@@ -256,16 +257,22 @@ def _feature_to_obj(fv: FeatureVector, label: FaultClass | None) -> dict:
     return obj
 
 
+def features_text(records) -> str:
+    """The features.jsonl lines of (FeatureVector, FaultClass or None)
+    records, labels passed through (see core.jsonl_text)."""
+    return jsonl_text(_feature_to_obj(fv, label) for fv, label in records)
+
+
 def save_features(
     records: "list[tuple[FeatureVector, FaultClass | None]]", path: str | Path
 ) -> None:
-    """Write features as JSONL with pass-through labels."""
-    write_jsonl(path, (_feature_to_obj(fv, label) for fv, label in records))
+    """Write features as JSONL with pass-through labels (atomic)."""
+    atomic_write_text(path, features_text(records))
 
 
 def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | None]]":
     records: list[tuple[FeatureVector, FaultClass | None]] = []
-    for line_number, obj in jsonl_objects(read_jsonl_text(path)):
+    for line_number, _, obj in jsonl_objects(read_jsonl_text(path)):
         if not isinstance(obj, dict) or not FEATURE_KEYS >= set(obj):
             raise ParseError(line_number, "not a feature object")
         try:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmdiag import cli, model, preprocess, synth
+from pmdiag import cli, conformal, core, model, preprocess, synth
 from pmdiag.core import FaultClass, Manoeuvre, Dataset, PmDiagError, save_dataset, load_dataset
 
 
@@ -599,6 +599,18 @@ class TestForkedLoad:
         )
         assert err.startswith(f"pipeline failure in load: line {k + 1}: invalid JSON: ")
 
+    def test_validation_error_outranks_earlier_preprocess_failure_in_its_piece(
+        self, trained_run, tmp_path, capsys, monkeypatch, forks
+    ):
+        # preprocess validates each loaded manoeuvre; after its first failure
+        # in a piece, the piece still validates every later manoeuvre
+        ds_path = self.defective(
+            trained_run / "dataset.jsonl", tmp_path,
+            {1: self.DEFECTS["flat_signal"], 3: self.DEFECTS["non_finite"]},
+        )
+        err = self.assert_fails_as_in_process(trained_run, tmp_path, capsys, monkeypatch, forks, ds_path)
+        assert err.startswith("pipeline failure in load: manoeuvre ") and "NonFiniteSample" in err
+
     @pytest.mark.parametrize("defect", sorted(DEFECTS))
     def test_middle_piece_error_matches_in_process(
         self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks, defect
@@ -706,6 +718,152 @@ class TestForkedLoad:
         return err
 
     @staticmethod
+    def expected(trained_run, name, ds_path, out):
+        """The outcome (see `outcome`) of a `name` call that writes into
+        `out`, as one process gives it: each manoeuvre of load_dataset
+        preprocessed and, for diagnose, scored and given its set alone."""
+        records = [(preprocess.preprocess(m), m.label) for m in load_dataset(ds_path)]
+        reference = out.with_name("reference.jsonl")
+        if name == "preprocess":
+            preprocess.save_features(records, reference)
+            shown = f"wrote {len(records)} feature vectors to {out / 'features.jsonl'}\n"
+            return 0, shown, "", {"features.jsonl": reference.read_bytes()}
+        mdl = model.load_model(trained_run / "model.json")
+        predictor = conformal.load_predictor(trained_run / "predictor.json")
+        rows = [(label, conformal.diagnose(predictor, mdl, fv)) for fv, label in records]
+        conformal.save_diagnoses(rows, reference)
+        shown = "".join(
+            f"{d.source_id}: {{{', '.join(f'{cls.name}:{p:.3f}' for cls, p in d.prediction_set)}}}"
+            " (set covers the true class at 95%)\n"
+            for _, d in rows
+        )
+        return 0, shown, "", {"diagnoses.jsonl": reference.read_bytes()}
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("name", ["diagnose", "preprocess"])
+    def test_any_cpu_count_gives_one_process_bytes(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks, name, cpus
+    ):
+        # each piece is scored and its lines encoded where it is loaded
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        out = tmp_path / "out"
+        argv = self.command(trained_run, tmp_path, name, long_dataset)
+        assert self.outcome(argv, out, capsys) == self.expected(trained_run, name, long_dataset, out)
+        assert len(forks) == cpus - 1
+
+    @pytest.mark.parametrize("name", ["diagnose", "preprocess"])
+    def test_fifo_gives_one_process_bytes(self, trained_run, long_dataset, tmp_path, capsys, forks, name):
+        # a FIFO is read whole, then cut into pieces that are finished where loaded
+        fifo = tmp_path / "fifo.jsonl"
+        os.mkfifo(fifo)
+        out = tmp_path / "out"
+        fed = functools.partial(fifo_fed, fifo, long_dataset.read_bytes())
+        got = self.outcome(self.command(trained_run, tmp_path, name, fifo), out, capsys, during=fed)
+        assert got == self.expected(trained_run, name, long_dataset, out)
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("name", ["diagnose", "preprocess"])
+    def test_one_manoeuvre_gives_one_process_bytes_unforked(self, trained_run, tmp_path, capsys, monkeypatch, name):
+        import multiprocessing
+
+        def refuse(self):
+            pytest.fail("a one-manoeuvre file forked")
+
+        monkeypatch.setattr(cli, "_cpus", lambda: 4)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        ds_path = tmp_path / "one.jsonl"
+        ds_path.write_text((trained_run / "dataset.jsonl").read_text().splitlines()[0] + "\n")
+        out = tmp_path / "out"
+        got = self.outcome(self.command(trained_run, tmp_path, name, ds_path), out, capsys)
+        assert got == self.expected(trained_run, name, ds_path, out)
+
+    @staticmethod
+    def poison_features(monkeypatch, poisoned):
+        """Give the manoeuvres of ids `poisoned` NaN features, which the model rejects."""
+        real = preprocess.preprocess
+
+        def poison(m, cfg=preprocess.PreprocessConfig()):
+            fv = real(m, cfg)
+            return preprocess.FeatureVector(np.full(fv.values.size, np.nan), m.id) if m.id in poisoned else fv
+
+        monkeypatch.setattr(preprocess, "preprocess", poison)
+
+    def test_first_scoring_failure_in_dataset_order(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks
+    ):
+        # lines 101 and 251 lie in the second and fifth of five pieces
+        ids = [json.loads(l)["id"] for l in long_dataset.read_text().splitlines()]
+        self.poison_features(monkeypatch, {ids[100], ids[250]})
+        argv = self.command(trained_run, tmp_path, "diagnose", long_dataset)
+        failed = self.outcome(argv, tmp_path / "out", capsys)
+        assert len(forks) == 2
+        assert failed == (4, "", f"pipeline failure in diagnose: manoeuvre {ids[100]!r}: input value 0 is not finite\n", {})
+        with monkeypatch.context() as patch:
+            no_fork(patch, "no_fork_method")
+            assert self.outcome(argv, tmp_path / "out", capsys) == failed
+
+    @pytest.mark.parametrize("later", ["flat_signal", "duplicate_id"])
+    def test_scoring_failure_loses_to_a_later_load_or_preprocess_failure(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks, later
+    ):
+        ids = [json.loads(l)["id"] for l in long_dataset.read_text().splitlines()]
+        self.poison_features(monkeypatch, {ids[10]})
+        ds_path = self.defective(long_dataset, tmp_path, {250: self.DEFECTS[later]})
+        err = self.assert_fails_as_in_process(trained_run, tmp_path, capsys, monkeypatch, forks, ds_path)
+        stage = "preprocess" if later == "flat_signal" else "load"
+        assert err.startswith(f"pipeline failure in {stage}: ")
+
+    def test_child_that_dies_after_posting_a_scored_piece(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch
+    ):
+        argv = self.command(trained_run, tmp_path, "diagnose", long_dataset)
+        out = tmp_path / "out"
+        with monkeypatch.context() as patch:
+            no_fork(patch, "no_fork_method")
+            alone = self.outcome(argv, out, capsys)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        died = tmp_path / "died"
+        parent, load_piece, in_parent, in_child = os.getpid(), cli._load_piece, [], []
+
+        def post_one_then_die(*args):
+            if os.getpid() != parent:
+                # the child's copy of in_child: its first piece is posted, at its second it dies
+                if in_child:
+                    died.touch()
+                    os._exit(1)
+                in_child.append(args[1])
+            else:
+                if not in_parent:
+                    # this process takes its second token only once the child died
+                    deadline = time.monotonic() + 60
+                    while not died.exists() and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                in_parent.append(args[1])
+            return load_piece(*args)
+
+        monkeypatch.setattr(cli, "_load_piece", post_one_then_die)
+        assert self.outcome(argv, out, capsys) == alone
+        assert alone[0] == 0 and died.exists()
+        # five pieces: the one the child posted, and four loaded here, one
+        # of them the piece the child took when it died
+        data = long_dataset.read_bytes()
+        assert len(cli._cuts(lambda n, offset: data[offset : offset + n], len(data), 2)) - 1 == 5
+        assert len(in_parent) == 4 and len(set(in_parent)) == 4
+
+    @pytest.mark.parametrize("samples", ["all", "one"])
+    def test_boolean_samples_fail_to_load(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks, samples
+    ):
+        def bools(objs, k):
+            values = objs[k]["samples"]
+            as_bools = [v > 1.0 for v in values] if samples == "all" else [*values[:-1], False]
+            return json.dumps({**objs[k], "samples": as_bools})
+
+        ds_path = self.defective(long_dataset, tmp_path, {149: bools})
+        err = self.assert_fails_as_in_process(trained_run, tmp_path, capsys, monkeypatch, forks, ds_path)
+        assert err == "pipeline failure in load: line 150: samples is not a numeric array\n"
+
+    @staticmethod
     def reference(ds_path):
         """(records, None), or (None, the stderr line of the first failure), of
         load_dataset and then preprocessing each manoeuvre in order."""
@@ -738,6 +896,41 @@ class TestForkedLoad:
         assert (code, err) == (0, "")
         rows = [json.loads(r) for r in files["diagnoses.jsonl"].decode().splitlines()]
         assert [r["source_id"] for r in rows] == [json.loads(l)["id"] for l in first]
+
+
+@pytest.mark.parametrize(
+    "command, first_line",
+    [("diagnose", "valid"), ("diagnose", "flat_signal"), ("preprocess", "valid"),
+     ("preprocess", "flat_signal"), ("pipeline", "valid")],
+)
+def test_each_manoeuvre_validated_once(trained_run, tmp_path, capsys, monkeypatch, command, first_line):
+    # a flat first line fails preprocessing, after which the other lines are
+    # still read, and validated, for a load error that would outrank it;
+    # pipeline generates the manoeuvres of this dataset
+    lines = (trained_run / "dataset.jsonl").read_text().splitlines()
+    if first_line == "flat_signal":
+        lines[0] = json.dumps({**json.loads(lines[0]), "samples": [0.0] * 100})
+    ds_path = tmp_path / "dataset.jsonl"
+    ds_path.write_text("".join(l + "\n" for l in lines))
+    config = tmp_path / "config.json"
+    paths = {} if command == "pipeline" else {"paths": {"dataset": str(ds_path)}}
+    config.write_text(json.dumps({**SMALL_CONFIG, **paths}))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    if command == "diagnose":
+        argv += ["--model", str(trained_run / "model.json"), "--predictor", str(trained_run / "predictor.json")]
+    validated, real = [], core.validate_manoeuvre
+
+    def counting(m):
+        validated.append(m.id)
+        return real(m)
+
+    for module in (core, preprocess, cli):
+        monkeypatch.setattr(module, "validate_manoeuvre", counting)
+    # every manoeuvre in this process, where the count is kept
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    capsys.readouterr()
+    assert run(argv) == (4 if first_line == "flat_signal" else 0)
+    assert sorted(validated) == sorted(json.loads(l)["id"] for l in lines)
 
 
 # a number JSON reads as an integer beyond float range, and one of more

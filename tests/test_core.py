@@ -174,13 +174,31 @@ class TestLoad:
             ([[1.0] * 64], "flat"),
             ([1.0] * 63 + [[1.0]], "flat"),
             (1.0, "flat"),
+            ([True, False] * 32, "numeric"),
+            ([1.0] * 63 + [False], "numeric"),
         ],
-        ids=["numeric_strings", "one_string", "int_beyond_float", "nested", "one_nested", "scalar"],
+        ids=["numeric_strings", "one_string", "int_beyond_float", "nested", "one_nested", "scalar",
+             "booleans", "one_false"],
     )
     def test_samples_must_be_a_flat_array_of_numbers(self, tmp_path, samples, shape):
         p = tmp_path / "ds.jsonl"
         p.write_text(self.line("a", samples=samples) + "\n")
         with pytest.raises(ParseError, match=f"^line 1: samples is not a {shape} array$"):
+            load_dataset(p)
+
+
+    @pytest.mark.parametrize("first", ["samples", "id"])
+    def test_boolean_samples_caught_in_any_key_order(self, tmp_path, first):
+        # json reads true as True, which a float conversion takes as 1.0: only a
+        # line that holds a "u" or an "f" between its first "[" and its last
+        # "]" is checked item by item, and the id or label may hold either
+        obj = json.loads(self.line("field-1", label="PowerSupply"))
+        ordered = {first: obj.pop(first), **obj}
+        p = tmp_path / "ds.jsonl"
+        p.write_text(json.dumps(ordered) + "\n")
+        assert [m.id for m in load_dataset(p)] == ["field-1"]
+        p.write_text(json.dumps({**ordered, "samples": [1.0] * 63 + [True]}) + "\n")
+        with pytest.raises(ParseError, match="^line 1: samples is not a numeric array$"):
             load_dataset(p)
 
 
