@@ -38,7 +38,6 @@ from .model import (
     class_weights,
     forward,
     init_params,
-    predict,
     train,
 )
 from .preprocess import (
@@ -92,7 +91,6 @@ __all__ = [
     "init_params",
     "inject_fault",
     "load_dataset",
-    "predict",
     "predict_set",
     "save_dataset",
     "segment_phases",

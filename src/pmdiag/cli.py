@@ -440,16 +440,17 @@ class _Chunk(NamedTuple):
     dataset file.
 
     `ids` and `labels` hold every manoeuvre read, in order, and `features`
-    one row per id unless `error` or `failure` is set. `error` is the first
+    one row per id unless `error` or `failure` is set: an (n, width) matrix,
+    or a list of rows that other arrays hold (`_joined`, `_rows`). `error` is the first
     load error, where the chunk ends, or the DatasetIoError of bytes that are
     not UTF-8; `failure` is the StageError of the first preprocess failure.
     """
 
     ids: list
-    features: np.ndarray
+    features: "np.ndarray | list"
     labels: list
-    error: "ParseError | ValidationError | DatasetIoError | None"
-    failure: "StageError | None"
+    error: "ParseError | ValidationError | DatasetIoError | None" = None
+    failure: "StageError | None" = None
 
 
 def _features(manoeuvres, cfg: preprocess.PreprocessConfig, load: bool = False) -> _Chunk:
@@ -615,61 +616,60 @@ def _check(pieces) -> None:
         raise min(failures, key=lambda failure: failure.stage != "preprocess")
 
 
-def _records(chunks) -> list:
-    """(FeatureVector, label) records of the chunks, in order, where
-    `_check` raises no error."""
+def _joined(chunks) -> _Chunk:
+    """The rows of the chunks, in order, as one _Chunk, where `_check`
+    raises no error; its features are their rows, not a copy of them."""
     _check(chunks)
-    return [
-        (preprocess.FeatureVector(values, mid), label)
-        for chunk in chunks
-        for mid, values, label in zip(chunk.ids, chunk.features, chunk.labels)
-    ]
+    return _Chunk(
+        [mid for chunk in chunks for mid in chunk.ids],
+        [row for chunk in chunks for row in chunk.features],
+        [label for chunk in chunks for label in chunk.labels],
+    )
+
+
+def _rows(chunk: _Chunk, positions) -> _Chunk:
+    """The _Chunk of the rows of a chunk at `positions`, in that order; its
+    features are the chunk's rows, not a copy of them."""
+    return _Chunk(*([part[p] for p in positions] for part in (chunk.ids, chunk.features, chunk.labels)))
+
+
+def _pairs(chunk: _Chunk) -> list:
+    """The (FeatureVector, label) pairs of a chunk's rows, as model.train and features_text take them."""
+    return list(zip(map(preprocess.FeatureVector, chunk.features, chunk.ids), chunk.labels))
 
 
 def _features_lines(chunk: _Chunk) -> "tuple[str, str]":
     """preprocess's finish (see _load_piece): the features.jsonl lines of a chunk."""
-    records = zip(map(preprocess.FeatureVector, chunk.features, chunk.ids), chunk.labels)
-    return preprocess.features_text(records), ""
+    return preprocess.features_text(_pairs(chunk)), ""
 
 
 def cmd_preprocess(args, cfg: RunConfig, out: Path) -> int:
     dataset_path = cfg.paths.get("dataset", str(out / DATASET_FILE))
     pieces = _stage("load", _load, dataset_path, cfg.preprocess_cfg, _features_lines)
-    atomic_write_text(out / FEATURES_FILE, "".join(piece.lines for piece in pieces))
+    atomic_write_text(out / FEATURES_FILE, *(piece.lines for piece in pieces))
     print(f"wrote {sum(len(piece.ids) for piece in pieces)} feature vectors to {out / FEATURES_FILE}")
     return 0
 
 
-def _labelled(records, stage: str):
-    labelled = [(fv, label) for fv, label in records if label is not None]
+def _labelled(features_path, stage: str) -> _Chunk:
+    """The _Chunk of the labelled records of a features file, in file order."""
+    records = _stage("load", preprocess.load_features, features_path)
+    labelled = [(fv.source_id, fv.values, label) for fv, label in records if label is not None]
     if not labelled:
         raise StageError(stage, PmDiagError("no labelled features"))
-    return labelled
+    return _Chunk(*map(list, zip(*labelled)))  # ids, rows, labels
 
 
-def _train_weights(cfg: RunConfig, labelled) -> model.TrainConfig:
-    """Fill class weights from data counts unless the config pinned them."""
-    if cfg.train_cfg.class_weights != (1.0,) * len(FaultClass):
-        return cfg.train_cfg
-    counts: dict[FaultClass, int] = {}
-    for _, label in labelled:
-        counts[label] = counts.get(label, 0) + 1
-    weights = model.weight_vector(model.class_weights(counts))
-    return replace(cfg.train_cfg, class_weights=weights)
-
-
-def _train_config(cfg: RunConfig, labelled) -> "tuple[model.TrainConfig, tuple]":
-    """The train config, class weights filled in, and the layer dims for `labelled`."""
-    train_cfg = _stage("train", _train_weights, cfg, labelled)
+def _train_config(cfg: RunConfig, train: _Chunk) -> "tuple[model.TrainConfig, tuple]":
+    """train's config for the rows of a chunk: class weights from their
+    label counts unless the config pinned them, and the layer dims."""
+    train_cfg = cfg.train_cfg
+    if train_cfg.class_weights == (1.0,) * len(FaultClass):
+        weights = _stage("train", model.class_weights, collections.Counter(train.labels))
+        train_cfg = replace(train_cfg, class_weights=model.weight_vector(weights))
     # the input width is the features' (model.train rejects an empty set first)
-    width = labelled[0][0].values.size if labelled else 0
+    width = len(train.features[0]) if train.ids else 0
     return train_cfg, (width, *model.DEFAULT_LAYER_DIMS[1:])
-
-
-def _chunk(records, width: int) -> _Chunk:
-    """The _Chunk of (FeatureVector, label) records with `width` features each."""
-    x = np.stack([fv.values for fv, _ in records]) if records else np.empty((0, width))
-    return _Chunk([fv.source_id for fv, _ in records], x, [label for _, label in records], None, None)
 
 
 def _probabilities(mdl, chunk: _Chunk, stage: str) -> np.ndarray:
@@ -688,22 +688,40 @@ def _diagnoses(predictor, chunk: _Chunk, probs) -> list:
     return list(zip(chunk.labels, conformal.diagnoses(predictor, chunk.ids, probs)))
 
 
-def _metrics(classified, covered) -> evaluation.MetricsReport:
-    """Classification metrics over `classified` rows, coverage over `covered` rows."""
-    predictions = [(d.argmax_class, label) for label, d in classified]
+def _calibrate(cfg: RunConfig, mdl, labels, probs, out: Path) -> conformal.ConformalPredictor:
+    """calibrate's step: the predictor calibrated on rows of true classes
+    `labels` and of probabilities `probs` from `mdl`, written to predictor.json."""
+    predictor = _stage("calibrate", conformal.calibrate_probs, zip(probs, labels), cfg.alpha, model.model_digest(mdl))
+    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
+    return predictor
+
+
+def _evaluate(cfg: RunConfig, classified, covered, out: Path, **extra) -> evaluation.MetricsReport:
+    """evaluate's step over (label, Diagnosis) rows: classification metrics
+    over `classified`, coverage over `covered`, then report.json, with the
+    `extra` keys beside the config and metrics, and the diagnoses.jsonl of
+    `covered`."""
     coverage, mean_size = evaluation.coverage_eval(covered)
-    return evaluation.build_metrics(predictions, coverage, mean_size)
+    metrics = evaluation.build_metrics([(d.argmax_class, label) for label, d in classified], coverage, mean_size)
+    report = {
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "config": cfg.to_obj(),
+        **extra,
+        "metrics": asdict(metrics),
+    }
+    evaluation.write_report(report, out / REPORT_FILE)
+    conformal.save_diagnoses(covered, out / DIAGNOSES_JSONL)
+    return metrics
 
 
 def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
-    records = _stage("load", preprocess.load_features, features_path)
-    labelled = _labelled(records, "train")
+    labelled = _labelled(features_path, "train")
     train_cfg, layer_dims = _train_config(cfg, labelled)
-    result = _stage("train", model.train, labelled, train_cfg, layer_dims)
+    result = _stage("train", model.train, _pairs(labelled), train_cfg, layer_dims)
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=str(features_path))
     evaluation.write_report({"epoch_losses": result.epoch_losses}, out / TRAINING_LOG_FILE)
-    print(f"trained on {len(labelled)} features; final loss {result.epoch_losses[-1]:.6f}")
+    print(f"trained on {len(labelled.ids)} features; final loss {result.epoch_losses[-1]:.6f}")
     return 0
 
 
@@ -711,12 +729,8 @@ def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
     model_path = cfg.paths.get("model", str(out / MODEL_FILE))
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     mdl = _stage("load", model.load_model, model_path)
-    records = _stage("load", preprocess.load_features, features_path)
-    labelled = _chunk(_labelled(records, "calibrate"), mdl.layer_dims[0])
-    probs = _probabilities(mdl, labelled, "calibrate")
-    scored = list(zip(probs, labelled.labels))
-    predictor = _stage("calibrate", conformal.calibrate_probs, scored, cfg.alpha, model.model_digest(mdl))
-    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
+    labelled = _labelled(features_path, "calibrate")
+    predictor = _calibrate(cfg, mdl, labelled.labels, _probabilities(mdl, labelled, "calibrate"), out)
     print(
         f"calibrated on {predictor.n_calibration} features: "
         f"alpha={predictor.alpha} qhat={predictor.qhat:.6f}"
@@ -753,8 +767,8 @@ def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
     pieces = _stage(
         "load", _load, dataset_path, cfg.preprocess_cfg, lambda chunk: _diagnosed(mdl, predictor, chunk)
     )
-    atomic_write_text(out / DIAGNOSES_JSONL, "".join(piece.lines for piece in pieces))
-    sys.stdout.write("".join(piece.shown for piece in pieces))
+    atomic_write_text(out / DIAGNOSES_JSONL, *(piece.lines for piece in pieces))
+    sys.stdout.writelines(piece.shown for piece in pieces)
     return 0
 
 
@@ -765,18 +779,9 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     mdl = _stage("load", model.load_model, model_path)
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
-    records = _stage("load", preprocess.load_features, features_path)
-    labelled = _chunk(_labelled(records, "evaluate"), mdl.layer_dims[0])
-    probs = _probabilities(mdl, labelled, "evaluate")
-    rows = _stage("evaluate", _diagnoses, predictor, labelled, probs)
-    metrics = _metrics(rows, rows)
-    report = {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": cfg.to_obj(),
-        "metrics": asdict(metrics),
-    }
-    evaluation.write_report(report, out / REPORT_FILE)
-    conformal.save_diagnoses(rows, out / DIAGNOSES_JSONL)
+    labelled = _labelled(features_path, "evaluate")
+    rows = _stage("evaluate", _diagnoses, predictor, labelled, _probabilities(mdl, labelled, "evaluate"))
+    metrics = _evaluate(cfg, rows, rows, out)
     print(
         f"precision={metrics.precision:.4f} fpr={metrics.fpr:.4f} "
         f"fnr={metrics.fnr:.4f} coverage={metrics.coverage:.4f}"
@@ -784,9 +789,9 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _save_inputs(ds: Dataset, records, out: Path) -> None:
+def _save_inputs(ds: Dataset, data: _Chunk, out: Path) -> None:
     save_dataset(ds, out / DATASET_FILE)
-    preprocess.save_features(records, out / FEATURES_FILE)
+    preprocess.save_features(_pairs(data), out / FEATURES_FILE)
 
 
 def _position_cuts(n: int, procs: int) -> list:
@@ -836,8 +841,8 @@ class _Writer:
     that a write failure is reported exactly as without the writer.
     """
 
-    def __init__(self, ds: Dataset, records, out: Path, loss_log_args: tuple):
-        self.inputs = (ds, records, out)
+    def __init__(self, ds: Dataset, data: _Chunk, out: Path, loss_log_args: tuple):
+        self.inputs = (ds, data, out)
         self.unanswered: collections.deque = collections.deque()
         self.answered: list = []
         self.started = False
@@ -847,7 +852,7 @@ class _Writer:
 
             params_in, self.params_out = Pipe(duplex=False)
             _widen(self.params_out)
-        self.child = _start_forked(_write_inputs, ds, records, out, params_in, self.params_out, loss_log_args)
+        self.child = _start_forked(_write_inputs, ds, data, out, params_in, self.params_out, loss_log_args)
         if params_in is not None:
             params_in.close()
         if self.child is None:
@@ -891,12 +896,12 @@ class _Writer:
             self.params_out = None
 
 
-def _write_inputs(post, ds: Dataset, records, out: Path, params_in, params_out, loss_log_args: tuple) -> None:
+def _write_inputs(post, ds: Dataset, data: _Chunk, out: Path, params_in, params_out, loss_log_args: tuple) -> None:
     """Body of pipeline's writer child (see _Writer)."""
     if params_out is not None:
         # this process's copy of the parent's end: the pipe must close when the parent's does
         params_out.close()
-    _save_inputs(ds, records, out)
+    _save_inputs(ds, data, out)
     if params_in is None:
         return
     loss_of = model.logged_loss(*loss_log_args)
@@ -913,76 +918,55 @@ def _write_inputs(post, ds: Dataset, records, out: Path, params_in, params_out, 
 def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     ds, chunks = _pipeline_inputs(cfg)
     try:
-        records = _records(chunks)
+        data = _joined(chunks)
     except StageError:
         # a run that fails here still leaves the dataset it failed on
         save_dataset(ds, out / DATASET_FILE)
         raise
-    features_by_id = {fv.source_id: (fv, label) for fv, label in records}
+    position = {mid: p for p, mid in enumerate(data.ids)}
     try:
         train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)
-        train_records = [features_by_id[m.id] for m in train_ds]
-        train_cfg, layer_dims = _train_config(cfg, train_records)
+        train = _rows(data, [position[m.id] for m in train_ds])
+        train_cfg, layer_dims = _train_config(cfg, train)
     except StageError:
         # the input files are complete whenever a run ends after preprocessing
-        _save_inputs(ds, records, out)
+        _save_inputs(ds, data, out)
         raise
 
     # the input files are written on a second core while training runs, and
     # are complete once joined, also when training failed; model.json is
     # written only after that. A write failure reaches the join, and so
     # outranks a failure here, as it would if the files were written first.
-    writer = _Writer(ds, records, out, (train_records, train_cfg, layer_dims))
+    pairs = _pairs(train)
+    writer = _Writer(ds, data, out, (pairs, train_cfg, layer_dims))
     try:
-        result = _stage("train", model.train, train_records, train_cfg, layer_dims, loss_log=writer)
+        result = _stage("train", model.train, pairs, train_cfg, layer_dims, loss_log=writer)
     finally:
         writer.join()
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
 
     cal_ds, hold_ds = _stage("calibrate", evaluation.split_calibration, test_ds, cfg.split_spec)
-    # each test manoeuvre goes through the model once: calibration reads the
-    # probabilities of the calibration half, the classification metrics the
-    # whole test split's diagnoses, coverage and diagnoses.jsonl the holdout's
-    test = _chunk([features_by_id[m.id] for m in test_ds], result.model.layer_dims[0])
+    # each test manoeuvre goes through the model once, the calibration half
+    # first: calibration reads its probabilities, the classification metrics
+    # the whole test split's diagnoses, coverage and diagnoses.jsonl the holdout's
+    test = _rows(data, [position[m.id] for m in (*cal_ds, *hold_ds)])
     probs = _probabilities(result.model, test, "calibrate")
-    scored = {mid: (p, label) for mid, p, label in zip(test.ids, probs, test.labels)}
-    predictor = _stage(
-        "calibrate",
-        conformal.calibrate_probs,
-        [scored[m.id] for m in cal_ds],
-        cfg.alpha,
-        model.model_digest(result.model),
-    )
-    conformal.save_predictor(predictor, out / PREDICTOR_FILE)
+    predictor = _calibrate(cfg, result.model, test.labels[: len(cal_ds)], probs[: len(cal_ds)], out)
     test_rows = _stage("diagnose", _diagnoses, predictor, test, probs)
-    rows_by_id = {d.source_id: (label, d) for label, d in test_rows}
-    hold_rows = [rows_by_id[m.id] for m in hold_ds]
-    metrics = _metrics(test_rows, hold_rows)
-
-    report = {
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "config": cfg.to_obj(),
-        "provenance": {
-            "dataset": ds.provenance,
-            "model_digest": predictor.model_digest,
+    metrics = _evaluate(
+        cfg,
+        test_rows,
+        test_rows[len(cal_ds) :],
+        out,
+        provenance={"dataset": ds.provenance, "model_digest": predictor.model_digest},
+        counts={
+            name: _counts_obj(part.class_counts())
+            for name, part in [("dataset", ds), ("train", train_ds), ("test", test_ds),
+                               ("calibration", cal_ds), ("holdout", hold_ds)]
         },
-        "counts": {
-            "dataset": _counts_obj(ds.class_counts()),
-            "train": _counts_obj(train_ds.class_counts()),
-            "test": _counts_obj(test_ds.class_counts()),
-            "calibration": _counts_obj(cal_ds.class_counts()),
-            "holdout": _counts_obj(hold_ds.class_counts()),
-        },
-        "conformal": {
-            "alpha": predictor.alpha,
-            "qhat": predictor.qhat,
-            "n_calibration": predictor.n_calibration,
-        },
-        "metrics": asdict(metrics),
-        "training_log": result.epoch_losses,
-    }
-    evaluation.write_report(report, out / REPORT_FILE)
-    conformal.save_diagnoses(hold_rows, out / DIAGNOSES_JSONL)
+        conformal={"alpha": predictor.alpha, "qhat": predictor.qhat, "n_calibration": predictor.n_calibration},
+        training_log=result.epoch_losses,
+    )
     print(
         f"pipeline done: precision={metrics.precision:.4f} fpr={metrics.fpr:.4f} "
         f"fnr={metrics.fnr:.4f} coverage={metrics.coverage:.4f} "

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, jsonl_text, read_json
-from .model import MlpModel, RowError, forward, model_digest
+from .model import MlpModel, RowError, forward, forward_rows, model_digest
 
 PROB_SUM_TOL = 1e-9
 
@@ -101,18 +101,24 @@ def _descending_order(p: np.ndarray) -> np.ndarray:
     return np.argsort(-p, kind="stable")
 
 
+def _aps_scores(probs, labels, ndim: int) -> np.ndarray:
+    """`aps_score` of each row of `probs`, which has `ndim` axes, and its true class in `labels`."""
+    p = _checked_probs(probs, ndim).reshape(-1, len(FaultClass))
+    order = _descending_order(p)
+    rank = (order == np.array([int(c) for c in labels])[:, None]).argmax(axis=1)
+    after = np.arange(p.shape[1]) > rank[:, None]
+    return 1.0 - np.where(after, np.take_along_axis(p, order, axis=1), 0.0).sum(axis=1)
+
+
 def aps_score(probs, true_class: FaultClass) -> float:
     """Cumulative descending-sorted probability through the true class.
 
     Computed as one minus the mass of the classes ranked below the true
     class, which keeps the score in (0, 1] without clamping (a plain prefix
     cumsum can overshoot 1.0 by an ulp) and makes it exactly 1 when the
-    true class sorts last.
+    true class sorts last. This is the one-row case of calibrate_probs.
     """
-    p = _checked_probs(probs)
-    order = _descending_order(p)
-    pos = int(np.flatnonzero(order == int(true_class))[0])
-    return 1.0 - float(p[order][pos + 1 :].sum())
+    return float(_aps_scores(probs, [true_class], 1)[0])
 
 
 def quantile_threshold(scores, alpha: float) -> float:
@@ -135,13 +141,15 @@ def calibrate_probs(scored, alpha: float, digest: str) -> ConformalPredictor:
     """Calibrate the set threshold on (probability vector, true FaultClass) pairs.
 
     `digest` is the `model_digest` of the model that gave the probabilities.
+    The vectors are scored as one matrix: an error's `row` is the first bad pair.
     """
     if not 0 < alpha < 1:
         raise ValueError("alpha must be in (0, 1)")
     items = list(scored)
     if not items:
         raise EmptyCalibrationError("calibration set is empty")
-    scores = [aps_score(probs, label) for probs, label in items]
+    probs, labels = zip(*items)
+    scores = _aps_scores(probs, labels, 2)
     return ConformalPredictor(
         alpha=alpha,
         qhat=quantile_threshold(scores, alpha),
@@ -151,9 +159,10 @@ def calibrate_probs(scored, alpha: float, digest: str) -> ConformalPredictor:
 
 
 def calibrate(model: MlpModel, calibration_set, alpha: float = 0.05) -> ConformalPredictor:
-    """Calibrate the set threshold on labelled (FeatureVector, FaultClass) pairs."""
-    scored = ((forward(model, fv.values), label) for fv, label in calibration_set)
-    return calibrate_probs(scored, alpha, model_digest(model))
+    """Calibrate on labelled (FeatureVector, FaultClass) pairs, scored by one `forward_rows` call."""
+    items = list(calibration_set)
+    x = np.stack([fv.values for fv, _ in items]) if items else np.empty((0, model.layer_dims[0]))
+    return calibrate_probs(zip(forward_rows(model, x), (label for _, label in items)), alpha, model_digest(model))
 
 
 def predict_sets(predictor: ConformalPredictor, probs) -> list:

@@ -8,6 +8,7 @@ so save -> load is an exact identity on every field.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import math
@@ -193,11 +194,7 @@ class Dataset:
 
     def class_counts(self) -> dict[FaultClass, int]:
         """Labelled manoeuvre count per class (unlabelled entries ignored)."""
-        counts: dict[FaultClass, int] = {}
-        for m in self.manoeuvres:
-            if m.label is not None:
-                counts[m.label] = counts.get(m.label, 0) + 1
-        return counts
+        return dict(collections.Counter(m.label for m in self.manoeuvres if m.label is not None))
 
 
 def validate_manoeuvre(m: Manoeuvre) -> ValidationError | None:
@@ -405,8 +402,10 @@ def jsonl_text(objs) -> str:
     return text
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename.
+def atomic_write_text(path: str | Path, *parts: str) -> None:
+    """Write the texts `parts`, one after another, to path via a
+    same-directory temp file and rename, so that pieces of a file need not
+    be joined first.
 
     The file gets the mode a plain open(path, "w") gives it, 0o666 less the
     umask, where tempfile.mkstemp would give 0o600.
@@ -418,7 +417,7 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(parts)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -59,7 +59,7 @@ class EmptyClassError(PmDiagError):
 class MlpModel:
     """Layer dimensions plus per-layer weight matrices and bias vectors.
 
-    weights[l] has shape (fan_in, fan_out); forward/predict are pure, but
+    weights[l] has shape (fan_in, fan_out); forward is pure, but
     training updates parameters in place, so share models read-only.
     """
 
@@ -409,11 +409,6 @@ def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS, loss_log=No
 def argmax_class(probs: np.ndarray) -> FaultClass:
     """Most probable class; exact ties go to the lowest class code."""
     return FaultClass(int(np.argmax(probs)))
-
-
-def predict(model: MlpModel, x: np.ndarray) -> tuple[FaultClass, np.ndarray]:
-    probs = forward(model, x)
-    return argmax_class(probs), probs
 
 
 def predict_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmdiag import cli, conformal, core, model, preprocess, synth
+from pmdiag import cli, conformal, core, evaluation, model, preprocess, synth
 from pmdiag.core import FaultClass, Manoeuvre, Dataset, PmDiagError, save_dataset, load_dataset
 
 
@@ -1155,6 +1155,37 @@ class TestStageCommands:
             f"pipeline failure in load: line 6: values of {obj['source_id']!r} have shape {shape}, "
             "not (128,) as in the first record\n"
         ))
+
+    @staticmethod
+    def split_of(run_dir):
+        """The (train, calibration) manoeuvres of a pipeline run's dataset, split as its config splits them."""
+        spec = cli.load_run_config(str(run_dir / "config.json")).split_spec
+        train_ds, test_ds = evaluation.stratified_split(load_dataset(run_dir / "dataset.jsonl"), spec)
+        return train_ds, evaluation.split_calibration(test_ds, spec)[0]
+
+    @staticmethod
+    def stage_config(run_dir, tmp_path, manoeuvres, **paths):
+        """A config whose features file holds the run's feature lines of `manoeuvres`, in their order."""
+        lines = {json.loads(l)["source_id"]: l for l in (run_dir / "features.jsonl").read_text().splitlines()}
+        features = tmp_path / "features.jsonl"
+        features.write_text("".join(lines[m.id] + "\n" for m in manoeuvres))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "paths": {"features": str(features), **paths}}))
+        return str(config)
+
+    def test_pipeline_model_equals_train_on_its_training_split(self, trained_run, tmp_path):
+        train_ds, _ = self.split_of(trained_run)
+        config = self.stage_config(trained_run, tmp_path, train_ds)
+        assert run(["train", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        ours, pipeline = (json.loads((d / "model.json").read_text()) for d in (tmp_path / "out", trained_run))
+        for key in ("layer_dims", "weights", "biases", "train_config"):
+            assert ours[key] == pipeline[key], key
+
+    def test_pipeline_predictor_equals_calibrate_on_its_calibration_half(self, trained_run, tmp_path):
+        _, cal_ds = self.split_of(trained_run)
+        config = self.stage_config(trained_run, tmp_path, cal_ds, model=str(trained_run / "model.json"))
+        assert run(["calibrate", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "predictor.json").read_bytes() == (trained_run / "predictor.json").read_bytes()
 
     def test_seed_override_changes_dataset(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -8,6 +8,7 @@ from pmdiag.conformal import (
     Diagnosis,
     DigestMismatchError,
     EmptyCalibrationError,
+    _aps_scores,
     aps_score,
     calibrate,
     calibrate_probs,
@@ -43,6 +44,27 @@ def predictor_with(qhat, alpha=0.05, n=20):
 PROBS = np.array([0.60, 0.30, 0.06, 0.03, 0.01])
 
 
+def reference_aps_score(probs, true_class):
+    """The score of one row by the per-row formula: normalize, sort, then one
+    minus the mass of the classes ranked after the true class."""
+    p = np.asarray(probs, dtype=np.float64)
+    p = p / p.sum()
+    order = np.argsort(-p, kind="stable")
+    pos = int(np.flatnonzero(order == int(true_class))[0])
+    return 1.0 - float(p[order][pos + 1 :].sum())
+
+
+def scoring_rows():
+    """80 100 probability rows with their true classes: 10 000 Dirichlet rows
+    at each of eight concentrations from 0.05 to 5, then 100 rows of exact ties."""
+    rng = np.random.default_rng(14)
+    rows = [rng.dirichlet(np.full(5, c), size=10_000) for c in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 3.0, 5.0)]
+    ties = rng.integers(1, 4, size=(100, 5)).astype(np.float64)
+    rows.append(ties / ties.sum(axis=1, keepdims=True))
+    probs = np.concatenate(rows)
+    return probs, rng.integers(0, 5, size=len(probs))
+
+
 class TestApsScore:
     def test_hand_computed(self):
         assert abs(aps_score(PROBS, FaultClass.Obstacle) - 0.90) < 1e-12
@@ -65,6 +87,15 @@ class TestApsScore:
         p = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
         # descending order with ties is 0,1,2,3 then 4
         assert abs(aps_score(p, FaultClass.Obstacle) - 0.50) < 1e-12
+
+    def test_batched_scores_equal_the_per_row_formula(self):
+        probs, labels = scoring_rows()
+        batched = _aps_scores(probs, labels, 2)
+        reference = np.array([reference_aps_score(p, c) for p, c in zip(probs, labels)])
+        assert batched.tobytes() == reference.tobytes()
+        # aps_score is the one-row case
+        for k in range(0, len(probs), 997):
+            assert aps_score(probs[k], FaultClass(int(labels[k]))) == reference[k]
 
     def test_bad_distribution(self):
         with pytest.raises(BadDistributionError):
@@ -119,6 +150,13 @@ class TestCalibrate:
         from_model = calibrate(mdl, records, alpha=0.05)
         assert from_probs == from_model
         assert from_probs.qhat.hex() == from_model.qhat.hex()
+
+    def test_error_names_the_first_bad_pair(self):
+        bad = np.array([0.9, 0.2, 0.0, 0.0, 0.0])
+        scored = [(PROBS, FaultClass.Nominal)] * 3 + [(bad, FaultClass.Obstacle)] * 2
+        with pytest.raises(BadDistributionError) as info:
+            calibrate_probs(scored, 0.05, "x")
+        assert info.value.row == 3
 
     def test_digest_binding(self, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]]

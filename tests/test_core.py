@@ -281,6 +281,18 @@ class TestSaveRoundTrip:
         # the temp file was renamed, not left beside the output
         assert modes == {"ds.jsonl": mode, "report.json": mode, "plain.json": mode}
 
+    def test_parts_make_one_file(self, tmp_path):
+        atomic_write_text(tmp_path / "out.jsonl", "a\n", "", "bc\n", "d")
+        assert (tmp_path / "out.jsonl").read_bytes() == b"a\nbc\nd"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_part_that_fails_mid_write_leaves_no_file(self, tmp_path):
+        # the first part is larger than the write buffer, so it reaches the
+        # temp file before the lone surrogate of the second fails to encode
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(tmp_path / "out.jsonl", "a\n" * 50_000, "\ud800\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_samples_immutable(self):
         m = make_manoeuvre(np.ones(64))
         with pytest.raises(ValueError):

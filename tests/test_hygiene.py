@@ -73,6 +73,24 @@ def test_every_private_definition_is_referenced(name):
     assert [p for p in private if p not in used] == []
 
 
+@pytest.mark.parametrize(
+    "step",
+    ["conformal.calibrate_probs", "conformal.save_predictor", "evaluation.build_metrics", "conformal.save_diagnoses"],
+)
+def test_each_stage_step_has_one_call_site_in_cli(step):
+    """The stage commands and pipeline share each step of calibrate and
+    evaluate: cli.py names each function once, through its module."""
+    module, name = step.split(".")
+    tree = parse("cli.py")
+    sites = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == name
+        and isinstance(node.value, ast.Name) and node.value.id == module
+    ]
+    assert len(sites) == 1
+    assert name not in loaded_names(tree)
+
+
 def test_docstrings_and_unused_imports_are_caught():
     """The checks' own cases: a name only a docstring mentions is unused, a
     string annotation is a use."""

@@ -469,8 +469,8 @@ class TestPredict:
         assert mlp.argmax_class(np.array([0.3, 0.3, 0.2, 0.1, 0.1])) is FaultClass.Nominal
 
     def test_predict_returns_probs(self):
-        cls, probs = mlp.predict(uniform_model(), np.ones(4))
-        assert cls is FaultClass.Nominal
+        probs = mlp.forward(uniform_model(), np.ones(4))
+        assert mlp.argmax_class(probs) is FaultClass.Nominal
         assert probs.shape == (5,)
 
 
