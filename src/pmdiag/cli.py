@@ -63,6 +63,10 @@ EXIT_DIGEST = 5
 # 40 ms at most (see _cuts). pipeline cuts the positions of its dataset the
 # same way; generating and preprocessing a manoeuvre takes about 0.2 ms.
 FORK_MIN_LINES = 64
+# _features preprocesses the manoeuvres of a piece in blocks of at most this
+# many: a block's kernel matrices stay small, and after a block with a
+# failed manoeuvre no other is preprocessed
+BLOCK_ROWS = 64
 # a piece's index in the token pipe of _share_pieces
 _TOKEN_BYTES = 2
 # every token goes into the pipe in one write that never blocks
@@ -453,34 +457,50 @@ class _Chunk(NamedTuple):
     failure: "StageError | None" = None
 
 
-def _features(manoeuvres, cfg: preprocess.PreprocessConfig, load: bool = False) -> _Chunk:
-    """Preprocess each manoeuvre of an iterable.
+def _features(manoeuvres, cfg: preprocess.PreprocessConfig, validated: bool) -> _Chunk:
+    """Preprocess the manoeuvres of an iterable, in blocks of at most
+    BLOCK_ROWS (`preprocess.preprocess_rows`).
 
     Errors are returned, not raised, because `_check` ranks them across
-    chunks. After a preprocess failure the chunk goes on reading: a later
-    load error or duplicate id outranks it. With `load`, the manoeuvres come
-    from `iter_manoeuvres(..., validate=False)`: preprocess.preprocess
-    validates each, once, and a ValidationError is a load error, where the
-    chunk ends, as load_dataset would raise it.
+    chunks. A ParseError or ValidationError that the iterable raises is a
+    load error, where the chunk ends. After a preprocess failure the chunk
+    goes on reading: a later load error or duplicate id outranks it. Unless
+    `validated` (by load_dataset or iter_manoeuvres), a manoeuvre that fails
+    validation is a preprocess failure.
     """
-    ids, values, labels = [], [], []
+    ids, labels, block, values = [], [], [], []
     error = failure = None
+
+    def preprocess_block():
+        nonlocal failure
+        rows, errors = preprocess.preprocess_rows(block, cfg)
+        values.append(rows)
+        failed = next((p for p, exc in enumerate(errors) if exc is not None), None)
+        if failed is not None:
+            failure = _manoeuvre_failure("preprocess", block[failed].id, errors[failed])
+        block.clear()
+
     try:
         for m in manoeuvres:
-            if failure is None:
-                try:
-                    values.append(preprocess.preprocess(m, cfg).values)
-                except PmDiagError as exc:
-                    if load and isinstance(exc, ValidationError):
-                        raise
-                    failure = _manoeuvre_failure("preprocess", m.id, exc)
-            elif load and (invalid := validate_manoeuvre(m)) is not None:
-                raise invalid
             ids.append(m.id)
             labels.append(m.label)
+            if failure is not None:
+                continue
+            invalid = None if validated else validate_manoeuvre(m)
+            if invalid is None:
+                block.append(m)
+                if len(block) == BLOCK_ROWS:
+                    preprocess_block()
+                continue
+            if block:
+                preprocess_block()  # a failure before the invalid manoeuvre outranks it
+            if failure is None:
+                failure = _manoeuvre_failure("preprocess", m.id, invalid)
+        if block:
+            preprocess_block()
     except (ParseError, ValidationError) as exc:
         error = exc
-    features = np.stack(values) if values else np.empty((0, cfg.feature_length))
+    features = np.concatenate(values) if values else np.empty((0, cfg.feature_length))
     return _Chunk(ids, features, labels, error, failure)
 
 
@@ -585,7 +605,7 @@ def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.Preproce
         blocks = range(0, start, _SCAN_BYTES)
         return sum(read(min(_SCAN_BYTES, start - pos), pos).count(b"\n") for pos in blocks)
 
-    chunk = _features(iter_manoeuvres(text, lines_before, validate=False), cfg, load=True)
+    chunk = _features(iter_manoeuvres(text, lines_before), cfg, validated=True)
     lines = shown = ""
     failure = chunk.failure
     if chunk.error is None and failure is None:
@@ -805,7 +825,7 @@ def _position_cuts(n: int, procs: int) -> list:
 def _generated(plan: synth.DatasetPlan, start: int, end: int, cfg: preprocess.PreprocessConfig):
     """The manoeuvres at positions start to end of a planned dataset, and their _Chunk."""
     manoeuvres = [plan.manoeuvre(p) for p in range(start, end)]
-    return manoeuvres, _features(manoeuvres, cfg)
+    return manoeuvres, _features(manoeuvres, cfg, validated=False)
 
 
 def _pipeline_inputs(cfg: RunConfig) -> "tuple[Dataset, list]":
@@ -817,7 +837,9 @@ def _pipeline_inputs(cfg: RunConfig) -> "tuple[Dataset, list]":
     if "dataset" in cfg.paths:
         ds = _stage("load", load_dataset, cfg.paths["dataset"])
         cuts = _position_cuts(len(ds), procs)
-        return ds, _share_pieces(cuts, lambda start, end: _features(ds.manoeuvres[start:end], pcfg), procs)
+        # load_dataset validated every manoeuvre
+        pieces = _share_pieces(cuts, lambda start, end: _features(ds.manoeuvres[start:end], pcfg, True), procs)
+        return ds, pieces
     plan = _stage("generate", synth.plan_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range)
     cuts = _position_cuts(len(plan), procs)
     pieces = _stage("generate", _share_pieces, cuts, lambda start, end: _generated(plan, start, end, pcfg), procs)

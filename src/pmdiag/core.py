@@ -357,10 +357,8 @@ def _may_hold_bool(line: str) -> bool:
     return line.find("u", first, last) >= 0 or line.find("f", first, last) >= 0
 
 
-def iter_manoeuvres(text: str, lines_before=None, validate: bool = True):
-    """Parse each manoeuvre line of text in order, and validate it unless
-    `validate` is False: the caller then validates each manoeuvre itself,
-    as preprocess.preprocess does.
+def iter_manoeuvres(text: str, lines_before=None):
+    """Parse and validate each manoeuvre line of text in order.
 
     Raises ParseError or ValidationError at the first bad line, after
     yielding every manoeuvre before it. `text` may be a piece of a file that
@@ -371,7 +369,7 @@ def iter_manoeuvres(text: str, lines_before=None, validate: bool = True):
     try:
         for line_number, line, obj in jsonl_objects(text):
             m = _manoeuvre_from_obj(obj, line_number, _may_hold_bool(line))
-            if validate and (error := validate_manoeuvre(m)) is not None:
+            if (error := validate_manoeuvre(m)) is not None:
                 raise error
             yield m
     except ParseError as exc:

@@ -11,9 +11,9 @@ shape and nothing about the installation.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,18 +90,117 @@ class FeatureVector:
         object.__setattr__(self, "values", arr)
 
 
-def smooth(samples: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with reflected edges; length-preserving."""
-    x = np.asarray(samples, dtype=np.float64)
-    if window % 2 == 0 or window < 3:
-        raise ValueError("window must be odd and >= 3")
-    if window > x.size:
-        raise WindowTooLargeError(f"window {window} > length {x.size}")
+# A block of the kernel holds at most this many cells, rows times the
+# longest padded row: its largest temporaries are then a few float matrices
+# of 1 MiB (64 rows of 2048 samples), and a longer trace is a block of its own.
+BLOCK_CELLS = 1 << 17
+
+
+class _Block(NamedTuple):
+    """What `_kernel` computed for a block of traces, one entry or row per
+    trace, up to the step it stopped after; a step it did not run is None.
+    A trace's results mean nothing where `errors` holds its failure.
+
+    Row r of `smoothed` holds trace r's smoothed samples, then -inf.
+    `active` holds the first and end indices of the active windows, `phases`
+    the end of the unlock peak, the start of the lock peak and the plateau
+    level, `values` the features.
+    """
+
+    errors: list
+    smoothed: np.ndarray
+    active: "tuple[np.ndarray, np.ndarray] | None" = None
+    phases: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
+    values: "np.ndarray | None" = None
+
+
+def _kernel(
+    traces: list, cfg: PreprocessConfig, smoothed: bool = False, active=None, stop: str = "features"
+) -> _Block:
+    """The preprocess kernel: its steps for a block of 1-D float64 traces at
+    once, in array operations over matrices of one row per trace. Every
+    public step of this module is its one-row case.
+
+    The traces are smoothed, unless `smoothed` says that they already are;
+    their active windows are found, unless `active` gives them as arrays of
+    first and end indices (then the kernel stops before the features, which
+    need the thresholds that find the windows); their phases are segmented;
+    and their features are resampled and normalized. The kernel stops after
+    the step `stop` names: "smooth", "active", "phases" or "features". Each
+    trace's results have the bits it gives alone, and each trace keeps the
+    first failure it meets, in rule order. A failed trace goes through every
+    later step on values of no meaning, so floating-point warnings are not
+    shown.
+    """
+    n = np.array([x.size for x in traces])
+    errors = [None] * len(traces)
+    live = np.ones(len(traces), dtype=bool)
+
+    def fail(rows, error_of):
+        """Give each row where `rows` holds, and that has not failed yet, the failure error_of(row)."""
+        for r in np.flatnonzero(rows & live):
+            errors[r] = error_of(r)
+            live[r] = False
+
+    w = cfg.smooth_window
+    with np.errstate(all="ignore"):
+        if smoothed:
+            s = _padded(traces, n, w)
+        else:
+            fail(n < w, lambda r: WindowTooLargeError(f"window {w} > length {n[r]}"))
+            s = _smoothed(traces, n, w)
+        if stop == "smooth":
+            return _Block(errors, s)
+        if active is None:
+            peak = s.max(axis=1)
+            fail(peak <= cfg.noise_floor,
+                 lambda r: FlatSignalError(f"max {float(peak[r])!r} <= noise floor {cfg.noise_floor!r}"))
+            threshold = cfg.active_threshold_frac * peak
+            a, b = _first_and_end(s > threshold[:, None])
+        else:
+            a, b = active
+        if stop == "active":
+            return _Block(errors, s, (a, b))
+        phases = _phases(s, a, b, cfg, live, fail)
+        if stop == "phases":
+            return _Block(errors, s, (a, b), phases)
+        values = _resampled(s, n, a, b, threshold, cfg.feature_length)
+        values /= phases[2][:, None]
+        np.maximum(values, 0.0, out=values)
+        return _Block(errors, s, (a, b), phases, values)
+
+
+def _padded(traces: list, n: np.ndarray, window: int) -> np.ndarray:
+    """Smoothed traces as the rows of a matrix at least `window` wide, -inf after each trace."""
+    s = np.full((len(traces), max(int(n.max()), window)), -np.inf)
+    for row, x in zip(s, traces):
+        row[: x.size] = x
+    return s
+
+
+def _smoothed(traces: list, n: np.ndarray, window: int) -> np.ndarray:
+    """The centered moving averages of the traces, with reflected edges, as
+    the rows of a matrix at least `window` wide, -inf after each trace. The
+    row of a trace shorter than the window means nothing."""
     half = window // 2
-    # the values of np.pad(x, half, mode="reflect") at a tenth of its cost:
-    # each end is mirrored about its edge sample, which is not repeated
-    padded = np.concatenate((x[half:0:-1], x, x[-2 : -half - 2 : -1]))
-    return np.convolve(padded, _box_kernel(window), mode="valid")
+    width = max(int(n.max()), 1) + 2 * half + 1
+    # row r: trace r, each end mirrored about its edge sample, which is not
+    # repeated (the values of np.pad(x, half, mode="reflect")), then -inf,
+    # at least once; the 2 * half cells after the last row complete its
+    # last window
+    flat = np.full(len(traces) * width + 2 * half, -np.inf)
+    padded = flat[: len(traces) * width].reshape(len(traces), width)
+    for row, x in zip(padded, traces):
+        if x.size >= window:
+            row[half : half + x.size] = x
+    padded[:, :half] = padded[:, 2 * half : half : -1]
+    rows, j = np.arange(len(traces))[:, None], np.arange(half)
+    right = (n + half)[:, None] + j
+    padded[rows, right] = padded[rows, right - 2 - 2 * j]
+    # one convolution: output j of row r is the same w-term dot product of
+    # the trace's padded samples j to j + w - 1 as alone, and each output
+    # after the trace has a -inf among its terms, and is -inf
+    return np.convolve(flat, _box_kernel(window), mode="valid").reshape(len(traces), width)
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,35 +210,135 @@ def _box_kernel(window: int) -> np.ndarray:
     return kernel
 
 
-def _active_window(s: np.ndarray, cfg: PreprocessConfig) -> tuple[tuple[int, int], float]:
-    # the window and the threshold that defines it; preprocess reuses both
-    peak = float(s.max())
-    if peak <= cfg.noise_floor:
-        raise FlatSignalError(f"max {peak!r} <= noise floor {cfg.noise_floor!r}")
-    threshold = cfg.active_threshold_frac * peak
-    above = (s > threshold).nonzero()[0]
-    return (int(above[0]), int(above[-1]) + 1), threshold
+def _first_and_end(mask: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Per row, the first column where `mask` holds and the one after the
+    last; a row where it holds nowhere gets an empty range at 0."""
+    first = mask.argmax(axis=1)
+    found = mask[np.arange(len(mask)), first]
+    return first, np.where(found, mask.shape[1] - mask[:, ::-1].argmax(axis=1), first)
+
+
+def _phases(s: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: PreprocessConfig, live: np.ndarray, fail):
+    """The phase bounds and plateau levels of the active windows [a, b) of
+    the rows of `s` (see segment_phases), in the columns of `s`; a row that
+    breaks a rule fails (see _kernel)."""
+    n = b - a
+    w = cfg.smooth_window
+    fail(n < 32, lambda r: SegmentationFailedError(f"active window too short ({n[r]} samples)"))
+    level = _plateau_levels(s, a, n, cfg.plateau_core_frac, live)
+    fail(level <= 0, lambda r: SegmentationFailedError("plateau level is not positive"))
+
+    band = (PLATEAU_BAND * level)[:, None]
+    inside = np.zeros(s.shape, dtype=bool)
+    for row, first, end in zip(inside, a.tolist(), b.tolist()):
+        row[first:end] = True
+    peaks = s > band
+    peaks &= inside
+    p0, p1 = _first_and_end(peaks)
+    fail(p0 == p1, lambda r: SegmentationFailedError("no peak exceeds the plateau band"))
+    fail(n < w, lambda r: SegmentationFailedError("active window shorter than smooth window"))
+
+    # runs[:, j]: all of s[:, j:j+w] lies inside the window and the plateau band
+    in_band = np.less_equal(s, band, out=peaks)
+    in_band &= inside
+    in_band &= s >= 0.0
+    starts = s.shape[1] - w + 1
+    runs = in_band[:, :starts].copy()
+    for d in range(1, w):
+        runs &= in_band[:, d : starts + d]
+    # the first run that starts after the unlock peak's first sample p0,
+    # and the last run [j, j+w) that ends before the lock peak's last
+    # sample p1 - 1: j < p1 - w (an empty range where there is none)
+    cols = np.arange(starts)
+    after = np.greater(cols, p0[:, None], out=in_band[:, :starts])
+    after &= runs
+    i, end = _first_and_end(after)
+    fail(i == end, lambda r: SegmentationFailedError("no plateau after the unlock peak"))
+    before = np.less(cols, (p1 - w)[:, None], out=after)
+    before &= runs
+    before, k = _first_and_end(before)
+    fail(before == k, lambda r: SegmentationFailedError("no plateau before the lock peak"))
+    k += w - 1
+    fail(i >= k, lambda r: SegmentationFailedError("movement phase is empty"))
+    return i, k, level
+
+
+def _plateau_levels(s: np.ndarray, a: np.ndarray, n: np.ndarray, core_frac: float, live: np.ndarray) -> np.ndarray:
+    """The median of the central part of each active window [a, a + n),
+    bit for bit as np.median takes it: each core, padded with +inf to the
+    longest, is sorted, and gives its middle value or the mean (x + y) / 2
+    of its two middle values."""
+    pad = np.floor(n * (1.0 - core_frac) / 2.0).astype(np.intp)
+    core = np.where(live, n - 2 * pad, 1)  # a failed row gets a core of one cell
+    cores = np.full((len(s), core.max()), np.inf)
+    for row, trace, first, size in zip(cores, s, (a + pad).tolist(), core.tolist()):
+        row[:size] = trace[first : first + size]
+    cores.sort(axis=1)
+    rows, half = np.arange(len(s)), core // 2
+    upper = cores[rows, half]
+    level = np.where(core % 2 == 1, upper, (cores[rows, half - 1] + upper) / 2)
+    # a NaN sorts last, after the padding, and np.median gives NaN where there is one
+    return np.where(np.isnan(cores[:, -1]), np.nan, level)
+
+
+def _resampled(
+    s: np.ndarray, n: np.ndarray, a: np.ndarray, b: np.ndarray, threshold: np.ndarray, length: int
+) -> np.ndarray:
+    """Each row of `s` resampled at `length` points from its refined first
+    to its refined last active position, with np.interp's bits."""
+    # s's cells by flat index: row r's column j is cell starts[r] + j
+    cells, starts = s.ravel(), np.arange(len(s)) * s.shape[1]
+    # Sub-sample threshold-crossing positions. Integer endpoints shift the
+    # resampling grid by up to one sample between sample rates, which is
+    # the dominant cross-rate feature error at steep edges.
+    first, before = cells[starts + a], cells[starts + a - 1]
+    rising = (a > 0) & (first > before)
+    p0 = np.where(rising, a - (first - threshold) / (first - before), a)
+    p0 = np.minimum(np.maximum(p0, a - 1.0), a)
+    last, after = cells[starts + b - 1], cells[starts + np.minimum(b, s.shape[1] - 1)]
+    falling = (b < n) & (last > after)
+    p1 = np.where(falling, (b - 1) + (last - threshold) / (last - after), b - 1)
+    p1 = np.minimum(np.maximum(p1, b - 1.0), b)
+
+    # p0 + (p1 - p0) * i / (L - 1), operation for operation, in one buffer
+    grid = np.arange(length, dtype=np.float64) * (p1 - p0)[:, None]
+    grid /= length - 1
+    grid += p0[:, None]
+    # np.interp on the knots 0, 1, ..., n - 1: a point at a knot, or at or
+    # beyond the last one, takes that knot's value, and a point x after knot
+    # j takes (fp[j + 1] - fp[j]) / 1.0 * (x - j) + fp[j], where the division
+    # by the knot spacing 1.0 changes no bit
+    knot = np.floor(grid)
+    last_knot = (starts + n - 1)[:, None]
+    j = np.minimum(starts[:, None] + np.maximum(knot.astype(np.intp), 0), last_knot)
+    at = cells[j]
+    slope = cells[np.minimum(j + 1, last_knot)]
+    slope -= at
+    values = slope * (grid - knot) + at
+    return np.where((grid == knot) | (j == last_knot), at, values)
+
+
+def _alone(block: _Block) -> _Block:
+    """The block of one trace, once its trace has not failed."""
+    if block.errors[0] is not None:
+        raise block.errors[0]
+    return block
+
+
+def smooth(samples: np.ndarray, window: int) -> np.ndarray:
+    """Centered moving average with reflected edges; length-preserving."""
+    x = np.asarray(samples, dtype=np.float64)
+    if window % 2 == 0 or window < 3:
+        raise ValueError("window must be odd and >= 3")
+    block = _alone(_kernel([x], PreprocessConfig(smooth_window=window), stop="smooth"))
+    return block.smoothed[0, : x.size]
 
 
 def detect_active_window(smoothed: np.ndarray, cfg: PreprocessConfig) -> tuple[int, int]:
     """Index range [first, last+1) where the trace exceeds the threshold."""
-    return _active_window(np.asarray(smoothed, dtype=np.float64), cfg)[0]
-
-
-def _median(x: np.ndarray) -> float:
-    """np.median of a non-empty 1-D float64 array, bit for bit, at a fifth
-    of its cost: the same partition, then the middle value or the mean
-    (a + b) / 2 of the two middle values."""
-    h = x.size // 2
-    part = x.copy()
-    if x.size % 2:
-        part.partition((h, -1))
-        mid = part.item(h)
-    else:
-        part.partition((h - 1, h, -1))
-        mid = (part.item(h - 1) + part.item(h)) / 2
-    # a NaN sorts last, and np.median returns NaN if there is one
-    return math.nan if math.isnan(part[-1]) else mid
+    s = np.asarray(smoothed, dtype=np.float64)
+    a, b = _alone(_kernel([s], cfg, smoothed=True, stop="active")).active
+    return int(a[0]), int(b[0])
 
 
 def segment_phases(
@@ -153,71 +352,17 @@ def segment_phases(
     samples after the peak has exceeded the band (mirrored for the lock
     peak from the end of the window).
     """
+    s = np.asarray(smoothed, dtype=np.float64)
     a, b = active
-    n = b - a
-    if n < 32:
-        raise SegmentationFailedError(f"active window too short ({n} samples)")
-    s = np.asarray(smoothed[a:b], dtype=np.float64)
-    w = cfg.smooth_window
-
-    core_pad = int(math.floor(n * (1.0 - cfg.plateau_core_frac) / 2.0))
-    plateau_level = _median(s[core_pad : n - core_pad])
-    if plateau_level <= 0:
-        raise SegmentationFailedError("plateau level is not positive")
-
-    band = PLATEAU_BAND * plateau_level
-    peaks = (s > band).nonzero()[0]
-    if peaks.size == 0:
-        raise SegmentationFailedError("no peak exceeds the plateau band")
-    p0, p1 = int(peaks[0]), int(peaks[-1])
-
-    if n < w:
-        raise SegmentationFailedError("active window shorter than smooth window")
-    # run_ok[j]: all of s[j:j+w] lies in the plateau band
-    in_band = (s >= 0.0) & (s <= band)
-    run_ok = in_band[: n - w + 1].copy()
-    for d in range(1, w):
-        run_ok &= in_band[d : n - w + 1 + d]
-    runs = run_ok.nonzero()[0]
-
-    first = int(runs.searchsorted(p0 + 1))  # first run starting after the peak
-    if first == runs.size:
-        raise SegmentationFailedError("no plateau after the unlock peak")
-    i = int(runs[first])
-
-    # the last run [j, j+w) that ends before the lock peak top: j <= p1 - w
-    last = int(runs.searchsorted(p1 - w, side="right")) - 1
-    if last < 0:
-        raise SegmentationFailedError("no plateau before the lock peak")
-    k = int(runs[last]) + w
-
-    if not i < k:
-        raise SegmentationFailedError("movement phase is empty")
+    block = _kernel([s], cfg, smoothed=True, active=(np.array([a]), np.array([b])), stop="phases")
+    i, k, level = (part[0] for part in _alone(block).phases)
     return PhaseSegmentation(
         active=(a, b),
-        unlock_peak=(a, a + i),
-        movement=(a + i, a + k),
-        lock_peak=(a + k, b),
-        plateau_level=plateau_level,
+        unlock_peak=(a, int(i)),
+        movement=(int(i), int(k)),
+        lock_peak=(int(k), b),
+        plateau_level=float(level),
     )
-
-
-def _refined_endpoints(
-    s: np.ndarray, active: tuple[int, int], threshold: float
-) -> tuple[float, float]:
-    # Sub-sample threshold-crossing positions. Integer endpoints shift the
-    # resampling grid by up to one sample between sample rates, which is
-    # the dominant cross-rate feature error at steep edges.
-    a, b = active
-    p0 = float(a)
-    if a > 0 and s[a] > s[a - 1]:
-        p0 = a - (s[a] - threshold) / (s[a] - s[a - 1])
-        p0 = min(max(p0, a - 1.0), float(a))
-    p1 = float(b - 1)
-    if b < s.size and s[b - 1] > s[b]:
-        p1 = (b - 1) + (s[b - 1] - threshold) / (s[b - 1] - s[b])
-        p1 = min(max(p1, float(b - 1)), float(b))
-    return p0, p1
 
 
 def preprocess(m: Manoeuvre, cfg: PreprocessConfig = PreprocessConfig()) -> FeatureVector:
@@ -230,21 +375,32 @@ def preprocess(m: Manoeuvre, cfg: PreprocessConfig = PreprocessConfig()) -> Feat
     error = validate_manoeuvre(m)
     if error is not None:
         raise error
-    s = smooth(m.samples, cfg.smooth_window)
-    active, threshold = _active_window(s, cfg)
-    seg = segment_phases(s, active, cfg)
+    return FeatureVector(values=_alone(_kernel([m.samples], cfg)).values[0], source_id=m.id)
 
-    p0, p1 = _refined_endpoints(s, active, threshold)
-    L = cfg.feature_length
-    # p0 + (p1 - p0) * i / (L - 1), operation for operation, in one buffer
-    grid = np.arange(L, dtype=np.float64)
-    grid *= p1 - p0
-    grid /= L - 1
-    grid += p0
-    values = np.interp(grid, np.arange(s.size, dtype=np.float64), s)
-    values /= seg.plateau_level
-    np.maximum(values, 0.0, out=values)
-    return FeatureVector(values=values, source_id=m.id)
+
+def preprocess_rows(manoeuvres, cfg: PreprocessConfig = PreprocessConfig()) -> "tuple[np.ndarray, list]":
+    """The feature vectors of a sequence of manoeuvres that validate_manoeuvre
+    passed: an (n, feature_length) matrix, and a list that holds, for each
+    manoeuvre, None or the PmDiagError that `preprocess` raises for it. A
+    failed manoeuvre's row means nothing; every other row has the bits of
+    `preprocess`, whatever manoeuvres surround it.
+
+    The kernel takes the manoeuvres in consecutive blocks of at most
+    BLOCK_CELLS cells, rows times the longest padded row; a longer trace is
+    a block of its own.
+    """
+    traces = [m.samples for m in manoeuvres]
+    blocks, start, pad = [], 0, cfg.smooth_window - 1
+    while start < len(traces):
+        end, width = start + 1, traces[start].size + pad
+        while end < len(traces) and (end + 1 - start) * max(width, traces[end].size + pad) <= BLOCK_CELLS:
+            width = max(width, traces[end].size + pad)
+            end += 1
+        blocks.append(_kernel(traces[start:end], cfg))
+        start = end
+    if not blocks:
+        return np.empty((0, cfg.feature_length)), []
+    return np.concatenate([block.values for block in blocks]), [e for block in blocks for e in block.errors]
 
 
 FEATURE_KEYS = {"source_id", "values", "label"}

@@ -364,15 +364,16 @@ class TestDiagnose:
         # load and the scoring must keep the row order to name the first
         ids = [m.id for m in load_dataset(trained_out / "dataset.jsonl")]
         poisoned = {ids[-20], ids[-5]}
-        real = preprocess.preprocess
+        real = preprocess.preprocess_rows
 
-        def poison(m, cfg):
-            fv = real(m, cfg)
-            if m.id in poisoned:
-                return preprocess.FeatureVector(np.full(fv.values.size, np.nan), m.id)
-            return fv
+        def poison(manoeuvres, cfg):
+            values, errors = real(manoeuvres, cfg)
+            for row, m in zip(values, manoeuvres):
+                if m.id in poisoned:
+                    row[:] = np.nan
+            return values, errors
 
-        monkeypatch.setattr(preprocess, "preprocess", poison)
+        monkeypatch.setattr(preprocess, "preprocess_rows", poison)
         capsys.readouterr()
         code = run(["diagnose", "--config", config_path, "--out", str(trained_out)])
         assert len(forks) == 2
@@ -780,13 +781,16 @@ class TestForkedLoad:
     @staticmethod
     def poison_features(monkeypatch, poisoned):
         """Give the manoeuvres of ids `poisoned` NaN features, which the model rejects."""
-        real = preprocess.preprocess
+        real = preprocess.preprocess_rows
 
-        def poison(m, cfg=preprocess.PreprocessConfig()):
-            fv = real(m, cfg)
-            return preprocess.FeatureVector(np.full(fv.values.size, np.nan), m.id) if m.id in poisoned else fv
+        def poison(manoeuvres, cfg=preprocess.PreprocessConfig()):
+            values, errors = real(manoeuvres, cfg)
+            for row, m in zip(values, manoeuvres):
+                if m.id in poisoned:
+                    row[:] = np.nan
+            return values, errors
 
-        monkeypatch.setattr(preprocess, "preprocess", poison)
+        monkeypatch.setattr(preprocess, "preprocess_rows", poison)
 
     def test_first_scoring_failure_in_dataset_order(
         self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks
@@ -918,6 +922,15 @@ def test_each_manoeuvre_validated_once(trained_run, tmp_path, capsys, monkeypatc
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
     if command == "diagnose":
         argv += ["--model", str(trained_run / "model.json"), "--predictor", str(trained_run / "predictor.json")]
+    validated = count_validations(monkeypatch)
+    capsys.readouterr()
+    assert run(argv) == (4 if first_line == "flat_signal" else 0)
+    assert sorted(validated) == sorted(json.loads(l)["id"] for l in lines)
+
+
+def count_validations(monkeypatch) -> list:
+    """The ids of the manoeuvres validate_manoeuvre sees from now on, in
+    this process, where every manoeuvre is loaded."""
     validated, real = [], core.validate_manoeuvre
 
     def counting(m):
@@ -926,10 +939,17 @@ def test_each_manoeuvre_validated_once(trained_run, tmp_path, capsys, monkeypatc
 
     for module in (core, preprocess, cli):
         monkeypatch.setattr(module, "validate_manoeuvre", counting)
-    # every manoeuvre in this process, where the count is kept
     monkeypatch.setattr(cli, "_cpus", lambda: 1)
-    capsys.readouterr()
-    assert run(argv) == (4 if first_line == "flat_signal" else 0)
+    return validated
+
+
+def test_pipeline_validates_its_dataset_once(trained_run, tmp_path, monkeypatch):
+    # load_dataset validates each line, and preprocessing does not again
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "paths": {"dataset": str(trained_run / "dataset.jsonl")}}))
+    validated = count_validations(monkeypatch)
+    assert run(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    lines = (trained_run / "dataset.jsonl").read_text().splitlines()
     assert sorted(validated) == sorted(json.loads(l)["id"] for l in lines)
 
 
@@ -1088,14 +1108,13 @@ class TestPipelineOnEveryCpu:
         ids = [json.loads(l)["id"] for l in (ref / "dataset.jsonl").read_text().splitlines()]
         # positions 30 and 60 lie in the second and third of four pieces
         poisoned = {ids[30], ids[60]}
-        real = preprocess.preprocess
+        real = preprocess.preprocess_rows
 
-        def poison(m, cfg=preprocess.PreprocessConfig()):
-            if m.id in poisoned:
-                raise PmDiagError("poisoned")
-            return real(m, cfg)
+        def poison(manoeuvres, cfg=preprocess.PreprocessConfig()):
+            values, errors = real(manoeuvres, cfg)
+            return values, [PmDiagError("poisoned") if m.id in poisoned else e for m, e in zip(manoeuvres, errors)]
 
-        monkeypatch.setattr(preprocess, "preprocess", poison)
+        monkeypatch.setattr(preprocess, "preprocess_rows", poison)
         monkeypatch.setattr(cli, "_cpus", lambda: 3)
         code, stdout, err, files = self.outcome(argv, capsys)
         assert len(forks) == 2

@@ -91,6 +91,25 @@ def test_each_stage_step_has_one_call_site_in_cli(step):
     assert name not in loaded_names(tree)
 
 
+def calls(tree: ast.AST, match) -> list:
+    """The calls in a tree whose callee expression satisfies match(node)."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and match(node.func)]
+
+
+def test_preprocess_has_one_kernel():
+    """One path computes preprocess's steps: the block kernel smooths with
+    the module's only np.convolve, and segment_phases alone builds a
+    PhaseSegmentation, from what the kernel returns. Each public step is
+    one of the kernel's cases."""
+    tree = parse("preprocess.py")
+    assert len(calls(tree, lambda f: isinstance(f, ast.Attribute) and f.attr == "convolve")) == 1
+    built = calls(tree, lambda f: isinstance(f, ast.Name) and f.id == "PhaseSegmentation")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert len(built) == 1 and built[0] in ast.walk(functions["segment_phases"])
+    for name in ("preprocess", "preprocess_rows", "smooth", "detect_active_window", "segment_phases"):
+        assert calls(functions[name], lambda f: isinstance(f, ast.Name) and f.id == "_kernel"), name
+
+
 def test_docstrings_and_unused_imports_are_caught():
     """The checks' own cases: a name only a docstring mentions is unused, a
     string annotation is a use."""

@@ -169,6 +169,14 @@ class TestPreprocess:
         with pytest.raises(FlatSignalError):
             preprocess.preprocess(m, PCFG)
 
+    def test_no_sample_above_the_threshold_is_an_empty_window(self):
+        # under a negative noise floor a trace whose maximum is not positive
+        # is not flat, yet no sample exceeds its threshold: one failure, not
+        # an IndexError
+        m = Manoeuvre("negative", "MJ", 0.0, -np.ones(64), 100.0)
+        with pytest.raises(SegmentationFailedError, match=r"active window too short \(0 samples\)"):
+            preprocess.preprocess(m, PreprocessConfig(noise_floor=-5.0))
+
     def test_invalid_manoeuvre_rejected(self):
         from pmdiag.core import ValidationError
 
@@ -235,6 +243,20 @@ def reference_segment_phases(smoothed, active, cfg):
     return preprocess.PhaseSegmentation((a, b), (a, a + i), (a + i, a + k), (a + k, b), plateau_level)
 
 
+def reference_refined_endpoints(s, active, threshold):
+    # sub-sample threshold crossings at each end, clamped to one sample
+    a, b = active
+    p0 = float(a)
+    if a > 0 and s[a] > s[a - 1]:
+        p0 = a - (s[a] - threshold) / (s[a] - s[a - 1])
+        p0 = min(max(p0, a - 1.0), float(a))
+    p1 = float(b - 1)
+    if b < s.size and s[b - 1] > s[b]:
+        p1 = (b - 1) + (s[b - 1] - threshold) / (s[b - 1] - s[b])
+        p1 = min(max(p1, float(b - 1)), float(b))
+    return p0, p1
+
+
 def reference_preprocess(m, cfg):
     error = validate_manoeuvre(m)
     if error is not None:
@@ -243,7 +265,7 @@ def reference_preprocess(m, cfg):
     active = reference_active_window(s, cfg)
     seg = reference_segment_phases(s, active, cfg)
     threshold = cfg.active_threshold_frac * float(s.max())
-    p0, p1 = preprocess._refined_endpoints(s, active, threshold)
+    p0, p1 = reference_refined_endpoints(s, active, threshold)
     L = cfg.feature_length
     grid = p0 + (p1 - p0) * np.arange(L, dtype=np.float64) / (L - 1)
     values = np.interp(grid, np.arange(s.size, dtype=np.float64), s) / seg.plateau_level
@@ -285,14 +307,33 @@ def reference_traces():
     return traces
 
 
+REFERENCE_CONFIGS = [
+    *(PreprocessConfig(smooth_window=w, plateau_core_frac=frac)
+      for w in (3, 5, 7, 9) for frac in (1.0, 0.5, 1e-9)),
+    PreprocessConfig(feature_length=16),
+]
+
+
+def config_id(cfg):
+    return f"window{cfg.smooth_window}-core{cfg.plateau_core_frac:g}-length{cfg.feature_length}"
+
+
+# smoothed traces and active windows that segment_phases rejects, one for
+# each rule in PCFG, and the start of the reason
+SEGMENTATION_FAILURES = {
+    "too-short": (np.ones(64), (0, 20), "active window too short"),
+    "not-positive": (-np.ones(64), (0, 64), "plateau level is not positive"),
+    "no-peak": (np.ones(64), (0, 64), "no peak exceeds the plateau band"),
+    "no-plateau-after": (with_peaks(64, 63), (0, 64), "no plateau after the unlock peak"),
+    "no-plateau-before": (with_peaks(64, 0), (0, 64), "no plateau before the lock peak"),
+    "empty-movement": (with_peaks(64, 10, 12), (0, 64), "movement phase is empty"),
+}
+
+
 class TestReferenceKernel:
     TRACES = reference_traces()
 
-    @pytest.mark.parametrize("cfg", [
-        *(PreprocessConfig(smooth_window=w, plateau_core_frac=frac)
-          for w in (3, 5, 7, 9) for frac in (1.0, 0.5, 1e-9)),
-        PreprocessConfig(feature_length=16),
-    ], ids=lambda c: f"window{c.smooth_window}-core{c.plateau_core_frac:g}-length{c.feature_length}")
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=config_id)
     def test_same_bits_as_reference(self, cfg):
         core_parities = set()
         for m in self.TRACES:
@@ -325,15 +366,7 @@ class TestReferenceKernel:
                 assert outcome(segment_phases, s, (0, n), cfg) == outcome(
                     reference_segment_phases, s, (0, n), cfg)
 
-    @pytest.mark.parametrize("s, active, reason", [
-        (np.ones(64), (0, 20), "active window too short"),
-        (-np.ones(64), (0, 64), "plateau level is not positive"),
-        (np.ones(64), (0, 64), "no peak exceeds the plateau band"),
-        (with_peaks(64, 63), (0, 64), "no plateau after the unlock peak"),
-        (with_peaks(64, 0), (0, 64), "no plateau before the lock peak"),
-        (with_peaks(64, 10, 12), (0, 64), "movement phase is empty"),
-    ], ids=["too-short", "not-positive", "no-peak", "no-plateau-after", "no-plateau-before",
-            "empty-movement"])
+    @pytest.mark.parametrize("s, active, reason", SEGMENTATION_FAILURES.values(), ids=SEGMENTATION_FAILURES)
     def test_same_segmentation_failures(self, s, active, reason):
         expected = outcome(reference_segment_phases, s, active, PCFG)
         assert expected[0] is SegmentationFailedError and expected[1].startswith(reason)
@@ -364,6 +397,125 @@ class TestReferenceKernel:
         expected = outcome(reference_preprocess, m, cfg)
         assert expected[0] is error
         assert outcome(preprocess.preprocess, m, cfg) == expected
+
+
+def block_outcomes(values, errors):
+    """Each row of preprocess_rows' result, as `outcome` gives it."""
+    return [outcome(lambda: row) if error is None else (type(error), str(error))
+            for row, error in zip(values, errors)]
+
+
+def steps(*parts):
+    """A trace of (level, count) constant steps."""
+    return np.concatenate([np.full(count, level, dtype=np.float64) for level, count in parts])
+
+
+def resampled(samples, n):
+    """The trace `samples` linearly resampled to n samples."""
+    return np.interp(np.linspace(0.0, samples.size - 1.0, n), np.arange(samples.size), samples)
+
+
+# raw traces that preprocess rejects at each rule, with its config, error
+# type and the start of the reason
+PREPROCESS_FAILURES = {
+    "window-too-large": (np.ones(40), PreprocessConfig(smooth_window=41), WindowTooLargeError, "window 41"),
+    "flat": (np.zeros(100), PCFG, FlatSignalError, "max 0.0"),
+    "too-short": (steps((0, 40), (1, 20), (0, 40)), PCFG, SegmentationFailedError,
+                  "active window too short"),
+    "not-positive": (steps((0, 20), (5, 5), (-1, 60), (5, 5), (0, 20)), PCFG, SegmentationFailedError,
+                     "plateau level is not positive"),
+    "no-peak": (steps((0, 20), (1, 80), (0, 20)), PCFG, SegmentationFailedError,
+                "no peak exceeds the plateau band"),
+    "no-plateau-after": (steps((0, 20), (1, 60), (5, 10), (0, 20)), PCFG, SegmentationFailedError,
+                         "no plateau after the unlock peak"),
+    "no-plateau-before": (steps((0, 20), (5, 10), (1, 60), (0, 20)), PCFG, SegmentationFailedError,
+                          "no plateau before the lock peak"),
+    "empty-movement": (steps((0, 20), (1, 30), (5, 4), (1, 3), (5, 4), (1, 30), (0, 20)), PCFG,
+                       SegmentationFailedError, "movement phase is empty"),
+}
+
+
+class TestBlockKernel:
+    """preprocess_rows against the reference, row by row, over blocks of
+    traces of different lengths, in any order, with failures among them."""
+
+    TRACES = TestReferenceKernel.TRACES
+
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=config_id)
+    def test_shuffled_block_same_bits_as_reference(self, cfg):
+        order = np.random.default_rng(cfg.smooth_window).permutation(len(self.TRACES))
+        block = [self.TRACES[p] for p in order]
+        expected = [outcome(reference_preprocess, m, cfg) for m in block]
+        assert block_outcomes(*preprocess.preprocess_rows(block, cfg)) == expected
+
+    @pytest.mark.parametrize("kind", PREPROCESS_FAILURES)
+    def test_failures_mid_block(self, kind):
+        samples, cfg, error, reason = PREPROCESS_FAILURES[kind]
+        failing = Manoeuvre(kind, "MJ", 0.0, samples, 100.0)
+        expected = outcome(reference_preprocess, failing, cfg)
+        assert expected[0] is error and expected[1].startswith(reason)
+        # and a flat trace after it, which fails too
+        block = [*self.TRACES[:7], failing, *self.TRACES[7:12], Manoeuvre("flat", "MJ", 0.0, np.zeros(64), 100.0),
+                 *self.TRACES[12:20]]
+        got = block_outcomes(*preprocess.preprocess_rows(block, cfg))
+        assert got == [outcome(reference_preprocess, m, cfg) for m in block]
+        assert next(row for row in got if isinstance(row[1], str)) == expected
+
+    def test_segmentation_failures_mid_block(self):
+        # the kernel's segmentation step over a block of smoothed traces,
+        # each rejected window between two that segment
+        good = [(s, reference_active_window(s, PCFG))
+                for s in (reference_smooth(m.samples, PCFG.smooth_window) for m in self.TRACES[:7])]
+        rows = [good[0]]
+        for p, (s, active, _) in enumerate(SEGMENTATION_FAILURES.values()):
+            rows += [(s, active), good[p + 1]]
+        for cfg, rows in [(PCFG, rows),
+                          (PreprocessConfig(smooth_window=35), [good[0], (with_peaks(33, 0, 32), (0, 33)), good[1]])]:
+            active = tuple(np.array(bounds) for bounds in zip(*(window for _, window in rows)))
+            block = preprocess._kernel([s for s, _ in rows], cfg, smoothed=True, active=active, stop="phases")
+            got = []
+            for (_, (a, b)), error, i, k, level in zip(rows, block.errors, *block.phases):
+                if error is not None:
+                    got.append((type(error), str(error)))
+                else:
+                    got.append((((a, b), (a, i), (i, k), (k, b)), level.tobytes()))
+            assert got == [outcome(reference_segment_phases, s, window, cfg) for s, window in rows]
+            assert sum(error is not None for error in block.errors) == (len(rows) - 1) // 2
+
+    def test_traces_that_start_and_end_on_a_peak(self):
+        # every sample of a row's smoothed trace is its own: whatever follows
+        # the row in the kernel's buffers stays out of its active window
+        block = [Manoeuvre(f"m{n}", "MJ", 0.0, steps((5, 10), (1, n), (5, 10)), 100.0) for n in (80, 60, 70, 40)]
+        got = block_outcomes(*preprocess.preprocess_rows(block, PCFG))
+        assert got == [outcome(reference_preprocess, m, PCFG) for m in block]
+        assert not any(isinstance(row[1], str) for row in got)
+
+    def test_lengths_from_32_to_20000_in_one_block(self):
+        base = self.TRACES[5].samples
+        lengths = [20_000, 32, 1_000, 33, 127, 128, 129, 4_000, 47, 300, 64, 100]
+        block = [Manoeuvre(f"n{n}", "MJ", 0.0, resampled(base, n), 100.0) for n in lengths]
+        got = block_outcomes(*preprocess.preprocess_rows(block, PCFG))
+        assert got == [outcome(reference_preprocess, m, PCFG) for m in block]
+        assert sum(not isinstance(row[1], str) for row in got) >= 8  # most lengths segment
+
+    def test_long_trace_is_a_block_of_its_own(self, monkeypatch):
+        long = Manoeuvre("long", "MJ", 0.0, resampled(self.TRACES[5].samples, 200_000), 100.0)
+        block = [*self.TRACES[:10], long, *self.TRACES[10:20]]
+        alone = [preprocess.preprocess(m, PCFG).values.tobytes() for m in block]
+        sizes, kernel = [], preprocess._kernel
+
+        def recording(traces, cfg, *args, **kwargs):
+            sizes.append([x.size for x in traces])
+            return kernel(traces, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(preprocess, "_kernel", recording)
+        values, errors = preprocess.preprocess_rows(block, PCFG)
+        assert errors == [None] * len(block)
+        assert [row.tobytes() for row in values] == alone
+        assert [long.samples.size] in sizes
+        assert [size for block_sizes in sizes for size in block_sizes] == [m.samples.size for m in block]
+        pad = PCFG.smooth_window - 1
+        assert all(len(s) * (max(s) + pad) <= preprocess.BLOCK_CELLS for s in sizes if len(s) > 1)
 
 
 class TestFeatureIo:
