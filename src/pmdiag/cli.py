@@ -847,96 +847,6 @@ def _pipeline_inputs(cfg: RunConfig) -> "tuple[Dataset, list]":
     return ds, [chunk for _, chunk in pieces]
 
 
-class _Writer:
-    """pipeline's writer: a forked child that writes dataset.jsonl and
-    features.jsonl while this process trains, and then takes over the epoch
-    loss log, as model.train's `loss_log`.
-
-    Once the files are written, the child posts a ready message. From the
-    next epoch end, `take` sends it each epoch's flat parameter vector down
-    a pipe, and the child posts back the loss `model.logged_loss` gives it,
-    the one train would log, bit for bit. A vector is kept here until its
-    loss comes back, so `losses` can compute here the loss of any epoch the
-    child did not answer, because it died. On one CPU no epoch is handed
-    over: the child would only take turns with this process. `join` writes
-    the files here where no child could be forked or it did not exit 0, so
-    that a write failure is reported exactly as without the writer.
-    """
-
-    def __init__(self, ds: Dataset, data: _Chunk, out: Path, loss_log_args: tuple):
-        self.inputs = (ds, data, out)
-        self.unanswered: collections.deque = collections.deque()
-        self.answered: list = []
-        self.started = False
-        params_in = self.params_out = None
-        if _cpus() > 1:
-            from multiprocessing.connection import Pipe
-
-            params_in, self.params_out = Pipe(duplex=False)
-            _widen(self.params_out)
-        self.child = _start_forked(_write_inputs, ds, data, out, params_in, self.params_out, loss_log_args)
-        if params_in is not None:
-            params_in.close()
-        if self.child is None:
-            self._close()
-
-    def take(self, params: np.ndarray) -> bool:
-        """Hand the epoch that just ended to the child, once it is ready (see model.train)."""
-        if not self.started:
-            # the child's first message says that its files are written
-            if self.params_out is None or self.child.recv(wait=False) is None:
-                return False
-            self.started = True
-        self.unanswered.append(params.copy())
-        try:
-            self.params_out.send_bytes(params)
-        except OSError:  # the child is gone: losses computes this epoch here
-            pass
-        self._collect(wait=False)
-        return True
-
-    def losses(self, loss_of) -> list:
-        """The losses of the epochs handed over, in order (see model.train)."""
-        self._close()  # the child stops once it has answered every vector
-        self._collect(wait=True)
-        return self.answered + [loss_of(params) for params in self.unanswered]
-
-    def join(self) -> None:
-        """Wait for the child; write the files here unless it did."""
-        self._close()
-        if self.child is None or not self.child.join():
-            _save_inputs(*self.inputs)
-
-    def _collect(self, wait: bool) -> None:
-        while self.unanswered and (loss := self.child.recv(wait)) is not None:
-            self.answered.append(loss)
-            self.unanswered.popleft()
-
-    def _close(self) -> None:
-        if self.params_out is not None:
-            self.params_out.close()
-            self.params_out = None
-
-
-def _write_inputs(post, ds: Dataset, data: _Chunk, out: Path, params_in, params_out, loss_log_args: tuple) -> None:
-    """Body of pipeline's writer child (see _Writer)."""
-    if params_out is not None:
-        # this process's copy of the parent's end: the pipe must close when the parent's does
-        params_out.close()
-    _save_inputs(ds, data, out)
-    if params_in is None:
-        return
-    loss_of = model.logged_loss(*loss_log_args)
-    post("ready")
-    with params_in:
-        while True:
-            try:
-                params = np.frombuffer(params_in.recv_bytes())
-            except EOFError:
-                return
-            post(loss_of(params))
-
-
 def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     ds, chunks = _pipeline_inputs(cfg)
     try:
@@ -955,16 +865,17 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         _save_inputs(ds, data, out)
         raise
 
-    # the input files are written on a second core while training runs, and
-    # are complete once joined, also when training failed; model.json is
-    # written only after that. A write failure reaches the join, and so
-    # outranks a failure here, as it would if the files were written first.
-    pairs = _pairs(train)
-    writer = _Writer(ds, data, out, (pairs, train_cfg, layer_dims))
+    # a forked writer writes the input files while training runs; they are
+    # complete once it is joined, also when training failed, and model.json
+    # is written only after that. Where the writer could not be forked or did
+    # not exit 0, the files are written here, so a write failure is reported
+    # as without the writer, and outranks a failure in training.
+    writer = _start_forked(lambda _post: _save_inputs(ds, data, out))
     try:
-        result = _stage("train", model.train, pairs, train_cfg, layer_dims, loss_log=writer)
+        result = _stage("train", model.train, _pairs(train), train_cfg, layer_dims)
     finally:
-        writer.join()
+        if writer is None or not writer.join():
+            _save_inputs(ds, data, out)
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
 
     cal_ds, hold_ds = _stage("calibrate", evaluation.split_calibration, test_ds, cfg.split_spec)

@@ -320,32 +320,7 @@ def _layer_views(flat: np.ndarray, model: MlpModel) -> tuple[list[np.ndarray], l
     return views[: len(model.weights)], views[len(model.weights) :]
 
 
-def _training_arrays(features, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x, y and w of (FeatureVector, FaultClass) pairs, each row weighted by its class weight."""
-    return _batch_arrays([(fv.values, label, cfg.class_weights[label]) for fv, label in features])
-
-
-def _loss_log(x, y, w, layer_dims, block_rows: int):
-    """The function from a flat parameter vector, laid out as `train` keeps
-    its parameters, to the epoch loss `train` logs for them."""
-    probe = init_params(layer_dims)  # for the layer shapes
-
-    def loss_of(params: np.ndarray) -> float:
-        probe.weights, probe.biases = _layer_views(params, probe)
-        return _blocked_loss(probe, x, y, w, block_rows)
-
-    return loss_of
-
-
-def logged_loss(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS):
-    """The epoch loss log of `train(features, cfg, layer_dims)`, for another
-    process to run: the function from a flat parameter vector, as `train`
-    passes it to its `loss_log`, to the loss `train` would log for it, bit
-    for bit."""
-    return _loss_log(*_training_arrays(features, cfg), layer_dims, cfg.batch_size)
-
-
-def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS, loss_log=None) -> TrainResult:
+def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainResult:
     """Mini-batch momentum SGD over labelled feature vectors.
 
     `features` is a sequence of (FeatureVector, FaultClass) pairs. The epoch
@@ -353,22 +328,14 @@ def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS, loss_log=No
     The learning rate decays linearly from cfg.learning_rate to zero across
     the epochs, so the final model settles instead of bouncing on gradient
     noise. The per-epoch log records the full-dataset loss after each epoch.
-
-    `loss_log` may take that log over, for instance to run it in another
-    process (see `logged_loss`). At each epoch end train calls
-    `loss_log.take(params)` with the flat parameter vector, which it changes
-    in place afterwards. Until take returns True, train computes the epoch's
-    loss itself; once it does, it has taken that epoch, it must take every
-    later one, and train stops computing losses. After the last epoch,
-    `loss_log.losses(loss_of)` returns the losses of the epochs it took, in
-    order, where `loss_of(params)` computes one in this process.
     """
     if not features:
         raise DegenerateDataError("no training data")
     labels = {label for _, label in features}
     if len(labels) < 2:
         raise DegenerateDataError("training data holds a single class")
-    x, y, w = _training_arrays(features, cfg)
+    # each row weighted by its class weight
+    x, y, w = _batch_arrays([(fv.values, label, cfg.class_weights[label]) for fv, label in features])
     if x.shape[1] != layer_dims[0]:
         raise DimensionMismatchError(
             f"feature length {x.shape[1]} != layer_dims[0] {layer_dims[0]}"
@@ -396,10 +363,7 @@ def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS, loss_log=No
             velocity *= cfg.momentum
             velocity -= lr * grads
             params += velocity
-        if loss_log is None or not loss_log.take(params):
-            epoch_losses.append(_blocked_loss(mdl, x, y, w, cfg.batch_size))
-    if loss_log is not None:
-        epoch_losses += loss_log.losses(_loss_log(x, y, w, layer_dims, cfg.batch_size))
+        epoch_losses.append(_blocked_loss(mdl, x, y, w, cfg.batch_size))
     # arrays that own their memory, as load_model's do
     mdl.weights = [a.copy() for a in mdl.weights]
     mdl.biases = [a.copy() for a in mdl.biases]

@@ -990,9 +990,9 @@ def test_huge_integer_exits_with_one_line(trained_run, tmp_path, capsys, name, e
 
 
 class TestPipelineOnEveryCpu:
-    """pipeline generates and preprocesses on every CPU, and its writer
-    child takes over the epoch loss log once its files are written: every
-    output byte is that of one process doing it all."""
+    """pipeline generates and preprocesses on every CPU, and a writer child
+    writes its input files while it trains: every output byte is that of one
+    process doing it all, also when the writer finishes late or dies."""
 
     @pytest.fixture()
     def argv(self, tmp_path, config_path):
@@ -1021,31 +1021,6 @@ class TestPipelineOnEveryCpu:
         assert result[0] == 0
         return result
 
-    @pytest.fixture()
-    def in_process_losses(self, monkeypatch):
-        """Count the epoch losses this process computes; a child's count stays in the child."""
-        parent, blocked_loss, counted = os.getpid(), model._blocked_loss, []
-
-        def counting(*args):
-            if os.getpid() == parent:
-                counted.append(1)
-            return blocked_loss(*args)
-
-        monkeypatch.setattr(model, "_blocked_loss", counting)
-        return counted
-
-    @staticmethod
-    def train_when_writer_ready(monkeypatch):
-        """Start training only once the writer child has posted that its files are written."""
-        train = model.train
-
-        def after_ready(features, cfg, layer_dims, loss_log=None):
-            # poll does not take the message: the first epoch end takes it
-            assert loss_log.child.receiver.poll(60)
-            return train(features, cfg, layer_dims, loss_log=loss_log)
-
-        monkeypatch.setattr(model, "train", after_ready)
-
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_cpu_count_matches_one_process(self, argv, alone, capsys, monkeypatch, forks, cpus):
         monkeypatch.setattr(cli, "_cpus", lambda: cpus)
@@ -1053,14 +1028,7 @@ class TestPipelineOnEveryCpu:
         # 76 positions make at least `cpus` pieces: a child per further CPU, and the writer
         assert len(forks) == cpus
 
-    def test_writer_takes_every_epoch(self, argv, alone, capsys, monkeypatch, in_process_losses):
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        self.train_when_writer_ready(monkeypatch)
-        assert self.outcome(argv, capsys) == alone
-        assert in_process_losses == []
-
-    def test_writer_takes_no_epoch(self, argv, alone, capsys, monkeypatch, tmp_path, in_process_losses):
-        # the writer writes only once training is over
+    def test_writer_that_finishes_after_training(self, argv, alone, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         trained = tmp_path / "trained"
         train, save_inputs = model.train, cli._save_inputs
@@ -1079,28 +1047,23 @@ class TestPipelineOnEveryCpu:
         monkeypatch.setattr(model, "train", train_then_mark)
         monkeypatch.setattr(cli, "_save_inputs", save_after_training)
         assert self.outcome(argv, capsys) == alone
-        assert len(in_process_losses) == SMALL_CONFIG["train"]["epochs"]
 
-    def test_writer_that_dies_after_taking_an_epoch(
-        self, argv, alone, capsys, monkeypatch, tmp_path, in_process_losses
-    ):
+    def test_writer_that_dies_mid_write(self, argv, alone, capsys, monkeypatch, tmp_path):
+        # the child has written dataset.jsonl and dies before features.jsonl
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        self.train_when_writer_ready(monkeypatch)
         died = tmp_path / "died"
-        parent, blocked_loss = os.getpid(), model._blocked_loss
+        parent, save_features = os.getpid(), preprocess.save_features
 
-        def loss_and_die(*args):
-            loss = blocked_loss(*args)
+        def die_in_child(*args):
             if os.getpid() != parent:
-                died.touch()
+                if (Path(argv[-1]) / "dataset.jsonl").exists():
+                    died.touch()
                 os._exit(1)
-            return loss
+            save_features(*args)
 
-        monkeypatch.setattr(model, "_blocked_loss", loss_and_die)
+        monkeypatch.setattr(preprocess, "save_features", die_in_child)
         assert self.outcome(argv, capsys) == alone
         assert died.exists()
-        # the writer took every epoch, and this process logged them all after it died
-        assert len(in_process_losses) == SMALL_CONFIG["train"]["epochs"]
 
     def test_first_preprocess_failure_in_dataset_order(self, argv, tmp_path, capsys, monkeypatch, forks):
         ref = tmp_path / "ref"

@@ -110,6 +110,30 @@ def test_preprocess_has_one_kernel():
         assert calls(functions[name], lambda f: isinstance(f, ast.Name) and f.id == "_kernel"), name
 
 
+def test_children_are_forked_in_one_place():
+    """One shape of child: cli.py names multiprocessing, Pipe and Process
+    only inside _start_forked, so every child and its pipe start there."""
+    tree = parse("cli.py")
+    forking = {"multiprocessing", "Pipe", "Process"}
+
+    def named(node) -> set:
+        if isinstance(node, ast.Name):
+            return {node.id}
+        if isinstance(node, ast.Attribute):
+            return {node.attr}
+        if isinstance(node, ast.alias):
+            return set(node.name.split("."))
+        if isinstance(node, ast.ImportFrom):
+            return set((node.module or "").split("."))
+        return set()
+
+    start_forked = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_start_forked")
+    inside = {id(node) for node in ast.walk(start_forked)}
+    assert any(named(node) & forking for node in ast.walk(start_forked))
+    outside = [node for node in ast.walk(tree) if id(node) not in inside and named(node) & forking]
+    assert [(node.lineno, sorted(named(node) & forking)) for node in outside] == []
+
+
 def test_docstrings_and_unused_imports_are_caught():
     """The checks' own cases: a name only a docstring mentions is unused, a
     string annotation is a use."""
