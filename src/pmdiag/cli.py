@@ -37,7 +37,6 @@ from .core import (
     decode_text,
     iter_manoeuvres,
     json_error,
-    load_dataset,
     save_dataset,
     validate_manoeuvre,
 )
@@ -60,13 +59,10 @@ EXIT_DIGEST = 5
 # load and preprocess one 760-sample manoeuvre, and a one-manoeuvre diagnose
 # must never fork. A larger file is cut into pieces of about this many lines,
 # so that the last piece to finish keeps the other CPUs waiting for about
-# 40 ms at most (see _cuts). pipeline cuts the positions of its dataset the
-# same way; generating and preprocessing a manoeuvre takes about 0.2 ms.
+# 40 ms at most (see _cuts). pipeline cuts the positions of a generated
+# dataset the same way; generating and preprocessing a manoeuvre takes about
+# 0.2 ms.
 FORK_MIN_LINES = 64
-# _features preprocesses the manoeuvres of a piece in blocks of at most this
-# many: a block's kernel matrices stay small, and after a block with a
-# failed manoeuvre no other is preprocessed
-BLOCK_ROWS = 64
 # a piece's index in the token pipe of _share_pieces
 _TOKEN_BYTES = 2
 # every token goes into the pipe in one write that never blocks
@@ -443,89 +439,66 @@ class _Chunk(NamedTuple):
     """What one process made of a run of manoeuvres, such as a piece of a
     dataset file.
 
-    `ids` and `labels` hold every manoeuvre read, in order, and `features`
-    one row per id unless `error` or `failure` is set: an (n, width) matrix,
-    or a list of rows that other arrays hold (`_joined`, `_rows`). `error` is the first
-    load error, where the chunk ends, or the DatasetIoError of bytes that are
-    not UTF-8; `failure` is the StageError of the first preprocess failure.
+    `ids` and `labels` hold every manoeuvre read, in order, and `manoeuvres`
+    the manoeuvres themselves; `features` holds one row per id unless
+    `error` or `failure` is set: an (n, width) matrix, or a list of rows
+    that other arrays hold (`_joined`, `_rows`). `error` is the first load
+    error, where the chunk ends, or the DatasetIoError of bytes that are not
+    UTF-8; `failure` is the StageError of the first preprocess, or else
+    scoring, failure. A piece that diagnose or preprocess finished
+    (`_load_piece`) keeps only its ids and the lines made of it for the
+    output file, `lines`, and for stdout, `shown`.
     """
 
     ids: list
     features: "np.ndarray | list"
     labels: list
+    manoeuvres: "list | tuple" = ()
     error: "ParseError | ValidationError | DatasetIoError | None" = None
     failure: "StageError | None" = None
+    lines: str = ""
+    shown: str = ""
 
 
 def _features(manoeuvres, cfg: preprocess.PreprocessConfig, validated: bool) -> _Chunk:
-    """Preprocess the manoeuvres of an iterable, in blocks of at most
-    BLOCK_ROWS (`preprocess.preprocess_rows`).
+    """Preprocess the manoeuvres of an iterable in one
+    `preprocess.preprocess_rows` call.
 
     Errors are returned, not raised, because `_check` ranks them across
     chunks. A ParseError or ValidationError that the iterable raises is a
-    load error, where the chunk ends. After a preprocess failure the chunk
-    goes on reading: a later load error or duplicate id outranks it. Unless
-    `validated` (by load_dataset or iter_manoeuvres), a manoeuvre that fails
-    validation is a preprocess failure.
+    load error, where the chunk ends. A preprocess failure does not end the
+    chunk: a later load error or duplicate id outranks it. Unless
+    `validated` (by iter_manoeuvres), the first manoeuvre that fails
+    validation is a preprocess failure, unless a manoeuvre before it failed
+    preprocessing; no manoeuvre from it on is preprocessed.
     """
-    ids, labels, block, values = [], [], [], []
-    error = failure = None
-
-    def preprocess_block():
-        nonlocal failure
-        rows, errors = preprocess.preprocess_rows(block, cfg)
-        values.append(rows)
-        failed = next((p for p, exc in enumerate(errors) if exc is not None), None)
-        if failed is not None:
-            failure = _manoeuvre_failure("preprocess", block[failed].id, errors[failed])
-        block.clear()
-
+    read, end, invalid, error, failure = [], None, None, None, None
     try:
         for m in manoeuvres:
-            ids.append(m.id)
-            labels.append(m.label)
-            if failure is not None:
-                continue
-            invalid = None if validated else validate_manoeuvre(m)
-            if invalid is None:
-                block.append(m)
-                if len(block) == BLOCK_ROWS:
-                    preprocess_block()
-                continue
-            if block:
-                preprocess_block()  # a failure before the invalid manoeuvre outranks it
-            if failure is None:
-                failure = _manoeuvre_failure("preprocess", m.id, invalid)
-        if block:
-            preprocess_block()
+            if end is None and not validated and (invalid := validate_manoeuvre(m)) is not None:
+                end = len(read)
+            read.append(m)
     except (ParseError, ValidationError) as exc:
         error = exc
-    features = np.concatenate(values) if values else np.empty((0, cfg.feature_length))
-    return _Chunk(ids, features, labels, error, failure)
-
-
-class _Piece(NamedTuple):
-    """A piece of a dataset file, finished where it was loaded (`_load_piece`):
-    the ids and `error` of its _Chunk, the StageError of its preprocess or
-    else scoring failure, and, where it has neither, the lines `finish` made
-    of it for the output file and for stdout."""
-
-    ids: list
-    error: "ParseError | ValidationError | DatasetIoError | None"
-    failure: "StageError | None"
-    lines: str
-    shown: str
+    rows, errors = preprocess.preprocess_rows(read[:end], cfg)
+    failed = next((p for p, exc in enumerate(errors) if exc is not None), None)
+    if failed is not None:
+        failure = _manoeuvre_failure("preprocess", read[failed].id, errors[failed])
+    elif end is not None:
+        failure = _manoeuvre_failure("preprocess", read[end].id, invalid)
+    return _Chunk([m.id for m in read], rows, [m.label for m in read], read, error, failure)
 
 
 def _load(path, cfg: preprocess.PreprocessConfig, finish) -> list:
-    """The finished pieces (_Piece) of a dataset file, in line order.
+    """The finished pieces (_Chunk) of a dataset file, in line order.
 
     The file is cut at line ends into pieces (`_cuts`), which every CPU
     loads and finishes (`_load_piece`) from a shared queue (`_share_pieces`),
     so no process holds the whole file. A dataset that is not a regular
     file, such as a pipe, is read whole and cut into the same pieces in
-    memory. Errors come out as from one process that loads, preprocesses
-    and finishes the manoeuvres in order (see `_check`).
+    memory. The pieces hold their errors: `_check` raises the one that one
+    process would, loading, preprocessing and finishing the manoeuvres in
+    order.
     """
     path = Path(path)
     try:
@@ -536,9 +509,7 @@ def _load(path, cfg: preprocess.PreprocessConfig, finish) -> list:
         read, size = _reader(file, path)
         procs = _cpus()
         cuts = _cuts(read, size, procs)
-        pieces = _share_pieces(cuts, lambda start, end: _load_piece(read, start, end, path, cfg, finish), procs)
-    _check(pieces)
-    return pieces
+        return _share_pieces(cuts, lambda start, end: _load_piece(read, start, end, path, cfg, finish), procs)
 
 
 def _reader(file, path: Path):
@@ -591,37 +562,34 @@ def _past_line_feed(read, pos: int, count: int = 1) -> "int | None":
     return None
 
 
-def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.PreprocessConfig, finish) -> _Piece:
-    """The _Piece of the dataset bytes from `start`, a line start, to `end`.
-    finish(chunk) gives the (output file, stdout) lines of their _Chunk
-    where it holds no error or failure, or raises the StageError of a
-    scoring failure."""
+def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.PreprocessConfig, finish) -> _Chunk:
+    """The _Chunk of the dataset bytes from `start`, a line start, to `end`,
+    as finish(chunk) returns it where it holds no error or failure. finish
+    may raise the StageError of a scoring failure."""
     try:
         text = decode_text(read(end - start, start), path, start)
     except DatasetIoError as exc:
-        return _Piece([], exc, None, "", "")
+        return _Chunk([], [], [], error=exc)
 
     def lines_before():
         blocks = range(0, start, _SCAN_BYTES)
         return sum(read(min(_SCAN_BYTES, start - pos), pos).count(b"\n") for pos in blocks)
 
     chunk = _features(iter_manoeuvres(text, lines_before), cfg, validated=True)
-    lines = shown = ""
-    failure = chunk.failure
-    if chunk.error is None and failure is None:
-        try:
-            lines, shown = finish(chunk)
-        except StageError as exc:
-            failure = exc
-    return _Piece(chunk.ids, chunk.error, failure, lines, shown)
+    if chunk.error is not None or chunk.failure is not None:
+        return chunk
+    try:
+        return finish(chunk)
+    except StageError as exc:
+        return chunk._replace(failure=exc)
 
 
 def _check(pieces) -> None:
-    """Raise the error that ranks first across pieces (each a _Chunk or a
-    _Piece), as one process that reads them in order would: bytes that are
-    not UTF-8 anywhere, as a whole-file read would, then the first load
-    error, then the first repeated id, then the first preprocess failure,
-    then the first scoring failure."""
+    """Raise the error that ranks first across pieces (_Chunk), as one
+    process that reads them in order would: bytes that are not UTF-8
+    anywhere, as a whole-file read would, then the first load error, then
+    the first repeated id, then the first preprocess failure, then the first
+    scoring failure."""
     errors = [piece.error for piece in pieces if piece.error is not None]
     for error in errors:
         if isinstance(error, DatasetIoError):
@@ -637,13 +605,15 @@ def _check(pieces) -> None:
 
 
 def _joined(chunks) -> _Chunk:
-    """The rows of the chunks, in order, as one _Chunk, where `_check`
-    raises no error; its features are their rows, not a copy of them."""
-    _check(chunks)
+    """The rows and manoeuvres of the chunks, in order, as one _Chunk, where
+    `_check`, in stage load, raises no error; its features are their rows,
+    not a copy of them."""
+    _stage("load", _check, chunks)
     return _Chunk(
         [mid for chunk in chunks for mid in chunk.ids],
         [row for chunk in chunks for row in chunk.features],
         [label for chunk in chunks for label in chunk.labels],
+        [m for chunk in chunks for m in chunk.manoeuvres],
     )
 
 
@@ -658,14 +628,15 @@ def _pairs(chunk: _Chunk) -> list:
     return list(zip(map(preprocess.FeatureVector, chunk.features, chunk.ids), chunk.labels))
 
 
-def _features_lines(chunk: _Chunk) -> "tuple[str, str]":
-    """preprocess's finish (see _load_piece): the features.jsonl lines of a chunk."""
-    return preprocess.features_text(_pairs(chunk)), ""
+def _features_lines(chunk: _Chunk) -> _Chunk:
+    """preprocess's finish (see _load_piece): the ids and features.jsonl lines of a chunk."""
+    return _Chunk(chunk.ids, [], [], lines=preprocess.features_text(_pairs(chunk)))
 
 
 def cmd_preprocess(args, cfg: RunConfig, out: Path) -> int:
     dataset_path = cfg.paths.get("dataset", str(out / DATASET_FILE))
-    pieces = _stage("load", _load, dataset_path, cfg.preprocess_cfg, _features_lines)
+    pieces = _load(dataset_path, cfg.preprocess_cfg, _features_lines)
+    _stage("load", _check, pieces)
     atomic_write_text(out / FEATURES_FILE, *(piece.lines for piece in pieces))
     print(f"wrote {sum(len(piece.ids) for piece in pieces)} feature vectors to {out / FEATURES_FILE}")
     return 0
@@ -758,9 +729,9 @@ def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _diagnosed(mdl, predictor, chunk: _Chunk) -> "tuple[str, str]":
-    """diagnose's finish (see _load_piece): the diagnoses.jsonl lines and
-    the stdout lines of a chunk."""
+def _diagnosed(mdl, predictor, chunk: _Chunk) -> _Chunk:
+    """diagnose's finish (see _load_piece): the ids, diagnoses.jsonl lines
+    and stdout lines of a chunk."""
     rows = _stage("diagnose", _diagnoses, predictor, chunk, _probabilities(mdl, chunk, "diagnose"))
     # 1 - alpha as written, not rounded up: 97.5, 99.5; ten digits drop the
     # float noise of 100 * (1 - alpha)
@@ -769,7 +740,7 @@ def _diagnosed(mdl, predictor, chunk: _Chunk) -> "tuple[str, str]":
     for _, d in rows:
         members = ", ".join(f"{cls.name}:{prob:.3f}" for cls, prob in d.prediction_set)
         shown.append(f"{d.source_id}: {{{members}}} (set covers the true class at {guarantee}%)\n")
-    return conformal.diagnoses_text(rows), "".join(shown)
+    return _Chunk(chunk.ids, [], [], lines=conformal.diagnoses_text(rows), shown="".join(shown))
 
 
 def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
@@ -784,9 +755,8 @@ def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
     # each piece is scored and its lines made where it is loaded
-    pieces = _stage(
-        "load", _load, dataset_path, cfg.preprocess_cfg, lambda chunk: _diagnosed(mdl, predictor, chunk)
-    )
+    pieces = _load(dataset_path, cfg.preprocess_cfg, lambda chunk: _diagnosed(mdl, predictor, chunk))
+    _stage("load", _check, pieces)
     atomic_write_text(out / DIAGNOSES_JSONL, *(piece.lines for piece in pieces))
     sys.stdout.writelines(piece.shown for piece in pieces)
     return 0
@@ -822,39 +792,34 @@ def _position_cuts(n: int, procs: int) -> list:
     return [*range(0, n, step), n]
 
 
-def _generated(plan: synth.DatasetPlan, start: int, end: int, cfg: preprocess.PreprocessConfig):
-    """The manoeuvres at positions start to end of a planned dataset, and their _Chunk."""
-    manoeuvres = [plan.manoeuvre(p) for p in range(start, end)]
-    return manoeuvres, _features(manoeuvres, cfg, validated=False)
-
-
-def _pipeline_inputs(cfg: RunConfig) -> "tuple[Dataset, list]":
-    """pipeline's dataset, loaded or generated, and the _Chunks of its
-    features in dataset order, each piece of positions generated and
-    preprocessed on every CPU (`_share_pieces`)."""
-    procs = _cpus()
+def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list]":
+    """The provenance of pipeline's dataset and its _Chunks in dataset
+    order, each piece loaded (`_load`), or generated, and preprocessed on
+    every CPU."""
     pcfg = cfg.preprocess_cfg
     if "dataset" in cfg.paths:
-        ds = _stage("load", load_dataset, cfg.paths["dataset"])
-        cuts = _position_cuts(len(ds), procs)
-        # load_dataset validated every manoeuvre
-        pieces = _share_pieces(cuts, lambda start, end: _features(ds.manoeuvres[start:end], pcfg, True), procs)
-        return ds, pieces
+        path = cfg.paths["dataset"]
+        return str(Path(path)), _load(path, pcfg, lambda chunk: chunk)
     plan = _stage("generate", synth.plan_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range)
+    procs = _cpus()
     cuts = _position_cuts(len(plan), procs)
-    pieces = _stage("generate", _share_pieces, cuts, lambda start, end: _generated(plan, start, end, pcfg), procs)
-    ds = Dataset(tuple(m for manoeuvres, _ in pieces for m in manoeuvres), plan.provenance)
-    return ds, [chunk for _, chunk in pieces]
+
+    def generated(start, end):
+        return _features([plan.manoeuvre(p) for p in range(start, end)], pcfg, validated=False)
+
+    return plan.provenance, _stage("generate", _share_pieces, cuts, generated, procs)
 
 
 def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
-    ds, chunks = _pipeline_inputs(cfg)
+    provenance, chunks = _pipeline_inputs(cfg)
     try:
         data = _joined(chunks)
-    except StageError:
-        # a run that fails here still leaves the dataset it failed on
-        save_dataset(ds, out / DATASET_FILE)
+    except StageError as exc:
+        if exc.stage == "preprocess":
+            # a run that fails in preprocessing still leaves the dataset it failed on
+            save_dataset(Dataset([m for chunk in chunks for m in chunk.manoeuvres], provenance), out / DATASET_FILE)
         raise
+    ds = Dataset(data.manoeuvres, provenance)
     position = {mid: p for p, mid in enumerate(data.ids)}
     try:
         train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)

@@ -944,7 +944,7 @@ def count_validations(monkeypatch) -> list:
 
 
 def test_pipeline_validates_its_dataset_once(trained_run, tmp_path, monkeypatch):
-    # load_dataset validates each line, and preprocessing does not again
+    # iter_manoeuvres validates each line, and preprocessing does not again
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**SMALL_CONFIG, "paths": {"dataset": str(trained_run / "dataset.jsonl")}}))
     validated = count_validations(monkeypatch)
@@ -998,13 +998,15 @@ class TestPipelineOnEveryCpu:
     def argv(self, tmp_path, config_path):
         return ["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]
 
-    def outcome(self, argv, capsys):
-        """Exit code, stdout, stderr and output files of one call; the call
-        must leave no child process and no file descriptor open."""
+    def outcome(self, argv, capsys, during=contextlib.nullcontext):
+        """Exit code, stdout, stderr and output files of one call, made
+        inside the context `during()`; the call must leave no child process
+        and no file descriptor open."""
         out = Path(argv[argv.index("--out") + 1])
         capsys.readouterr()
         fds = open_fds()
-        code = run(argv)
+        with during():
+            code = run(argv)
         captured = capsys.readouterr()
         assert_no_child_processes()
         assert open_fds() == fds
@@ -1083,6 +1085,173 @@ class TestPipelineOnEveryCpu:
         assert len(forks) == 2
         assert (code, stdout, err) == (4, "", f"pipeline failure in preprocess: manoeuvre {ids[30]!r}: poisoned\n")
         assert files == {"dataset.jsonl": (ref / "dataset.jsonl").read_bytes()}
+
+    @pytest.mark.parametrize("rule", ["NonFiniteSample", "TooShort"])
+    @pytest.mark.parametrize(
+        "invalid_at, reported_at", [(40, 30), (28, 28), (10, 10)],
+        ids=["after_failure_in_piece", "first_in_piece", "in_earlier_piece"],
+    )
+    def test_invalid_generated_manoeuvre_is_a_preprocess_failure(
+        self, argv, tmp_path, capsys, monkeypatch, forks, rule, invalid_at, reported_at
+    ):
+        # positions 28, 30 and 40 lie in the second of four pieces, 10 in the
+        # first: an invalid manoeuvre fails preprocessing unless a manoeuvre
+        # before it in its piece failed first
+        ref = tmp_path / "ref"
+        assert run(["generate", "--config", argv[2], "--out", str(ref)]) == 0
+        ids = [json.loads(l)["id"] for l in (ref / "dataset.jsonl").read_text().splitlines()]
+        generate, real = synth.DatasetPlan.manoeuvre, preprocess.preprocess_rows
+
+        def invalid(plan, position):
+            m = generate(plan, position)
+            if position != invalid_at:
+                return m
+            samples = np.full(m.samples.size, np.nan) if rule == "NonFiniteSample" else m.samples[:10]
+            return Manoeuvre(m.id, m.technology, m.timestamp, samples, m.sample_rate, m.label)
+
+        def poison(manoeuvres, cfg=preprocess.PreprocessConfig()):
+            values, errors = real(manoeuvres, cfg)
+            return values, [PmDiagError("poisoned") if m.id == ids[30] else e for m, e in zip(manoeuvres, errors)]
+
+        monkeypatch.setattr(synth.DatasetPlan, "manoeuvre", invalid)
+        monkeypatch.setattr(preprocess, "preprocess_rows", poison)
+        code, stdout, err, files = self.outcome(argv, capsys)
+        assert len(forks) == 2
+        mid = ids[reported_at]
+        detail = "0" if rule == "NonFiniteSample" else f"length 10 < {core.MIN_SAMPLES}"
+        cause = "poisoned" if reported_at == 30 else core.ValidationError(mid, rule, detail)
+        assert (code, stdout, err) == (4, "", f"pipeline failure in preprocess: manoeuvre {mid!r}: {cause}\n")
+        assert list(files) == ["dataset.jsonl"]
+
+
+class TestLoadedPipelineOnEveryCpu:
+    """pipeline with paths.dataset loads its dataset as diagnose does, in
+    pieces on every CPU (`cli._load`): every output byte, and every failure,
+    is that of one process that loads the whole file."""
+
+    outcome = TestPipelineOnEveryCpu.outcome
+    defective = TestForkedLoad.defective
+    DEFECTS = TestForkedLoad.DEFECTS
+
+    @staticmethod
+    def command(tmp_path, ds_path):
+        config = tmp_path / "pipeline-config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "paths": {"dataset": str(ds_path)}}))
+        return ["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]
+
+    @pytest.fixture()
+    def alone(self, tmp_path, long_dataset, capsys, monkeypatch):
+        """The outcome of one process loading and doing all the work."""
+        with monkeypatch.context() as patch:
+            no_fork(patch, "no_fork_method")
+            result = self.outcome(self.command(tmp_path, long_dataset), capsys)
+        assert result[0] == 0
+        assert result[3][0]["dataset.jsonl"] == long_dataset.read_bytes()
+        assert sum(result[3][1]["counts"]["dataset"].values()) == 304
+        return result
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_any_cpu_count_matches_one_process(
+        self, tmp_path, long_dataset, alone, capsys, monkeypatch, forks, cpus
+    ):
+        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        assert self.outcome(self.command(tmp_path, long_dataset), capsys) == alone
+        # a child per further CPU loads pieces, and the writer writes the inputs
+        assert len(forks) == cpus
+
+    def test_children_parse_lines(self, tmp_path, long_dataset, alone, capsys, monkeypatch, forks):
+        parsers = tmp_path / "parsers"
+        parsers.mkdir()
+        parse = cli.iter_manoeuvres
+
+        def recorded(*args):
+            (parsers / str(os.getpid())).touch()
+            return parse(*args)
+
+        monkeypatch.setattr(cli, "iter_manoeuvres", recorded)
+        assert self.outcome(self.command(tmp_path, long_dataset), capsys) == alone
+        assert {int(p.name) for p in parsers.iterdir()} - {os.getpid()}
+
+    def fails(self, tmp_path, ds_path, capsys, monkeypatch, during=contextlib.nullcontext):
+        """The outcome of a failed call on every CPU, which must be that of one process."""
+        argv = self.command(tmp_path, ds_path)
+        failed = self.outcome(argv, capsys, during)
+        with monkeypatch.context() as patch:
+            no_fork(patch, "no_fork_method")
+            assert self.outcome(argv, capsys, during) == failed
+        return failed
+
+    @pytest.mark.parametrize(
+        "edits",
+        [{149: "broken_json"}, {149: "non_finite"}, {149: "duplicate_id"}, {10: "flat_signal", 250: "broken_json"}],
+        ids=["broken_json", "non_finite", "duplicate_id", "flat_then_broken_json"],
+    )
+    def test_load_error_writes_nothing(self, tmp_path, long_dataset, capsys, monkeypatch, forks, edits):
+        ds_path = self.defective(long_dataset, tmp_path, {k: self.DEFECTS[d] for k, d in edits.items()})
+        err = TestForkedLoad.reference(ds_path)[1]
+        assert err.startswith("pipeline failure in load: ")
+        assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == (4, "", err, {})
+
+    def test_preprocess_failure_leaves_the_dataset(self, tmp_path, long_dataset, capsys, monkeypatch, forks):
+        ds_path = self.defective(long_dataset, tmp_path, {149: self.DEFECTS["flat_signal"]})
+        err = TestForkedLoad.reference(ds_path)[1]
+        assert err.startswith("pipeline failure in preprocess: ")
+        files = {"dataset.jsonl": ds_path.read_bytes()}
+        assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == (4, "", err, files)
+
+    def test_unlabelled_line_fails_the_split(self, tmp_path, long_dataset, capsys, monkeypatch, forks):
+        def unlabelled(objs, k):
+            return json.dumps({key: v for key, v in objs[k].items() if key != "label"})
+
+        ds_path = self.defective(long_dataset, tmp_path, {149: unlabelled})
+        records, _ = TestForkedLoad.reference(ds_path)
+        preprocess.save_features(records, tmp_path / "reference.jsonl")
+        mid = json.loads(ds_path.read_text().splitlines()[149])["id"]
+        err = f"pipeline failure in split: manoeuvre {mid!r} is unlabelled; splits need labels\n"
+        files = {"dataset.jsonl": ds_path.read_bytes(), "features.jsonl": (tmp_path / "reference.jsonl").read_bytes()}
+        assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == (4, "", err, files)
+
+    @pytest.mark.parametrize("text", ["", "\n \n\r\n"], ids=["empty", "blank_lines"])
+    def test_no_manoeuvre_fails_training(self, tmp_path, capsys, monkeypatch, text):
+        ds_path = tmp_path / "none.jsonl"
+        ds_path.write_text(text)
+        files = {"dataset.jsonl": b"", "features.jsonl": b""}
+        expected = (4, "", "pipeline failure in train: no classes present\n", files)
+        assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == expected
+
+    @pytest.mark.parametrize("what", ["missing", "directory"])
+    def test_unreadable_path_exits_3(self, tmp_path, capsys, monkeypatch, what):
+        ds_path = tmp_path / what
+        if what == "directory":
+            ds_path.mkdir()
+        with pytest.raises(OSError) as read:
+            ds_path.read_bytes()
+        expected = (3, "", f"i/o error: cannot read {ds_path}: {read.value}\n", {})
+        assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == expected
+
+    def test_not_utf8_in_middle_piece_fails_as_whole_file_read(
+        self, tmp_path, long_dataset, capsys, monkeypatch, forks
+    ):
+        lines = long_dataset.read_bytes().splitlines(True)
+        lines[149] = lines[149][:1000] + b"\xff\xfe" + lines[149][1000:]
+        ds_path = tmp_path / "not-utf8.jsonl"
+        ds_path.write_bytes(b"".join(lines))
+        with pytest.raises(UnicodeDecodeError) as whole:
+            ds_path.read_bytes().decode("utf-8")
+        expected = (3, "", f"i/o error: cannot read {ds_path}: {whole.value}\n", {})
+        assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == expected
+
+    def test_fifo_matches_regular_file(self, tmp_path, long_dataset, alone, capsys, forks):
+        # the same path, so that report.json names the same dataset
+        ds_path = tmp_path / "in.jsonl"
+        shutil.copyfile(long_dataset, ds_path)
+        from_file = self.outcome(self.command(tmp_path, ds_path), capsys)
+        # model.json and report.json name the dataset's path
+        assert from_file[0] == 0 and from_file[3][0]["features.jsonl"] == alone[3][0]["features.jsonl"]
+        ds_path.unlink()
+        os.mkfifo(ds_path)
+        fed = functools.partial(fifo_fed, ds_path, long_dataset.read_bytes())
+        assert self.outcome(self.command(tmp_path, ds_path), capsys, during=fed) == from_file
 
 
 class TestStageCommands:

@@ -142,3 +142,19 @@ def test_docstrings_and_unused_imports_are_caught():
         'def _helper(x: "list[Dataset]"):\n    """Raises ParseError; see json."""\n'
     )
     assert loaded_names(tree) & {"json", "Dataset", "ParseError", "_helper"} == {"Dataset"}
+
+
+def test_cli_has_one_dataset_loader_and_one_preprocess_call():
+    """cli.py loads every dataset file through _load, never through
+    core.load_dataset, and preprocesses every run of manoeuvres in one
+    preprocess.preprocess_rows call, in _features."""
+    tree = parse("cli.py")
+    named = [
+        node for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "load_dataset")
+        or (isinstance(node, ast.Attribute) and node.attr == "load_dataset")
+        or (isinstance(node, ast.alias) and node.name == "load_dataset")
+    ]
+    assert named == []
+    rows = calls(tree, lambda f: isinstance(f, ast.Attribute) and f.attr == "preprocess_rows")
+    assert len(rows) == 1
