@@ -485,7 +485,7 @@ def _features(manoeuvres, cfg: preprocess.PreprocessConfig, validated: bool) -> 
     if failed is not None:
         failure = _manoeuvre_failure("preprocess", read[failed].id, errors[failed])
     elif end is not None:
-        failure = _manoeuvre_failure("preprocess", read[end].id, invalid)
+        failure = StageError("preprocess", invalid)  # a ValidationError names its manoeuvre
     return _Chunk([m.id for m in read], rows, [m.label for m in read], read, error, failure)
 
 
@@ -821,22 +821,17 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         raise
     ds = Dataset(data.manoeuvres, provenance)
     position = {mid: p for p, mid in enumerate(data.ids)}
+    # a forked writer writes the input files while the split and training
+    # run; they are complete once it is joined, also when either failed, and
+    # model.json is written only after that. Where the writer could not be
+    # forked or did not exit 0, the files are written here, so a write
+    # failure is reported as without the writer, and outranks a failure in
+    # the split or training.
+    writer = _start_forked(lambda _post: _save_inputs(ds, data, out))
     try:
         train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)
         train = _rows(data, [position[m.id] for m in train_ds])
         train_cfg, layer_dims = _train_config(cfg, train)
-    except StageError:
-        # the input files are complete whenever a run ends after preprocessing
-        _save_inputs(ds, data, out)
-        raise
-
-    # a forked writer writes the input files while training runs; they are
-    # complete once it is joined, also when training failed, and model.json
-    # is written only after that. Where the writer could not be forked or did
-    # not exit 0, the files are written here, so a write failure is reported
-    # as without the writer, and outranks a failure in training.
-    writer = _start_forked(lambda _post: _save_inputs(ds, data, out))
-    try:
         result = _stage("train", model.train, _pairs(train), train_cfg, layer_dims)
     finally:
         if writer is None or not writer.join():

@@ -69,6 +69,8 @@ def _grouped_indices(ds: Dataset) -> "dict[FaultClass, list[int]]":
 def _take_split(
     ds: Dataset, frac: float, rng: np.random.Generator, min_per_class: int
 ) -> tuple[set[int], set[int]]:
+    if not len(ds):
+        raise ClassTooSmallError("no manoeuvres to split")
     groups = _grouped_indices(ds)
     first: set[int] = set()
     second: set[int] = set()
@@ -113,21 +115,19 @@ def binary_metrics(predictions) -> tuple[float, float, float]:
     Precision is 1.0 when nothing is predicted positive; FPR and FNR are 0
     when their denominators are empty.
     """
-    pairs = list(predictions)
-    if not pairs:
+    return _binary(confusion_matrix(predictions))
+
+
+def _binary(conf: np.ndarray) -> tuple[float, float, float]:
+    """binary_metrics of the pairs a confusion matrix counts."""
+    if not conf.any():
         raise ValueError("predictions must be nonempty")
-    tp = fp = tn = fn = 0
-    for predicted, true in pairs:
-        pred_pos = predicted != FaultClass.Nominal
-        true_pos = true != FaultClass.Nominal
-        if pred_pos and true_pos:
-            tp += 1
-        elif pred_pos:
-            fp += 1
-        elif true_pos:
-            fn += 1
-        else:
-            tn += 1
+    # rows are true classes, columns predicted ones
+    nominal = int(FaultClass.Nominal)
+    tn = int(conf[nominal, nominal])
+    fp = int(conf[nominal].sum()) - tn
+    fn = int(conf[:, nominal].sum()) - tn
+    tp = int(conf.sum()) - tn - fp - fn
     precision = tp / (tp + fp) if tp + fp > 0 else 1.0
     fpr = fp / (fp + tn) if fp + tn > 0 else 0.0
     fnr = fn / (fn + tp) if fn + tp > 0 else 0.0
@@ -173,8 +173,8 @@ def coverage_eval(rows) -> tuple[float, float]:
 
 
 def build_metrics(predictions, coverage: float, mean_set_size: float) -> MetricsReport:
-    precision, fpr, fnr = binary_metrics(predictions)
     conf = confusion_matrix(predictions)
+    precision, fpr, fnr = _binary(conf)
     return MetricsReport(
         precision=precision,
         fpr=fpr,

@@ -1119,9 +1119,31 @@ class TestPipelineOnEveryCpu:
         assert len(forks) == 2
         mid = ids[reported_at]
         detail = "0" if rule == "NonFiniteSample" else f"length 10 < {core.MIN_SAMPLES}"
-        cause = "poisoned" if reported_at == 30 else core.ValidationError(mid, rule, detail)
-        assert (code, stdout, err) == (4, "", f"pipeline failure in preprocess: manoeuvre {mid!r}: {cause}\n")
+        # a ValidationError names its manoeuvre, and the failure names it once
+        cause = f"manoeuvre {mid!r}: poisoned" if reported_at == 30 else core.ValidationError(mid, rule, detail)
+        assert (code, stdout, err) == (4, "", f"pipeline failure in preprocess: {cause}\n")
         assert list(files) == ["dataset.jsonl"]
+
+    def test_profile_too_slow_to_sample_fails_preprocessing(self, tmp_path, capsys, forks):
+        # at 1 Hz a 5-s move gives manoeuvres too short to preprocess
+        profile = {"name": "slow", "supply": "AC", "sample_rate": 1.0, "nominal_peak_amps": 8.0,
+                   "plateau_amps": 3.0, "move_duration": 5.0}
+        config = tmp_path / "slow.json"
+        config.write_text(json.dumps({"synth": {**SMALL_CONFIG["synth"], "profile": profile}}))
+        ref = tmp_path / "ref"
+        assert run(["generate", "--config", str(config), "--out", str(ref)]) == 0
+        argv = ["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]
+        code, stdout, err, files = self.outcome(argv, capsys)
+        expected = "pipeline failure in preprocess: manoeuvre 'synth-Obstacle-4': TooShort (length 11 < 32)\n"
+        assert (code, stdout, err) == (4, "", expected)
+        assert files == {"dataset.jsonl": (ref / "dataset.jsonl").read_bytes()}
+
+    def test_no_generated_manoeuvre_fails_the_split(self, tmp_path, capsys):
+        config = tmp_path / "none.json"
+        config.write_text(json.dumps({"synth": {"counts": {cls.name: 0 for cls in FaultClass}}}))
+        outcome = self.outcome(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")], capsys)
+        files = {"dataset.jsonl": b"", "features.jsonl": b""}
+        assert outcome == (4, "", "pipeline failure in split: no manoeuvres to split\n", files)
 
 
 class TestLoadedPipelineOnEveryCpu:
@@ -1210,13 +1232,15 @@ class TestLoadedPipelineOnEveryCpu:
         err = f"pipeline failure in split: manoeuvre {mid!r} is unlabelled; splits need labels\n"
         files = {"dataset.jsonl": ds_path.read_bytes(), "features.jsonl": (tmp_path / "reference.jsonl").read_bytes()}
         assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == (4, "", err, files)
+        # on every CPU, two children load pieces and the writer child writes the input files
+        assert len(forks) == 3
 
     @pytest.mark.parametrize("text", ["", "\n \n\r\n"], ids=["empty", "blank_lines"])
-    def test_no_manoeuvre_fails_training(self, tmp_path, capsys, monkeypatch, text):
+    def test_no_manoeuvre_fails_the_split(self, tmp_path, capsys, monkeypatch, text):
         ds_path = tmp_path / "none.jsonl"
         ds_path.write_text(text)
         files = {"dataset.jsonl": b"", "features.jsonl": b""}
-        expected = (4, "", "pipeline failure in train: no classes present\n", files)
+        expected = (4, "", "pipeline failure in split: no manoeuvres to split\n", files)
         assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == expected
 
     @pytest.mark.parametrize("what", ["missing", "directory"])

@@ -74,6 +74,10 @@ class TestStratifiedSplit:
         with pytest.raises(ClassTooSmallError):
             stratified_split(ds, SplitSpec(seed=1))
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ClassTooSmallError, match="^no manoeuvres to split$"):
+            stratified_split(Dataset(manoeuvres=(), provenance="x"), SplitSpec(seed=1))
+
     def test_unlabelled_rejected(self):
         m = Manoeuvre("u", "MJ", 0.0, np.ones(64), 100.0)
         ds = Dataset(manoeuvres=(m,), provenance="x")
@@ -110,7 +114,53 @@ class TestSplitCalibration:
             split_calibration(ds, SplitSpec(seed=1))
 
 
+def counted_binary_metrics(pairs):
+    """(precision, fpr, fnr), counted pair by pair."""
+    tp = fp = tn = fn = 0
+    for predicted, true in pairs:
+        pred_pos, true_pos = predicted != FaultClass.Nominal, true != FaultClass.Nominal
+        tp += pred_pos and true_pos
+        fp += pred_pos and not true_pos
+        fn += true_pos and not pred_pos
+        tn += not (pred_pos or true_pos)
+    return (
+        tp / (tp + fp) if tp + fp else 1.0,
+        fp / (fp + tn) if fp + tn else 0.0,
+        fn / (fn + tp) if fn + tp else 0.0,
+    )
+
+
+def drawn_pairs(seed):
+    """A few (predicted, true) pairs over a few classes: they often leave a
+    denominator empty."""
+    rng = np.random.default_rng(seed)
+    classes = rng.choice(len(FaultClass), size=int(rng.integers(1, 6)), replace=False)
+    return [(FaultClass(int(p)), FaultClass(int(t))) for p, t in rng.choice(classes, size=(int(rng.integers(1, 40)), 2))]
+
+
+N, O = FaultClass.Nominal, FaultClass.Obstacle
+EMPTY_DENOMINATORS = {
+    "true_negative": [(N, N)],
+    "true_positive": [(O, O)],
+    "false_negative": [(N, O)],
+    "false_positive": [(O, N)],
+    "nothing_predicted_positive": [(N, N), (N, O)],
+    "everything_predicted_positive": [(O, O), (O, N)],
+}
+
+
 class TestBinaryMetrics:
+    @pytest.mark.parametrize(
+        "pairs",
+        [*EMPTY_DENOMINATORS.values(), *map(drawn_pairs, range(30))],
+        ids=[*EMPTY_DENOMINATORS, *(f"drawn{seed}" for seed in range(30))],
+    )
+    def test_matches_pair_by_pair_count(self, pairs):
+        expected = counted_binary_metrics(pairs)
+        assert binary_metrics(pairs) == expected
+        report = build_metrics(pairs, coverage=1.0, mean_set_size=1.0)
+        assert (report.precision, report.fpr, report.fnr) == expected
+
     def test_all_correct(self):
         pairs = [
             (FaultClass.Nominal, FaultClass.Nominal),
@@ -143,6 +193,8 @@ class TestBinaryMetrics:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             binary_metrics([])
+        with pytest.raises(ValueError):
+            build_metrics([], coverage=1.0, mean_set_size=1.0)
 
 
 class TestConfusion:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pmdiag"
-# __init__.py imports to re-export
+# __init__.py has a check of its own
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -44,6 +44,18 @@ def loaded_names(tree: ast.AST) -> set:
 
 def test_every_module_is_checked():
     assert {"cli.py", "conformal.py", "core.py", "evaluation.py", "model.py", "preprocess.py", "synth.py"} <= set(MODULES)
+
+
+def test_package_namespace_holds_only_version():
+    """The modules are the API: __init__.py holds its docstring and binds
+    __version__, and re-exports nothing."""
+    docstring, *rest = parse("__init__.py").body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert isinstance(docstring.value.value, str)
+    assert [type(node) for node in rest] == [ast.Assign]
+    (target,), value = rest[0].targets, rest[0].value
+    assert isinstance(target, ast.Name) and target.id == "__version__"
+    assert isinstance(value, ast.Constant) and isinstance(value.value, str)
 
 
 @pytest.mark.parametrize("name", MODULES)
