@@ -105,6 +105,11 @@ def _counts_obj(counts: "dict[FaultClass, int]") -> dict:
     return {cls.name: n for cls, n in sorted(counts.items(), key=lambda kv: int(kv[0]))}
 
 
+def _counts_at(labels, **parts) -> dict:
+    """Each part's _counts_obj of the `labels` at its positions."""
+    return {name: _counts_obj(collections.Counter(labels[p] for p in at)) for name, at in parts.items()}
+
+
 @dataclass
 class RunConfig:
     synth_cfg: synth.SynthConfig
@@ -115,6 +120,8 @@ class RunConfig:
     alpha: float
     split_spec: evaluation.SplitSpec
     paths: "dict[str, str]"
+    # the train section gave class_weights, which train then takes as they are
+    class_weights_given: bool
 
     def to_obj(self) -> dict:
         return {
@@ -243,6 +250,7 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
         alpha=float(alpha),
         split_spec=split_spec,
         paths=dict(paths),
+        class_weights_given="class_weights" in obj.get("train", {}),
     )
     if seed_override is not None:
         try:
@@ -655,7 +663,7 @@ def _train_config(cfg: RunConfig, train: _Chunk) -> "tuple[model.TrainConfig, tu
     """train's config for the rows of a chunk: class weights from their
     label counts unless the config pinned them, and the layer dims."""
     train_cfg = cfg.train_cfg
-    if train_cfg.class_weights == (1.0,) * len(FaultClass):
+    if not cfg.class_weights_given:
         weights = _stage("train", model.class_weights, collections.Counter(train.labels))
         train_cfg = replace(train_cfg, class_weights=model.weight_vector(weights))
     # the input width is the features' (model.train rejects an empty set first)
@@ -820,7 +828,6 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
             save_dataset(Dataset([m for chunk in chunks for m in chunk.manoeuvres], provenance), out / DATASET_FILE)
         raise
     ds = Dataset(data.manoeuvres, provenance)
-    position = {mid: p for p, mid in enumerate(data.ids)}
     # a forked writer writes the input files while the split and training
     # run; they are complete once it is joined, also when either failed, and
     # model.json is written only after that. Where the writer could not be
@@ -829,8 +836,8 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     # the split or training.
     writer = _start_forked(lambda _post: _save_inputs(ds, data, out))
     try:
-        train_ds, test_ds = _stage("split", evaluation.stratified_split, ds, cfg.split_spec)
-        train = _rows(data, [position[m.id] for m in train_ds])
+        train_at, test_at = _stage("split", evaluation.stratified_split, data.manoeuvres, cfg.split_spec)
+        train = _rows(data, train_at)
         train_cfg, layer_dims = _train_config(cfg, train)
         result = _stage("train", model.train, _pairs(train), train_cfg, layer_dims)
     finally:
@@ -838,25 +845,24 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
             _save_inputs(ds, data, out)
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
 
-    cal_ds, hold_ds = _stage("calibrate", evaluation.split_calibration, test_ds, cfg.split_spec)
+    cal_in, hold_in = _stage("calibrate", evaluation.split_calibration,
+                             [data.manoeuvres[p] for p in test_at], cfg.split_spec)
+    cal_at, hold_at = [test_at[k] for k in cal_in], [test_at[k] for k in hold_in]
     # each test manoeuvre goes through the model once, the calibration half
     # first: calibration reads its probabilities, the classification metrics
     # the whole test split's diagnoses, coverage and diagnoses.jsonl the holdout's
-    test = _rows(data, [position[m.id] for m in (*cal_ds, *hold_ds)])
+    test = _rows(data, cal_at + hold_at)
     probs = _probabilities(result.model, test, "calibrate")
-    predictor = _calibrate(cfg, result.model, test.labels[: len(cal_ds)], probs[: len(cal_ds)], out)
+    predictor = _calibrate(cfg, result.model, test.labels[: len(cal_at)], probs[: len(cal_at)], out)
     test_rows = _stage("diagnose", _diagnoses, predictor, test, probs)
     metrics = _evaluate(
         cfg,
         test_rows,
-        test_rows[len(cal_ds) :],
+        test_rows[len(cal_at) :],
         out,
         provenance={"dataset": ds.provenance, "model_digest": predictor.model_digest},
-        counts={
-            name: _counts_obj(part.class_counts())
-            for name, part in [("dataset", ds), ("train", train_ds), ("test", test_ds),
-                               ("calibration", cal_ds), ("holdout", hold_ds)]
-        },
+        counts=_counts_at(data.labels, dataset=range(len(data.ids)), train=train_at, test=test_at,
+                          calibration=cal_at, holdout=hold_at),
         conformal={"alpha": predictor.alpha, "qhat": predictor.qhat, "n_calibration": predictor.n_calibration},
         training_log=result.epoch_losses,
     )

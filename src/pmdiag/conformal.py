@@ -60,7 +60,7 @@ class ConformalPredictor:
 
 @dataclass(frozen=True)
 class Diagnosis:
-    """Operator-facing result: `predict_set`'s members plus the coverage guarantee."""
+    """Operator-facing result: a `predict_sets` set's members plus the coverage guarantee."""
 
     source_id: str
     prediction_set: tuple[tuple[FaultClass, float], ...]
@@ -76,17 +76,17 @@ class Diagnosis:
         return self.prediction_set[0][0]
 
 
-def _checked_probs(probs, ndim: int = 1) -> np.ndarray:
-    """`probs` with `ndim` axes, each row along the last one a distribution over
-    the classes; an error's `row` is the first bad row."""
+def _checked_probs(probs) -> np.ndarray:
+    """`probs` as an (n, classes) matrix, each row a distribution over the
+    classes; an error's `row` is the first bad row."""
     p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != ndim or p.shape[-1] != len(FaultClass):
+    if p.ndim != 2 or p.shape[1] != len(FaultClass):
         raise BadDistributionError(f"need {len(FaultClass)} probabilities, got shape {p.shape}")
-    total = p.sum(axis=-1, keepdims=True)
-    ok = np.isfinite(p).all(-1) & (p >= 0).all(-1) & (np.abs(total[..., 0] - 1.0) <= PROB_SUM_TOL)
+    total = p.sum(axis=1, keepdims=True)
+    ok = np.isfinite(p).all(1) & (p >= 0).all(1) & (np.abs(total[:, 0] - 1.0) <= PROB_SUM_TOL)
     if not ok.all():
-        row = int(np.argmin(ok.reshape(-1)))
-        bad = p.reshape(-1, p.shape[-1])[row]
+        row = int(np.argmin(ok))
+        bad = p[row]
         if not np.isfinite(bad).all():
             raise BadDistributionError("non-finite probability entry", row)
         if (bad < 0).any():
@@ -101,24 +101,18 @@ def _descending_order(p: np.ndarray) -> np.ndarray:
     return np.argsort(-p, kind="stable")
 
 
-def _aps_scores(probs, labels, ndim: int) -> np.ndarray:
-    """`aps_score` of each row of `probs`, which has `ndim` axes, and its true class in `labels`."""
-    p = _checked_probs(probs, ndim).reshape(-1, len(FaultClass))
+def _aps_scores(probs, labels) -> np.ndarray:
+    """The APS score of each row of an (n, classes) probability matrix and
+    its true class in `labels`: the cumulative descending-sorted probability
+    through the true class, computed as one minus the mass of the classes
+    ranked below it. That keeps the score in (0, 1] without clamping (a plain
+    prefix cumsum can overshoot 1.0 by an ulp) and makes it exactly 1 when
+    the true class sorts last."""
+    p = _checked_probs(probs)
     order = _descending_order(p)
     rank = (order == np.array([int(c) for c in labels])[:, None]).argmax(axis=1)
     after = np.arange(p.shape[1]) > rank[:, None]
     return 1.0 - np.where(after, np.take_along_axis(p, order, axis=1), 0.0).sum(axis=1)
-
-
-def aps_score(probs, true_class: FaultClass) -> float:
-    """Cumulative descending-sorted probability through the true class.
-
-    Computed as one minus the mass of the classes ranked below the true
-    class, which keeps the score in (0, 1] without clamping (a plain prefix
-    cumsum can overshoot 1.0 by an ulp) and makes it exactly 1 when the
-    true class sorts last. This is the one-row case of calibrate_probs.
-    """
-    return float(_aps_scores(probs, [true_class], 1)[0])
 
 
 def quantile_threshold(scores, alpha: float) -> float:
@@ -149,7 +143,7 @@ def calibrate_probs(scored, alpha: float, digest: str) -> ConformalPredictor:
     if not items:
         raise EmptyCalibrationError("calibration set is empty")
     probs, labels = zip(*items)
-    scores = _aps_scores(probs, labels, 2)
+    scores = _aps_scores(probs, labels)
     return ConformalPredictor(
         alpha=alpha,
         qhat=quantile_threshold(scores, alpha),
@@ -166,27 +160,17 @@ def calibrate(model: MlpModel, calibration_set, alpha: float = 0.05) -> Conforma
 
 
 def predict_sets(predictor: ConformalPredictor, probs) -> list:
-    """`predict_set` of each row of an (n, classes) probability matrix."""
-    return _sets(predictor.qhat, probs, 2)
-
-
-def predict_set(predictor: ConformalPredictor, probs) -> tuple[tuple[FaultClass, float], ...]:
-    """Smallest descending-probability prefix with cumulative mass >= qhat.
-
-    Returns its (class, probability) members, argmax first. The argmax always
-    enters, so the set is never empty; a larger qhat can only grow the set.
-    """
-    return _sets(predictor.qhat, probs, 1)[0]
-
-
-def _sets(qhat: float, probs, ndim: int) -> list:
+    """The prediction set of each row of an (n, classes) probability matrix:
+    the smallest descending-probability prefix with cumulative mass >= qhat,
+    as a tuple of its (class, probability) members, argmax first. The argmax
+    always enters, so a set is never empty; a larger qhat can only grow a set."""
     raw = np.asarray(probs, dtype=np.float64)
-    p = _checked_probs(raw, ndim).reshape(-1, len(FaultClass))
+    p = _checked_probs(raw)
     order = _descending_order(p)
     cum = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
     # the prefix through the first class whose cumulative mass reaches qhat
-    sizes = np.clip((cum < qhat).sum(axis=1) + 1, 1, p.shape[1])
-    members = np.take_along_axis(raw.reshape(p.shape), order, axis=1)
+    sizes = np.clip((cum < predictor.qhat).sum(axis=1) + 1, 1, p.shape[1])
+    members = np.take_along_axis(raw, order, axis=1)
     return [
         tuple(zip(map(FaultClass, codes[:size]), values[:size]))
         for codes, values, size in zip(order.tolist(), members.tolist(), sizes.tolist())

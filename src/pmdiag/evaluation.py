@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, FaultClass, PmDiagError, atomic_write_text
+from .core import FaultClass, PmDiagError, atomic_write_text
 
 N_CLASSES = len(FaultClass)
 
@@ -57,9 +57,9 @@ class MetricsReport:
     per_class: dict
 
 
-def _grouped_indices(ds: Dataset) -> "dict[FaultClass, list[int]]":
+def _grouped_indices(manoeuvres) -> "dict[FaultClass, list[int]]":
     groups: dict[FaultClass, list[int]] = {}
-    for i, m in enumerate(ds):
+    for i, m in enumerate(manoeuvres):
         if m.label is None:
             raise UnlabelledError(f"manoeuvre {m.id!r} is unlabelled; splits need labels")
         groups.setdefault(m.label, []).append(i)
@@ -67,45 +67,37 @@ def _grouped_indices(ds: Dataset) -> "dict[FaultClass, list[int]]":
 
 
 def _take_split(
-    ds: Dataset, frac: float, rng: np.random.Generator, min_per_class: int
-) -> tuple[set[int], set[int]]:
-    if not len(ds):
+    manoeuvres, frac: float, rng: np.random.Generator, min_per_class: int
+) -> tuple[list[int], list[int]]:
+    if not len(manoeuvres):
         raise ClassTooSmallError("no manoeuvres to split")
-    groups = _grouped_indices(ds)
-    first: set[int] = set()
-    second: set[int] = set()
+    groups = _grouped_indices(manoeuvres)
+    first, second = [], []
     for cls in sorted(groups, key=int):
         idx = groups[cls]
         if len(idx) < min_per_class:
             raise ClassTooSmallError(f"class {cls.name} has only {len(idx)} members")
         perm = rng.permutation(len(idx))
         n_first = math.floor(len(idx) * frac)
-        first.update(idx[j] for j in perm[:n_first])
-        second.update(idx[j] for j in perm[n_first:])
-    return first, second
+        first += (idx[j] for j in perm[:n_first])
+        second += (idx[j] for j in perm[n_first:])
+    return sorted(first), sorted(second)
 
 
-def _subset(ds: Dataset, keep: "set[int]", tag: str) -> Dataset:
-    kept = tuple(m for i, m in enumerate(ds) if i in keep)
-    return Dataset(manoeuvres=kept, provenance=f"{ds.provenance}:{tag}")
-
-
-def stratified_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Per-label seeded split: floor(n_c * train_frac) to train, rest to test."""
+def stratified_split(manoeuvres, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Per-label seeded split of a sequence of labelled manoeuvres:
+    floor(n_c * train_frac) to train, rest to test, as sorted positions."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    train_idx, test_idx = _take_split(ds, spec.train_frac, rng, min_per_class=2)
-    return _subset(ds, train_idx, "train"), _subset(ds, test_idx, "test")
+    return _take_split(manoeuvres, spec.train_frac, rng, min_per_class=2)
 
 
-def split_calibration(test: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Stratified seeded split of the test set into calibration and holdout."""
+def split_calibration(test, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Stratified seeded split of the test manoeuvres into calibration and
+    holdout, as sorted positions into `test`."""
     if len(test) < 4:
         raise TestTooSmallError(f"test set has only {len(test)} manoeuvres")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,)))
-    cal_idx, hold_idx = _take_split(
-        test, spec.calibration_frac_of_test, rng, min_per_class=1
-    )
-    return _subset(test, cal_idx, "calibration"), _subset(test, hold_idx, "holdout")
+    return _take_split(test, spec.calibration_frac_of_test, rng, min_per_class=1)
 
 
 def binary_metrics(predictions) -> tuple[float, float, float]:

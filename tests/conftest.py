@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 
 from pmdiag import evaluation, model, preprocess, synth
@@ -65,21 +67,22 @@ def small_run(mj_profile):
     pcfg = preprocess.PreprocessConfig()
     features = {m.id: (preprocess.preprocess(m, pcfg), m.label) for m in ds}
     spec = evaluation.SplitSpec(seed=5)
-    train_ds, test_ds = evaluation.stratified_split(ds, spec)
-    cal_ds, hold_ds = evaluation.split_calibration(test_ds, spec)
-    weights = model.weight_vector(model.class_weights(train_ds.class_counts()))
+    train_at, test_at = evaluation.stratified_split(ds, spec)
+    train, test = [ds.manoeuvres[p] for p in train_at], [ds.manoeuvres[p] for p in test_at]
+    cal_at, hold_at = evaluation.split_calibration(test, spec)
+    weights = model.weight_vector(model.class_weights(collections.Counter(m.label for m in train)))
     result = model.train(
-        [features[m.id] for m in train_ds],
+        [features[m.id] for m in train],
         model.TrainConfig(epochs=80, seed=5, class_weights=weights),
     )
     return {
         "cfg": cfg,
         "dataset": ds,
         "features": features,
-        "train": train_ds,
-        "test": test_ds,
-        "calibration": cal_ds,
-        "holdout": hold_ds,
+        "train": train,
+        "test": test,
+        "calibration": [test[k] for k in cal_at],
+        "holdout": [test[k] for k in hold_at],
         "model": result.model,
         "losses": result.epoch_losses,
     }

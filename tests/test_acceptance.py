@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
+import collections
 import json
 
 import numpy as np
@@ -37,13 +38,14 @@ def run_experiment(seed):
     ds = synth.generate_dataset(MJ_COUNTS, cfg, (0.3, 1.0))
     features = {m.id: (preprocess.preprocess(m, PCFG), m.label) for m in ds}
     spec = evaluation.SplitSpec(seed=seed)
-    train_ds, test_ds = evaluation.stratified_split(ds, spec)
-    weights = mlp.weight_vector(mlp.class_weights(train_ds.class_counts()))
+    train_at, test_at = evaluation.stratified_split(ds, spec)
+    train, test = [ds.manoeuvres[p] for p in train_at], [ds.manoeuvres[p] for p in test_at]
+    weights = mlp.weight_vector(mlp.class_weights(collections.Counter(m.label for m in train)))
     result = mlp.train(
-        [features[m.id] for m in train_ds],
+        [features[m.id] for m in train],
         mlp.TrainConfig(seed=seed, class_weights=weights),
     )
-    test_records = [features[m.id] for m in test_ds]
+    test_records = [features[m.id] for m in test]
     x = np.stack([fv.values for fv, _ in test_records])
     y = np.array([int(label) for _, label in test_records])
     codes, _ = mlp.predict_batch(result.model, x)
@@ -51,7 +53,7 @@ def run_experiment(seed):
     return {
         "dataset": ds,
         "features": features,
-        "test": test_ds,
+        "test": test,
         "model": result.model,
         "metrics": evaluation.binary_metrics(pairs),
     }
@@ -85,13 +87,13 @@ def test_criterion_2_conformal_coverage(seed1_experiment):
     coverages = []
     for i in range(50):
         spec = evaluation.SplitSpec(seed=10_000 + i)
-        cal_ds, hold_ds = evaluation.split_calibration(exp["test"], spec)
+        cal_at, hold_at = evaluation.split_calibration(exp["test"], spec)
         predictor = conformal.calibrate(
-            exp["model"], [exp["features"][m.id] for m in cal_ds], alpha=0.05
+            exp["model"], [exp["features"][exp["test"][k].id] for k in cal_at], alpha=0.05
         )
         coverage, _ = evaluation.coverage_eval(
             (label, conformal.diagnose(predictor, exp["model"], fv))
-            for fv, label in (exp["features"][m.id] for m in hold_ds)
+            for fv, label in (exp["features"][exp["test"][k].id] for k in hold_at)
         )
         coverages.append(coverage)
     coverages = np.array(coverages)
@@ -114,7 +116,7 @@ def test_criterion_3_aps_oracle_equivalence():
     for _ in range(1000):
         p = rng.dirichlet(np.ones(5) * float(rng.uniform(0.2, 3.0)))
         qhat = 1.0 - float(rng.uniform(0.0, 1.0))
-        got = [c for c, _ in conformal.predict_set(predictor_with(qhat), p)]
+        got = [c for c, _ in conformal.predict_sets(predictor_with(qhat), p[None])[0]]
         matches += got == brute_force_set(p, qhat)
     verdict(3, "APS oracle equivalence", matches == 1000, f"{matches}/1000")
 
@@ -126,7 +128,7 @@ def test_criterion_4_quantile_edge_cases(seed1_experiment):
     ok_clamp = p10.qhat == 1.0
     p19 = conformal.calibrate(exp["model"], records[:19], alpha=0.05)
     scores = [
-        conformal.aps_score(mlp.forward(exp["model"], fv.values), label)
+        conformal._aps_scores(mlp.forward(exp["model"], fv.values)[None], [label])[0]
         for fv, label in records[:19]
     ]
     ok_max = p19.qhat == max(scores)

@@ -295,6 +295,20 @@ class TestPipeline:
             f"pipeline failure in split: manoeuvre {m.id!r} is unlabelled; splits need labels\n"
         )
 
+    def test_pinned_uniform_class_weights_are_kept(self, tmp_path):
+        """A train section that gives class_weights, all ones included, trains
+        with them; without it the weights come from the training labels."""
+        weights = {}
+        for name, train in [("pinned", {"class_weights": [1, 1, 1, 1, 1]}), ("derived", {})]:
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps({**SMALL_CONFIG, "train": {"epochs": 5, **train}}))
+            assert run(["pipeline", "--config", str(p), "--out", str(tmp_path / name)]) == 0
+            weights[name] = json.loads((tmp_path / name / "model.json").read_text())["train_config"]["class_weights"]
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            assert report["config"]["train"]["class_weights"] == [1.0] * 5
+        assert weights["pinned"] == [1.0] * 5
+        assert weights["derived"] != [1.0] * 5
+
     def test_feature_length_sets_model_input_width(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({**SMALL_CONFIG, "preprocess": {"feature_length": 64}}))
@@ -1292,6 +1306,15 @@ class TestStageCommands:
         assert (out / "report.json").exists()
         assert (out / "diagnoses.jsonl").exists()
 
+    def test_train_keeps_pinned_uniform_class_weights(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        assert run(["generate", "--config", config_path, "--out", str(out)]) == 0
+        assert run(["preprocess", "--config", config_path, "--out", str(out)]) == 0
+        pinned = tmp_path / "pinned.json"
+        pinned.write_text(json.dumps({**SMALL_CONFIG, "train": {"epochs": 5, "class_weights": [1, 1, 1, 1, 1]}}))
+        assert run(["train", "--config", str(pinned), "--out", str(out)]) == 0
+        assert json.loads((out / "model.json").read_text())["train_config"]["class_weights"] == [1.0] * 5
+
     def test_nan_feature_exits_4_naming_manoeuvre(self, tmp_path, config_path, capsys):
         out = tmp_path / "out"
         assert run(["pipeline", "--config", config_path, "--out", str(out)]) == 0
@@ -1335,8 +1358,10 @@ class TestStageCommands:
     def split_of(run_dir):
         """The (train, calibration) manoeuvres of a pipeline run's dataset, split as its config splits them."""
         spec = cli.load_run_config(str(run_dir / "config.json")).split_spec
-        train_ds, test_ds = evaluation.stratified_split(load_dataset(run_dir / "dataset.jsonl"), spec)
-        return train_ds, evaluation.split_calibration(test_ds, spec)[0]
+        ds = load_dataset(run_dir / "dataset.jsonl").manoeuvres
+        train_at, test_at = evaluation.stratified_split(ds, spec)
+        test = [ds[p] for p in test_at]
+        return [ds[p] for p in train_at], [test[k] for k in evaluation.split_calibration(test, spec)[0]]
 
     @staticmethod
     def stage_config(run_dir, tmp_path, manoeuvres, **paths):
@@ -1349,16 +1374,16 @@ class TestStageCommands:
         return str(config)
 
     def test_pipeline_model_equals_train_on_its_training_split(self, trained_run, tmp_path):
-        train_ds, _ = self.split_of(trained_run)
-        config = self.stage_config(trained_run, tmp_path, train_ds)
+        train, _ = self.split_of(trained_run)
+        config = self.stage_config(trained_run, tmp_path, train)
         assert run(["train", "--config", config, "--out", str(tmp_path / "out")]) == 0
         ours, pipeline = (json.loads((d / "model.json").read_text()) for d in (tmp_path / "out", trained_run))
         for key in ("layer_dims", "weights", "biases", "train_config"):
             assert ours[key] == pipeline[key], key
 
     def test_pipeline_predictor_equals_calibrate_on_its_calibration_half(self, trained_run, tmp_path):
-        _, cal_ds = self.split_of(trained_run)
-        config = self.stage_config(trained_run, tmp_path, cal_ds, model=str(trained_run / "model.json"))
+        _, cal = self.split_of(trained_run)
+        config = self.stage_config(trained_run, tmp_path, cal, model=str(trained_run / "model.json"))
         assert run(["calibrate", "--config", config, "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "predictor.json").read_bytes() == (trained_run / "predictor.json").read_bytes()
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,12 @@ from pmdiag.conformal import (
     DigestMismatchError,
     EmptyCalibrationError,
     _aps_scores,
-    aps_score,
     calibrate,
     calibrate_probs,
     check_digest,
     diagnose,
     load_predictor,
     diagnoses,
-    predict_set,
     predict_sets,
     quantile_threshold,
     save_predictor,
@@ -67,41 +67,41 @@ def scoring_rows():
 
 class TestApsScore:
     def test_hand_computed(self):
-        assert abs(aps_score(PROBS, FaultClass.Obstacle) - 0.90) < 1e-12
+        assert abs(_aps_scores(PROBS[None], [FaultClass.Obstacle])[0] - 0.90) < 1e-12
 
     def test_argmax_scores_its_probability(self):
-        assert abs(aps_score(PROBS, FaultClass.Nominal) - 0.60) < 1e-12
+        assert abs(_aps_scores(PROBS[None], [FaultClass.Nominal])[0] - 0.60) < 1e-12
 
     def test_last_ranked_scores_exactly_one(self):
-        assert aps_score(PROBS, FaultClass.Misalignment) == 1.0
+        assert _aps_scores(PROBS[None], [FaultClass.Misalignment])[0] == 1.0
 
     def test_range(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             p = rng.dirichlet(np.ones(5))
             for cls in FaultClass:
-                s = aps_score(p, cls)
+                s = _aps_scores(p[None], [cls])[0]
                 assert 0.0 < s <= 1.0
 
     def test_tie_break_by_code(self):
         p = np.array([0.25, 0.25, 0.25, 0.25, 0.0])
         # descending order with ties is 0,1,2,3 then 4
-        assert abs(aps_score(p, FaultClass.Obstacle) - 0.50) < 1e-12
+        assert abs(_aps_scores(p[None], [FaultClass.Obstacle])[0] - 0.50) < 1e-12
 
     def test_batched_scores_equal_the_per_row_formula(self):
         probs, labels = scoring_rows()
-        batched = _aps_scores(probs, labels, 2)
+        batched = _aps_scores(probs, labels)
         reference = np.array([reference_aps_score(p, c) for p, c in zip(probs, labels)])
         assert batched.tobytes() == reference.tobytes()
-        # aps_score is the one-row case
+        # a one-row matrix gives its row's score
         for k in range(0, len(probs), 997):
-            assert aps_score(probs[k], FaultClass(int(labels[k]))) == reference[k]
+            assert _aps_scores(probs[k][None], [FaultClass(int(labels[k]))])[0] == reference[k]
 
     def test_bad_distribution(self):
         with pytest.raises(BadDistributionError):
-            aps_score(np.array([0.9, 0.2, 0.0, 0.0, 0.0]), FaultClass.Nominal)
+            _aps_scores(np.array([[0.9, 0.2, 0.0, 0.0, 0.0]]), [FaultClass.Nominal])
         with pytest.raises(BadDistributionError):
-            aps_score(np.array([1.1, -0.1, 0.0, 0.0, 0.0]), FaultClass.Nominal)
+            _aps_scores(np.array([[1.1, -0.1, 0.0, 0.0, 0.0]]), [FaultClass.Nominal])
 
 
 class TestQuantile:
@@ -135,7 +135,7 @@ class TestCalibrate:
         records = [small_run["features"][m.id] for m in small_run["calibration"]][:19]
         mdl = small_run["model"]
         predictor = calibrate(mdl, records, alpha=0.05)
-        scores = [aps_score(mlp.forward(mdl, fv.values), label) for fv, label in records]
+        scores = [_aps_scores(mlp.forward(mdl, fv.values)[None], [label])[0] for fv, label in records]
         assert predictor.qhat == max(scores)
 
     def test_empty_calibration(self, small_run):
@@ -169,26 +169,26 @@ class TestCalibrate:
 
 class TestPredictSet:
     def test_singleton(self):
-        ps = predict_set(predictor_with(0.85), np.array([0.90, 0.05, 0.03, 0.01, 0.01]))
+        ps = predict_sets(predictor_with(0.85), np.array([[0.90, 0.05, 0.03, 0.01, 0.01]]))[0]
         assert [c for c, _ in ps] == [FaultClass.Nominal]
         d = Diagnosis("x", ps, alpha=0.05, qhat=0.85)
         assert d.singleton
         assert d.argmax_class is FaultClass.Nominal
 
     def test_two_classes(self):
-        ps = predict_set(predictor_with(0.85), PROBS)
+        ps = predict_sets(predictor_with(0.85), PROBS[None])[0]
         assert [c for c, _ in ps] == [FaultClass.Nominal, FaultClass.Obstacle]
         assert not Diagnosis("x", ps, alpha=0.05, qhat=0.85).singleton
 
     def test_qhat_one_gives_all_classes(self):
-        ps = predict_set(predictor_with(1.0), PROBS)
+        ps = predict_sets(predictor_with(1.0), PROBS[None])[0]
         assert len(ps) == 5
 
     def test_probabilities_descending(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             p = rng.dirichlet(np.ones(5))
-            ps = predict_set(predictor_with(float(rng.uniform(0.1, 1.0))), p)
+            ps = predict_sets(predictor_with(float(rng.uniform(0.1, 1.0))), p[None])[0]
             probs = [prob for _, prob in ps]
             assert probs == sorted(probs, reverse=True)
 
@@ -197,8 +197,8 @@ class TestPredictSet:
         for _ in range(200):
             p = rng.dirichlet(np.ones(5))
             q1, q2 = sorted(rng.uniform(0.05, 1.0, size=2))
-            s1 = {c for c, _ in predict_set(predictor_with(float(q1)), p)}
-            s2 = {c for c, _ in predict_set(predictor_with(float(q2)), p)}
+            s1 = {c for c, _ in predict_sets(predictor_with(float(q1)), p[None])[0]}
+            s2 = {c for c, _ in predict_sets(predictor_with(float(q2)), p[None])[0]}
             assert s1 <= s2
 
     def test_oracle_equivalence_1000(self):
@@ -206,18 +206,18 @@ class TestPredictSet:
         for _ in range(1000):
             p = rng.dirichlet(np.ones(5) * float(rng.uniform(0.2, 3.0)))
             qhat = 1.0 - float(rng.uniform(0.0, 1.0))  # in (0, 1]
-            got = [c for c, _ in predict_set(predictor_with(qhat), p)]
+            got = [c for c, _ in predict_sets(predictor_with(qhat), p[None])[0]]
             assert got == brute_force_set(p, qhat)
 
     def test_nan_vector_rejected(self):
         # abs(nan - 1) > tol is False, so a sum check alone lets NaN through
         with pytest.raises(BadDistributionError):
-            predict_set(predictor_with(0.9), np.array([np.nan, 0.5, 0.5, 0.0, 0.0]))
+            predict_sets(predictor_with(0.9), np.array([[np.nan, 0.5, 0.5, 0.0, 0.0]]))
 
 
 def reference_set(probs, qhat):
-    """One row's set as predict_set built it before sets were built from a
-    matrix: a binary search of the row's cumulative mass."""
+    """One row's set by a binary search of its cumulative mass, as sets were
+    built one row at a time before they were built from a matrix."""
     raw = np.asarray(probs, dtype=np.float64)
     p = raw / float(raw.sum())
     order = np.argsort(-p, kind="stable")
@@ -232,7 +232,7 @@ class TestPredictSets:
         got = predict_sets(predictor, probs)
         assert len(got) == len(probs)
         for row, members in zip(probs, got):
-            assert members == reference_set(row, qhat) == predict_set(predictor, row)
+            assert members == reference_set(row, qhat) == predict_sets(predictor, row[None])[0]
             assert [type(v) for pair in members for v in pair] == [FaultClass, float] * len(members)
 
     @pytest.mark.parametrize("qhat", [0.9, 0.99996, "random"])
@@ -294,8 +294,12 @@ class TestPredictSets:
 
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5)])
     def test_needs_a_probability_matrix(self, shape):
-        with pytest.raises(BadDistributionError, match="need 5 probabilities"):
+        message = re.escape(f"need 5 probabilities, got shape {shape}")
+        with pytest.raises(BadDistributionError, match=f"^{message}$"):
             predict_sets(predictor_with(0.9), np.full(shape, 0.2))
+        # calibrate_probs stacks its vectors into the same matrix
+        with pytest.raises(BadDistributionError, match=f"^{message}$"):
+            calibrate_probs(zip(np.full(shape, 0.2), [FaultClass.Nominal] * shape[0]), 0.05, "x")
 
     def test_diagnoses_wrap_each_row(self):
         predictor = predictor_with(0.85)
@@ -349,7 +353,7 @@ class TestDiagnose:
         records = [small_run["features"][m.id] for m in small_run["calibration"]]
         predictor = calibrate(flat, records, alpha=0.05)
         assert predictor.qhat == 1.0
-        fv = small_run["features"][small_run["holdout"].manoeuvres[0].id][0]
+        fv = small_run["features"][small_run["holdout"][0].id][0]
         d = diagnose(predictor, flat, fv)
         assert len(d.prediction_set) == 5
 

@@ -1,3 +1,4 @@
+import collections
 import json
 from dataclasses import asdict
 
@@ -9,6 +10,7 @@ from pmdiag.core import Dataset, FaultClass, Manoeuvre
 from pmdiag.evaluation import (
     ClassTooSmallError,
     SplitSpec,
+    UnlabelledError,
     binary_metrics,
     build_metrics,
     confusion_matrix,
@@ -37,17 +39,29 @@ def labelled_dataset(counts, seed=0):
     return Dataset(manoeuvres=tuple(manoeuvres), provenance="test")
 
 
+def label_counts(manoeuvres, positions):
+    """Class counts of the manoeuvres at `positions`."""
+    return dict(collections.Counter(manoeuvres[p].label for p in positions))
+
+
+def assert_partition(first, second, n):
+    """Two sorted lists of positions, disjoint, that together cover range(n)."""
+    assert first == sorted(first) and second == sorted(second)
+    assert set(first).isdisjoint(second)
+    assert set(first) | set(second) == set(range(n))
+
+
 class TestStratifiedSplit:
     def test_mj_counts_floor_arithmetic(self):
         ds = labelled_dataset(MJ_COUNTS)
         train, test = stratified_split(ds, SplitSpec(seed=3))
-        assert train.class_counts() == {
+        assert label_counts(ds.manoeuvres, train) == {
             FaultClass.Nominal: 284,
             FaultClass.Obstacle: 219,
             FaultClass.Friction: 284,
             FaultClass.PowerSupply: 100,
         }
-        assert test.class_counts() == {
+        assert label_counts(ds.manoeuvres, test) == {
             FaultClass.Nominal: 72,
             FaultClass.Obstacle: 55,
             FaultClass.Friction: 71,
@@ -57,17 +71,21 @@ class TestStratifiedSplit:
     def test_partition(self):
         ds = labelled_dataset({FaultClass.Nominal: 20, FaultClass.Obstacle: 13})
         train, test = stratified_split(ds, SplitSpec(seed=1))
-        train_ids = {m.id for m in train}
-        test_ids = {m.id for m in test}
-        assert train_ids.isdisjoint(test_ids)
-        assert train_ids | test_ids == {m.id for m in ds}
+        assert_partition(train, test, len(ds))
 
     def test_deterministic(self):
         ds = labelled_dataset({FaultClass.Nominal: 20, FaultClass.Friction: 20})
         a1, b1 = stratified_split(ds, SplitSpec(seed=7))
         a2, b2 = stratified_split(ds, SplitSpec(seed=7))
-        assert [m.id for m in a1] == [m.id for m in a2]
-        assert [m.id for m in b1] == [m.id for m in b2]
+        assert a1 == a2
+        assert b1 == b2
+
+    def test_plain_list_gives_the_positions_of_a_dataset(self):
+        ds = labelled_dataset({FaultClass.Nominal: 30, FaultClass.Obstacle: 17, FaultClass.Friction: 9}, seed=4)
+        for seed in range(5):
+            train, test = stratified_split(list(ds), SplitSpec(seed=seed))
+            assert (train, test) == stratified_split(ds, SplitSpec(seed=seed))
+            assert_partition(train, test, len(ds))
 
     def test_class_too_small(self):
         ds = labelled_dataset({FaultClass.Nominal: 5, FaultClass.Obstacle: 1})
@@ -81,19 +99,20 @@ class TestStratifiedSplit:
     def test_unlabelled_rejected(self):
         m = Manoeuvre("u", "MJ", 0.0, np.ones(64), 100.0)
         ds = Dataset(manoeuvres=(m,), provenance="x")
-        with pytest.raises(ValueError):
+        with pytest.raises(UnlabelledError, match="^manoeuvre 'u' is unlabelled; splits need labels$"):
             stratified_split(ds, SplitSpec(seed=1))
 
 
 class TestSplitCalibration:
     def test_half_split_counts(self):
         ds = labelled_dataset(MJ_COUNTS)
-        _, test = stratified_split(ds, SplitSpec(seed=3))
-        assert len(test) == 223
+        _, test_at = stratified_split(ds, SplitSpec(seed=3))
+        assert len(test_at) == 223
+        test = [ds.manoeuvres[p] for p in test_at]
         cal, hold = split_calibration(test, SplitSpec(seed=3))
         assert len(cal) == 110
         assert len(hold) == 113
-        assert cal.class_counts() == {
+        assert label_counts(test, cal) == {
             FaultClass.Nominal: 36,
             FaultClass.Obstacle: 27,
             FaultClass.Friction: 35,
@@ -103,10 +122,14 @@ class TestSplitCalibration:
     def test_partition(self):
         ds = labelled_dataset({FaultClass.Nominal: 9, FaultClass.Obstacle: 8})
         cal, hold = split_calibration(ds, SplitSpec(seed=2))
-        cal_ids = {m.id for m in cal}
-        hold_ids = {m.id for m in hold}
-        assert cal_ids.isdisjoint(hold_ids)
-        assert cal_ids | hold_ids == {m.id for m in ds}
+        assert_partition(cal, hold, len(ds))
+
+    def test_plain_list_gives_the_positions_of_a_dataset(self):
+        ds = labelled_dataset({FaultClass.Nominal: 11, FaultClass.Obstacle: 8, FaultClass.PowerSupply: 3}, seed=6)
+        for seed in range(5):
+            cal, hold = split_calibration(list(ds), SplitSpec(seed=seed))
+            assert (cal, hold) == split_calibration(ds, SplitSpec(seed=seed))
+            assert_partition(cal, hold, len(ds))
 
     def test_too_small(self):
         ds = labelled_dataset({FaultClass.Nominal: 2})

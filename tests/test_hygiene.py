@@ -87,7 +87,14 @@ def test_every_private_definition_is_referenced(name):
 
 @pytest.mark.parametrize(
     "step",
-    ["conformal.calibrate_probs", "conformal.save_predictor", "evaluation.build_metrics", "conformal.save_diagnoses"],
+    [
+        "conformal.calibrate_probs",
+        "conformal.save_predictor",
+        "evaluation.build_metrics",
+        "conformal.save_diagnoses",
+        "evaluation.stratified_split",
+        "evaluation.split_calibration",
+    ],
 )
 def test_each_stage_step_has_one_call_site_in_cli(step):
     """The stage commands and pipeline share each step of calibrate and
@@ -101,6 +108,24 @@ def test_each_stage_step_has_one_call_site_in_cli(step):
     ]
     assert len(sites) == 1
     assert name not in loaded_names(tree)
+
+
+def test_pipeline_builds_no_dict_comprehension():
+    """pipeline picks its rows by dataset position, from the positions the
+    split returns: cmd_pipeline builds no dict comprehension, the shape its
+    table keyed by manoeuvre id had."""
+    tree = parse("cli.py")
+    pipeline = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_pipeline")
+    assert [node.lineno for node in ast.walk(pipeline) if isinstance(node, ast.DictComp)] == []
+
+
+def test_split_does_not_name_dataset():
+    """The split takes any sequence of labelled manoeuvres and returns
+    positions: evaluation.py neither imports nor reads Dataset."""
+    tree = parse("evaluation.py")
+    imported = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "Dataset" not in loaded_names(tree) | imported
 
 
 def calls(tree: ast.AST, match) -> list:
