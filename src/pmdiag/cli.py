@@ -25,7 +25,6 @@ import numpy as np
 
 from . import conformal, evaluation, model, preprocess, synth
 from .core import (
-    Dataset,
     DatasetIoError,
     FaultClass,
     ParseError,
@@ -150,12 +149,25 @@ def _field_names(factory) -> set:
     return {f.name for f in fields(factory)}
 
 
+# the Python types of the JSON values that a config field of each annotation
+# takes, and their name
+_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string"),
+               "SupplyKind": (str, "a string"), "tuple[float, ...]": ((list, tuple), "a list of numbers")}
+
+
+def _json_is(value, annotation: str) -> bool:
+    """Whether a config value has the JSON type of a field's `annotation`; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[annotation][0]):
+        return False
+    return not isinstance(value, (list, tuple)) or all(_json_is(v, "float") for v in value)
+
+
 def _build_section(section: str, obj, factory, **defaults):
-    """factory(**obj) over `defaults`; keys are the factory's fields, and an `int` field takes an int."""
+    """factory(**obj) over `defaults`; keys are the factory's fields, each value of its annotation's JSON type."""
     _check_section(section, obj, _field_names(factory))
     for f in fields(factory):
-        if f.type in (int, "int") and type(obj.get(f.name, 0)) is not int:  # bool is no integer
-            raise ConfigError(f"section {section!r}: {f.name} must be an integer, not {obj[f.name]!r}")
+        if f.name in obj and not _json_is(obj[f.name], f.type):
+            raise ConfigError(f"section {section!r}: {f.name} must be {_JSON_TYPES[f.type][1]}, not {obj[f.name]!r}")
     try:
         return factory(**{**defaults, **obj})
     except (TypeError, ValueError) as exc:
@@ -181,7 +193,7 @@ def _parse_counts(obj) -> "dict[FaultClass, int]":
             cls = FaultClass.from_name(name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _json_is(n, "int") or n < 0:
             raise ConfigError(f"count for {name} must be a nonnegative integer")
         counts[cls] = n
     return counts
@@ -208,11 +220,7 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
     profile = _parse_profile(synth_obj.get("profile", "MJ"))
     counts = _parse_counts(synth_obj.get("counts", {c.name: n for c, n in DEFAULT_COUNTS.items()}))
     severity_range = synth_obj.get("severity_range", [0.3, 1.0])
-    if (
-        not isinstance(severity_range, (list, tuple))
-        or len(severity_range) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in severity_range)
-    ):
+    if not _json_is(severity_range, "tuple[float, ...]") or len(severity_range) != 2:
         raise ConfigError("synth.severity_range must be [lo, hi]")
     if not 0 <= severity_range[0] <= severity_range[1] <= 1:
         raise ConfigError("synth.severity_range must satisfy 0 <= lo <= hi <= 1")
@@ -232,7 +240,7 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
     conformal_obj = obj.get("conformal", {})
     _check_section("conformal", conformal_obj, {"alpha"})
     alpha = conformal_obj.get("alpha", 0.05)
-    if not isinstance(alpha, (int, float)) or isinstance(alpha, bool) or not 0 < alpha < 1:
+    if not _json_is(alpha, "float") or not 0 < alpha < 1:
         raise ConfigError("conformal.alpha must be in (0, 1)")
 
     split_spec = _build_section("split", obj.get("split", {}), evaluation.SplitSpec, seed=11)
@@ -787,8 +795,8 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _save_inputs(ds: Dataset, data: _Chunk, out: Path) -> None:
-    save_dataset(ds, out / DATASET_FILE)
+def _save_inputs(data: _Chunk, out: Path) -> None:
+    save_dataset(data.manoeuvres, out / DATASET_FILE)
     preprocess.save_features(_pairs(data), out / FEATURES_FILE)
 
 
@@ -825,16 +833,15 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     except StageError as exc:
         if exc.stage == "preprocess":
             # a run that fails in preprocessing still leaves the dataset it failed on
-            save_dataset(Dataset([m for chunk in chunks for m in chunk.manoeuvres], provenance), out / DATASET_FILE)
+            save_dataset([m for chunk in chunks for m in chunk.manoeuvres], out / DATASET_FILE)
         raise
-    ds = Dataset(data.manoeuvres, provenance)
     # a forked writer writes the input files while the split and training
     # run; they are complete once it is joined, also when either failed, and
     # model.json is written only after that. Where the writer could not be
     # forked or did not exit 0, the files are written here, so a write
     # failure is reported as without the writer, and outranks a failure in
     # the split or training.
-    writer = _start_forked(lambda _post: _save_inputs(ds, data, out))
+    writer = _start_forked(lambda _post: _save_inputs(data, out))
     try:
         train_at, test_at = _stage("split", evaluation.stratified_split, data.manoeuvres, cfg.split_spec)
         train = _rows(data, train_at)
@@ -842,8 +849,8 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         result = _stage("train", model.train, _pairs(train), train_cfg, layer_dims)
     finally:
         if writer is None or not writer.join():
-            _save_inputs(ds, data, out)
-    model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=ds.provenance)
+            _save_inputs(data, out)
+    model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=provenance)
 
     cal_in, hold_in = _stage("calibrate", evaluation.split_calibration,
                              [data.manoeuvres[p] for p in test_at], cfg.split_spec)
@@ -860,7 +867,7 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         test_rows,
         test_rows[len(cal_at) :],
         out,
-        provenance={"dataset": ds.provenance, "model_digest": predictor.model_digest},
+        provenance={"dataset": provenance, "model_digest": predictor.model_digest},
         counts=_counts_at(data.labels, dataset=range(len(data.ids)), train=train_at, test=test_at,
                           calibration=cal_at, holdout=hold_at),
         conformal={"alpha": predictor.alpha, "qhat": predictor.qhat, "n_calibration": predictor.n_calibration},

@@ -8,7 +8,6 @@ so save -> load is an exact identity on every field.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import json
 import math
@@ -191,10 +190,6 @@ class Dataset:
 
     def __iter__(self):
         return iter(self.manoeuvres)
-
-    def class_counts(self) -> dict[FaultClass, int]:
-        """Labelled manoeuvre count per class (unlabelled entries ignored)."""
-        return dict(collections.Counter(m.label for m in self.manoeuvres if m.label is not None))
 
 
 def validate_manoeuvre(m: Manoeuvre) -> ValidationError | None:
@@ -385,9 +380,9 @@ def load_dataset(path: str | Path) -> Dataset:
     return Dataset(manoeuvres=manoeuvres, provenance=str(Path(path)))
 
 
-def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write a dataset as JSONL (atomic: temp file + rename)."""
-    atomic_write_text(path, jsonl_text(_manoeuvre_to_obj(m) for m in ds.manoeuvres))
+def save_dataset(manoeuvres, path: str | Path) -> None:
+    """Write manoeuvres, such as a Dataset's, as JSONL (atomic: temp file + rename)."""
+    atomic_write_text(path, jsonl_text(_manoeuvre_to_obj(m) for m in manoeuvres))
 
 
 def jsonl_text(objs) -> str:

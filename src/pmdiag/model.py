@@ -83,9 +83,6 @@ class MlpModel:
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {l} has non-finite parameters")
 
-    def parameter_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 @dataclass(frozen=True)
 class TrainConfig:

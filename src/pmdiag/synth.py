@@ -320,9 +320,8 @@ def plan_dataset(
     counts: dict[FaultClass, int],
     cfg: SynthConfig,
     severity_range: tuple[float, float] = (0.3, 1.0),
-    seed: "int | None" = None,
 ) -> DatasetPlan:
-    """The plan of `generate_dataset(counts, cfg, severity_range, seed)`."""
+    """The plan of `generate_dataset(counts, cfg, severity_range)`."""
     lo, hi = severity_range
     if not (0 <= lo <= hi <= 1):
         raise ValueError("severity_range must satisfy 0 <= lo <= hi <= 1")
@@ -335,13 +334,13 @@ def plan_dataset(
         plan.extend((cls, j) for j in range(counts[cls]))
     total = len(plan)
 
-    root = _seed_sequence(cfg.seed if seed is None else seed)
+    root = _seed_sequence(cfg.seed)
     provenance = "synth:" + sha256_of_obj(
         {
             "counts": {cls.name: counts[cls] for cls in sorted(counts, key=int)},
             "config": asdict(cfg),
             "severity_range": [lo, hi],
-            "seed": cfg.seed if seed is None else seed,
+            "seed": cfg.seed,
         }
     )[:16]
     return DatasetPlan(
@@ -358,14 +357,13 @@ def generate_dataset(
     counts: dict[FaultClass, int],
     cfg: SynthConfig,
     severity_range: tuple[float, float] = (0.3, 1.0),
-    seed: "int | None" = None,
 ) -> Dataset:
     """Generate a labelled dataset with exactly the requested per-class counts.
 
-    Manoeuvre ids are "synth-{class}-{index}"; the output order is a seeded
-    shuffle over all classes. Fault severities are uniform in severity_range.
+    Manoeuvre ids are "synth-{class}-{index}"; the output order is a shuffle
+    seeded by cfg.seed. Fault severities are uniform in severity_range.
     """
-    plan = plan_dataset(counts, cfg, severity_range, seed)
+    plan = plan_dataset(counts, cfg, severity_range)
     return Dataset(
         manoeuvres=tuple(plan.manoeuvre(p) for p in range(len(plan))),
         provenance=plan.provenance,

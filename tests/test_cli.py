@@ -56,14 +56,21 @@ def assert_no_child_processes():
 
 
 def no_fork(monkeypatch, how):
-    """Make forking impossible: no fork start method, or a fork that fails."""
+    """Make forking impossible: no fork start method, or a fork that fails;
+    or, for "second_fork_fails", let one child start and refuse the next."""
     import multiprocessing
 
     if how == "no_fork_method":
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     else:
+        start = multiprocessing.process.BaseProcess.start
+        starts = []
+
         def refuse(self):
-            raise BlockingIOError(11, "Resource temporarily unavailable")
+            starts.append(self)
+            if how == "fork_fails" or len(starts) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            start(self)
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
 
@@ -145,12 +152,18 @@ class TestGenerate:
             ({"synth": {"noise_sigma": float("inf")}}, []),
             ({"train": {"learning_rate": float("nan")}}, []),
             ({"train": {"class_weights": [1.0, 1.0, float("nan"), 1.0, 1.0]}}, []),
+            ({"train": {"learning_rate": True}}, []),
+            ({"preprocess": {"noise_floor": "x"}}, []),
+            ({"synth": {"profile": {**asdict(synth.DEFAULT_PROFILES["MJ"]), "name": 5}}}, []),
+            ({"train": {"class_weights": [True, 1, 1, 1, 1]}}, []),
+            ({"train": {"class_weights": ["2", 1, 1, 1, 1]}}, []),
         ],
         ids=["synth_number", "train_list", "split_string", "train_pairs", "severity_reversed",
              "train_seed_negative", "split_seed_2_64", "seed_negative", "seed_2_64",
              "epochs_float", "epochs_bool", "batch_size_float", "smooth_window_float", "synth_seed_float",
              "split_seed_float", "train_seed_float", "sample_rate_nan", "noise_sigma_nan",
-             "noise_sigma_inf", "learning_rate_nan", "class_weight_nan"],
+             "noise_sigma_inf", "learning_rate_nan", "class_weight_nan", "learning_rate_bool",
+             "noise_floor_string", "profile_name_number", "class_weight_bool", "class_weight_string"],
     )
     def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, cfg, flags):
         p = tmp_path / "c.json"
@@ -572,7 +585,8 @@ class TestForkedLoad:
         forked = self.outcome(argv, out, capsys)
         assert forked[0] == 0
         assert len(forks) == 2
-        for how in ("no_fork_method", "fork_fails"):
+        # three processes: no child, or one child where the second fork fails
+        for how in ("no_fork_method", "fork_fails", "second_fork_fails"):
             with monkeypatch.context() as patch:
                 no_fork(patch, how)
                 assert self.outcome(argv, out, capsys) == forked, how

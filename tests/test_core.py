@@ -85,13 +85,6 @@ class TestDataset:
         with pytest.raises(DuplicateIdError):
             Dataset(manoeuvres=(a, b), provenance="test")
 
-    def test_class_counts(self):
-        ms = [
-            make_manoeuvre(np.ones(64), f"m{i}", label=FaultClass(i % 2)) for i in range(5)
-        ]
-        ds = Dataset(manoeuvres=tuple(ms), provenance="test")
-        assert ds.class_counts() == {FaultClass.Nominal: 3, FaultClass.Obstacle: 2}
-
 
 class TestLoad:
     def line(self, mid="m1", **overrides):

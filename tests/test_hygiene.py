@@ -119,13 +119,34 @@ def test_pipeline_builds_no_dict_comprehension():
     assert [node.lineno for node in ast.walk(pipeline) if isinstance(node, ast.DictComp)] == []
 
 
+def mentioned(tree: ast.Module) -> set:
+    """The names a module imports or reads, as names or as attributes."""
+    imported = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    return loaded_names(tree) | imported | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+
+
 def test_split_does_not_name_dataset():
     """The split takes any sequence of labelled manoeuvres and returns
     positions: evaluation.py neither imports nor reads Dataset."""
-    tree = parse("evaluation.py")
-    imported = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
-    assert "Dataset" not in loaded_names(tree) | imported
+    assert "Dataset" not in mentioned(parse("evaluation.py"))
+
+
+def test_cli_does_not_name_dataset():
+    """Every command hands its manoeuvres on as a plain sequence, and
+    pipeline its provenance as a string: cli.py neither imports nor reads
+    Dataset."""
+    assert "Dataset" not in mentioned(parse("cli.py"))
+
+
+@pytest.mark.parametrize("function", ["plan_dataset", "generate_dataset"])
+def test_generated_dataset_has_one_seed(function):
+    """A generated dataset is seeded by its SynthConfig's seed alone: the
+    function takes no seed parameter."""
+    tree = parse("synth.py")
+    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    a = node.args
+    assert "seed" not in [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
 
 
 def calls(tree: ast.AST, match) -> list:

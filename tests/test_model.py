@@ -114,10 +114,6 @@ class TestClassWeights:
 
 
 class TestInit:
-    def test_parameter_count(self):
-        m = mlp.init_params((128, 64, 32, 5), 0)
-        assert m.parameter_count() == 10501
-
     def test_bounds_and_zero_biases(self):
         m = mlp.init_params((128, 64, 32, 5), 1)
         for w, dim in zip(m.weights, (128, 64, 32)):
