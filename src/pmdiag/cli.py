@@ -116,7 +116,7 @@ class RunConfig:
     severity_range: tuple[float, float]
     preprocess_cfg: preprocess.PreprocessConfig
     train_cfg: model.TrainConfig
-    alpha: float
+    conformal_cfg: conformal.ConformalConfig
     split_spec: evaluation.SplitSpec
     paths: "dict[str, str]"
     # the train section gave class_weights, which train then takes as they are
@@ -131,7 +131,7 @@ class RunConfig:
             },
             "preprocess": asdict(self.preprocess_cfg),
             "train": asdict(self.train_cfg),
-            "conformal": {"alpha": self.alpha},
+            "conformal": asdict(self.conformal_cfg),
             "split": asdict(self.split_spec),
             "paths": dict(self.paths),
         }
@@ -167,7 +167,7 @@ def _build_section(section: str, obj, factory, **defaults):
     _check_section(section, obj, _field_names(factory))
     for f in fields(factory):
         if f.name in obj and not _json_is(obj[f.name], f.type):
-            raise ConfigError(f"section {section!r}: {f.name} must be {_JSON_TYPES[f.type][1]}, not {obj[f.name]!r}")
+            raise ConfigError(f"section {section!r}: {f.name} must be {_JSON_TYPES[f.type][1]}, not {json.dumps(obj[f.name])}")
     try:
         return factory(**{**defaults, **obj})
     except (TypeError, ValueError) as exc:
@@ -237,11 +237,7 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
 
     preprocess_cfg = _build_section("preprocess", obj.get("preprocess", {}), preprocess.PreprocessConfig)
     train_cfg = _build_section("train", obj.get("train", {}), model.TrainConfig, seed=7)
-    conformal_obj = obj.get("conformal", {})
-    _check_section("conformal", conformal_obj, {"alpha"})
-    alpha = conformal_obj.get("alpha", 0.05)
-    if not _json_is(alpha, "float") or not 0 < alpha < 1:
-        raise ConfigError("conformal.alpha must be in (0, 1)")
+    conformal_cfg = _build_section("conformal", obj.get("conformal", {}), conformal.ConformalConfig)
 
     split_spec = _build_section("split", obj.get("split", {}), evaluation.SplitSpec, seed=11)
     paths = obj.get("paths", {})
@@ -255,7 +251,7 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
         severity_range=(float(severity_range[0]), float(severity_range[1])),
         preprocess_cfg=preprocess_cfg,
         train_cfg=train_cfg,
-        alpha=float(alpha),
+        conformal_cfg=conformal_cfg,
         split_spec=split_spec,
         paths=dict(paths),
         class_weights_given="class_weights" in obj.get("train", {}),
@@ -698,7 +694,7 @@ def _diagnoses(predictor, chunk: _Chunk, probs) -> list:
 def _calibrate(cfg: RunConfig, mdl, labels, probs, out: Path) -> conformal.ConformalPredictor:
     """calibrate's step: the predictor calibrated on rows of true classes
     `labels` and of probabilities `probs` from `mdl`, written to predictor.json."""
-    predictor = _stage("calibrate", conformal.calibrate_probs, zip(probs, labels), cfg.alpha, model.model_digest(mdl))
+    predictor = _stage("calibrate", conformal.calibrate_probs, zip(probs, labels), cfg.conformal_cfg.alpha, model.model_digest(mdl))
     conformal.save_predictor(predictor, out / PREDICTOR_FILE)
     return predictor
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, jsonl_text, read_json
-from .model import MlpModel, RowError, forward, forward_rows, model_digest
+from .model import MlpModel, RowError, model_digest
 
 PROB_SUM_TOL = 1e-9
 
@@ -38,6 +38,15 @@ class EmptyCalibrationError(PmDiagError):
 
 class DigestMismatchError(PmDiagError):
     """Predictor was calibrated against a different model."""
+
+
+@dataclass(frozen=True)
+class ConformalConfig:
+    alpha: float = 0.05
+
+    def __post_init__(self):
+        if not 0 < self.alpha < 1:
+            raise ValueError("alpha must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -152,13 +161,6 @@ def calibrate_probs(scored, alpha: float, digest: str) -> ConformalPredictor:
     )
 
 
-def calibrate(model: MlpModel, calibration_set, alpha: float = 0.05) -> ConformalPredictor:
-    """Calibrate on labelled (FeatureVector, FaultClass) pairs, scored by one `forward_rows` call."""
-    items = list(calibration_set)
-    x = np.stack([fv.values for fv, _ in items]) if items else np.empty((0, model.layer_dims[0]))
-    return calibrate_probs(zip(forward_rows(model, x), (label for _, label in items)), alpha, model_digest(model))
-
-
 def predict_sets(predictor: ConformalPredictor, probs) -> list:
     """The prediction set of each row of an (n, classes) probability matrix:
     the smallest descending-probability prefix with cumulative mass >= qhat,
@@ -184,12 +186,6 @@ def diagnoses(predictor: ConformalPredictor, source_ids, probs) -> list[Diagnosi
         Diagnosis(source_id, members, predictor.alpha, predictor.qhat)
         for source_id, members in zip(source_ids, predict_sets(predictor, probs))
     ]
-
-
-def diagnose(predictor: ConformalPredictor, model: MlpModel, feature) -> Diagnosis:
-    """Classify one feature vector and wrap it in a calibrated prediction set:
-    the one-row case of `model.forward_rows` and `diagnoses`."""
-    return diagnoses(predictor, [feature.source_id], forward(model, feature.values)[None, :])[0]
 
 
 def diagnosis_to_obj(d: Diagnosis, label: FaultClass | None = None) -> dict:

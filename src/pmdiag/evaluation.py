@@ -100,18 +100,13 @@ def split_calibration(test, spec: SplitSpec) -> tuple[list[int], list[int]]:
     return _take_split(test, spec.calibration_frac_of_test, rng, min_per_class=1)
 
 
-def binary_metrics(predictions) -> tuple[float, float, float]:
-    """(precision, fpr, fnr) under the anomaly-vs-nominal view.
+def binary_metrics(conf: np.ndarray) -> tuple[float, float, float]:
+    """(precision, fpr, fnr) under the anomaly-vs-nominal view, of the
+    (predicted, true) pairs that a `confusion_matrix` counts.
 
-    `predictions` is a sequence of (predicted, true) FaultClass pairs.
     Precision is 1.0 when nothing is predicted positive; FPR and FNR are 0
     when their denominators are empty.
     """
-    return _binary(confusion_matrix(predictions))
-
-
-def _binary(conf: np.ndarray) -> tuple[float, float, float]:
-    """binary_metrics of the pairs a confusion matrix counts."""
     if not conf.any():
         raise ValueError("predictions must be nonempty")
     # rows are true classes, columns predicted ones
@@ -166,7 +161,7 @@ def coverage_eval(rows) -> tuple[float, float]:
 
 def build_metrics(predictions, coverage: float, mean_set_size: float) -> MetricsReport:
     conf = confusion_matrix(predictions)
-    precision, fpr, fnr = _binary(conf)
+    precision, fpr, fnr = binary_metrics(conf)
     return MetricsReport(
         precision=precision,
         fpr=fpr,

@@ -367,11 +367,6 @@ def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainRes
     return TrainResult(model=mdl, epoch_losses=epoch_losses)
 
 
-def argmax_class(probs: np.ndarray) -> FaultClass:
-    """Most probable class; exact ties go to the lowest class code."""
-    return FaultClass(int(np.argmax(probs)))
-
-
 def predict_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(argmax codes, probabilities) for a stack of feature vectors."""
     probs, _ = _forward_batch(model, np.asarray(x, dtype=np.float64))

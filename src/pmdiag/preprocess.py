@@ -1,7 +1,8 @@
 """Raw manoeuvre to fixed-length, shape-only feature vector.
 
-The chain is smooth -> active-window detection -> phase segmentation ->
-plateau-median normalization -> resampling to a fixed number of points.
+One kernel, `_kernel`, takes a block of traces through the whole chain:
+smooth -> active-window detection -> phase segmentation -> plateau-median
+normalization -> resampling to a fixed number of points.
 Dividing by the plateau median makes the output exactly invariant to
 amplitude scaling, and resampling over the active window makes it invariant
 to sample rate and manoeuvre duration, so the vector captures manoeuvre
@@ -19,14 +20,12 @@ import numpy as np
 
 from .core import (
     FaultClass,
-    Manoeuvre,
     ParseError,
     PmDiagError,
     atomic_write_text,
     jsonl_objects,
     jsonl_text,
     read_jsonl_text,
-    validate_manoeuvre,
 )
 
 # Peak/plateau boundary: a phase boundary is where the smoothed signal
@@ -66,17 +65,6 @@ class PreprocessConfig:
             raise ValueError("plateau_core_frac must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class PhaseSegmentation:
-    """Index ranges of the three manoeuvre phases within the trace."""
-
-    active: tuple[int, int]
-    unlock_peak: tuple[int, int]
-    movement: tuple[int, int]
-    lock_peak: tuple[int, int]
-    plateau_level: float
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
     """Fixed-length normalized representation of one manoeuvre."""
@@ -98,8 +86,7 @@ BLOCK_CELLS = 1 << 17
 
 class _Block(NamedTuple):
     """What `_kernel` computed for a block of traces, one entry or row per
-    trace, up to the step it stopped after; a step it did not run is None.
-    A trace's results mean nothing where `errors` holds its failure.
+    trace. A trace's results mean nothing where `errors` holds its failure.
 
     Row r of `smoothed` holds trace r's smoothed samples, then -inf.
     `active` holds the first and end indices of the active windows, `phases`
@@ -109,29 +96,18 @@ class _Block(NamedTuple):
 
     errors: list
     smoothed: np.ndarray
-    active: "tuple[np.ndarray, np.ndarray] | None" = None
-    phases: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
-    values: "np.ndarray | None" = None
+    active: "tuple[np.ndarray, np.ndarray]"
+    phases: "tuple[np.ndarray, np.ndarray, np.ndarray]"
+    values: np.ndarray
 
 
-def _kernel(
-    traces: list, cfg: PreprocessConfig, smoothed: bool = False, active=None, stop: str = "features"
-) -> _Block:
-    """The preprocess kernel: its steps for a block of 1-D float64 traces at
-    once, in array operations over matrices of one row per trace. Every
-    public step of this module is its one-row case.
-
-    The traces are smoothed, unless `smoothed` says that they already are;
-    their active windows are found, unless `active` gives them as arrays of
-    first and end indices (then the kernel stops before the features, which
-    need the thresholds that find the windows); their phases are segmented;
-    and their features are resampled and normalized. The kernel stops after
-    the step `stop` names: "smooth", "active", "phases" or "features". Each
+def _kernel(traces: list, cfg: PreprocessConfig) -> _Block:
+    """The preprocess kernel: every step for a block of 1-D float64 traces at
+    once, in array operations over matrices of one row per trace. Each
     trace's results have the bits it gives alone, and each trace keeps the
     first failure it meets, in rule order. A failed trace goes through every
     later step on values of no meaning, so floating-point warnings are not
-    shown.
-    """
+    shown."""
     n = np.array([x.size for x in traces])
     errors = [None] * len(traces)
     live = np.ones(len(traces), dtype=bool)
@@ -144,38 +120,18 @@ def _kernel(
 
     w = cfg.smooth_window
     with np.errstate(all="ignore"):
-        if smoothed:
-            s = _padded(traces, n, w)
-        else:
-            fail(n < w, lambda r: WindowTooLargeError(f"window {w} > length {n[r]}"))
-            s = _smoothed(traces, n, w)
-        if stop == "smooth":
-            return _Block(errors, s)
-        if active is None:
-            peak = s.max(axis=1)
-            fail(peak <= cfg.noise_floor,
-                 lambda r: FlatSignalError(f"max {float(peak[r])!r} <= noise floor {cfg.noise_floor!r}"))
-            threshold = cfg.active_threshold_frac * peak
-            a, b = _first_and_end(s > threshold[:, None])
-        else:
-            a, b = active
-        if stop == "active":
-            return _Block(errors, s, (a, b))
+        fail(n < w, lambda r: WindowTooLargeError(f"window {w} > length {n[r]}"))
+        s = _smoothed(traces, n, w)
+        peak = s.max(axis=1)
+        fail(peak <= cfg.noise_floor,
+             lambda r: FlatSignalError(f"max {float(peak[r])!r} <= noise floor {cfg.noise_floor!r}"))
+        threshold = cfg.active_threshold_frac * peak
+        a, b = _first_and_end(s > threshold[:, None])
         phases = _phases(s, a, b, cfg, live, fail)
-        if stop == "phases":
-            return _Block(errors, s, (a, b), phases)
         values = _resampled(s, n, a, b, threshold, cfg.feature_length)
         values /= phases[2][:, None]
         np.maximum(values, 0.0, out=values)
         return _Block(errors, s, (a, b), phases, values)
-
-
-def _padded(traces: list, n: np.ndarray, window: int) -> np.ndarray:
-    """Smoothed traces as the rows of a matrix at least `window` wide, -inf after each trace."""
-    s = np.full((len(traces), max(int(n.max()), window)), -np.inf)
-    for row, x in zip(s, traces):
-        row[: x.size] = x
-    return s
 
 
 def _smoothed(traces: list, n: np.ndarray, window: int) -> np.ndarray:
@@ -219,9 +175,13 @@ def _first_and_end(mask: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
 
 
 def _phases(s: np.ndarray, a: np.ndarray, b: np.ndarray, cfg: PreprocessConfig, live: np.ndarray, fail):
-    """The phase bounds and plateau levels of the active windows [a, b) of
-    the rows of `s` (see segment_phases), in the columns of `s`; a row that
-    breaks a rule fails (see _kernel)."""
+    """The end of the unlock peak, the start of the lock peak and the plateau
+    level of each active window [a, b) of the rows of `s`, in the columns of
+    `s`; a row that breaks a rule fails (see _kernel). The plateau level is
+    the median of the window's central part. A peak/plateau boundary is the
+    first index where the signal drops into the plateau band and holds it
+    for smooth_window samples after the peak exceeded the band (mirrored for
+    the lock peak from the window's end)."""
     n = b - a
     w = cfg.smooth_window
     fail(n < 32, lambda r: SegmentationFailedError(f"active window too short ({n[r]} samples)"))
@@ -318,72 +278,12 @@ def _resampled(
     return np.where((grid == knot) | (j == last_knot), at, values)
 
 
-def _alone(block: _Block) -> _Block:
-    """The block of one trace, once its trace has not failed."""
-    if block.errors[0] is not None:
-        raise block.errors[0]
-    return block
-
-
-def smooth(samples: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with reflected edges; length-preserving."""
-    x = np.asarray(samples, dtype=np.float64)
-    if window % 2 == 0 or window < 3:
-        raise ValueError("window must be odd and >= 3")
-    block = _alone(_kernel([x], PreprocessConfig(smooth_window=window), stop="smooth"))
-    return block.smoothed[0, : x.size]
-
-
-def detect_active_window(smoothed: np.ndarray, cfg: PreprocessConfig) -> tuple[int, int]:
-    """Index range [first, last+1) where the trace exceeds the threshold."""
-    s = np.asarray(smoothed, dtype=np.float64)
-    a, b = _alone(_kernel([s], cfg, smoothed=True, stop="active")).active
-    return int(a[0]), int(b[0])
-
-
-def segment_phases(
-    smoothed: np.ndarray, active: tuple[int, int], cfg: PreprocessConfig
-) -> PhaseSegmentation:
-    """Split the active window into unlock peak, movement, lock peak.
-
-    The plateau level is the median of the central part of the active
-    window. A peak/plateau boundary is the first index where the signal
-    drops into the plateau band and holds it for at least smooth_window
-    samples after the peak has exceeded the band (mirrored for the lock
-    peak from the end of the window).
-    """
-    s = np.asarray(smoothed, dtype=np.float64)
-    a, b = active
-    block = _kernel([s], cfg, smoothed=True, active=(np.array([a]), np.array([b])), stop="phases")
-    i, k, level = (part[0] for part in _alone(block).phases)
-    return PhaseSegmentation(
-        active=(a, b),
-        unlock_peak=(a, int(i)),
-        movement=(int(i), int(k)),
-        lock_peak=(int(k), b),
-        plateau_level=float(level),
-    )
-
-
-def preprocess(m: Manoeuvre, cfg: PreprocessConfig = PreprocessConfig()) -> FeatureVector:
-    """Turn a raw manoeuvre into a normalized fixed-length feature vector.
-
-    The output is invariant (to float roundoff) under scaling of the input
-    amplitude, and invariant within interpolation tolerance under change of
-    sample rate for the same underlying shape.
-    """
-    error = validate_manoeuvre(m)
-    if error is not None:
-        raise error
-    return FeatureVector(values=_alone(_kernel([m.samples], cfg)).values[0], source_id=m.id)
-
-
 def preprocess_rows(manoeuvres, cfg: PreprocessConfig = PreprocessConfig()) -> "tuple[np.ndarray, list]":
     """The feature vectors of a sequence of manoeuvres that validate_manoeuvre
     passed: an (n, feature_length) matrix, and a list that holds, for each
-    manoeuvre, None or the PmDiagError that `preprocess` raises for it. A
-    failed manoeuvre's row means nothing; every other row has the bits of
-    `preprocess`, whatever manoeuvres surround it.
+    manoeuvre, None or the PmDiagError of the first rule it breaks. A failed
+    manoeuvre's row means nothing; every other row has the bits the kernel
+    gives that manoeuvre alone, whatever manoeuvres surround it.
 
     The kernel takes the manoeuvres in consecutive blocks of at most
     BLOCK_CELLS cells, rows times the longest padded row; a longer trace is

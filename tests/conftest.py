@@ -1,8 +1,9 @@
 import collections
 
+import numpy as np
 import pytest
 
-from pmdiag import evaluation, model, preprocess, synth
+from pmdiag import conformal, evaluation, model, preprocess, synth
 from pmdiag.core import FaultClass, TechnologyProfile
 
 
@@ -47,6 +48,29 @@ def profile_at_rate(profile: TechnologyProfile, sample_rate: float) -> Technolog
     )
 
 
+def preprocessed(manoeuvres, cfg=preprocess.PreprocessConfig()):
+    """The (FeatureVector, label) pair of each manoeuvre, from one
+    preprocess_rows call; the first manoeuvre that fails raises its error."""
+    values, errors = preprocess.preprocess_rows(manoeuvres, cfg)
+    for error in errors:
+        if error is not None:
+            raise error
+    return [(preprocess.FeatureVector(row, m.id), m.label) for m, row in zip(manoeuvres, values)]
+
+
+def calibrated(mdl, records, alpha=0.05):
+    """The predictor calibrated on (FeatureVector, FaultClass) records, scored by one forward_rows call."""
+    probs = model.forward_rows(mdl, np.stack([fv.values for fv, _ in records]))
+    return conformal.calibrate_probs(zip(probs, (label for _, label in records)), alpha, model.model_digest(mdl))
+
+
+def diagnosed(predictor, mdl, records):
+    """(label, Diagnosis) of each (FeatureVector, label) record, scored by one forward_rows call."""
+    probs = model.forward_rows(mdl, np.stack([fv.values for fv, _ in records]))
+    sets = conformal.diagnoses(predictor, [fv.source_id for fv, _ in records], probs)
+    return [(label, d) for (_, label), d in zip(records, sets)]
+
+
 @pytest.fixture(scope="session")
 def small_run(mj_profile):
     """Small trained pipeline shared by conformal and evaluation tests.
@@ -64,8 +88,7 @@ def small_run(mj_profile):
         profile=mj_profile, noise_sigma=0.09, amplitude_jitter=0.05, duration_jitter=0.05, seed=5
     )
     ds = synth.generate_dataset(counts, cfg, (0.3, 1.0))
-    pcfg = preprocess.PreprocessConfig()
-    features = {m.id: (preprocess.preprocess(m, pcfg), m.label) for m in ds}
+    features = {fv.source_id: (fv, label) for fv, label in preprocessed(ds)}
     spec = evaluation.SplitSpec(seed=5)
     train_at, test_at = evaluation.stratified_split(ds, spec)
     train, test = [ds.manoeuvres[p] for p in train_at], [ds.manoeuvres[p] for p in test_at]

@@ -9,11 +9,11 @@ import json
 import numpy as np
 import pytest
 
-from pmdiag import cli, conformal, evaluation, model as mlp, preprocess, synth
+from pmdiag import cli, conformal, evaluation, model as mlp, synth
 from pmdiag.core import FaultClass, Manoeuvre, load_dataset, save_dataset
 from pmdiag.preprocess import PreprocessConfig
 
-from conftest import MJ_COUNTS, profile_at_rate
+from conftest import MJ_COUNTS, calibrated, diagnosed, preprocessed, profile_at_rate
 
 PCFG = PreprocessConfig()
 
@@ -36,7 +36,7 @@ def run_experiment(seed):
         seed=seed,
     )
     ds = synth.generate_dataset(MJ_COUNTS, cfg, (0.3, 1.0))
-    features = {m.id: (preprocess.preprocess(m, PCFG), m.label) for m in ds}
+    features = {fv.source_id: (fv, label) for fv, label in preprocessed(ds, PCFG)}
     spec = evaluation.SplitSpec(seed=seed)
     train_at, test_at = evaluation.stratified_split(ds, spec)
     train, test = [ds.manoeuvres[p] for p in train_at], [ds.manoeuvres[p] for p in test_at]
@@ -55,7 +55,7 @@ def run_experiment(seed):
         "features": features,
         "test": test,
         "model": result.model,
-        "metrics": evaluation.binary_metrics(pairs),
+        "metrics": evaluation.binary_metrics(evaluation.confusion_matrix(pairs)),
     }
 
 
@@ -88,12 +88,9 @@ def test_criterion_2_conformal_coverage(seed1_experiment):
     for i in range(50):
         spec = evaluation.SplitSpec(seed=10_000 + i)
         cal_at, hold_at = evaluation.split_calibration(exp["test"], spec)
-        predictor = conformal.calibrate(
-            exp["model"], [exp["features"][exp["test"][k].id] for k in cal_at], alpha=0.05
-        )
+        predictor = calibrated(exp["model"], [exp["features"][exp["test"][k].id] for k in cal_at])
         coverage, _ = evaluation.coverage_eval(
-            (label, conformal.diagnose(predictor, exp["model"], fv))
-            for fv, label in (exp["features"][exp["test"][k].id] for k in hold_at)
+            diagnosed(predictor, exp["model"], [exp["features"][exp["test"][k].id] for k in hold_at])
         )
         coverages.append(coverage)
     coverages = np.array(coverages)
@@ -124,9 +121,9 @@ def test_criterion_3_aps_oracle_equivalence():
 def test_criterion_4_quantile_edge_cases(seed1_experiment):
     exp = seed1_experiment
     records = [exp["features"][m.id] for m in exp["test"]]
-    p10 = conformal.calibrate(exp["model"], records[:10], alpha=0.05)
+    p10 = calibrated(exp["model"], records[:10])
     ok_clamp = p10.qhat == 1.0
-    p19 = conformal.calibrate(exp["model"], records[:19], alpha=0.05)
+    p19 = calibrated(exp["model"], records[:19])
     scores = [
         conformal._aps_scores(mlp.forward(exp["model"], fv.values)[None], [label])[0]
         for fv, label in records[:19]
@@ -169,11 +166,11 @@ def test_criterion_6_preprocessing_invariance():
             m = synth.generate_nominal(cfg, i)
         else:
             m = synth.inject_fault(cfg, synth.FaultSpec(cls, 0.3 + 0.007 * i), i)
-        base = preprocess.preprocess(m, PCFG).values
-        for k in (0.5, 0.9, 2.0):
-            m2 = Manoeuvre(m.id, m.technology, m.timestamp, m.samples * k,
-                           m.sample_rate, m.label)
-            diff = float(np.abs(preprocess.preprocess(m2, PCFG).values - base).max())
+        scaled = [Manoeuvre(m.id, m.technology, m.timestamp, m.samples * k, m.sample_rate, m.label)
+                  for k in (1.0, 0.5, 0.9, 2.0)]
+        base, *others = (fv.values for fv, _ in preprocessed(scaled, PCFG))
+        for v in others:
+            diff = float(np.abs(v - base).max())
             worst_scale = max(worst_scale, diff)
     ok_scale = worst_scale <= 1e-12
 
@@ -183,9 +180,9 @@ def test_criterion_6_preprocessing_invariance():
     for seed in range(100):
         cfg100 = synth.SynthConfig(profile=profile_at_rate(profile, 100.0), amplitude_jitter=0.05)
         cfg200 = synth.SynthConfig(profile=profile_at_rate(profile, 200.0), amplitude_jitter=0.05)
-        f100 = preprocess.preprocess(synth.generate_nominal(cfg100, seed), PCFG).values
-        f200 = preprocess.preprocess(synth.generate_nominal(cfg200, seed), PCFG).values
-        worst_rate = max(worst_rate, float(np.abs(f100 - f200).max()))
+        pair = [synth.generate_nominal(cfg100, seed), synth.generate_nominal(cfg200, seed)]
+        (f100, _), (f200, _) = preprocessed(pair, PCFG)
+        worst_rate = max(worst_rate, float(np.abs(f100.values - f200.values).max()))
     ok_rate = worst_rate <= 0.02
     verdict(
         6,

@@ -16,6 +16,8 @@ import pytest
 from pmdiag import cli, conformal, core, evaluation, model, preprocess, synth
 from pmdiag.core import FaultClass, Manoeuvre, Dataset, PmDiagError, save_dataset, load_dataset
 
+from conftest import diagnosed, preprocessed
+
 
 SMALL_CONFIG = {
     "synth": {
@@ -129,48 +131,54 @@ class TestGenerate:
         assert capsys.readouterr().err == f"config error: unknown keys in section {section!r}: ['wavelets']\n"
 
     @pytest.mark.parametrize(
-        "cfg, flags",
+        "cfg, flags, tail",
         [
-            ({"synth": 5}, []),
-            ({"train": [1]}, []),
-            ({"split": "x"}, []),
-            ({"train": [["epochs", 1]]}, []),
-            ({"synth": {"severity_range": [0.9, 0.1]}}, []),
-            ({"train": {"seed": -1}}, []),
-            ({"split": {"seed": 2**64}}, []),
-            ({}, ["--seed", "-1"]),
-            ({}, ["--seed", str(2**64)]),
-            ({"train": {"epochs": 2.5}}, []),
-            ({"train": {"epochs": True}}, []),
-            ({"train": {"batch_size": 32.0}}, []),
-            ({"preprocess": {"smooth_window": 5.0}}, []),
-            ({"synth": {"seed": 1.5}}, []),
-            ({"split": {"seed": 1.5}}, []),
-            ({"train": {"seed": 2.5}}, []),
-            ({"synth": {"profile": {**asdict(synth.DEFAULT_PROFILES["MJ"]), "sample_rate": float("nan")}}}, []),
-            ({"synth": {"noise_sigma": float("nan")}}, []),
-            ({"synth": {"noise_sigma": float("inf")}}, []),
-            ({"train": {"learning_rate": float("nan")}}, []),
-            ({"train": {"class_weights": [1.0, 1.0, float("nan"), 1.0, 1.0]}}, []),
-            ({"train": {"learning_rate": True}}, []),
-            ({"preprocess": {"noise_floor": "x"}}, []),
-            ({"synth": {"profile": {**asdict(synth.DEFAULT_PROFILES["MJ"]), "name": 5}}}, []),
-            ({"train": {"class_weights": [True, 1, 1, 1, 1]}}, []),
-            ({"train": {"class_weights": ["2", 1, 1, 1, 1]}}, []),
+            ({"synth": 5}, [], ""),
+            ({"train": [1]}, [], ""),
+            ({"split": "x"}, [], ""),
+            ({"train": [["epochs", 1]]}, [], ""),
+            ({"synth": {"severity_range": [0.9, 0.1]}}, [], ""),
+            ({"train": {"seed": -1}}, [], ""),
+            ({"split": {"seed": 2**64}}, [], ""),
+            ({}, ["--seed", "-1"], ""),
+            ({}, ["--seed", str(2**64)], ""),
+            ({"train": {"epochs": 2.5}}, [], ""),
+            ({"train": {"epochs": True}}, [], ""),
+            ({"train": {"batch_size": 32.0}}, [], ""),
+            ({"preprocess": {"smooth_window": 5.0}}, [], ""),
+            ({"synth": {"seed": 1.5}}, [], ""),
+            ({"split": {"seed": 1.5}}, [], ""),
+            ({"train": {"seed": 2.5}}, [], ""),
+            ({"synth": {"profile": {**asdict(synth.DEFAULT_PROFILES["MJ"]), "sample_rate": float("nan")}}}, [], ""),
+            ({"synth": {"noise_sigma": float("nan")}}, [], ""),
+            ({"synth": {"noise_sigma": float("inf")}}, [], ""),
+            ({"train": {"learning_rate": float("nan")}}, [], ""),
+            ({"train": {"class_weights": [1.0, 1.0, float("nan"), 1.0, 1.0]}}, [], ""),
+            ({"train": {"learning_rate": True}}, [], "section 'train': learning_rate must be a number, not true\n"),
+            ({"train": {"learning_rate": None}}, [], "section 'train': learning_rate must be a number, not null\n"),
+            ({"preprocess": {"noise_floor": "x"}}, [], "section 'preprocess': noise_floor must be a number, not \"x\"\n"),
+            ({"synth": {"profile": {**asdict(synth.DEFAULT_PROFILES["MJ"]), "name": 5}}}, [], ""),
+            ({"train": {"class_weights": [True, 1, 1, 1, 1]}}, [], ""),
+            ({"train": {"class_weights": ["2", 1, 1, 1, 1]}}, [], ""),
+            ({"conformal": {"alpha": "x"}}, [], "section 'conformal': alpha must be a number, not \"x\"\n"),
+            ({"conformal": {"alpha": 1.5}}, [], "section 'conformal': alpha must be in (0, 1)\n"),
         ],
         ids=["synth_number", "train_list", "split_string", "train_pairs", "severity_reversed",
              "train_seed_negative", "split_seed_2_64", "seed_negative", "seed_2_64",
              "epochs_float", "epochs_bool", "batch_size_float", "smooth_window_float", "synth_seed_float",
              "split_seed_float", "train_seed_float", "sample_rate_nan", "noise_sigma_nan",
-             "noise_sigma_inf", "learning_rate_nan", "class_weight_nan", "learning_rate_bool",
-             "noise_floor_string", "profile_name_number", "class_weight_bool", "class_weight_string"],
+             "noise_sigma_inf", "learning_rate_nan", "class_weight_nan", "learning_rate_bool", "learning_rate_null",
+             "noise_floor_string", "profile_name_number", "class_weight_bool", "class_weight_string",
+             "alpha_string", "alpha_out_of_range"],
     )
-    def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, cfg, flags):
+    def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, cfg, flags, tail):
+        """A rejected value is spelled as JSON, as the config file holds it."""
         p = tmp_path / "c.json"
         p.write_text(json.dumps(cfg))
         code = run(["generate", "--config", str(p), "--out", str(tmp_path / "o"), *flags])
         err = capsys.readouterr().err
         assert (code, err[: len("config error: ")], err.count("\n")) == (2, "config error: ", 1)
+        assert err.endswith(tail)
 
     def test_invalid_json_exits_2(self, tmp_path):
         p = tmp_path / "c.json"
@@ -751,7 +759,7 @@ class TestForkedLoad:
         """The outcome (see `outcome`) of a `name` call that writes into
         `out`, as one process gives it: each manoeuvre of load_dataset
         preprocessed and, for diagnose, scored and given its set alone."""
-        records = [(preprocess.preprocess(m), m.label) for m in load_dataset(ds_path)]
+        records = [record for m in load_dataset(ds_path) for record in preprocessed([m])]
         reference = out.with_name("reference.jsonl")
         if name == "preprocess":
             preprocess.save_features(records, reference)
@@ -759,7 +767,7 @@ class TestForkedLoad:
             return 0, shown, "", {"features.jsonl": reference.read_bytes()}
         mdl = model.load_model(trained_run / "model.json")
         predictor = conformal.load_predictor(trained_run / "predictor.json")
-        rows = [(label, conformal.diagnose(predictor, mdl, fv)) for fv, label in records]
+        rows = [row for record in records for row in diagnosed(predictor, mdl, [record])]
         conformal.save_diagnoses(rows, reference)
         shown = "".join(
             f"{d.source_id}: {{{', '.join(f'{cls.name}:{p:.3f}' for cls, p in d.prediction_set)}}}"
@@ -906,7 +914,7 @@ class TestForkedLoad:
         records = []
         for m in ds:
             try:
-                records.append((preprocess.preprocess(m), m.label))
+                records += preprocessed([m])
             except PmDiagError as exc:
                 return None, f"pipeline failure in preprocess: manoeuvre {m.id!r}: {exc}\n"
         return records, None
@@ -965,7 +973,7 @@ def count_validations(monkeypatch) -> list:
         validated.append(m.id)
         return real(m)
 
-    for module in (core, preprocess, cli):
+    for module in (core, cli):
         monkeypatch.setattr(module, "validate_manoeuvre", counting)
     monkeypatch.setattr(cli, "_cpus", lambda: 1)
     return validated

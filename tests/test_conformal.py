@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from pmdiag import model as mlp, preprocess, synth
+from pmdiag import model as mlp, synth
 from pmdiag.conformal import (
     BadDistributionError,
     ConformalPredictor,
@@ -11,10 +11,8 @@ from pmdiag.conformal import (
     DigestMismatchError,
     EmptyCalibrationError,
     _aps_scores,
-    calibrate,
     calibrate_probs,
     check_digest,
-    diagnose,
     load_predictor,
     diagnoses,
     predict_sets,
@@ -23,6 +21,8 @@ from pmdiag.conformal import (
 )
 from pmdiag.core import FaultClass, Manoeuvre
 from pmdiag.model import MlpModel
+
+from conftest import calibrated, diagnosed, preprocessed
 
 
 def brute_force_set(probs, qhat):
@@ -127,27 +127,27 @@ class TestQuantile:
 class TestCalibrate:
     def test_small_calibration_clamps(self, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]][:10]
-        predictor = calibrate(small_run["model"], records, alpha=0.05)
+        predictor = calibrated(small_run["model"], records)
         assert predictor.qhat == 1.0
         assert predictor.n_calibration == 10
 
     def test_n19_equals_max_score(self, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]][:19]
         mdl = small_run["model"]
-        predictor = calibrate(mdl, records, alpha=0.05)
+        predictor = calibrated(mdl, records)
         scores = [_aps_scores(mlp.forward(mdl, fv.values)[None], [label])[0] for fv, label in records]
         assert predictor.qhat == max(scores)
 
     def test_empty_calibration(self, small_run):
         with pytest.raises(EmptyCalibrationError):
-            calibrate(small_run["model"], [], alpha=0.05)
+            calibrate_probs([], 0.05, mlp.model_digest(small_run["model"]))
 
     def test_stored_probabilities_give_the_same_predictor(self, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]]
         mdl = small_run["model"]
         stored = [(mlp.forward(mdl, fv.values), label) for fv, label in records]
         from_probs = calibrate_probs(stored, 0.05, mlp.model_digest(mdl))
-        from_model = calibrate(mdl, records, alpha=0.05)
+        from_model = calibrated(mdl, records)
         assert from_probs == from_model
         assert from_probs.qhat.hex() == from_model.qhat.hex()
 
@@ -160,7 +160,7 @@ class TestCalibrate:
 
     def test_digest_binding(self, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]]
-        predictor = calibrate(small_run["model"], records, alpha=0.05)
+        predictor = calibrated(small_run["model"], records)
         check_digest(predictor, small_run["model"])
         other = mlp.init_params((128, 64, 32, 5), 999)
         with pytest.raises(DigestMismatchError):
@@ -322,13 +322,12 @@ class TestDiagnose:
 
     def predictor(self, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]]
-        return calibrate(small_run["model"], records, alpha=0.05)
+        return calibrated(small_run["model"], records)
 
     def test_obstacle_in_set(self, small_run):
         predictor = self.predictor(small_run)
         m = self.fresh_trace(small_run, FaultClass.Obstacle)
-        fv = preprocess.preprocess(m)
-        d = diagnose(predictor, small_run["model"], fv)
+        [(_, d)] = diagnosed(predictor, small_run["model"], preprocessed([m]))
         classes = {c for c, _ in d.prediction_set}
         assert FaultClass.Obstacle in classes
         assert d.argmax_class is FaultClass.Obstacle
@@ -345,24 +344,21 @@ class TestDiagnose:
         ripple_hz = 2.0 * synth.SUPPLY_RIPPLE_HZ[cfg.profile.supply]
         curve *= 0.85 * (1.0 + 0.04 * np.sin(2 * np.pi * ripple_hz * t))
         m = Manoeuvre("mixed", cfg.profile.name, 0.0, curve, cfg.profile.sample_rate)
-        d = diagnose(self.predictor(small_run), small_run["model"], preprocess.preprocess(m))
+        [(_, d)] = diagnosed(self.predictor(small_run), small_run["model"], preprocessed([m]))
         assert len(d.prediction_set) >= 2
 
     def test_uninformative_model_gives_maximal_sets(self, small_run):
         flat = MlpModel((128, 5), [np.zeros((128, 5))], [np.zeros(5)])
         records = [small_run["features"][m.id] for m in small_run["calibration"]]
-        predictor = calibrate(flat, records, alpha=0.05)
+        predictor = calibrated(flat, records)
         assert predictor.qhat == 1.0
-        fv = small_run["features"][small_run["holdout"][0].id][0]
-        d = diagnose(predictor, flat, fv)
+        [(_, d)] = diagnosed(predictor, flat, [small_run["features"][small_run["holdout"][0].id]])
         assert len(d.prediction_set) == 5
 
     def test_set_always_contains_argmax(self, small_run):
         predictor = self.predictor(small_run)
         mdl = small_run["model"]
-        for m in small_run["holdout"]:
-            fv = small_run["features"][m.id][0]
-            d = diagnose(predictor, mdl, fv)
+        for _, d in diagnosed(predictor, mdl, [small_run["features"][m.id] for m in small_run["holdout"]]):
             assert d.prediction_set[0][0] is d.argmax_class
             assert len(d.prediction_set) >= 1
             assert d.singleton == (len(d.prediction_set) == 1)

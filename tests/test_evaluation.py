@@ -22,7 +22,7 @@ from pmdiag.evaluation import (
 from pmdiag.evaluation import TestTooSmallError as SplitTooSmallError
 from pmdiag.model import MlpModel
 
-from conftest import MJ_COUNTS
+from conftest import MJ_COUNTS, calibrated, diagnosed
 
 
 def labelled_dataset(counts, seed=0):
@@ -180,7 +180,7 @@ class TestBinaryMetrics:
     )
     def test_matches_pair_by_pair_count(self, pairs):
         expected = counted_binary_metrics(pairs)
-        assert binary_metrics(pairs) == expected
+        assert binary_metrics(confusion_matrix(pairs)) == expected
         report = build_metrics(pairs, coverage=1.0, mean_set_size=1.0)
         assert (report.precision, report.fpr, report.fnr) == expected
 
@@ -190,12 +190,12 @@ class TestBinaryMetrics:
             (FaultClass.Obstacle, FaultClass.Obstacle),
             (FaultClass.Friction, FaultClass.Friction),
         ]
-        assert binary_metrics(pairs) == (1.0, 0.0, 0.0)
+        assert binary_metrics(confusion_matrix(pairs)) == (1.0, 0.0, 0.0)
 
     def test_one_missed_anomaly_among_855(self):
         pairs = [(FaultClass.Obstacle, FaultClass.Obstacle)] * 854
         pairs.append((FaultClass.Nominal, FaultClass.Obstacle))
-        precision, fpr, fnr = binary_metrics(pairs)
+        precision, fpr, fnr = binary_metrics(confusion_matrix(pairs))
         assert precision == 1.0
         assert fpr == 0.0
         assert fnr == 1 / 855
@@ -203,19 +203,19 @@ class TestBinaryMetrics:
 
     def test_zero_predicted_positives(self):
         pairs = [(FaultClass.Nominal, FaultClass.Obstacle)] * 3
-        precision, fpr, fnr = binary_metrics(pairs)
+        precision, fpr, fnr = binary_metrics(confusion_matrix(pairs))
         assert precision == 1.0
         assert fnr == 1.0
 
     def test_cross_anomaly_confusion_counts_as_positive(self):
         # friction predicted as obstacle is still a detected anomaly
         pairs = [(FaultClass.Obstacle, FaultClass.Friction)]
-        precision, fpr, fnr = binary_metrics(pairs)
+        precision, fpr, fnr = binary_metrics(confusion_matrix(pairs))
         assert (precision, fpr, fnr) == (1.0, 0.0, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            binary_metrics([])
+            binary_metrics(confusion_matrix([]))
         with pytest.raises(ValueError):
             build_metrics([], coverage=1.0, mean_set_size=1.0)
 
@@ -237,7 +237,7 @@ class TestConfusion:
             (FaultClass(int(rng.integers(0, 5))), FaultClass(int(rng.integers(0, 5))))
             for _ in range(500)
         ]
-        precision, fpr, fnr = binary_metrics(pairs)
+        precision, fpr, fnr = binary_metrics(confusion_matrix(pairs))
         conf = confusion_matrix(pairs)
         tp = conf[1:, 1:].sum()
         fp = conf[0, 1:].sum()
@@ -255,9 +255,7 @@ class TestCoverage:
             alpha=0.05, qhat=1.0, n_calibration=10, model_digest="x"
         )
         records = [small_run["features"][m.id] for m in small_run["holdout"]]
-        coverage, mean_size = coverage_eval(
-            (label, conformal.diagnose(predictor, flat, fv)) for fv, label in records
-        )
+        coverage, mean_size = coverage_eval(diagnosed(predictor, flat, records))
         assert coverage == 1.0
         assert mean_size == 5.0
 
@@ -267,13 +265,10 @@ class TestCoverage:
         )
         mdl = small_run["model"]
         records = [small_run["features"][m.id] for m in small_run["holdout"]]
-        coverage, mean_size = coverage_eval(
-            (label, conformal.diagnose(predictor, mdl, fv)) for fv, label in records
-        )
+        coverage, mean_size = coverage_eval(diagnosed(predictor, mdl, records))
         assert mean_size == 1.0
-        correct = sum(
-            mlp.argmax_class(mlp.forward(mdl, fv.values)) is label for fv, label in records
-        )
+        codes = mlp.forward_rows(mdl, np.stack([fv.values for fv, _ in records])).argmax(axis=1)
+        correct = sum(FaultClass(int(code)) is label for code, (_, label) in zip(codes, records))
         assert coverage == correct / len(records)
 
 
@@ -290,12 +285,10 @@ class TestReports:
 
     def test_diagnoses_jsonl(self, tmp_path, small_run):
         records = [small_run["features"][m.id] for m in small_run["calibration"]]
-        predictor = conformal.calibrate(small_run["model"], records, alpha=0.05)
-        rows = []
-        for k, m in enumerate(small_run["holdout"]):
-            fv, label = small_run["features"][m.id]
-            # every other row as from unlabelled field data
-            rows.append((label if k % 2 else None, conformal.diagnose(predictor, small_run["model"], fv)))
+        predictor = calibrated(small_run["model"], records)
+        holdout = diagnosed(predictor, small_run["model"], [small_run["features"][m.id] for m in small_run["holdout"]])
+        # every other row as from unlabelled field data
+        rows = [(label if k % 2 else None, d) for k, (label, d) in enumerate(holdout)]
         path = tmp_path / "diagnoses.jsonl"
         conformal.save_diagnoses(rows, path)
         objs = [json.loads(line) for line in path.read_text().splitlines()]

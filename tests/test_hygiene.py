@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from test_readme import python_block
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "pmdiag"
 # __init__.py has a check of its own
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -156,16 +158,67 @@ def calls(tree: ast.AST, match) -> list:
 
 def test_preprocess_has_one_kernel():
     """One path computes preprocess's steps: the block kernel smooths with
-    the module's only np.convolve, and segment_phases alone builds a
-    PhaseSegmentation, from what the kernel returns. Each public step is
-    one of the kernel's cases."""
+    the module's only np.convolve, takes the traces and the config and
+    nothing else, and preprocess_rows is its only caller in src/pmdiag."""
     tree = parse("preprocess.py")
     assert len(calls(tree, lambda f: isinstance(f, ast.Attribute) and f.attr == "convolve")) == 1
-    built = calls(tree, lambda f: isinstance(f, ast.Name) and f.id == "PhaseSegmentation")
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert len(built) == 1 and built[0] in ast.walk(functions["segment_phases"])
-    for name in ("preprocess", "preprocess_rows", "smooth", "detect_active_window", "segment_phases"):
-        assert calls(functions[name], lambda f: isinstance(f, ast.Name) and f.id == "_kernel"), name
+    a = functions["_kernel"].args
+    assert [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)] == ["traces", "cfg"]
+    assert a.vararg is None and a.kwarg is None
+    callers = [(module, node.name) for module in MODULES for node in parse(module).body
+               if isinstance(node, ast.FunctionDef)
+               and calls(node, lambda f: (isinstance(f, ast.Name) and f.id == "_kernel")
+                         or (isinstance(f, ast.Attribute) and f.attr == "_kernel"))]
+    assert callers == [("preprocess.py", "preprocess_rows")]
+
+
+ROOT = SRC.parents[1]
+PACKAGE_MODULES = {Path(name).stem for name in MODULES}
+# the tests load datasets through it, as the reference for cli._load
+UNNAMED_PUBLIC = {("core", "load_dataset")}
+
+
+def references(tree: ast.AST, module: "str | None" = None, spans=False) -> set:
+    """(module, name) of each package name a tree names: imported from a
+    package module, or read as an attribute of one, or, in `module`'s own
+    source, read as a plain name, or, with `spans`, as a string
+    "module.name", the span name by which perfbench's tracer hooks a
+    function."""
+    found = set()
+    for node in ast.walk(tree):
+        if spans and isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value:
+            found.add(tuple(node.value.split(".", 1)))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in PACKAGE_MODULES:
+            found |= {(node.module.split(".")[-1], alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in PACKAGE_MODULES:
+            found.add((node.value.id, node.attr))
+        elif module is not None and isinstance(node, ast.Name):
+            found.add((module, node.id))
+    return found
+
+
+def test_every_public_name_is_used():
+    """No public function or class is kept for its tests alone: each is named
+    in src/pmdiag outside its own definition, in perfbench (whose self-test
+    does not count), or in the README's library block."""
+    outside = references(ast.parse(python_block("Library")))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if path.name != "selftest.py":
+            outside |= references(ast.parse(path.read_text(encoding="utf-8")), spans=True)
+    # each top-level statement's references, so that a definition's own do not count
+    statements = {Path(name).stem: [(node, references(node, Path(name).stem)) for node in parse(name).body]
+                  for name in MODULES}
+    for module, body in statements.items():
+        outside |= {ref for _, refs in body for ref in refs if ref[0] != module}
+    unused = []
+    for module, body in statements.items():
+        for node, _ in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                named = {ref for other, refs in body if other is not node for ref in refs}
+                if (module, node.name) not in outside | named | UNNAMED_PUBLIC:
+                    unused.append(f"{module}.{node.name}")
+    assert unused == []
 
 
 def test_children_are_forked_in_one_place():

@@ -48,12 +48,11 @@ class TestNominal:
 
     def test_segmenter_recovers_plateau_under_noise(self, mj_profile):
         cfg = SynthConfig(profile=mj_profile, noise_sigma=0.05)
-        pcfg = preprocess.PreprocessConfig()
-        for seed in range(100):
-            m = synth.generate_nominal(cfg, seed)
-            s = preprocess.smooth(m.samples, pcfg.smooth_window)
-            seg = preprocess.segment_phases(s, preprocess.detect_active_window(s, pcfg), pcfg)
-            assert abs(seg.plateau_level - 3.0) / 3.0 < 0.02
+        block = preprocess._kernel([synth.generate_nominal(cfg, seed).samples for seed in range(100)],
+                                   preprocess.PreprocessConfig())
+        assert block.errors == [None] * 100
+        _, _, plateau_level = block.phases
+        assert (abs(plateau_level - 3.0) / 3.0 < 0.02).all()
 
 
 class TestInjectFault:
