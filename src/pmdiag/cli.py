@@ -452,18 +452,17 @@ class _Chunk(NamedTuple):
     dataset file.
 
     `ids` and `labels` hold every manoeuvre read, in order, and `manoeuvres`
-    the manoeuvres themselves; `features` holds one row per id unless
-    `error` or `failure` is set: an (n, width) matrix, or a list of rows
-    that other arrays hold (`_joined`, `_rows`). `error` is the first load
+    the manoeuvres themselves; `features`, an (n, width) matrix, holds one
+    row per id unless `error` or `failure` is set. `error` is the first load
     error, where the chunk ends, or the DatasetIoError of bytes that are not
     UTF-8; `failure` is the StageError of the first preprocess, or else
     scoring, failure. A piece that diagnose or preprocess finished
     (`_load_piece`) keeps only its ids and the lines made of it for the
-    output file, `lines`, and for stdout, `shown`.
+    output file, `lines`, and for stdout, `shown`, and no features.
     """
 
     ids: list
-    features: "np.ndarray | list"
+    features: np.ndarray
     labels: list
     manoeuvres: "list | tuple" = ()
     error: "ParseError | ValidationError | DatasetIoError | None" = None
@@ -581,7 +580,7 @@ def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.Preproce
     try:
         text = decode_text(read(end - start, start), path, start)
     except DatasetIoError as exc:
-        return _Chunk([], [], [], error=exc)
+        return _Chunk([], np.empty((0, 0)), [], error=exc)
 
     def lines_before():
         blocks = range(0, start, _SCAN_BYTES)
@@ -618,31 +617,24 @@ def _check(pieces) -> None:
 
 def _joined(chunks) -> _Chunk:
     """The rows and manoeuvres of the chunks, in order, as one _Chunk, where
-    `_check`, in stage load, raises no error; its features are their rows,
-    not a copy of them."""
+    `_check`, in stage load, raises no error."""
     _stage("load", _check, chunks)
     return _Chunk(
         [mid for chunk in chunks for mid in chunk.ids],
-        [row for chunk in chunks for row in chunk.features],
+        np.concatenate([chunk.features for chunk in chunks]),
         [label for chunk in chunks for label in chunk.labels],
         [m for chunk in chunks for m in chunk.manoeuvres],
     )
 
 
-def _rows(chunk: _Chunk, positions) -> _Chunk:
-    """The _Chunk of the rows of a chunk at `positions`, in that order; its
-    features are the chunk's rows, not a copy of them."""
-    return _Chunk(*([part[p] for p in positions] for part in (chunk.ids, chunk.features, chunk.labels)))
-
-
-def _pairs(chunk: _Chunk) -> list:
-    """The (FeatureVector, label) pairs of a chunk's rows, as model.train and features_text take them."""
-    return list(zip(map(preprocess.FeatureVector, chunk.features, chunk.ids), chunk.labels))
+def _rows(chunk: _Chunk, positions: list) -> _Chunk:
+    """The _Chunk of the rows of a chunk at `positions`, in that order."""
+    return _Chunk([chunk.ids[p] for p in positions], chunk.features[positions], [chunk.labels[p] for p in positions])
 
 
 def _features_lines(chunk: _Chunk) -> _Chunk:
     """preprocess's finish (see _load_piece): the ids and features.jsonl lines of a chunk."""
-    return _Chunk(chunk.ids, [], [], lines=preprocess.features_text(_pairs(chunk)))
+    return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=preprocess.features_text(chunk.ids, chunk.features, chunk.labels))
 
 
 def cmd_preprocess(args, cfg: RunConfig, out: Path) -> int:
@@ -657,10 +649,11 @@ def cmd_preprocess(args, cfg: RunConfig, out: Path) -> int:
 def _labelled(features_path, stage: str) -> _Chunk:
     """The _Chunk of the labelled records of a features file, in file order."""
     records = _stage("load", preprocess.load_features, features_path)
-    labelled = [(fv.source_id, fv.values, label) for fv, label in records if label is not None]
+    labelled = [(fv, label) for fv, label in records if label is not None]
     if not labelled:
         raise StageError(stage, PmDiagError("no labelled features"))
-    return _Chunk(*map(list, zip(*labelled)))  # ids, rows, labels
+    return _Chunk([fv.source_id for fv, _ in labelled], np.stack([fv.values for fv, _ in labelled]),
+                  [label for _, label in labelled])
 
 
 def _train_config(cfg: RunConfig, train: _Chunk) -> "tuple[model.TrainConfig, tuple]":
@@ -670,9 +663,7 @@ def _train_config(cfg: RunConfig, train: _Chunk) -> "tuple[model.TrainConfig, tu
     if not cfg.class_weights_given:
         weights = _stage("train", model.class_weights, collections.Counter(train.labels))
         train_cfg = replace(train_cfg, class_weights=model.weight_vector(weights))
-    # the input width is the features' (model.train rejects an empty set first)
-    width = len(train.features[0]) if train.ids else 0
-    return train_cfg, (width, *model.DEFAULT_LAYER_DIMS[1:])
+    return train_cfg, (train.features.shape[1], *model.DEFAULT_LAYER_DIMS[1:])
 
 
 def _probabilities(mdl, chunk: _Chunk, stage: str) -> np.ndarray:
@@ -694,7 +685,7 @@ def _diagnoses(predictor, chunk: _Chunk, probs) -> list:
 def _calibrate(cfg: RunConfig, mdl, labels, probs, out: Path) -> conformal.ConformalPredictor:
     """calibrate's step: the predictor calibrated on rows of true classes
     `labels` and of probabilities `probs` from `mdl`, written to predictor.json."""
-    predictor = _stage("calibrate", conformal.calibrate_probs, zip(probs, labels), cfg.conformal_cfg.alpha, model.model_digest(mdl))
+    predictor = _stage("calibrate", conformal.calibrate_probs, probs, labels, cfg.conformal_cfg, model.model_digest(mdl))
     conformal.save_predictor(predictor, out / PREDICTOR_FILE)
     return predictor
 
@@ -721,7 +712,7 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     labelled = _labelled(features_path, "train")
     train_cfg, layer_dims = _train_config(cfg, labelled)
-    result = _stage("train", model.train, _pairs(labelled), train_cfg, layer_dims)
+    result = _stage("train", model.train, labelled.features, labelled.labels, train_cfg, layer_dims)
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=str(features_path))
     evaluation.write_report({"epoch_losses": result.epoch_losses}, out / TRAINING_LOG_FILE)
     print(f"trained on {len(labelled.ids)} features; final loss {result.epoch_losses[-1]:.6f}")
@@ -752,7 +743,7 @@ def _diagnosed(mdl, predictor, chunk: _Chunk) -> _Chunk:
     for _, d in rows:
         members = ", ".join(f"{cls.name}:{prob:.3f}" for cls, prob in d.prediction_set)
         shown.append(f"{d.source_id}: {{{members}}} (set covers the true class at {guarantee}%)\n")
-    return _Chunk(chunk.ids, [], [], lines=conformal.diagnoses_text(rows), shown="".join(shown))
+    return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=conformal.diagnoses_text(rows), shown="".join(shown))
 
 
 def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
@@ -793,7 +784,7 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
 
 def _save_inputs(data: _Chunk, out: Path) -> None:
     save_dataset(data.manoeuvres, out / DATASET_FILE)
-    preprocess.save_features(_pairs(data), out / FEATURES_FILE)
+    atomic_write_text(out / FEATURES_FILE, preprocess.features_text(data.ids, data.features, data.labels))
 
 
 def _position_cuts(n: int, procs: int) -> list:
@@ -831,6 +822,7 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
             # a run that fails in preprocessing still leaves the dataset it failed on
             save_dataset([m for chunk in chunks for m in chunk.manoeuvres], out / DATASET_FILE)
         raise
+    del chunks  # data holds a copy of their features
     # a forked writer writes the input files while the split and training
     # run; they are complete once it is joined, also when either failed, and
     # model.json is written only after that. Where the writer could not be
@@ -842,7 +834,7 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         train_at, test_at = _stage("split", evaluation.stratified_split, data.manoeuvres, cfg.split_spec)
         train = _rows(data, train_at)
         train_cfg, layer_dims = _train_config(cfg, train)
-        result = _stage("train", model.train, _pairs(train), train_cfg, layer_dims)
+        result = _stage("train", model.train, train.features, train.labels, train_cfg, layer_dims)
     finally:
         if writer is None or not writer.join():
             _save_inputs(data, out)

@@ -140,22 +140,21 @@ def quantile_threshold(scores, alpha: float) -> float:
     return float(np.sort(s)[k - 1])
 
 
-def calibrate_probs(scored, alpha: float, digest: str) -> ConformalPredictor:
-    """Calibrate the set threshold on (probability vector, true FaultClass) pairs.
+def calibrate_probs(probs, labels, cfg: ConformalConfig, digest: str) -> ConformalPredictor:
+    """Calibrate the set threshold at cfg.alpha on the rows of an (n, classes)
+    probability matrix and their true FaultClass `labels`.
 
     `digest` is the `model_digest` of the model that gave the probabilities.
-    The vectors are scored as one matrix: an error's `row` is the first bad pair.
+    An error's `row` is the first bad row.
     """
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0, 1)")
-    items = list(scored)
-    if not items:
+    if len(probs) != len(labels):
+        raise ValueError(f"{len(probs)} probability rows for {len(labels)} labels")
+    if len(labels) == 0:
         raise EmptyCalibrationError("calibration set is empty")
-    probs, labels = zip(*items)
     scores = _aps_scores(probs, labels)
     return ConformalPredictor(
-        alpha=alpha,
-        qhat=quantile_threshold(scores, alpha),
+        alpha=cfg.alpha,
+        qhat=quantile_threshold(scores, cfg.alpha),
         n_calibration=len(scores),
         model_digest=digest,
     )

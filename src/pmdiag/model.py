@@ -317,26 +317,27 @@ def _layer_views(flat: np.ndarray, model: MlpModel) -> tuple[list[np.ndarray], l
     return views[: len(model.weights)], views[len(model.weights) :]
 
 
-def train(features, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainResult:
-    """Mini-batch momentum SGD over labelled feature vectors.
+def train(features, labels, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainResult:
+    """Mini-batch momentum SGD over the rows of an (n, width) feature matrix.
 
-    `features` is a sequence of (FeatureVector, FaultClass) pairs. The epoch
-    shuffle is seeded, so results are bit-reproducible for a fixed config.
+    `labels` holds each row's FaultClass. The epoch shuffle is seeded, so
+    results are bit-reproducible for a fixed config.
     The learning rate decays linearly from cfg.learning_rate to zero across
     the epochs, so the final model settles instead of bouncing on gradient
     noise. The per-epoch log records the full-dataset loss after each epoch.
     """
-    if not features:
+    if len(labels) == 0:
         raise DegenerateDataError("no training data")
-    labels = {label for _, label in features}
-    if len(labels) < 2:
-        raise DegenerateDataError("training data holds a single class")
-    # each row weighted by its class weight
-    x, y, w = _batch_arrays([(fv.values, label, cfg.class_weights[label]) for fv, label in features])
-    if x.shape[1] != layer_dims[0]:
+    x = np.asarray(features, dtype=np.float64)
+    if x.shape != (len(labels), layer_dims[0]):
         raise DimensionMismatchError(
-            f"feature length {x.shape[1]} != layer_dims[0] {layer_dims[0]}"
+            f"features of shape {x.shape} for {len(labels)} labels; need ({len(labels)}, {layer_dims[0]})"
         )
+    if len(set(labels)) < 2:
+        raise DegenerateDataError("training data holds a single class")
+    y = np.asarray([int(label) for label in labels], dtype=np.int64)
+    # each row weighted by its class weight
+    w = np.asarray(cfg.class_weights)[y]
 
     mdl = init_params(layer_dims, cfg.seed)
     # parameters, gradients and velocity each live in one flat vector, so the

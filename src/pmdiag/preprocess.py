@@ -22,7 +22,6 @@ from .core import (
     FaultClass,
     ParseError,
     PmDiagError,
-    atomic_write_text,
     jsonl_objects,
     jsonl_text,
     read_jsonl_text,
@@ -67,7 +66,7 @@ class PreprocessConfig:
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """Fixed-length normalized representation of one manoeuvre."""
+    """The record type of `load_features`: one manoeuvre's feature row and its id."""
 
     values: np.ndarray
     source_id: str
@@ -306,24 +305,18 @@ def preprocess_rows(manoeuvres, cfg: PreprocessConfig = PreprocessConfig()) -> "
 FEATURE_KEYS = {"source_id", "values", "label"}
 
 
-def _feature_to_obj(fv: FeatureVector, label: FaultClass | None) -> dict:
-    obj = {"source_id": fv.source_id, "values": fv.values.tolist()}
+def _feature_to_obj(source_id: str, row: np.ndarray, label: "FaultClass | None") -> dict:
+    obj = {"source_id": source_id, "values": row.tolist()}
     if label is not None:
         obj["label"] = label.name
     return obj
 
 
-def features_text(records) -> str:
-    """The features.jsonl lines of (FeatureVector, FaultClass or None)
-    records, labels passed through (see core.jsonl_text)."""
-    return jsonl_text(_feature_to_obj(fv, label) for fv, label in records)
-
-
-def save_features(
-    records: "list[tuple[FeatureVector, FaultClass | None]]", path: str | Path
-) -> None:
-    """Write features as JSONL with pass-through labels (atomic)."""
-    atomic_write_text(path, features_text(records))
+def features_text(ids, values, labels) -> str:
+    """The features.jsonl lines of manoeuvres `ids`, their rows of an
+    (n, width) matrix `values`, and their FaultClass labels or None, passed
+    through (see core.jsonl_text)."""
+    return jsonl_text(_feature_to_obj(*record) for record in zip(ids, values, labels, strict=True))
 
 
 def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | None]]":
@@ -339,6 +332,8 @@ def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | N
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(line_number, f"bad feature record: {exc}") from None
+        if fv.values.size == 0:
+            raise ParseError(line_number, f"no values in features of {fv.source_id!r}")
         if not np.isfinite(fv.values).all():
             raise ParseError(line_number, f"non-finite value in features of {fv.source_id!r}")
         # the records are scored as one matrix: every row is a list of one length

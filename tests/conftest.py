@@ -49,26 +49,32 @@ def profile_at_rate(profile: TechnologyProfile, sample_rate: float) -> Technolog
 
 
 def preprocessed(manoeuvres, cfg=preprocess.PreprocessConfig()):
-    """The (FeatureVector, label) pair of each manoeuvre, from one
+    """The (n, feature_length) feature matrix of the manoeuvres, from one
     preprocess_rows call; the first manoeuvre that fails raises its error."""
     values, errors = preprocess.preprocess_rows(manoeuvres, cfg)
     for error in errors:
         if error is not None:
             raise error
-    return [(preprocess.FeatureVector(row, m.id), m.label) for m, row in zip(manoeuvres, values)]
+    return values
 
 
-def calibrated(mdl, records, alpha=0.05):
-    """The predictor calibrated on (FeatureVector, FaultClass) records, scored by one forward_rows call."""
-    probs = model.forward_rows(mdl, np.stack([fv.values for fv, _ in records]))
-    return conformal.calibrate_probs(zip(probs, (label for _, label in records)), alpha, model.model_digest(mdl))
+def rows_of(run, manoeuvres):
+    """The rows of a run's feature matrix that hold `manoeuvres` of its dataset."""
+    return run["features"][[run["position"][m.id] for m in manoeuvres]]
 
 
-def diagnosed(predictor, mdl, records):
-    """(label, Diagnosis) of each (FeatureVector, label) record, scored by one forward_rows call."""
-    probs = model.forward_rows(mdl, np.stack([fv.values for fv, _ in records]))
-    sets = conformal.diagnoses(predictor, [fv.source_id for fv, _ in records], probs)
-    return [(label, d) for (_, label), d in zip(records, sets)]
+def calibrated(mdl, manoeuvres, values, alpha=0.05):
+    """The predictor calibrated on labelled manoeuvres and their feature rows
+    `values`, scored by one forward_rows call."""
+    probs = model.forward_rows(mdl, values)
+    return conformal.calibrate_probs(probs, [m.label for m in manoeuvres], conformal.ConformalConfig(alpha),
+                                     model.model_digest(mdl))
+
+
+def diagnosed(predictor, mdl, manoeuvres, values):
+    """(label, Diagnosis) of each manoeuvre and its feature row in `values`, scored by one forward_rows call."""
+    sets = conformal.diagnoses(predictor, [m.id for m in manoeuvres], model.forward_rows(mdl, values))
+    return [(m.label, d) for m, d in zip(manoeuvres, sets)]
 
 
 @pytest.fixture(scope="session")
@@ -88,20 +94,22 @@ def small_run(mj_profile):
         profile=mj_profile, noise_sigma=0.09, amplitude_jitter=0.05, duration_jitter=0.05, seed=5
     )
     ds = synth.generate_dataset(counts, cfg, (0.3, 1.0))
-    features = {fv.source_id: (fv, label) for fv, label in preprocessed(ds)}
+    features = preprocessed(ds)
     spec = evaluation.SplitSpec(seed=5)
     train_at, test_at = evaluation.stratified_split(ds, spec)
     train, test = [ds.manoeuvres[p] for p in train_at], [ds.manoeuvres[p] for p in test_at]
     cal_at, hold_at = evaluation.split_calibration(test, spec)
     weights = model.weight_vector(model.class_weights(collections.Counter(m.label for m in train)))
     result = model.train(
-        [features[m.id] for m in train],
+        features[train_at],
+        [m.label for m in train],
         model.TrainConfig(epochs=80, seed=5, class_weights=weights),
     )
     return {
         "cfg": cfg,
         "dataset": ds,
         "features": features,
+        "position": {m.id: p for p, m in enumerate(ds)},
         "train": train,
         "test": test,
         "calibration": [test[k] for k in cal_at],

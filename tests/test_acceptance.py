@@ -13,7 +13,7 @@ from pmdiag import cli, conformal, evaluation, model as mlp, synth
 from pmdiag.core import FaultClass, Manoeuvre, load_dataset, save_dataset
 from pmdiag.preprocess import PreprocessConfig
 
-from conftest import MJ_COUNTS, calibrated, diagnosed, preprocessed, profile_at_rate
+from conftest import MJ_COUNTS, calibrated, diagnosed, preprocessed, profile_at_rate, rows_of
 
 PCFG = PreprocessConfig()
 
@@ -36,23 +36,24 @@ def run_experiment(seed):
         seed=seed,
     )
     ds = synth.generate_dataset(MJ_COUNTS, cfg, (0.3, 1.0))
-    features = {fv.source_id: (fv, label) for fv, label in preprocessed(ds, PCFG)}
+    features = preprocessed(ds, PCFG)
     spec = evaluation.SplitSpec(seed=seed)
     train_at, test_at = evaluation.stratified_split(ds, spec)
     train, test = [ds.manoeuvres[p] for p in train_at], [ds.manoeuvres[p] for p in test_at]
     weights = mlp.weight_vector(mlp.class_weights(collections.Counter(m.label for m in train)))
     result = mlp.train(
-        [features[m.id] for m in train],
+        features[train_at],
+        [m.label for m in train],
         mlp.TrainConfig(seed=seed, class_weights=weights),
     )
-    test_records = [features[m.id] for m in test]
-    x = np.stack([fv.values for fv, _ in test_records])
-    y = np.array([int(label) for _, label in test_records])
+    x = features[test_at]
+    y = np.array([int(m.label) for m in test])
     codes, _ = mlp.predict_batch(result.model, x)
     pairs = [(FaultClass(int(c)), FaultClass(int(t))) for c, t in zip(codes, y)]
     return {
         "dataset": ds,
         "features": features,
+        "position": {m.id: p for p, m in enumerate(ds)},
         "test": test,
         "model": result.model,
         "metrics": evaluation.binary_metrics(evaluation.confusion_matrix(pairs)),
@@ -88,10 +89,9 @@ def test_criterion_2_conformal_coverage(seed1_experiment):
     for i in range(50):
         spec = evaluation.SplitSpec(seed=10_000 + i)
         cal_at, hold_at = evaluation.split_calibration(exp["test"], spec)
-        predictor = calibrated(exp["model"], [exp["features"][exp["test"][k].id] for k in cal_at])
-        coverage, _ = evaluation.coverage_eval(
-            diagnosed(predictor, exp["model"], [exp["features"][exp["test"][k].id] for k in hold_at])
-        )
+        cal, hold = [exp["test"][k] for k in cal_at], [exp["test"][k] for k in hold_at]
+        predictor = calibrated(exp["model"], cal, rows_of(exp, cal))
+        coverage, _ = evaluation.coverage_eval(diagnosed(predictor, exp["model"], hold, rows_of(exp, hold)))
         coverages.append(coverage)
     coverages = np.array(coverages)
     mean_cov = float(coverages.mean())
@@ -120,13 +120,13 @@ def test_criterion_3_aps_oracle_equivalence():
 
 def test_criterion_4_quantile_edge_cases(seed1_experiment):
     exp = seed1_experiment
-    records = [exp["features"][m.id] for m in exp["test"]]
-    p10 = calibrated(exp["model"], records[:10])
+    test = exp["test"]
+    p10 = calibrated(exp["model"], test[:10], rows_of(exp, test[:10]))
     ok_clamp = p10.qhat == 1.0
-    p19 = calibrated(exp["model"], records[:19])
+    p19 = calibrated(exp["model"], test[:19], rows_of(exp, test[:19]))
     scores = [
-        conformal._aps_scores(mlp.forward(exp["model"], fv.values)[None], [label])[0]
-        for fv, label in records[:19]
+        conformal._aps_scores(mlp.forward(exp["model"], values)[None], [m.label])[0]
+        for m, values in zip(test[:19], rows_of(exp, test[:19]))
     ]
     ok_max = p19.qhat == max(scores)
     verdict(
@@ -168,7 +168,7 @@ def test_criterion_6_preprocessing_invariance():
             m = synth.inject_fault(cfg, synth.FaultSpec(cls, 0.3 + 0.007 * i), i)
         scaled = [Manoeuvre(m.id, m.technology, m.timestamp, m.samples * k, m.sample_rate, m.label)
                   for k in (1.0, 0.5, 0.9, 2.0)]
-        base, *others = (fv.values for fv, _ in preprocessed(scaled, PCFG))
+        base, *others = preprocessed(scaled, PCFG)
         for v in others:
             diff = float(np.abs(v - base).max())
             worst_scale = max(worst_scale, diff)
@@ -181,8 +181,8 @@ def test_criterion_6_preprocessing_invariance():
         cfg100 = synth.SynthConfig(profile=profile_at_rate(profile, 100.0), amplitude_jitter=0.05)
         cfg200 = synth.SynthConfig(profile=profile_at_rate(profile, 200.0), amplitude_jitter=0.05)
         pair = [synth.generate_nominal(cfg100, seed), synth.generate_nominal(cfg200, seed)]
-        (f100, _), (f200, _) = preprocessed(pair, PCFG)
-        worst_rate = max(worst_rate, float(np.abs(f100.values - f200.values).max()))
+        f100, f200 = preprocessed(pair, PCFG)
+        worst_rate = max(worst_rate, float(np.abs(f100 - f200).max()))
     ok_rate = worst_rate <= 0.02
     verdict(
         6,

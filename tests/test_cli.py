@@ -599,9 +599,8 @@ class TestForkedLoad:
                 no_fork(patch, how)
                 assert self.outcome(argv, out, capsys) == forked, how
         if name == "preprocess":
-            records, _ = self.reference(ds_path)
-            preprocess.save_features(records, tmp_path / "reference.jsonl")
-            assert forked[3]["features.jsonl"] == (tmp_path / "reference.jsonl").read_bytes()
+            text, _ = self.reference(ds_path)
+            assert forked[3]["features.jsonl"] == text.encode()
 
     DEFECTS = {
         "broken_json": lambda objs, k: "{oops",
@@ -759,15 +758,16 @@ class TestForkedLoad:
         """The outcome (see `outcome`) of a `name` call that writes into
         `out`, as one process gives it: each manoeuvre of load_dataset
         preprocessed and, for diagnose, scored and given its set alone."""
-        records = [record for m in load_dataset(ds_path) for record in preprocessed([m])]
+        ms = list(load_dataset(ds_path))
+        values = [preprocessed([m]) for m in ms]
         reference = out.with_name("reference.jsonl")
         if name == "preprocess":
-            preprocess.save_features(records, reference)
-            shown = f"wrote {len(records)} feature vectors to {out / 'features.jsonl'}\n"
-            return 0, shown, "", {"features.jsonl": reference.read_bytes()}
+            text = preprocess.features_text([m.id for m in ms], np.concatenate(values), [m.label for m in ms])
+            shown = f"wrote {len(ms)} feature vectors to {out / 'features.jsonl'}\n"
+            return 0, shown, "", {"features.jsonl": text.encode()}
         mdl = model.load_model(trained_run / "model.json")
         predictor = conformal.load_predictor(trained_run / "predictor.json")
-        rows = [row for record in records for row in diagnosed(predictor, mdl, [record])]
+        rows = [row for m, x in zip(ms, values) for row in diagnosed(predictor, mdl, [m], x)]
         conformal.save_diagnoses(rows, reference)
         shown = "".join(
             f"{d.source_id}: {{{', '.join(f'{cls.name}:{p:.3f}' for cls, p in d.prediction_set)}}}"
@@ -905,19 +905,19 @@ class TestForkedLoad:
 
     @staticmethod
     def reference(ds_path):
-        """(records, None), or (None, the stderr line of the first failure), of
-        load_dataset and then preprocessing each manoeuvre in order."""
+        """(features.jsonl text, None), or (None, the stderr line of the first
+        failure), of load_dataset and then preprocessing each manoeuvre in order."""
         try:
             ds = load_dataset(ds_path)
         except PmDiagError as exc:
             return None, f"pipeline failure in load: {exc}\n"
-        records = []
+        values = []
         for m in ds:
             try:
-                records += preprocessed([m])
+                values.append(preprocessed([m]))
             except PmDiagError as exc:
                 return None, f"pipeline failure in preprocess: manoeuvre {m.id!r}: {exc}\n"
-        return records, None
+        return preprocess.features_text([m.id for m in ds], np.concatenate(values), [m.label for m in ds]), None
 
     @pytest.mark.parametrize("lines", [1, 0, None], ids=["one_manoeuvre", "empty", "blank_lines"])
     def test_small_input_never_forks(self, trained_run, tmp_path, capsys, monkeypatch, lines):
@@ -1090,16 +1090,16 @@ class TestPipelineOnEveryCpu:
         # the child has written dataset.jsonl and dies before features.jsonl
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         died = tmp_path / "died"
-        parent, save_features = os.getpid(), preprocess.save_features
+        parent, features_text = os.getpid(), preprocess.features_text
 
         def die_in_child(*args):
             if os.getpid() != parent:
                 if (Path(argv[-1]) / "dataset.jsonl").exists():
                     died.touch()
                 os._exit(1)
-            save_features(*args)
+            return features_text(*args)
 
-        monkeypatch.setattr(preprocess, "save_features", die_in_child)
+        monkeypatch.setattr(preprocess, "features_text", die_in_child)
         assert self.outcome(argv, capsys) == alone
         assert died.exists()
 
@@ -1262,11 +1262,10 @@ class TestLoadedPipelineOnEveryCpu:
             return json.dumps({key: v for key, v in objs[k].items() if key != "label"})
 
         ds_path = self.defective(long_dataset, tmp_path, {149: unlabelled})
-        records, _ = TestForkedLoad.reference(ds_path)
-        preprocess.save_features(records, tmp_path / "reference.jsonl")
+        text, _ = TestForkedLoad.reference(ds_path)
         mid = json.loads(ds_path.read_text().splitlines()[149])["id"]
         err = f"pipeline failure in split: manoeuvre {mid!r} is unlabelled; splits need labels\n"
-        files = {"dataset.jsonl": ds_path.read_bytes(), "features.jsonl": (tmp_path / "reference.jsonl").read_bytes()}
+        files = {"dataset.jsonl": ds_path.read_bytes(), "features.jsonl": text.encode()}
         assert self.fails(tmp_path, ds_path, capsys, monkeypatch) == (4, "", err, files)
         # on every CPU, two children load pieces and the writer child writes the input files
         assert len(forks) == 3
@@ -1375,6 +1374,19 @@ class TestStageCommands:
             f"pipeline failure in load: line 6: values of {obj['source_id']!r} have shape {shape}, "
             "not (128,) as in the first record\n"
         ))
+
+    @pytest.mark.parametrize("command", ["train", "calibrate", "evaluate"])
+    def test_feature_rows_without_values_exit_4(self, trained_run, tmp_path, capsys, command):
+        # every row is empty, so each has the shape of the first; train
+        # would build a model of input width 0
+        out = tmp_path / "out"
+        shutil.copytree(trained_run, out)
+        objs = [json.loads(l) for l in (out / "features.jsonl").read_text().splitlines()]
+        (out / "features.jsonl").write_text("".join(json.dumps({**obj, "values": []}) + "\n" for obj in objs))
+        capsys.readouterr()
+        code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            4, f"pipeline failure in load: line 1: no values in features of {objs[0]['source_id']!r}\n")
 
     @staticmethod
     def split_of(run_dir):

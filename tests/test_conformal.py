@@ -6,6 +6,7 @@ import pytest
 from pmdiag import model as mlp, synth
 from pmdiag.conformal import (
     BadDistributionError,
+    ConformalConfig,
     ConformalPredictor,
     Diagnosis,
     DigestMismatchError,
@@ -22,7 +23,7 @@ from pmdiag.conformal import (
 from pmdiag.core import FaultClass, Manoeuvre
 from pmdiag.model import MlpModel
 
-from conftest import calibrated, diagnosed, preprocessed
+from conftest import calibrated, diagnosed, preprocessed, rows_of
 
 
 def brute_force_set(probs, qhat):
@@ -126,41 +127,54 @@ class TestQuantile:
 
 class TestCalibrate:
     def test_small_calibration_clamps(self, small_run):
-        records = [small_run["features"][m.id] for m in small_run["calibration"]][:10]
-        predictor = calibrated(small_run["model"], records)
+        cal = small_run["calibration"][:10]
+        predictor = calibrated(small_run["model"], cal, rows_of(small_run, cal))
         assert predictor.qhat == 1.0
         assert predictor.n_calibration == 10
 
     def test_n19_equals_max_score(self, small_run):
-        records = [small_run["features"][m.id] for m in small_run["calibration"]][:19]
+        cal = small_run["calibration"][:19]
         mdl = small_run["model"]
-        predictor = calibrated(mdl, records)
-        scores = [_aps_scores(mlp.forward(mdl, fv.values)[None], [label])[0] for fv, label in records]
+        predictor = calibrated(mdl, cal, rows_of(small_run, cal))
+        scores = [_aps_scores(mlp.forward(mdl, values)[None], [m.label])[0]
+                  for m, values in zip(cal, rows_of(small_run, cal))]
         assert predictor.qhat == max(scores)
 
     def test_empty_calibration(self, small_run):
         with pytest.raises(EmptyCalibrationError):
-            calibrate_probs([], 0.05, mlp.model_digest(small_run["model"]))
+            calibrate_probs(np.empty((0, 5)), [], ConformalConfig(), mlp.model_digest(small_run["model"]))
 
     def test_stored_probabilities_give_the_same_predictor(self, small_run):
-        records = [small_run["features"][m.id] for m in small_run["calibration"]]
+        cal = small_run["calibration"]
         mdl = small_run["model"]
-        stored = [(mlp.forward(mdl, fv.values), label) for fv, label in records]
-        from_probs = calibrate_probs(stored, 0.05, mlp.model_digest(mdl))
-        from_model = calibrated(mdl, records)
+        stored = np.stack([mlp.forward(mdl, values) for values in rows_of(small_run, cal)])
+        from_probs = calibrate_probs(stored, [m.label for m in cal], ConformalConfig(), mlp.model_digest(mdl))
+        from_model = calibrated(mdl, cal, rows_of(small_run, cal))
         assert from_probs == from_model
         assert from_probs.qhat.hex() == from_model.qhat.hex()
 
     def test_error_names_the_first_bad_pair(self):
         bad = np.array([0.9, 0.2, 0.0, 0.0, 0.0])
-        scored = [(PROBS, FaultClass.Nominal)] * 3 + [(bad, FaultClass.Obstacle)] * 2
+        probs = np.stack([PROBS] * 3 + [bad] * 2)
+        labels = [FaultClass.Nominal] * 3 + [FaultClass.Obstacle] * 2
         with pytest.raises(BadDistributionError) as info:
-            calibrate_probs(scored, 0.05, "x")
+            calibrate_probs(probs, labels, ConformalConfig(), "x")
         assert info.value.row == 3
 
+    @pytest.mark.parametrize("labels", [2, 4])
+    def test_row_count_must_match_labels(self, labels):
+        message = re.escape(f"3 probability rows for {labels} labels")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            calibrate_probs(np.tile(PROBS, (3, 1)), [FaultClass.Nominal] * labels, ConformalConfig(), "x")
+
+    def test_alpha_comes_from_the_config(self):
+        predictor = calibrate_probs(np.tile(PROBS, (3, 1)), [FaultClass.Obstacle] * 3, ConformalConfig(0.5), "x")
+        assert predictor.alpha == 0.5
+        assert predictor.qhat == quantile_threshold(_aps_scores(np.tile(PROBS, (3, 1)), [FaultClass.Obstacle] * 3), 0.5)
+
     def test_digest_binding(self, small_run):
-        records = [small_run["features"][m.id] for m in small_run["calibration"]]
-        predictor = calibrated(small_run["model"], records)
+        cal = small_run["calibration"]
+        predictor = calibrated(small_run["model"], cal, rows_of(small_run, cal))
         check_digest(predictor, small_run["model"])
         other = mlp.init_params((128, 64, 32, 5), 999)
         with pytest.raises(DigestMismatchError):
@@ -297,9 +311,9 @@ class TestPredictSets:
         message = re.escape(f"need 5 probabilities, got shape {shape}")
         with pytest.raises(BadDistributionError, match=f"^{message}$"):
             predict_sets(predictor_with(0.9), np.full(shape, 0.2))
-        # calibrate_probs stacks its vectors into the same matrix
+        # calibrate_probs checks its matrix the same way
         with pytest.raises(BadDistributionError, match=f"^{message}$"):
-            calibrate_probs(zip(np.full(shape, 0.2), [FaultClass.Nominal] * shape[0]), 0.05, "x")
+            calibrate_probs(np.full(shape, 0.2), [FaultClass.Nominal] * shape[0], ConformalConfig(), "x")
 
     def test_diagnoses_wrap_each_row(self):
         predictor = predictor_with(0.85)
@@ -321,13 +335,13 @@ class TestDiagnose:
         )
 
     def predictor(self, small_run):
-        records = [small_run["features"][m.id] for m in small_run["calibration"]]
-        return calibrated(small_run["model"], records)
+        cal = small_run["calibration"]
+        return calibrated(small_run["model"], cal, rows_of(small_run, cal))
 
     def test_obstacle_in_set(self, small_run):
         predictor = self.predictor(small_run)
         m = self.fresh_trace(small_run, FaultClass.Obstacle)
-        [(_, d)] = diagnosed(predictor, small_run["model"], preprocessed([m]))
+        [(_, d)] = diagnosed(predictor, small_run["model"], [m], preprocessed([m]))
         classes = {c for c, _ in d.prediction_set}
         assert FaultClass.Obstacle in classes
         assert d.argmax_class is FaultClass.Obstacle
@@ -344,21 +358,22 @@ class TestDiagnose:
         ripple_hz = 2.0 * synth.SUPPLY_RIPPLE_HZ[cfg.profile.supply]
         curve *= 0.85 * (1.0 + 0.04 * np.sin(2 * np.pi * ripple_hz * t))
         m = Manoeuvre("mixed", cfg.profile.name, 0.0, curve, cfg.profile.sample_rate)
-        [(_, d)] = diagnosed(self.predictor(small_run), small_run["model"], preprocessed([m]))
+        [(_, d)] = diagnosed(self.predictor(small_run), small_run["model"], [m], preprocessed([m]))
         assert len(d.prediction_set) >= 2
 
     def test_uninformative_model_gives_maximal_sets(self, small_run):
         flat = MlpModel((128, 5), [np.zeros((128, 5))], [np.zeros(5)])
-        records = [small_run["features"][m.id] for m in small_run["calibration"]]
-        predictor = calibrated(flat, records)
+        cal, hold = small_run["calibration"], small_run["holdout"][:1]
+        predictor = calibrated(flat, cal, rows_of(small_run, cal))
         assert predictor.qhat == 1.0
-        [(_, d)] = diagnosed(predictor, flat, [small_run["features"][small_run["holdout"][0].id]])
+        [(_, d)] = diagnosed(predictor, flat, hold, rows_of(small_run, hold))
         assert len(d.prediction_set) == 5
 
     def test_set_always_contains_argmax(self, small_run):
         predictor = self.predictor(small_run)
         mdl = small_run["model"]
-        for _, d in diagnosed(predictor, mdl, [small_run["features"][m.id] for m in small_run["holdout"]]):
+        hold = small_run["holdout"]
+        for _, d in diagnosed(predictor, mdl, hold, rows_of(small_run, hold)):
             assert d.prediction_set[0][0] is d.argmax_class
             assert len(d.prediction_set) >= 1
             assert d.singleton == (len(d.prediction_set) == 1)

@@ -22,7 +22,7 @@ from pmdiag.evaluation import (
 from pmdiag.evaluation import TestTooSmallError as SplitTooSmallError
 from pmdiag.model import MlpModel
 
-from conftest import MJ_COUNTS, calibrated, diagnosed
+from conftest import MJ_COUNTS, calibrated, diagnosed, rows_of
 
 
 def labelled_dataset(counts, seed=0):
@@ -254,8 +254,8 @@ class TestCoverage:
         predictor = conformal.ConformalPredictor(
             alpha=0.05, qhat=1.0, n_calibration=10, model_digest="x"
         )
-        records = [small_run["features"][m.id] for m in small_run["holdout"]]
-        coverage, mean_size = coverage_eval(diagnosed(predictor, flat, records))
+        hold = small_run["holdout"]
+        coverage, mean_size = coverage_eval(diagnosed(predictor, flat, hold, rows_of(small_run, hold)))
         assert coverage == 1.0
         assert mean_size == 5.0
 
@@ -264,12 +264,12 @@ class TestCoverage:
             alpha=0.05, qhat=1e-6, n_calibration=10, model_digest="x"
         )
         mdl = small_run["model"]
-        records = [small_run["features"][m.id] for m in small_run["holdout"]]
-        coverage, mean_size = coverage_eval(diagnosed(predictor, mdl, records))
+        hold = small_run["holdout"]
+        coverage, mean_size = coverage_eval(diagnosed(predictor, mdl, hold, rows_of(small_run, hold)))
         assert mean_size == 1.0
-        codes = mlp.forward_rows(mdl, np.stack([fv.values for fv, _ in records])).argmax(axis=1)
-        correct = sum(FaultClass(int(code)) is label for code, (_, label) in zip(codes, records))
-        assert coverage == correct / len(records)
+        codes = mlp.forward_rows(mdl, rows_of(small_run, hold)).argmax(axis=1)
+        correct = sum(FaultClass(int(code)) is m.label for code, m in zip(codes, hold))
+        assert coverage == correct / len(hold)
 
 
 class TestReports:
@@ -284,9 +284,9 @@ class TestReports:
         assert json.loads(p1.read_text()) == obj
 
     def test_diagnoses_jsonl(self, tmp_path, small_run):
-        records = [small_run["features"][m.id] for m in small_run["calibration"]]
-        predictor = calibrated(small_run["model"], records)
-        holdout = diagnosed(predictor, small_run["model"], [small_run["features"][m.id] for m in small_run["holdout"]])
+        cal, hold = small_run["calibration"], small_run["holdout"]
+        predictor = calibrated(small_run["model"], cal, rows_of(small_run, cal))
+        holdout = diagnosed(predictor, small_run["model"], hold, rows_of(small_run, hold))
         # every other row as from unlabelled field data
         rows = [(label if k % 2 else None, d) for k, (label, d) in enumerate(holdout)]
         path = tmp_path / "diagnoses.jsonl"

@@ -269,3 +269,21 @@ def test_cli_has_one_dataset_loader_and_one_preprocess_call():
     assert named == []
     rows = calls(tree, lambda f: isinstance(f, ast.Attribute) and f.attr == "preprocess_rows")
     assert len(rows) == 1
+
+
+def test_feature_vector_is_built_only_by_load_features():
+    """Feature rows go from preprocessing through training, calibration and
+    features.jsonl as one (n, width) matrix: FeatureVector is only the record
+    type of preprocess.load_features, the one place that builds it, and
+    cli.py does not name it."""
+
+    def builds(f) -> bool:
+        return (isinstance(f, ast.Name) and f.id == "FeatureVector") or (
+            isinstance(f, ast.Attribute) and f.attr == "FeatureVector")
+
+    everywhere = [(module, node.lineno) for module in MODULES for node in calls(parse(module), builds)]
+    load_features = next(n for n in parse("preprocess.py").body
+                         if isinstance(n, ast.FunctionDef) and n.name == "load_features")
+    inside = [("preprocess.py", node.lineno) for node in calls(load_features, builds)]
+    assert everywhere == inside and len(inside) == 1
+    assert "FeatureVector" not in mentioned(parse("cli.py"))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from pmdiag.model import (
     TrainConfig,
 )
 from pmdiag.core import PmDiagError
-from pmdiag.preprocess import FeatureVector
 
 
 def uniform_model(input_dim=4):
@@ -302,19 +303,17 @@ class TestGrad:
             assert np.allclose(x, (2 * wa + wb) / 3.0, atol=1e-12)
 
 
-def feature_records(n, dim=128, seed=0):
-    """Two linearly separable classes with near-orthogonal templates."""
+def feature_rows(n, dim=128, seed=0):
+    """(features, labels): two linearly separable classes with near-orthogonal templates."""
     rng = np.random.default_rng(seed)
-    records = []
+    rows = []
     for i in range(n):
         v = np.zeros(dim)
         half = dim // 2
         v[:half] = 1.0 if i % 2 == 0 else 0.05
         v[half:] = 0.05 if i % 2 == 0 else 1.0
-        v = np.abs(v + rng.normal(0, 0.01, dim))
-        fv = FeatureVector(v, f"f{i}")
-        records.append((fv, FaultClass(i % 2)))
-    return records
+        rows.append(np.abs(v + rng.normal(0, 0.01, dim)))
+    return np.stack(rows), [FaultClass(i % 2) for i in range(n)]
 
 
 def reference_grad(model, x, y, w):
@@ -340,11 +339,11 @@ def reference_grad(model, x, y, w):
     return grad_w, grad_b
 
 
-def reference_train(features, cfg):
+def reference_train(features, labels, cfg):
     """train as a per-layer momentum loop that logs the loss in one full-set product."""
-    x = np.stack([fv.values for fv, _ in features])
-    y = np.asarray([int(label) for _, label in features], dtype=np.int64)
-    w = np.asarray(cfg.class_weights)[y]
+    x = np.array(features, dtype=np.float64)
+    y = np.asarray([int(label) for label in labels], dtype=np.int64)
+    w = np.asarray([cfg.class_weights[label] for label in labels])
     mdl = mlp.init_params(mlp.DEFAULT_LAYER_DIMS, cfg.seed)
     velocity_w = [np.zeros_like(m) for m in mdl.weights]
     velocity_b = [np.zeros_like(b) for b in mdl.biases]
@@ -368,19 +367,18 @@ def reference_train(features, cfg):
 
 class TestTrain:
     def test_separable_sanity(self):
-        records = feature_records(40)
-        result = mlp.train(records, TrainConfig(seed=3))
-        x = np.stack([fv.values for fv, _ in records])
-        y = np.array([int(label) for _, label in records])
+        x, labels = feature_rows(40)
+        result = mlp.train(x, labels, TrainConfig(seed=3))
+        y = np.array([int(label) for label in labels])
         codes, _ = mlp.predict_batch(result.model, x)
         assert (codes == y).all()
         tail = result.epoch_losses[-50:]
         assert all(b - a <= 1e-6 for a, b in zip(tail, tail[1:]))
 
     def test_deterministic(self):
-        records = feature_records(24)
-        r1 = mlp.train(records, TrainConfig(epochs=30, seed=2))
-        r2 = mlp.train(records, TrainConfig(epochs=30, seed=2))
+        x, labels = feature_rows(24)
+        r1 = mlp.train(x, labels, TrainConfig(epochs=30, seed=2))
+        r2 = mlp.train(x, labels, TrainConfig(epochs=30, seed=2))
         assert all(np.array_equal(a, b) for a, b in zip(r1.model.weights, r2.model.weights))
         assert all(np.array_equal(a, b) for a, b in zip(r1.model.biases, r2.model.biases))
         assert r1.epoch_losses == r2.epoch_losses
@@ -402,13 +400,12 @@ class TestTrain:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_equals_per_layer_reference_loop(self, seed, batch_size):
         rng = np.random.default_rng(seed)
-        records = [
-            (FeatureVector(rng.uniform(0, 2, 128), f"f{i}"), FaultClass(i % 5)) for i in range(41)
-        ]
+        x = rng.uniform(0, 2, (41, 128))
+        labels = [FaultClass(i % 5) for i in range(41)]
         cfg = TrainConfig(epochs=20, batch_size=batch_size, seed=seed,
                           class_weights=(1.0, 2.0, 0.5, 1.5, 3.0))
-        result = mlp.train(records, cfg)
-        ref_model, ref_losses = reference_train(records, cfg)
+        result = mlp.train(x, labels, cfg)
+        ref_model, ref_losses = reference_train(x, labels, cfg)
         for got, want in zip(result.model.weights + result.model.biases,
                              ref_model.weights + ref_model.biases):
             assert got.tobytes() == want.tobytes()
@@ -418,14 +415,26 @@ class TestTrain:
         assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])
 
     def test_single_class_rejected(self):
-        records = [(fv, FaultClass.Nominal) for fv, _ in feature_records(10)]
+        x, labels = feature_rows(10)
         with pytest.raises(DegenerateDataError):
-            mlp.train(records, TrainConfig(epochs=1))
+            mlp.train(x, [FaultClass.Nominal] * len(labels), TrainConfig(epochs=1))
 
     def test_wrong_feature_length(self):
-        records = feature_records(10, dim=64)
+        x, labels = feature_rows(10, dim=64)
         with pytest.raises(DimensionMismatchError):
-            mlp.train(records, TrainConfig(epochs=1))
+            mlp.train(x, labels, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("labels", [9, 11])
+    def test_row_count_must_match_labels(self, labels):
+        # a short label list would otherwise train on a subset of the rows
+        x, classes = feature_rows(10)
+        message = re.escape(f"features of shape (10, 128) for {labels} labels; need ({labels}, 128)")
+        with pytest.raises(DimensionMismatchError, match=f"^{message}$"):
+            mlp.train(x, (classes * 2)[:labels], TrainConfig(epochs=1))
+
+    def test_no_rows_rejected(self):
+        with pytest.raises(DegenerateDataError, match="^no training data$"):
+            mlp.train(np.empty((0, 128)), [], TrainConfig(epochs=1))
 
 
 def argmax_class(probs):

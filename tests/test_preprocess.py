@@ -10,13 +10,12 @@ from pmdiag.core import (
     FaultClass, Manoeuvre, ParseError, PmDiagError, validate_manoeuvre,
 )
 from pmdiag.preprocess import (
-    FeatureVector,
     FlatSignalError,
     PreprocessConfig,
     SegmentationFailedError,
     WindowTooLargeError,
+    features_text,
     load_features,
-    save_features,
 )
 from pmdiag.synth import FaultSpec, SynthConfig
 
@@ -574,30 +573,44 @@ class TestBlockKernel:
 class TestFeatureIo:
     def test_round_trip(self, tmp_path, noisy_cfg):
         ms = [synth.generate_nominal(noisy_cfg, s, manoeuvre_id=f"m{s}") for s in range(3)]
-        records = [(fv, FaultClass.Nominal if i else None) for i, (fv, _) in enumerate(preprocessed(ms))]
+        ids, values, labels = [m.id for m in ms], preprocessed(ms), [None, FaultClass.Nominal, FaultClass.Nominal]
         p = tmp_path / "features.jsonl"
-        save_features(records, p)
+        p.write_text(features_text(ids, values, labels))
         back = load_features(p)
         assert len(back) == 3
-        for (fv, label), (fv2, label2) in zip(records, back):
-            assert fv.source_id == fv2.source_id
+        for source_id, row, label, (fv, label2) in zip(ids, values, labels, back):
+            assert fv.source_id == source_id
             assert label == label2
-            assert np.array_equal(fv.values, fv2.values)
+            assert np.array_equal(row, fv.values)
 
-    def test_bytes_equal_float_list_reference(self, tmp_path):
+    def test_bytes_equal_float_list_reference(self):
         values = np.asarray(AWKWARD_FLOATS)
-        records = [(FeatureVector(values, "a"), FaultClass.Obstacle),
-                   (FeatureVector(-values[::-1], "b"), None)]
+        matrix, labels = np.stack([values, -values[::-1]]), [FaultClass.Obstacle, None]
         reference = "".join(
             json.dumps({
-                "source_id": fv.source_id, "values": [float(v) for v in fv.values],
+                "source_id": source_id, "values": [float(v) for v in row],
                 **({"label": label.name} if label is not None else {}),
             }) + "\n"
-            for fv, label in records
+            for source_id, row, label in zip("ab", matrix, labels)
         )
-        p = tmp_path / "features.jsonl"
-        save_features(records, p)
-        assert p.read_bytes() == reference.encode("utf-8")
+        assert features_text(["a", "b"], matrix, labels) == reference
+
+    @pytest.mark.parametrize("ids, labels", [(["a"], [None, None]), (["a", "b", "c"], [None] * 3)])
+    def test_text_needs_one_id_and_label_per_row(self, ids, labels):
+        with pytest.raises(ValueError):
+            features_text(ids, np.ones((2, 4)), labels)
+
+    @pytest.mark.parametrize("values", [[], [[]]])
+    def test_record_without_values_rejected(self, tmp_path, values):
+        # a zero-width row would reach model.init_params as an input width of 0
+        good = {"source_id": "ok", "values": [1.0] * 4, "label": "Nominal"}
+        empty = {"source_id": "empty-3", "values": values, "label": "Obstacle"}
+        for lines, line_number in (([empty, good], 1), ([good, empty], 2)):
+            p = tmp_path / "features.jsonl"
+            p.write_text("".join(json.dumps(obj) + "\n" for obj in lines))
+            with pytest.raises(ParseError, match="no values in features of 'empty-3'") as err:
+                load_features(p)
+            assert err.value.line_number == line_number
 
     def test_non_finite_value_rejected(self, tmp_path):
         good = {"source_id": "ok", "values": [1.0] * 4}
