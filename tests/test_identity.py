@@ -31,3 +31,17 @@ def test_comparer_sees_one_byte_and_not_the_timestamp(tmp_path):
     (tmp_path / "b" / "model.json").unlink()
     assert identity.compare_dirs(tmp_path / "a", tmp_path / "b") == [
         "model.json only in the first", "diagnose/diagnoses.jsonl differs"]
+
+
+def test_pinned_run_gives_the_unpinned_outcome(tmp_path):
+    (tmp_path / "bad.json").write_text('{"train": {"epochs": 30,}}')
+    argv = ["pipeline", "--config", "bad.json", "--out", "run"]
+    unpinned = identity.cli(ROOT, argv, tmp_path)
+    assert unpinned[0] == 2 and unpinned[2]
+    assert identity.cli(ROOT, argv, tmp_path, pinned=True) == unpinned
+
+
+def test_hung_command_is_reported_not_raised(tmp_path, monkeypatch):
+    monkeypatch.setattr(identity, "TIMEOUT_S", 0.001)
+    assert identity.cli(ROOT, ["pipeline", "--out", "run"], tmp_path) == (None, b"", b"stopped after 0.001 s")
+    assert not (tmp_path / "run").exists()

@@ -1,6 +1,6 @@
 """Byte-identity check of the pm-diag command line between two source trees.
 
-    python tools/identity.py BASE [HEAD] [--config FILE]
+    python tools/identity.py BASE [HEAD]
 
 BASE and HEAD are git revisions of this repository; HEAD defaults to the
 working tree. Each revision is checked out with `git worktree add --detach`
@@ -11,17 +11,17 @@ child). Each run of a case is compared with BASE's run on every CPU: the
 exit code, stdout and stderr of each command, and every output file, with
 report.json's `timestamp` blanked. A command that exits with another code
 than its case's counts as a difference too. One line is printed per
-difference, and the exit status is 1 on any difference, else 0.
+difference, and the exit status is 1 on any difference, else 0. A command
+that runs past TIMEOUT_S is stopped and reported as exiting with None.
 
-The cases are the default pipeline, at `--seed 3`, and at a small config;
+The cases are the default pipeline, at `--seed 3`, with uniform
+`train.class_weights`, and at a small config;
 the stage commands one after another, then diagnose; on a generated
 4000-manoeuvre stream, diagnose, preprocess, pipeline with paths.dataset
 and diagnose through /dev/stdin; error paths (a malformed config, a
 duplicate id, a flat signal, a non-finite sample, an empty dataset); and
 `train.batch_size` 887, which is compared BASE against HEAD on each CPU
 setting only. The inputs are made once, by HEAD's `generate`.
-
-`--config FILE` runs one case instead: pipeline with that config.
 
 Only the standard library is used, and nothing is downloaded.
 """
@@ -50,7 +50,7 @@ SMALL_CONFIG = {
     "train": {"epochs": 30, "seed": 21},
     "split": {"seed": 21},
 }
-# no command of a case takes a minute on 2 cores; a hung one fails the check
+# no command of a case takes a minute on 2 cores; a hung one is a difference
 TIMEOUT_S = 600
 STREAM_COUNTS = {"Nominal": 1300, "Obstacle": 1000, "Friction": 1250, "PowerSupply": 450}
 
@@ -85,6 +85,8 @@ def _stream_diagnose(dataset: str) -> list:
 CASES = [
     Case("pipeline_default", [["pipeline", "--out", "{out}"]], small=False),
     Case("pipeline_seed_3", [["pipeline", "--seed", "3", "--out", "{out}"]], small=False),
+    Case("pipeline_uniform_weights", [["pipeline", "--config", "{inputs}/uniform.json", "--out", "{out}"]],
+         small=False),
     Case("pipeline_small", [["pipeline", "--config", "{inputs}/small.json", "--out", "{out}"]]),
     Case("stages_small", _stages()),
     Case("stream_diagnose", [_stream_diagnose("{inputs}/stream/dataset.jsonl")], small=False),
@@ -99,9 +101,10 @@ CASES = [
 ]
 
 
-def cli(tree: Path, argv: list, cwd: Path, pinned: bool = False) -> "tuple[int, bytes, bytes]":
+def cli(tree: Path, argv: list, cwd: Path, pinned: bool = False) -> "tuple[int | None, bytes, bytes]":
     """(exit code, stdout, stderr) of `pm-diag argv` run from `tree`'s sources,
-    pinned to the lowest CPU this process may use where `pinned`."""
+    pinned to the lowest CPU this process may use where `pinned`; the exit
+    code is None for a command stopped after TIMEOUT_S."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cpu = min(os.sched_getaffinity(0)) if pinned else None
     stdin = None
@@ -112,6 +115,8 @@ def cli(tree: Path, argv: list, cwd: Path, pinned: bool = False) -> "tuple[int, 
         done = subprocess.run([sys.executable, "-m", "pmdiag.cli", *argv], cwd=cwd, env=env, stdin=stdin,
                               capture_output=True, timeout=TIMEOUT_S,
                               preexec_fn=None if cpu is None else lambda: os.sched_setaffinity(0, {cpu}))
+    except subprocess.TimeoutExpired:
+        return None, b"", f"stopped after {TIMEOUT_S} s".encode()
     finally:
         if stdin is not None:
             stdin.close()
@@ -153,6 +158,7 @@ def make_inputs(tree: Path, inputs: Path, small_only: bool) -> None:
         generate("stream", {"synth": {"counts": STREAM_COUNTS, "seed": 5}})
         config("stream_paths", {"paths": {"dataset": str(inputs / "stream" / "dataset.jsonl")}})
         config("batch_887", {"train": {"batch_size": 887}})
+        config("uniform", {"train": {"class_weights": [1, 1, 1, 1, 1]}})
 
 
 def _timestamp_blanked(data: bytes) -> bytes:
@@ -222,12 +228,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="git revision to compare against")
     parser.add_argument("head", nargs="?", help="git revision to compare (default: the working tree)")
-    parser.add_argument("--config", help="run only pipeline with this config")
     args = parser.parse_args(argv)
-    cases = CASES
-    if args.config:
-        config = Path(args.config).resolve()
-        cases = [Case("pipeline_config", [["pipeline", "--config", str(config), "--out", "{out}"]])]
     work = Path(tempfile.mkdtemp(prefix="identity-"))
     trees = []
     try:
@@ -235,7 +236,7 @@ def main(argv=None) -> int:
         trees.append(base)
         head = ROOT if args.head is None else _checked_out(args.head, work / "head-tree")
         trees.append(head)
-        differences = run_cases(base, head, cases, work / "runs")
+        differences = run_cases(base, head, CASES, work / "runs")
     finally:
         for tree in trees:
             if tree != ROOT:
@@ -243,7 +244,7 @@ def main(argv=None) -> int:
         shutil.rmtree(work, ignore_errors=True)
     for line in differences:
         print(line)
-    print(f"{len(differences)} differences over {len(cases)} cases")
+    print(f"{len(differences)} differences over {len(CASES)} cases")
     return 1 if differences else 0
 
 
