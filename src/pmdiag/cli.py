@@ -25,6 +25,7 @@ import numpy as np
 
 from . import conformal, evaluation, model, preprocess, synth
 from .core import (
+    JSON_TYPES,
     DatasetIoError,
     FaultClass,
     ParseError,
@@ -36,6 +37,7 @@ from .core import (
     decode_text,
     iter_manoeuvres,
     json_error,
+    json_is,
     save_dataset,
     validate_manoeuvre,
 )
@@ -149,25 +151,12 @@ def _field_names(factory) -> set:
     return {f.name for f in fields(factory)}
 
 
-# the Python types of the JSON values that a config field of each annotation
-# takes, and their name
-_JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string"),
-               "SupplyKind": (str, "a string"), "tuple[float, ...]": ((list, tuple), "a list of numbers")}
-
-
-def _json_is(value, annotation: str) -> bool:
-    """Whether a config value has the JSON type of a field's `annotation`; a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[annotation][0]):
-        return False
-    return not isinstance(value, (list, tuple)) or all(_json_is(v, "float") for v in value)
-
-
 def _build_section(section: str, obj, factory, **defaults):
     """factory(**obj) over `defaults`; keys are the factory's fields, each value of its annotation's JSON type."""
     _check_section(section, obj, _field_names(factory))
     for f in fields(factory):
-        if f.name in obj and not _json_is(obj[f.name], f.type):
-            raise ConfigError(f"section {section!r}: {f.name} must be {_JSON_TYPES[f.type][1]}, not {json.dumps(obj[f.name])}")
+        if f.name in obj and not json_is(obj[f.name], f.type):
+            raise ConfigError(f"section {section!r}: {f.name} must be {JSON_TYPES[f.type][1]}, not {json.dumps(obj[f.name])}")
     try:
         return factory(**{**defaults, **obj})
     except (TypeError, ValueError) as exc:
@@ -193,7 +182,7 @@ def _parse_counts(obj) -> "dict[FaultClass, int]":
             cls = FaultClass.from_name(name)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not _json_is(n, "int") or n < 0:
+        if not json_is(n, "int") or n < 0:
             raise ConfigError(f"count for {name} must be a nonnegative integer")
         counts[cls] = n
     return counts
@@ -220,7 +209,7 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
     profile = _parse_profile(synth_obj.get("profile", "MJ"))
     counts = _parse_counts(synth_obj.get("counts", {c.name: n for c, n in DEFAULT_COUNTS.items()}))
     severity_range = synth_obj.get("severity_range", [0.3, 1.0])
-    if not _json_is(severity_range, "tuple[float, ...]") or len(severity_range) != 2:
+    if not json_is(severity_range, "tuple[float, ...]") or len(severity_range) != 2:
         raise ConfigError("synth.severity_range must be [lo, hi]")
     if not 0 <= severity_range[0] <= severity_range[1] <= 1:
         raise ConfigError("synth.severity_range must satisfy 0 <= lo <= hi <= 1")
@@ -677,11 +666,6 @@ def _probabilities(mdl, chunk: _Chunk, stage: str) -> np.ndarray:
         raise _manoeuvre_failure(stage, chunk.ids[exc.row], exc) from exc
 
 
-def _diagnoses(predictor, chunk: _Chunk, probs) -> list:
-    """(label, Diagnosis) per manoeuvre of a chunk and its row of `probs`."""
-    return list(zip(chunk.labels, conformal.diagnoses(predictor, chunk.ids, probs)))
-
-
 def _calibrate(cfg: RunConfig, mdl, labels, probs, out: Path) -> conformal.ConformalPredictor:
     """calibrate's step: the predictor calibrated on rows of true classes
     `labels` and of probabilities `probs` from `mdl`, written to predictor.json."""
@@ -690,13 +674,13 @@ def _calibrate(cfg: RunConfig, mdl, labels, probs, out: Path) -> conformal.Confo
     return predictor
 
 
-def _evaluate(cfg: RunConfig, classified, covered, out: Path, **extra) -> evaluation.MetricsReport:
-    """evaluate's step over (label, Diagnosis) rows: classification metrics
-    over `classified`, coverage over `covered`, then report.json, with the
-    `extra` keys beside the config and metrics, and the diagnoses.jsonl of
-    `covered`."""
-    coverage, mean_size = evaluation.coverage_eval(covered)
-    metrics = evaluation.build_metrics([(d.argmax_class, label) for label, d in classified], coverage, mean_size)
+def _evaluate(cfg: RunConfig, diagnosed, labels, covered: slice, out: Path, **extra) -> evaluation.MetricsReport:
+    """evaluate's step over the conformal.Diagnoses of rows of true classes
+    `labels`: classification metrics over every row, coverage over the rows
+    `covered`, then report.json, with the `extra` keys beside the config and
+    metrics, and the diagnoses.jsonl of the rows `covered`."""
+    coverage, mean_size = evaluation.coverage_eval(diagnosed[covered], labels[covered])
+    metrics = evaluation.build_metrics(diagnosed.classes[:, 0], labels, coverage, mean_size)
     report = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "config": cfg.to_obj(),
@@ -704,7 +688,7 @@ def _evaluate(cfg: RunConfig, classified, covered, out: Path, **extra) -> evalua
         "metrics": asdict(metrics),
     }
     evaluation.write_report(report, out / REPORT_FILE)
-    conformal.save_diagnoses(covered, out / DIAGNOSES_JSONL)
+    atomic_write_text(out / DIAGNOSES_JSONL, conformal.diagnoses_text(diagnosed[covered], labels[covered]))
     return metrics
 
 
@@ -735,15 +719,15 @@ def cmd_calibrate(args, cfg: RunConfig, out: Path) -> int:
 def _diagnosed(mdl, predictor, chunk: _Chunk) -> _Chunk:
     """diagnose's finish (see _load_piece): the ids, diagnoses.jsonl lines
     and stdout lines of a chunk."""
-    rows = _stage("diagnose", _diagnoses, predictor, chunk, _probabilities(mdl, chunk, "diagnose"))
+    d = _stage("diagnose", conformal.diagnoses, predictor, chunk.ids, _probabilities(mdl, chunk, "diagnose"))
     # 1 - alpha as written, not rounded up: 97.5, 99.5; ten digits drop the
     # float noise of 100 * (1 - alpha)
     guarantee = f"{100.0 * (1.0 - predictor.alpha):.10g}"
     shown = []
-    for _, d in rows:
-        members = ", ".join(f"{cls.name}:{prob:.3f}" for cls, prob in d.prediction_set)
-        shown.append(f"{d.source_id}: {{{members}}} (set covers the true class at {guarantee}%)\n")
-    return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=conformal.diagnoses_text(rows), shown="".join(shown))
+    for source_id, names, probabilities in d.sets():
+        members = ", ".join(f"{name}:{prob:.3f}" for name, prob in zip(names, probabilities))
+        shown.append(f"{source_id}: {{{members}}} (set covers the true class at {guarantee}%)\n")
+    return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=conformal.diagnoses_text(d, chunk.labels), shown="".join(shown))
 
 
 def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
@@ -773,8 +757,9 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     predictor = _stage("load", conformal.load_predictor, predictor_path)
     conformal.check_digest(predictor, mdl)
     labelled = _labelled(features_path, "evaluate")
-    rows = _stage("evaluate", _diagnoses, predictor, labelled, _probabilities(mdl, labelled, "evaluate"))
-    metrics = _evaluate(cfg, rows, rows, out)
+    diagnosed = _stage("evaluate", conformal.diagnoses, predictor, labelled.ids,
+                       _probabilities(mdl, labelled, "evaluate"))
+    metrics = _evaluate(cfg, diagnosed, labelled.labels, slice(None), out)
     print(
         f"precision={metrics.precision:.4f} fpr={metrics.fpr:.4f} "
         f"fnr={metrics.fnr:.4f} coverage={metrics.coverage:.4f}"
@@ -849,11 +834,12 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     test = _rows(data, cal_at + hold_at)
     probs = _probabilities(result.model, test, "calibrate")
     predictor = _calibrate(cfg, result.model, test.labels[: len(cal_at)], probs[: len(cal_at)], out)
-    test_rows = _stage("diagnose", _diagnoses, predictor, test, probs)
+    diagnosed = _stage("diagnose", conformal.diagnoses, predictor, test.ids, probs)
     metrics = _evaluate(
         cfg,
-        test_rows,
-        test_rows[len(cal_at) :],
+        diagnosed,
+        test.labels,
+        slice(len(cal_at), None),
         out,
         provenance={"dataset": provenance, "model_digest": predictor.model_digest},
         counts=_counts_at(data.labels, dataset=range(len(data.ids)), train=train_at, test=test_at,

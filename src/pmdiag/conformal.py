@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, jsonl_text, read_json
-from .model import MlpModel, RowError, model_digest
+from .core import JSON_TYPES, DatasetIoError, FaultClass, PmDiagError, atomic_write_text, json_is, jsonl_text, read_json
+from .model import CLASS_NAMES, MlpModel, RowError, model_digest
 
 PROB_SUM_TOL = 1e-9
 
@@ -67,22 +67,32 @@ class ConformalPredictor:
             raise ValueError("n_calibration must be >= 1")
 
 
-@dataclass(frozen=True)
-class Diagnosis:
-    """Operator-facing result: a `predict_sets` set's members plus the coverage guarantee."""
+@dataclass(frozen=True, eq=False)
+class Diagnoses:
+    """Operator-facing result: the prediction sets of n manoeuvres, row i
+    for `source_ids[i]`, plus the coverage guarantee. Row i of `classes`
+    holds the class codes by descending probability, ties to the lowest
+    code, and row i of `probabilities` their probabilities in that order;
+    the set is the first `sizes[i]` of them, argmax first."""
 
-    source_id: str
-    prediction_set: tuple[tuple[FaultClass, float], ...]
+    source_ids: list
+    classes: np.ndarray
+    probabilities: np.ndarray
+    sizes: np.ndarray
     alpha: float
     qhat: float
 
-    @property
-    def singleton(self) -> bool:
-        return len(self.prediction_set) == 1
+    def __getitem__(self, rows: slice) -> "Diagnoses":
+        return Diagnoses(self.source_ids[rows], self.classes[rows], self.probabilities[rows], self.sizes[rows],
+                         self.alpha, self.qhat)
 
-    @property
-    def argmax_class(self) -> FaultClass:
-        return self.prediction_set[0][0]
+    def sets(self):
+        """Yield each manoeuvre's (source id, class names, probabilities) as
+        Python values, one list entry per set member, argmax first: the form
+        the text writers format."""
+        for source_id, classes, probabilities, size in zip(self.source_ids, self.classes.tolist(),
+                                                           self.probabilities.tolist(), self.sizes.tolist()):
+            yield source_id, [CLASS_NAMES[c] for c in classes[:size]], probabilities[:size]
 
 
 def _checked_probs(probs) -> np.ndarray:
@@ -160,59 +170,41 @@ def calibrate_probs(probs, labels, cfg: ConformalConfig, digest: str) -> Conform
     )
 
 
-def predict_sets(predictor: ConformalPredictor, probs) -> list:
-    """The prediction set of each row of an (n, classes) probability matrix:
-    the smallest descending-probability prefix with cumulative mass >= qhat,
-    as a tuple of its (class, probability) members, argmax first. The argmax
-    always enters, so a set is never empty; a larger qhat can only grow a set."""
+def diagnoses(predictor: ConformalPredictor, source_ids, probs) -> Diagnoses:
+    """The prediction set of manoeuvre `source_ids[i]` from row i of an
+    (n, classes) probability matrix: the smallest descending-probability
+    prefix with cumulative mass >= qhat. The argmax always enters, so a set
+    is never empty; a larger qhat can only grow a set."""
     raw = np.asarray(probs, dtype=np.float64)
     p = _checked_probs(raw)
     order = _descending_order(p)
     cum = np.cumsum(np.take_along_axis(p, order, axis=1), axis=1)
     # the prefix through the first class whose cumulative mass reaches qhat
     sizes = np.clip((cum < predictor.qhat).sum(axis=1) + 1, 1, p.shape[1])
-    members = np.take_along_axis(raw, order, axis=1)
-    return [
-        tuple(zip(map(FaultClass, codes[:size]), values[:size]))
-        for codes, values, size in zip(order.tolist(), members.tolist(), sizes.tolist())
-    ]
+    return Diagnoses(list(source_ids), order, np.take_along_axis(raw, order, axis=1), sizes,
+                     predictor.alpha, predictor.qhat)
 
 
-def diagnoses(predictor: ConformalPredictor, source_ids, probs) -> list[Diagnosis]:
-    """A calibrated prediction set per manoeuvre: `source_ids[i]` and row i of
-    an (n, classes) probability matrix."""
-    return [
-        Diagnosis(source_id, members, predictor.alpha, predictor.qhat)
-        for source_id, members in zip(source_ids, predict_sets(predictor, probs))
-    ]
+def diagnoses_text(d: Diagnoses, labels) -> str:
+    """The diagnoses.jsonl lines of `d`, one object per manoeuvre (see
+    core.jsonl_text), with its true FaultClass in `labels` written as
+    `label` where it is not None."""
 
+    def row_obj(row, label) -> dict:
+        source_id, names, probabilities = row
+        obj = {
+            "source_id": source_id,
+            "prediction_set": [{"class": name, "probability": prob} for name, prob in zip(names, probabilities)],
+            "alpha": d.alpha,
+            "qhat": d.qhat,
+            "singleton": len(names) == 1,
+            "argmax_class": names[0],
+        }
+        if label is not None:
+            obj["label"] = label.name
+        return obj
 
-def diagnosis_to_obj(d: Diagnosis, label: FaultClass | None = None) -> dict:
-    obj = {
-        "source_id": d.source_id,
-        "prediction_set": [
-            {"class": cls.name, "probability": prob} for cls, prob in d.prediction_set
-        ],
-        "alpha": d.alpha,
-        "qhat": d.qhat,
-        "singleton": d.singleton,
-        "argmax_class": d.argmax_class.name,
-    }
-    if label is not None:
-        obj["label"] = label.name
-    return obj
-
-
-def diagnoses_text(rows) -> str:
-    """The diagnoses.jsonl lines of (true FaultClass or None, Diagnosis)
-    rows, one object per manoeuvre (see core.jsonl_text); `label` is
-    written where the true class is known."""
-    return jsonl_text(diagnosis_to_obj(d, label) for label, d in rows)
-
-
-def save_diagnoses(rows, path: str | Path) -> None:
-    """Write `diagnoses_text(rows)` (atomic)."""
-    atomic_write_text(path, diagnoses_text(rows))
+    return jsonl_text(map(row_obj, d.sets(), labels))
 
 
 def save_predictor(predictor: ConformalPredictor, path: str | Path) -> None:
@@ -223,11 +215,14 @@ def load_predictor(path: str | Path) -> ConformalPredictor:
     path = Path(path)
     obj = read_json(path)
     try:
+        for f in fields(ConformalPredictor):
+            if not json_is(obj[f.name], f.type):
+                raise TypeError(f"{f.name} must be {JSON_TYPES[f.type][1]}, not {json.dumps(obj[f.name])}")
         return ConformalPredictor(
             alpha=float(obj["alpha"]),
             qhat=float(obj["qhat"]),
-            n_calibration=int(obj["n_calibration"]),
-            model_digest=str(obj["model_digest"]),
+            n_calibration=obj["n_calibration"],
+            model_digest=obj["model_digest"],
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetIoError(f"{path} is not a valid predictor file: {exc}") from None

@@ -274,6 +274,19 @@ def _manoeuvre_from_obj(obj: dict, line_number: int, may_hold_bool: bool) -> Man
         raise ParseError(line_number, f"{key} is beyond float range") from None
 
 
+# the Python types of the JSON values that a dataclass field of each annotation
+# takes, and their name
+JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string"),
+              "SupplyKind": (str, "a string"), "tuple[float, ...]": ((list, tuple), "a list of numbers")}
+
+
+def json_is(value, annotation: str) -> bool:
+    """Whether a value has the JSON type of a field's `annotation`; a bool is no number."""
+    if isinstance(value, bool) or not isinstance(value, JSON_TYPES[annotation][0]):
+        return False
+    return not isinstance(value, (list, tuple)) or all(json_is(v, "float") for v in value)
+
+
 def read_jsonl_text(path: str | Path) -> str:
     """The whole text of a JSON or JSONL file; DatasetIoError when it cannot be read."""
     path = Path(path)

@@ -102,7 +102,7 @@ def split_calibration(test, spec: SplitSpec) -> tuple[list[int], list[int]]:
 
 def binary_metrics(conf: np.ndarray) -> tuple[float, float, float]:
     """(precision, fpr, fnr) under the anomaly-vs-nominal view, of the
-    (predicted, true) pairs that a `confusion_matrix` counts.
+    predicted and true classes that a `confusion_matrix` counts.
 
     Precision is 1.0 when nothing is predicted positive; FPR and FNR are 0
     when their denominators are empty.
@@ -121,12 +121,11 @@ def binary_metrics(conf: np.ndarray) -> tuple[float, float, float]:
     return precision, fpr, fnr
 
 
-def confusion_matrix(predictions) -> np.ndarray:
-    """5x5 count matrix, rows true class, columns predicted class."""
-    conf = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    for predicted, true in predictions:
-        conf[int(true), int(predicted)] += 1
-    return conf
+def confusion_matrix(predicted, true) -> np.ndarray:
+    """5x5 count matrix of the class codes `predicted` and `true`, one pair
+    per row: rows true class, columns predicted class."""
+    cells = np.asarray(true, dtype=np.int64) * N_CLASSES + np.asarray(predicted, dtype=np.int64)
+    return np.bincount(cells, minlength=N_CLASSES * N_CLASSES).reshape(N_CLASSES, N_CLASSES)
 
 
 def per_class_metrics(conf: np.ndarray) -> dict:
@@ -144,23 +143,22 @@ def per_class_metrics(conf: np.ndarray) -> dict:
     return out
 
 
-def coverage_eval(rows) -> tuple[float, float]:
-    """Empirical coverage and mean set size over labelled diagnoses.
-
-    `rows` is a sequence of (true FaultClass, Diagnosis), the shape
-    `conformal.save_diagnoses` takes. A row is covered when its true class is a
-    member of the diagnosis's prediction set.
+def coverage_eval(diagnosed, labels) -> tuple[float, float]:
+    """Empirical coverage and mean set size of the rows of a
+    conformal.Diagnoses and their true classes `labels`. A row is covered
+    when its true class is a member of its prediction set.
     """
-    items = list(rows)
-    if not items:
+    n = len(labels)
+    if n == 0:
         raise ValueError("rows must be nonempty")
-    covered = sum(label in {cls for cls, _ in d.prediction_set} for label, d in items)
-    sizes = sum(len(d.prediction_set) for _, d in items)
-    return covered / len(items), sizes / len(items)
+    in_set = np.arange(N_CLASSES) < diagnosed.sizes[:, None]
+    covered = int((in_set & (diagnosed.classes == np.asarray(labels, dtype=np.int64)[:, None])).sum())
+    return covered / n, int(diagnosed.sizes.sum()) / n
 
 
-def build_metrics(predictions, coverage: float, mean_set_size: float) -> MetricsReport:
-    conf = confusion_matrix(predictions)
+def build_metrics(predicted, true, coverage: float, mean_set_size: float) -> MetricsReport:
+    """The metrics of the class codes `predicted` and `true`, one pair per row."""
+    conf = confusion_matrix(predicted, true)
     precision, fpr, fnr = binary_metrics(conf)
     return MetricsReport(
         precision=precision,

@@ -59,21 +59,21 @@ class EmptyClassError(PmDiagError):
 class MlpModel:
     """Layer dimensions plus per-layer weight matrices and bias vectors.
 
-    weights[l] has shape (fan_in, fan_out); forward is pure, but
+    weights[l] has shape (fan_in, fan_out), and output column k is class
+    FaultClass(k), named in model.json's class_names; forward is pure, but
     training updates parameters in place, so share models read-only.
     """
 
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    class_names: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.layer_dims)
         self.layer_dims = dims
         if len(dims) < 2:
             raise ValueError("need at least input and output layers")
-        if dims[-1] != len(self.class_names):
+        if dims[-1] != len(CLASS_NAMES):
             raise ValueError("output dim must equal the number of classes")
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ValueError("need one weight matrix and bias per layer transition")
@@ -380,7 +380,7 @@ def _params_obj(model: MlpModel) -> dict:
         "layer_dims": list(model.layer_dims),
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
-        "class_names": list(model.class_names),
+        "class_names": list(CLASS_NAMES),
     }
 
 
@@ -407,11 +407,13 @@ def load_model(path: str | Path) -> MlpModel:
     path = Path(path)
     obj = read_json(path)
     try:
+        # output column k is class FaultClass(k): a file that names its columns otherwise is not this model's
+        if obj["class_names"] != list(CLASS_NAMES):
+            raise ValueError(f"class_names {json.dumps(obj['class_names'])} are not {json.dumps(CLASS_NAMES)}")
         return MlpModel(
             layer_dims=tuple(obj["layer_dims"]),
             weights=[np.asarray(w, dtype=np.float64) for w in obj["weights"]],
             biases=[np.asarray(b, dtype=np.float64) for b in obj["biases"]],
-            class_names=tuple(obj["class_names"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DatasetIoError(f"{path} is not a valid model file: {exc}") from None

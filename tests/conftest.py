@@ -72,9 +72,16 @@ def calibrated(mdl, manoeuvres, values, alpha=0.05):
 
 
 def diagnosed(predictor, mdl, manoeuvres, values):
-    """(label, Diagnosis) of each manoeuvre and its feature row in `values`, scored by one forward_rows call."""
-    sets = conformal.diagnoses(predictor, [m.id for m in manoeuvres], model.forward_rows(mdl, values))
-    return [(m.label, d) for m, d in zip(manoeuvres, sets)]
+    """The conformal.Diagnoses of the manoeuvres and their feature rows `values`, scored by one forward_rows call."""
+    return conformal.diagnoses(predictor, [m.id for m in manoeuvres], model.forward_rows(mdl, values))
+
+
+def members(d):
+    """Each row's prediction set of a conformal.Diagnoses as (FaultClass, probability) pairs, argmax first."""
+    return [
+        tuple((FaultClass(c), prob) for c, prob in zip(classes[:size], probabilities[:size]))
+        for classes, probabilities, size in zip(d.classes.tolist(), d.probabilities.tolist(), d.sizes.tolist())
+    ]
 
 
 @pytest.fixture(scope="session")

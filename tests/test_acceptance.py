@@ -49,14 +49,13 @@ def run_experiment(seed):
     x = features[test_at]
     y = np.array([int(m.label) for m in test])
     codes, _ = mlp.predict_batch(result.model, x)
-    pairs = [(FaultClass(int(c)), FaultClass(int(t))) for c, t in zip(codes, y)]
     return {
         "dataset": ds,
         "features": features,
         "position": {m.id: p for p, m in enumerate(ds)},
         "test": test,
         "model": result.model,
-        "metrics": evaluation.binary_metrics(evaluation.confusion_matrix(pairs)),
+        "metrics": evaluation.binary_metrics(evaluation.confusion_matrix(codes, y)),
     }
 
 
@@ -91,7 +90,8 @@ def test_criterion_2_conformal_coverage(seed1_experiment):
         cal_at, hold_at = evaluation.split_calibration(exp["test"], spec)
         cal, hold = [exp["test"][k] for k in cal_at], [exp["test"][k] for k in hold_at]
         predictor = calibrated(exp["model"], cal, rows_of(exp, cal))
-        coverage, _ = evaluation.coverage_eval(diagnosed(predictor, exp["model"], hold, rows_of(exp, hold)))
+        coverage, _ = evaluation.coverage_eval(diagnosed(predictor, exp["model"], hold, rows_of(exp, hold)),
+                                               [m.label for m in hold])
         coverages.append(coverage)
     coverages = np.array(coverages)
     mean_cov = float(coverages.mean())
@@ -106,14 +106,14 @@ def test_criterion_2_conformal_coverage(seed1_experiment):
 
 
 def test_criterion_3_aps_oracle_equivalence():
-    from test_conformal import brute_force_set, predictor_with
+    from test_conformal import brute_force_set, predictor_with, sets
 
     rng = np.random.default_rng(2024)
     matches = 0
     for _ in range(1000):
         p = rng.dirichlet(np.ones(5) * float(rng.uniform(0.2, 3.0)))
         qhat = 1.0 - float(rng.uniform(0.0, 1.0))
-        got = [c for c, _ in conformal.predict_sets(predictor_with(qhat), p[None])[0]]
+        got = [c for c, _ in sets(predictor_with(qhat), p[None])[0]]
         matches += got == brute_force_set(p, qhat)
     verdict(3, "APS oracle equivalence", matches == 1000, f"{matches}/1000")
 

@@ -16,7 +16,7 @@ import pytest
 from pmdiag import cli, conformal, core, evaluation, model, preprocess, synth
 from pmdiag.core import FaultClass, Manoeuvre, Dataset, PmDiagError, save_dataset, load_dataset
 
-from conftest import diagnosed, preprocessed
+from conftest import diagnosed, members, preprocessed
 
 
 SMALL_CONFIG = {
@@ -378,6 +378,18 @@ class TestDiagnose:
             "--model", str(other_path),
         ])
         assert code == 5
+
+    def test_model_with_other_class_order_exits_3(self, trained_out, config_path, capsys):
+        # output column k is FaultClass(k): a model.json that names its first
+        # two columns the other way round would label Nominal's column Obstacle
+        path = trained_out / "model.json"
+        obj = json.loads(path.read_text())
+        obj["class_names"][:2] = obj["class_names"][1::-1]
+        path.write_text(json.dumps(obj, sort_keys=True))
+        capsys.readouterr()
+        for command in ("calibrate", "diagnose"):
+            assert run([command, "--config", config_path, "--out", str(trained_out)]) == 3
+            assert f"{path} is not a valid model file: class_names" in capsys.readouterr().err
 
     def test_width_mismatch_exits_4_before_reading_dataset(self, tmp_path, trained_out, capsys):
         p = tmp_path / "short.json"
@@ -760,21 +772,20 @@ class TestForkedLoad:
         preprocessed and, for diagnose, scored and given its set alone."""
         ms = list(load_dataset(ds_path))
         values = [preprocessed([m]) for m in ms]
-        reference = out.with_name("reference.jsonl")
         if name == "preprocess":
             text = preprocess.features_text([m.id for m in ms], np.concatenate(values), [m.label for m in ms])
             shown = f"wrote {len(ms)} feature vectors to {out / 'features.jsonl'}\n"
             return 0, shown, "", {"features.jsonl": text.encode()}
         mdl = model.load_model(trained_run / "model.json")
         predictor = conformal.load_predictor(trained_run / "predictor.json")
-        rows = [row for m, x in zip(ms, values) for row in diagnosed(predictor, mdl, [m], x)]
-        conformal.save_diagnoses(rows, reference)
+        alone = [diagnosed(predictor, mdl, [m], x) for m, x in zip(ms, values)]
+        text = "".join(conformal.diagnoses_text(d, [m.label]) for m, d in zip(ms, alone))
         shown = "".join(
-            f"{d.source_id}: {{{', '.join(f'{cls.name}:{p:.3f}' for cls, p in d.prediction_set)}}}"
+            f"{m.id}: {{{', '.join(f'{cls.name}:{p:.3f}' for cls, p in members(d)[0])}}}"
             " (set covers the true class at 95%)\n"
-            for _, d in rows
+            for m, d in zip(ms, alone)
         )
-        return 0, shown, "", {"diagnoses.jsonl": reference.read_bytes()}
+        return 0, shown, "", {"diagnoses.jsonl": text.encode()}
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("name", ["diagnose", "preprocess"])

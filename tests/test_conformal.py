@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -8,7 +9,6 @@ from pmdiag.conformal import (
     BadDistributionError,
     ConformalConfig,
     ConformalPredictor,
-    Diagnosis,
     DigestMismatchError,
     EmptyCalibrationError,
     _aps_scores,
@@ -16,14 +16,14 @@ from pmdiag.conformal import (
     check_digest,
     load_predictor,
     diagnoses,
-    predict_sets,
+    diagnoses_text,
     quantile_threshold,
     save_predictor,
 )
-from pmdiag.core import FaultClass, Manoeuvre
+from pmdiag.core import DatasetIoError, FaultClass, Manoeuvre
 from pmdiag.model import MlpModel
 
-from conftest import calibrated, diagnosed, preprocessed, rows_of
+from conftest import calibrated, diagnosed, members, preprocessed, rows_of
 
 
 def brute_force_set(probs, qhat):
@@ -40,6 +40,11 @@ def brute_force_set(probs, qhat):
 
 def predictor_with(qhat, alpha=0.05, n=20):
     return ConformalPredictor(alpha=alpha, qhat=qhat, n_calibration=n, model_digest="x")
+
+
+def sets(predictor, probs):
+    """Each row's prediction set as (FaultClass, probability) pairs, from one `diagnoses` call."""
+    return members(diagnoses(predictor, [f"m{k}" for k in range(len(probs))], probs))
 
 
 PROBS = np.array([0.60, 0.30, 0.06, 0.03, 0.01])
@@ -183,26 +188,25 @@ class TestCalibrate:
 
 class TestPredictSet:
     def test_singleton(self):
-        ps = predict_sets(predictor_with(0.85), np.array([[0.90, 0.05, 0.03, 0.01, 0.01]]))[0]
-        assert [c for c, _ in ps] == [FaultClass.Nominal]
-        d = Diagnosis("x", ps, alpha=0.05, qhat=0.85)
-        assert d.singleton
-        assert d.argmax_class is FaultClass.Nominal
+        d = diagnoses(predictor_with(0.85), ["x"], np.array([[0.90, 0.05, 0.03, 0.01, 0.01]]))
+        assert [c for c, _ in members(d)[0]] == [FaultClass.Nominal]
+        assert json.loads(diagnoses_text(d, [None]))["singleton"]
+        assert FaultClass(int(d.classes[0, 0])) is FaultClass.Nominal
 
     def test_two_classes(self):
-        ps = predict_sets(predictor_with(0.85), PROBS[None])[0]
-        assert [c for c, _ in ps] == [FaultClass.Nominal, FaultClass.Obstacle]
-        assert not Diagnosis("x", ps, alpha=0.05, qhat=0.85).singleton
+        d = diagnoses(predictor_with(0.85), ["x"], PROBS[None])
+        assert [c for c, _ in members(d)[0]] == [FaultClass.Nominal, FaultClass.Obstacle]
+        assert not json.loads(diagnoses_text(d, [None]))["singleton"]
 
     def test_qhat_one_gives_all_classes(self):
-        ps = predict_sets(predictor_with(1.0), PROBS[None])[0]
+        ps = sets(predictor_with(1.0), PROBS[None])[0]
         assert len(ps) == 5
 
     def test_probabilities_descending(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             p = rng.dirichlet(np.ones(5))
-            ps = predict_sets(predictor_with(float(rng.uniform(0.1, 1.0))), p[None])[0]
+            ps = sets(predictor_with(float(rng.uniform(0.1, 1.0))), p[None])[0]
             probs = [prob for _, prob in ps]
             assert probs == sorted(probs, reverse=True)
 
@@ -211,8 +215,8 @@ class TestPredictSet:
         for _ in range(200):
             p = rng.dirichlet(np.ones(5))
             q1, q2 = sorted(rng.uniform(0.05, 1.0, size=2))
-            s1 = {c for c, _ in predict_sets(predictor_with(float(q1)), p[None])[0]}
-            s2 = {c for c, _ in predict_sets(predictor_with(float(q2)), p[None])[0]}
+            s1 = {c for c, _ in sets(predictor_with(float(q1)), p[None])[0]}
+            s2 = {c for c, _ in sets(predictor_with(float(q2)), p[None])[0]}
             assert s1 <= s2
 
     def test_oracle_equivalence_1000(self):
@@ -220,13 +224,13 @@ class TestPredictSet:
         for _ in range(1000):
             p = rng.dirichlet(np.ones(5) * float(rng.uniform(0.2, 3.0)))
             qhat = 1.0 - float(rng.uniform(0.0, 1.0))  # in (0, 1]
-            got = [c for c, _ in predict_sets(predictor_with(qhat), p[None])[0]]
+            got = [c for c, _ in sets(predictor_with(qhat), p[None])[0]]
             assert got == brute_force_set(p, qhat)
 
     def test_nan_vector_rejected(self):
         # abs(nan - 1) > tol is False, so a sum check alone lets NaN through
         with pytest.raises(BadDistributionError):
-            predict_sets(predictor_with(0.9), np.array([[np.nan, 0.5, 0.5, 0.0, 0.0]]))
+            sets(predictor_with(0.9), np.array([[np.nan, 0.5, 0.5, 0.0, 0.0]]))
 
 
 def reference_set(probs, qhat):
@@ -243,11 +247,11 @@ def reference_set(probs, qhat):
 class TestPredictSets:
     def assert_rows_match(self, probs, qhat):
         predictor = predictor_with(qhat)
-        got = predict_sets(predictor, probs)
+        got = sets(predictor, probs)
         assert len(got) == len(probs)
-        for row, members in zip(probs, got):
-            assert members == reference_set(row, qhat) == predict_sets(predictor, row[None])[0]
-            assert [type(v) for pair in members for v in pair] == [FaultClass, float] * len(members)
+        for row, row_set in zip(probs, got):
+            assert row_set == reference_set(row, qhat) == sets(predictor, row[None])[0]
+            assert [type(prob) for _, prob in row_set] == [float] * len(row_set)
 
     @pytest.mark.parametrize("qhat", [0.9, 0.99996, "random"])
     def test_dirichlet_rows_match_one_row_sets(self, qhat):
@@ -266,7 +270,7 @@ class TestPredictSets:
         ])
         for qhat in (0.1, 0.5, 0.6, 0.9, 1.0):
             self.assert_rows_match(probs, qhat)
-        [ties] = predict_sets(predictor_with(1.0), probs[1:2])
+        [ties] = sets(predictor_with(1.0), probs[1:2])
         codes = [c for c, _ in ties]
         assert codes == [FaultClass(1), FaultClass(2), FaultClass(4), FaultClass(0), FaultClass(3)]
 
@@ -275,8 +279,8 @@ class TestPredictSets:
         dyadic = np.array([[0.5, 0.25, 0.125, 0.0625, 0.0625], [0.0625, 0.125, 0.0625, 0.25, 0.5]])
         for qhat in (0.5, 0.75, 0.875, 0.9375):
             self.assert_rows_match(dyadic, qhat)
-            [members, _] = predict_sets(predictor_with(qhat), dyadic)
-            assert sum(prob for _, prob in members) == qhat
+            [row_set, _] = sets(predictor_with(qhat), dyadic)
+            assert sum(prob for _, prob in row_set) == qhat
         rng = np.random.default_rng(21)
         probs = rng.dirichlet(np.ones(5), size=20)
         for row in probs:
@@ -303,14 +307,14 @@ class TestPredictSets:
         probs[3, column] = value
         probs[5] = np.inf
         with pytest.raises(BadDistributionError, match=f"^{message}") as info:
-            predict_sets(predictor_with(0.9), probs)
+            sets(predictor_with(0.9), probs)
         assert info.value.row == 3
 
     @pytest.mark.parametrize("shape", [(5,), (3, 4), (2, 3, 5)])
     def test_needs_a_probability_matrix(self, shape):
         message = re.escape(f"need 5 probabilities, got shape {shape}")
         with pytest.raises(BadDistributionError, match=f"^{message}$"):
-            predict_sets(predictor_with(0.9), np.full(shape, 0.2))
+            sets(predictor_with(0.9), np.full(shape, 0.2))
         # calibrate_probs checks its matrix the same way
         with pytest.raises(BadDistributionError, match=f"^{message}$"):
             calibrate_probs(np.full(shape, 0.2), [FaultClass.Nominal] * shape[0], ConformalConfig(), "x")
@@ -319,10 +323,11 @@ class TestPredictSets:
         predictor = predictor_with(0.85)
         probs = np.stack([PROBS, PROBS[::-1]])
         got = diagnoses(predictor, ["a", "b"], probs)
-        assert [d.source_id for d in got] == ["a", "b"]
-        assert [d.prediction_set for d in got] == predict_sets(predictor, probs)
-        assert all((d.alpha, d.qhat) == (0.05, 0.85) for d in got)
-        assert diagnoses(predictor, [], np.empty((0, 5))) == []
+        assert got.source_ids == ["a", "b"]
+        assert members(got) == [reference_set(row, 0.85) for row in probs]
+        assert (got.alpha, got.qhat) == (0.05, 0.85)
+        empty = diagnoses(predictor, [], np.empty((0, 5)))
+        assert (empty.source_ids, members(empty), diagnoses_text(empty, [])) == ([], [], "")
 
 
 class TestDiagnose:
@@ -341,11 +346,12 @@ class TestDiagnose:
     def test_obstacle_in_set(self, small_run):
         predictor = self.predictor(small_run)
         m = self.fresh_trace(small_run, FaultClass.Obstacle)
-        [(_, d)] = diagnosed(predictor, small_run["model"], [m], preprocessed([m]))
-        classes = {c for c, _ in d.prediction_set}
+        d = diagnosed(predictor, small_run["model"], [m], preprocessed([m]))
+        [prediction_set] = members(d)
+        classes = {c for c, _ in prediction_set}
         assert FaultClass.Obstacle in classes
-        assert d.argmax_class is FaultClass.Obstacle
-        assert d.source_id == "fresh"
+        assert prediction_set[0][0] is FaultClass.Obstacle
+        assert d.source_ids == ["fresh"]
         assert d.alpha == 0.05
 
     def test_ambiguous_trace_yields_multiclass_set(self, small_run):
@@ -358,25 +364,28 @@ class TestDiagnose:
         ripple_hz = 2.0 * synth.SUPPLY_RIPPLE_HZ[cfg.profile.supply]
         curve *= 0.85 * (1.0 + 0.04 * np.sin(2 * np.pi * ripple_hz * t))
         m = Manoeuvre("mixed", cfg.profile.name, 0.0, curve, cfg.profile.sample_rate)
-        [(_, d)] = diagnosed(self.predictor(small_run), small_run["model"], [m], preprocessed([m]))
-        assert len(d.prediction_set) >= 2
+        [prediction_set] = members(diagnosed(self.predictor(small_run), small_run["model"], [m], preprocessed([m])))
+        assert len(prediction_set) >= 2
 
     def test_uninformative_model_gives_maximal_sets(self, small_run):
         flat = MlpModel((128, 5), [np.zeros((128, 5))], [np.zeros(5)])
         cal, hold = small_run["calibration"], small_run["holdout"][:1]
         predictor = calibrated(flat, cal, rows_of(small_run, cal))
         assert predictor.qhat == 1.0
-        [(_, d)] = diagnosed(predictor, flat, hold, rows_of(small_run, hold))
-        assert len(d.prediction_set) == 5
+        [prediction_set] = members(diagnosed(predictor, flat, hold, rows_of(small_run, hold)))
+        assert len(prediction_set) == 5
 
     def test_set_always_contains_argmax(self, small_run):
         predictor = self.predictor(small_run)
         mdl = small_run["model"]
         hold = small_run["holdout"]
-        for _, d in diagnosed(predictor, mdl, hold, rows_of(small_run, hold)):
-            assert d.prediction_set[0][0] is d.argmax_class
-            assert len(d.prediction_set) >= 1
-            assert d.singleton == (len(d.prediction_set) == 1)
+        d = diagnosed(predictor, mdl, hold, rows_of(small_run, hold))
+        objs = [json.loads(line) for line in diagnoses_text(d, [None] * len(hold)).splitlines()]
+        for prediction_set, code, obj in zip(members(d), d.classes[:, 0], objs, strict=True):
+            assert prediction_set[0][0] is FaultClass(int(code))
+            assert obj["argmax_class"] == prediction_set[0][0].name
+            assert len(prediction_set) >= 1
+            assert obj["singleton"] == (len(prediction_set) == 1)
 
 
 class TestPredictorIo:
@@ -386,6 +395,30 @@ class TestPredictorIo:
         save_predictor(p, path)
         back = load_predictor(path)
         assert back == p
+
+    def test_written_file_loads_bit_for_bit(self, tmp_path):
+        path = tmp_path / "predictor.json"
+        for qhat in (1.0, 0.1 + 0.2, 5e-324):
+            save_predictor(predictor_with(qhat, alpha=0.025, n=7), path)
+            back = load_predictor(path)
+            assert (back.alpha.hex(), back.qhat.hex(), back.n_calibration) == ((0.025).hex(), qhat.hex(), 7)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("alpha", "0.05", 'alpha must be a number, not "0.05"'),
+        ("alpha", True, "alpha must be a number, not true"),
+        ("qhat", True, "qhat must be a number, not true"),
+        ("qhat", None, "qhat must be a number, not null"),
+        ("n_calibration", 110.9, "n_calibration must be an integer, not 110.9"),
+        ("n_calibration", 110.0, "n_calibration must be an integer, not 110.0"),
+        ("n_calibration", False, "n_calibration must be an integer, not false"),
+        ("model_digest", 7, "model_digest must be a string, not 7"),
+    ])
+    def test_fields_take_only_their_json_type(self, tmp_path, key, value, expected):
+        path = tmp_path / "predictor.json"
+        save_predictor(predictor_with(0.9, n=111), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+        with pytest.raises(DatasetIoError, match=f"^{re.escape(f'{path} is not a valid predictor file: {expected}')}$"):
+            load_predictor(path)
 
     def test_invariants(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,12 @@ from pmdiag.evaluation import (
 from pmdiag.evaluation import TestTooSmallError as SplitTooSmallError
 from pmdiag.model import MlpModel
 
-from conftest import MJ_COUNTS, calibrated, diagnosed, rows_of
+from conftest import MJ_COUNTS, calibrated, diagnosed, members, rows_of
+
+
+def columns(pairs):
+    """The predicted classes and the true classes of (predicted, true) pairs."""
+    return [predicted for predicted, _ in pairs], [true for _, true in pairs]
 
 
 def labelled_dataset(counts, seed=0):
@@ -180,8 +185,8 @@ class TestBinaryMetrics:
     )
     def test_matches_pair_by_pair_count(self, pairs):
         expected = counted_binary_metrics(pairs)
-        assert binary_metrics(confusion_matrix(pairs)) == expected
-        report = build_metrics(pairs, coverage=1.0, mean_set_size=1.0)
+        assert binary_metrics(confusion_matrix(*columns(pairs))) == expected
+        report = build_metrics(*columns(pairs), coverage=1.0, mean_set_size=1.0)
         assert (report.precision, report.fpr, report.fnr) == expected
 
     def test_all_correct(self):
@@ -190,12 +195,12 @@ class TestBinaryMetrics:
             (FaultClass.Obstacle, FaultClass.Obstacle),
             (FaultClass.Friction, FaultClass.Friction),
         ]
-        assert binary_metrics(confusion_matrix(pairs)) == (1.0, 0.0, 0.0)
+        assert binary_metrics(confusion_matrix(*columns(pairs))) == (1.0, 0.0, 0.0)
 
     def test_one_missed_anomaly_among_855(self):
         pairs = [(FaultClass.Obstacle, FaultClass.Obstacle)] * 854
         pairs.append((FaultClass.Nominal, FaultClass.Obstacle))
-        precision, fpr, fnr = binary_metrics(confusion_matrix(pairs))
+        precision, fpr, fnr = binary_metrics(confusion_matrix(*columns(pairs)))
         assert precision == 1.0
         assert fpr == 0.0
         assert fnr == 1 / 855
@@ -203,21 +208,21 @@ class TestBinaryMetrics:
 
     def test_zero_predicted_positives(self):
         pairs = [(FaultClass.Nominal, FaultClass.Obstacle)] * 3
-        precision, fpr, fnr = binary_metrics(confusion_matrix(pairs))
+        precision, fpr, fnr = binary_metrics(confusion_matrix(*columns(pairs)))
         assert precision == 1.0
         assert fnr == 1.0
 
     def test_cross_anomaly_confusion_counts_as_positive(self):
         # friction predicted as obstacle is still a detected anomaly
         pairs = [(FaultClass.Obstacle, FaultClass.Friction)]
-        precision, fpr, fnr = binary_metrics(confusion_matrix(pairs))
+        precision, fpr, fnr = binary_metrics(confusion_matrix(*columns(pairs)))
         assert (precision, fpr, fnr) == (1.0, 0.0, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            binary_metrics(confusion_matrix([]))
+            binary_metrics(confusion_matrix([], []))
         with pytest.raises(ValueError):
-            build_metrics([], coverage=1.0, mean_set_size=1.0)
+            build_metrics([], [], coverage=1.0, mean_set_size=1.0)
 
 
 class TestConfusion:
@@ -227,7 +232,7 @@ class TestConfusion:
             (FaultClass(int(rng.integers(0, 5))), FaultClass(int(rng.integers(0, 5))))
             for _ in range(300)
         ]
-        conf = confusion_matrix(pairs)
+        conf = confusion_matrix(*columns(pairs))
         for cls in FaultClass:
             assert conf[int(cls)].sum() == sum(1 for _, t in pairs if t is cls)
 
@@ -237,8 +242,8 @@ class TestConfusion:
             (FaultClass(int(rng.integers(0, 5))), FaultClass(int(rng.integers(0, 5))))
             for _ in range(500)
         ]
-        precision, fpr, fnr = binary_metrics(confusion_matrix(pairs))
-        conf = confusion_matrix(pairs)
+        precision, fpr, fnr = binary_metrics(confusion_matrix(*columns(pairs)))
+        conf = confusion_matrix(*columns(pairs))
         tp = conf[1:, 1:].sum()
         fp = conf[0, 1:].sum()
         tn = conf[0, 0]
@@ -255,7 +260,8 @@ class TestCoverage:
             alpha=0.05, qhat=1.0, n_calibration=10, model_digest="x"
         )
         hold = small_run["holdout"]
-        coverage, mean_size = coverage_eval(diagnosed(predictor, flat, hold, rows_of(small_run, hold)))
+        coverage, mean_size = coverage_eval(diagnosed(predictor, flat, hold, rows_of(small_run, hold)),
+                                            [m.label for m in hold])
         assert coverage == 1.0
         assert mean_size == 5.0
 
@@ -265,7 +271,8 @@ class TestCoverage:
         )
         mdl = small_run["model"]
         hold = small_run["holdout"]
-        coverage, mean_size = coverage_eval(diagnosed(predictor, mdl, hold, rows_of(small_run, hold)))
+        coverage, mean_size = coverage_eval(diagnosed(predictor, mdl, hold, rows_of(small_run, hold)),
+                                            [m.label for m in hold])
         assert mean_size == 1.0
         codes = mlp.forward_rows(mdl, rows_of(small_run, hold)).argmax(axis=1)
         correct = sum(FaultClass(int(code)) is m.label for code, m in zip(codes, hold))
@@ -283,21 +290,19 @@ class TestReports:
 
         assert json.loads(p1.read_text()) == obj
 
-    def test_diagnoses_jsonl(self, tmp_path, small_run):
+    def test_diagnoses_jsonl(self, small_run):
         cal, hold = small_run["calibration"], small_run["holdout"]
         predictor = calibrated(small_run["model"], cal, rows_of(small_run, cal))
-        holdout = diagnosed(predictor, small_run["model"], hold, rows_of(small_run, hold))
+        d = diagnosed(predictor, small_run["model"], hold, rows_of(small_run, hold))
         # every other row as from unlabelled field data
-        rows = [(label if k % 2 else None, d) for k, (label, d) in enumerate(holdout)]
-        path = tmp_path / "diagnoses.jsonl"
-        conformal.save_diagnoses(rows, path)
-        objs = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(objs) == len(rows)
-        for (label, d), obj in zip(rows, objs):
-            assert obj["source_id"] == d.source_id
-            assert obj["argmax_class"] == d.argmax_class.name
+        labels = [m.label if k % 2 else None for k, m in enumerate(hold)]
+        objs = [json.loads(line) for line in conformal.diagnoses_text(d, labels).splitlines()]
+        assert len(objs) == len(hold)
+        for m, label, prediction_set, obj in zip(hold, labels, members(d), objs):
+            assert obj["source_id"] == m.id
+            assert obj["argmax_class"] == prediction_set[0][0].name
             assert [(e["class"], e["probability"]) for e in obj["prediction_set"]] == [
-                (cls.name, prob) for cls, prob in d.prediction_set
+                (cls.name, prob) for cls, prob in prediction_set
             ]
             if label is None:
                 assert "label" not in obj
@@ -306,9 +311,87 @@ class TestReports:
 
     def test_metrics_report_fields(self, small_run):
         pairs = [(FaultClass.Nominal, FaultClass.Nominal)] * 4
-        mr = build_metrics(pairs, coverage=0.95, mean_set_size=1.5)
+        mr = build_metrics(*columns(pairs), coverage=0.95, mean_set_size=1.5)
         obj = json.loads(json.dumps(asdict(mr)))
         for key in ("precision", "fpr", "fnr", "confusion", "coverage", "mean_set_size"):
             assert key in obj
         assert 0 <= obj["precision"] <= 1
         assert len(obj["confusion"]) == 5
+
+
+def brute_force_diagnosis(row, qhat):
+    """One row's set, one class at a time: the class codes by descending
+    normalized probability, ties to the lowest code, accumulated until the
+    mass reaches qhat (all of them if it never does)."""
+    p = row / row.sum()
+    order = sorted(range(len(row)), key=lambda c: (-p[c], c))
+    mass, size = 0.0, 0
+    for c in order:
+        mass += p[c]
+        size += 1
+        if mass >= qhat:
+            break
+    return order, size
+
+
+class TestBatchedOracle:
+    """The array path of conformal.diagnoses, coverage_eval and the
+    confusion matrix against a per-row loop, on rows with tied entries."""
+
+    @staticmethod
+    def rows(seed):
+        rng = np.random.default_rng(seed)
+        ties = rng.integers(0, 4, size=(150, 5)).astype(np.float64)
+        ties[ties.sum(axis=1) == 0, 0] = 1.0
+        drawn = rng.dirichlet(np.full(5, 0.5), size=150)
+        drawn[:50, 3] = drawn[:50, 1]  # exact ties between drawn entries
+        probs = np.concatenate([ties, drawn])
+        probs /= probs.sum(axis=1, keepdims=True)
+        return probs, [FaultClass(int(c)) for c in rng.integers(0, 5, size=len(probs))]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_path_equals_per_row_loop(self, seed):
+        probs, labels = self.rows(seed)
+        tops = probs.max(axis=1) / probs.sum(axis=1)
+        # 1.0, and just above one row's top probability, which then needs a second class
+        for qhat in (1.0, *(float(np.nextafter(tops[k], 2.0)) for k in (0, 7, 160, 299))):
+            predictor = conformal.ConformalPredictor(alpha=0.1, qhat=min(qhat, 1.0), n_calibration=9, model_digest="x")
+            d = conformal.diagnoses(predictor, [f"m{k}" for k in range(len(probs))], probs)
+            expected = [brute_force_diagnosis(row, predictor.qhat) for row in probs]
+            assert d.classes.tolist() == [order for order, _ in expected]
+            assert d.sizes.tolist() == [size for _, size in expected]
+            assert members(d) == [tuple((FaultClass(c), float(row[c])) for c in order[:size])
+                                  for row, (order, size) in zip(probs, expected)]
+            argmax = [order[0] for order, _ in expected]
+            covered = sum(int(label) in order[:size] for label, (order, size) in zip(labels, expected))
+            sizes = sum(size for _, size in expected)
+            assert coverage_eval(d, labels) == (covered / len(labels), sizes / len(labels))
+            conf = np.zeros((5, 5), dtype=np.int64)
+            for label, predicted in zip(labels, argmax):
+                conf[int(label), predicted] += 1
+            assert confusion_matrix(d.classes[:, 0], labels).tolist() == conf.tolist()
+            report = build_metrics(d.classes[:, 0], labels, coverage=1.0, mean_set_size=1.0)
+            assert report.confusion == tuple(map(tuple, conf.tolist()))
+
+    def test_text_is_json_dumps_of_each_row(self):
+        probs, labels = self.rows(9)
+        labels = [label if k % 3 else None for k, label in enumerate(labels)]
+        ids = [f"m{k}" if k % 2 else f"field  {k}\"\\" for k in range(len(probs))]
+        predictor = conformal.ConformalPredictor(alpha=0.3, qhat=0.8, n_calibration=9, model_digest="x")
+        d = conformal.diagnoses(predictor, ids, probs)
+        lines = []
+        for source_id, row, label in zip(ids, probs, labels):
+            order, size = brute_force_diagnosis(row, 0.8)
+            obj = {
+                "source_id": source_id,
+                "prediction_set": [{"class": FaultClass(c).name, "probability": float(row[c])} for c in order[:size]],
+                "alpha": 0.3,
+                "qhat": 0.8,
+                "singleton": size == 1,
+                "argmax_class": FaultClass(order[0]).name,
+            }
+            if label is not None:
+                obj["label"] = label.name
+            lines.append(json.dumps(obj) + "\n")
+        assert {len(line.split('"class"')) - 1 for line in lines} >= {1, 2}
+        assert conformal.diagnoses_text(d, labels) == "".join(lines)

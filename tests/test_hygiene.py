@@ -93,7 +93,7 @@ def test_every_private_definition_is_referenced(name):
         "conformal.calibrate_probs",
         "conformal.save_predictor",
         "evaluation.build_metrics",
-        "conformal.save_diagnoses",
+        "evaluation.coverage_eval",
         "evaluation.stratified_split",
         "evaluation.split_calibration",
     ],

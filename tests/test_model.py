@@ -1,10 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 from pmdiag import conformal, model as mlp
-from pmdiag.core import FaultClass
+from pmdiag.core import DatasetIoError, FaultClass
 from pmdiag.model import (
     DegenerateDataError,
     DimensionMismatchError,
@@ -440,7 +441,7 @@ class TestTrain:
 def argmax_class(probs):
     """The most probable class of a probability vector, as its diagnosis names it."""
     predictor = conformal.ConformalPredictor(alpha=0.05, qhat=0.5, n_calibration=1, model_digest="x")
-    return conformal.diagnoses(predictor, ["x"], probs[None])[0].argmax_class
+    return FaultClass(int(conformal.diagnoses(predictor, ["x"], probs[None]).classes[0, 0]))
 
 
 class TestPredict:
@@ -465,6 +466,19 @@ class TestModelIo:
         assert back.layer_dims == m.layer_dims
         assert all(np.array_equal(a, b) for a, b in zip(back.weights, m.weights))
         assert mlp.model_digest(back) == mlp.model_digest(m)
+
+    @pytest.mark.parametrize("names", [
+        ["Obstacle", "Nominal", "Friction", "PowerSupply", "Misalignment"],
+        ["Nominal", "Obstacle", "Friction", "PowerSupply"],
+        "NominalObstacle",
+    ])
+    def test_class_names_must_be_the_class_order(self, tmp_path, names):
+        path = tmp_path / "model.json"
+        mlp.save_model(mlp.init_params((16, 8, 5), 4), path)
+        obj = json.loads(path.read_text())
+        path.write_text(json.dumps({**obj, "class_names": names}))
+        with pytest.raises(DatasetIoError, match=f"^{re.escape(str(path))} is not a valid model file: class_names "):
+            mlp.load_model(path)
 
     def test_train_config_invariants(self):
         with pytest.raises(ValueError):

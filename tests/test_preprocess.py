@@ -622,6 +622,16 @@ class TestFeatureIo:
         assert err.value.line_number == 2
         assert "bad-7" in str(err.value)
 
+    @pytest.mark.parametrize("bad", ["1.5", True, False])
+    def test_values_must_be_numbers(self, tmp_path, bad):
+        # as a dataset's samples: np.asarray would read "1.5" as 1.5 and true as 1.0
+        good = {"source_id": "ok", "values": [1.0] * 4, "label": "Nominal"}
+        p = tmp_path / "features.jsonl"
+        bad_record = {**good, "source_id": "bad", "values": [1.0, bad, 1.0, 1.0]}
+        p.write_text(json.dumps(good) + "\n" + json.dumps(bad_record) + "\n")
+        with pytest.raises(ParseError, match="^line 2: values is not a numeric array$"):
+            load_features(p)
+
     def test_lines_end_at_lf_only(self, tmp_path):
         # U+2028, U+2029 and U+0085 may stand raw in a JSON string, and
         # str.splitlines() breaks lines at each of them

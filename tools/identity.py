@@ -16,6 +16,9 @@ that runs past TIMEOUT_S is stopped and reported as exiting with None.
 
 The cases are the default pipeline, at `--seed 3`, with uniform
 `train.class_weights`, and at a small config;
+the small config's pipeline at `conformal.alpha` 0.3, then diagnose of its
+dataset: at that alpha its diagnoses.jsonl holds sets of one, two and three
+classes, and diagnose prints "(set covers the true class at 70%)";
 the stage commands one after another, then diagnose; on a generated
 4000-manoeuvre stream, diagnose, preprocess, pipeline with paths.dataset
 and diagnose through /dev/stdin; error paths (a malformed config, a
@@ -88,6 +91,10 @@ CASES = [
     Case("pipeline_uniform_weights", [["pipeline", "--config", "{inputs}/uniform.json", "--out", "{out}"]],
          small=False),
     Case("pipeline_small", [["pipeline", "--config", "{inputs}/small.json", "--out", "{out}"]]),
+    Case("alpha_small", [["pipeline", "--config", "{inputs}/alpha.json", "--out", "{out}"],
+                         ["diagnose", "--config", "{inputs}/alpha.json", "--out", "{out}/diagnose",
+                          "--model", "{out}/model.json", "--predictor", "{out}/predictor.json",
+                          "--dataset", "{out}/dataset.jsonl"]]),
     Case("stages_small", _stages()),
     Case("stream_diagnose", [_stream_diagnose("{inputs}/stream/dataset.jsonl")], small=False),
     Case("stream_preprocess", [["preprocess", "--config", "{inputs}/stream_paths.json", "--out", "{out}"]], small=False),
@@ -138,6 +145,7 @@ def make_inputs(tree: Path, inputs: Path, small_only: bool) -> None:
             raise RuntimeError(f"generate {name} exited {code}: {err.decode(errors='replace')}")
 
     generate("small", SMALL_CONFIG)
+    config("alpha", {**SMALL_CONFIG, "conformal": {"alpha": 0.3}})
     lines = (inputs / "small" / "dataset.jsonl").read_text().splitlines(keepends=True)
 
     def edited(k: int, **changes) -> str:
