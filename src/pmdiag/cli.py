@@ -25,7 +25,6 @@ import numpy as np
 
 from . import conformal, evaluation, model, preprocess, synth
 from .core import (
-    JSON_TYPES,
     DatasetIoError,
     FaultClass,
     ParseError,
@@ -38,6 +37,7 @@ from .core import (
     iter_manoeuvres,
     json_error,
     json_is,
+    json_type_error,
     save_dataset,
     validate_manoeuvre,
 )
@@ -139,24 +139,20 @@ class RunConfig:
         }
 
 
-def _check_section(section: str, obj, allowed: set) -> None:
+def _check_section(section: str, obj, allowed) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"section {section!r} must be an object")
-    unknown = set(obj) - allowed
+    unknown = set(obj).difference(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
 
 
-def _field_names(factory) -> set:
-    return {f.name for f in fields(factory)}
-
-
 def _build_section(section: str, obj, factory, **defaults):
     """factory(**obj) over `defaults`; keys are the factory's fields, each value of its annotation's JSON type."""
-    _check_section(section, obj, _field_names(factory))
-    for f in fields(factory):
-        if f.name in obj and not json_is(obj[f.name], f.type):
-            raise ConfigError(f"section {section!r}: {f.name} must be {JSON_TYPES[f.type][1]}, not {json.dumps(obj[f.name])}")
+    kinds = {f.name: f.type for f in fields(factory)}
+    _check_section(section, obj, kinds)
+    if (error := json_type_error(obj, kinds)) is not None:
+        raise ConfigError(f"section {section!r}: {error}")
     try:
         return factory(**{**defaults, **obj})
     except (TypeError, ValueError) as exc:
@@ -174,18 +170,12 @@ def _parse_profile(obj) -> TechnologyProfile:
 
 
 def _parse_counts(obj) -> "dict[FaultClass, int]":
-    if not isinstance(obj, dict):
-        raise ConfigError("synth.counts must map class names to counts")
-    counts = {}
-    for name, n in obj.items():
-        try:
-            cls = FaultClass.from_name(name)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not json_is(n, "int") or n < 0:
-            raise ConfigError(f"count for {name} must be a nonnegative integer")
-        counts[cls] = n
-    return counts
+    _check_section("synth.counts", obj, FaultClass.__members__)
+    if (error := json_type_error(obj, dict.fromkeys(obj, "int"))) is not None:
+        raise ConfigError(f"section 'synth.counts': {error}")
+    if negative := [name for name, n in obj.items() if n < 0]:
+        raise ConfigError(f"section 'synth.counts': {negative[0]} must be nonnegative, not {obj[negative[0]]}")
+    return {FaultClass.from_name(name): n for name, n in obj.items()}
 
 
 def _check_finite(obj, where: str) -> None:
@@ -205,7 +195,7 @@ def parse_run_config(obj: dict, seed_override: "int | None" = None) -> RunConfig
     _check_section("<root>", obj, {"synth", "preprocess", "train", "conformal", "split", "paths"})
 
     synth_obj = obj.get("synth", {})
-    _check_section("synth", synth_obj, _field_names(synth.SynthConfig) | {"counts", "severity_range"})
+    _check_section("synth", synth_obj, [f.name for f in fields(synth.SynthConfig)] + ["counts", "severity_range"])
     profile = _parse_profile(synth_obj.get("profile", "MJ"))
     counts = _parse_counts(synth_obj.get("counts", {c.name: n for c, n in DEFAULT_COUNTS.items()}))
     severity_range = synth_obj.get("severity_range", [0.3, 1.0])
@@ -867,31 +857,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("generate", parents=[common], help="generate a synthetic dataset").set_defaults(
-        func=cmd_generate
-    )
-    sub.add_parser("preprocess", parents=[common], help="dataset to feature vectors").set_defaults(
-        func=cmd_preprocess
-    )
-    sub.add_parser("train", parents=[common], help="train the classifier").set_defaults(
-        func=cmd_train
-    )
-    sub.add_parser(
-        "calibrate", parents=[common], help="calibrate the conformal predictor"
-    ).set_defaults(func=cmd_calibrate)
-    diag = sub.add_parser(
-        "diagnose", parents=[common], help="diagnose raw manoeuvres with prediction sets"
-    )
+    for name, func, text in (
+        ("generate", cmd_generate, "generate a synthetic dataset"),
+        ("preprocess", cmd_preprocess, "dataset to feature vectors"),
+        ("train", cmd_train, "train the classifier"),
+        ("calibrate", cmd_calibrate, "calibrate the conformal predictor"),
+        ("diagnose", cmd_diagnose, "diagnose raw manoeuvres with prediction sets"),
+        ("evaluate", cmd_evaluate, "metrics and report for labelled features"),
+        ("pipeline", cmd_pipeline, "run every stage end to end"),
+    ):
+        sub.add_parser(name, parents=[common], help=text).set_defaults(func=func)
+    diag = sub.choices["diagnose"]
     diag.add_argument("--model", help="model file (default: <out>/model.json)")
     diag.add_argument("--predictor", help="predictor file (default: <out>/predictor.json)")
     diag.add_argument("--dataset", help="dataset file (default: <out>/dataset.jsonl)")
-    diag.set_defaults(func=cmd_diagnose)
-    sub.add_parser(
-        "evaluate", parents=[common], help="metrics and report for labelled features"
-    ).set_defaults(func=cmd_evaluate)
-    sub.add_parser("pipeline", parents=[common], help="run every stage end to end").set_defaults(
-        func=cmd_pipeline
-    )
     return parser
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import JSON_TYPES, DatasetIoError, FaultClass, PmDiagError, atomic_write_text, json_is, jsonl_text, read_json
+from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, json_type_error, jsonl_text, read_json
 from .model import CLASS_NAMES, MlpModel, RowError, model_digest
 
 PROB_SUM_TOL = 1e-9
@@ -215,9 +215,8 @@ def load_predictor(path: str | Path) -> ConformalPredictor:
     path = Path(path)
     obj = read_json(path)
     try:
-        for f in fields(ConformalPredictor):
-            if not json_is(obj[f.name], f.type):
-                raise TypeError(f"{f.name} must be {JSON_TYPES[f.type][1]}, not {json.dumps(obj[f.name])}")
+        if (error := json_type_error(obj, {f.name: f.type for f in fields(ConformalPredictor)})) is not None:
+            raise TypeError(error)
         return ConformalPredictor(
             alpha=float(obj["alpha"]),
             qhat=float(obj["qhat"]),

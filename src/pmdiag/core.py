@@ -254,12 +254,9 @@ def _manoeuvre_from_obj(obj: dict, line_number: int, may_hold_bool: bool) -> Man
         raise ParseError(line_number, f"samples is not a {shape} array") from None
     if may_hold_bool and any(type(v) is bool for v in obj["samples"]):
         raise ParseError(line_number, "samples is not a numeric array")
-    if not isinstance(obj["id"], str) or not isinstance(obj["technology"], str):
-        raise ParseError(line_number, "id and technology must be strings")
-    if not isinstance(obj["timestamp"], (int, float)) or isinstance(obj["timestamp"], bool):
-        raise ParseError(line_number, "timestamp must be a number")
-    if not isinstance(obj["sample_rate"], (int, float)) or isinstance(obj["sample_rate"], bool):
-        raise ParseError(line_number, "sample_rate must be a number")
+    if (error := json_type_error(obj, {"id": "str", "technology": "str", "timestamp": "float",
+                                       "sample_rate": "float"})) is not None:
+        raise ParseError(line_number, error)
     try:
         return Manoeuvre(
             id=obj["id"],
@@ -274,17 +271,39 @@ def _manoeuvre_from_obj(obj: dict, line_number: int, may_hold_bool: bool) -> Man
         raise ParseError(line_number, f"{key} is beyond float range") from None
 
 
-# the Python types of the JSON values that a dataclass field of each annotation
-# takes, and their name
+# each JSON kind, by dataclass annotation or name: the Python types of its values
+# and its name. An array kind gives the exact types of its items as a set; an
+# "array" may hold arrays of its kind, whose shape its reader checks
 JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "str": (str, "a string"),
-              "SupplyKind": (str, "a string"), "tuple[float, ...]": ((list, tuple), "a list of numbers")}
+              "SupplyKind": (str, "a string"), "tuple[float, ...]": ({int, float}, "a numeric array"),
+              "list[int]": ({int}, "an integer array"), "array": ({int, float, list}, "a numeric array")}
 
 
-def json_is(value, annotation: str) -> bool:
-    """Whether a value has the JSON type of a field's `annotation`; a bool is no number."""
-    if isinstance(value, bool) or not isinstance(value, JSON_TYPES[annotation][0]):
+def json_is(value, kind: str) -> bool:
+    """Whether a value is of JSON kind `kind`: a bool is no number, and an
+    array is tested by the set of its items' types, taken in one pass."""
+    types = JSON_TYPES[kind][0]
+    if not isinstance(types, set):
+        return isinstance(value, types) and not isinstance(value, bool)
+    if not isinstance(value, (list, tuple)):
         return False
-    return not isinstance(value, (list, tuple)) or all(json_is(v, "float") for v in value)
+    found = set(map(type, value))
+    return found <= types and (list not in found or all(json_is(v, kind) for v in value if type(v) is list))
+
+
+def json_type_error(obj, kinds: dict) -> "str | None":
+    """The message of the first field of a parsed JSON object, in the order
+    of `kinds`, a map from field name to JSON kind, whose value is not of its
+    kind; None when there is none. An absent field passes."""
+    if not isinstance(obj, dict):
+        return "not a JSON object"
+    for key, kind in kinds.items():
+        if key in obj and not json_is(obj[key], kind):
+            types, name = JSON_TYPES[kind]
+            if isinstance(types, set):
+                return f"{key} is not {name}"
+            return f"{key} must be {name}, not {json.dumps(obj[key])}"
+    return None
 
 
 def read_jsonl_text(path: str | Path) -> str:

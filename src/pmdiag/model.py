@@ -19,6 +19,7 @@ from .core import (
     FaultClass,
     PmDiagError,
     atomic_write_text,
+    json_type_error,
     read_json,
     sha256_of_obj,
 )
@@ -69,8 +70,7 @@ class MlpModel:
     biases: list[np.ndarray]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
-        self.layer_dims = dims
+        dims = self.layer_dims = tuple(self.layer_dims)
         if len(dims) < 2:
             raise ValueError("need at least input and output layers")
         if dims[-1] != len(CLASS_NAMES):
@@ -407,6 +407,8 @@ def load_model(path: str | Path) -> MlpModel:
     path = Path(path)
     obj = read_json(path)
     try:
+        if (error := json_type_error(obj, {"layer_dims": "list[int]", "weights": "array", "biases": "array"})) is not None:
+            raise TypeError(error)
         # output column k is class FaultClass(k): a file that names its columns otherwise is not this model's
         if obj["class_names"] != list(CLASS_NAMES):
             raise ValueError(f"class_names {json.dumps(obj['class_names'])} are not {json.dumps(CLASS_NAMES)}")

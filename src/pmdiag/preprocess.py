@@ -22,6 +22,7 @@ from .core import (
     FaultClass,
     ParseError,
     PmDiagError,
+    json_type_error,
     jsonl_objects,
     jsonl_text,
     read_jsonl_text,
@@ -324,9 +325,9 @@ def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | N
     for line_number, _, obj in jsonl_objects(read_jsonl_text(path)):
         if not isinstance(obj, dict) or not FEATURE_KEYS >= set(obj):
             raise ParseError(line_number, "not a feature object")
-        # a number only, as in a dataset's samples: np.asarray takes "1.5" as 1.5 and true as 1.0
-        if isinstance(obj.get("values"), list) and any(isinstance(v, (str, bool)) for v in obj["values"]):
-            raise ParseError(line_number, "values is not a numeric array")
+        # np.asarray takes "1.5" as 1.5 and true as 1.0; a nested array goes on to the row-shape check
+        if (error := json_type_error(obj, {"source_id": "str", "values": "array"})) is not None:
+            raise ParseError(line_number, error)
         try:
             label = FaultClass.from_name(obj["label"]) if "label" in obj else None
             fv = FeatureVector(

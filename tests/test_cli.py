@@ -118,7 +118,8 @@ class TestGenerate:
         assert run(["generate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "section", ["<root>", "synth", "synth.profile", "preprocess", "train", "conformal", "split", "paths"]
+        "section", ["<root>", "synth", "synth.profile", "synth.counts", "preprocess", "train", "conformal", "split",
+                    "paths"]
     )
     def test_unknown_key_exits_2(self, tmp_path, capsys, section):
         cfg = {"wavelets": "x"}
@@ -162,6 +163,8 @@ class TestGenerate:
             ({"train": {"class_weights": ["2", 1, 1, 1, 1]}}, [], ""),
             ({"conformal": {"alpha": "x"}}, [], "section 'conformal': alpha must be a number, not \"x\"\n"),
             ({"conformal": {"alpha": 1.5}}, [], "section 'conformal': alpha must be in (0, 1)\n"),
+            ({"synth": {"counts": {"Nominal": 2.0}}}, [], "section 'synth.counts': Nominal must be an integer, not 2.0\n"),
+            ({"synth": {"counts": {"Nominal": -1}}}, [], "section 'synth.counts': Nominal must be nonnegative, not -1\n"),
         ],
         ids=["synth_number", "train_list", "split_string", "train_pairs", "severity_reversed",
              "train_seed_negative", "split_seed_2_64", "seed_negative", "seed_2_64",
@@ -169,7 +172,7 @@ class TestGenerate:
              "split_seed_float", "train_seed_float", "sample_rate_nan", "noise_sigma_nan",
              "noise_sigma_inf", "learning_rate_nan", "class_weight_nan", "learning_rate_bool", "learning_rate_null",
              "noise_floor_string", "profile_name_number", "class_weight_bool", "class_weight_string",
-             "alpha_string", "alpha_out_of_range"],
+             "alpha_string", "alpha_out_of_range", "count_float", "count_negative"],
     )
     def test_malformed_config_exits_2_with_one_line(self, tmp_path, capsys, cfg, flags, tail):
         """A rejected value is spelled as JSON, as the config file holds it."""
@@ -510,6 +513,89 @@ def test_file_not_utf8_exits_with_one_line(trained_run, tmp_path, capsys, name):
     assert (code, err[: len(expected[1])]) == expected
     assert err.count("\n") == 1 and name in err
     assert_no_child_processes()
+
+
+class TestJsonTypes:
+    """Every reader of a JSON file takes a field's value only of its JSON
+    kind: a bool or a numeric string is no number, and 128.0 and 128.9 are
+    no integers. Each case edits one value of a file of a small run (the
+    first line of a JSONL file) and runs the command that reads it."""
+
+    # file: (command, exit code, stderr before the message)
+    READERS = {
+        "config.json": ("diagnose", 2, "config error: section 'train': "),
+        "predictor.json": ("diagnose", 3, "i/o error: {path} is not a valid predictor file: "),
+        "model.json": ("diagnose", 3, "i/o error: {path} is not a valid model file: "),
+        "features.jsonl": ("evaluate", 4, "pipeline failure in load: line 1: "),
+        "dataset.jsonl": ("diagnose", 4, "pipeline failure in load: line 1: "),
+    }
+    # name: (file, keys to the value, new value or a function of the old one, message);
+    # {json} in a message stands for the new value as JSON
+    CASES = {
+        "config_number_bool": ("config.json", ["train", "learning_rate"], True,
+                               "learning_rate must be a number, not true"),
+        "config_number_string": ("config.json", ["train", "learning_rate"], "0.01",
+                                 "learning_rate must be a number, not {json}"),
+        "config_integer_whole_float": ("config.json", ["train", "epochs"], 128.0,
+                                       "epochs must be an integer, not 128.0"),
+        "config_integer_fraction": ("config.json", ["train", "epochs"], 128.9, "epochs must be an integer, not 128.9"),
+        "predictor_number_bool": ("predictor.json", ["alpha"], True, "alpha must be a number, not true"),
+        "predictor_number_string": ("predictor.json", ["qhat"], repr, "qhat must be a number, not {json}"),
+        "predictor_integer_whole_float": ("predictor.json", ["n_calibration"], 128.0,
+                                          "n_calibration must be an integer, not 128.0"),
+        "predictor_integer_fraction": ("predictor.json", ["n_calibration"], 128.9,
+                                       "n_calibration must be an integer, not 128.9"),
+        "model_number_bool": ("model.json", ["weights", 0, 0, 0], True, "weights is not a numeric array"),
+        # the string of the weight's own value: the file's digest still matches
+        "model_number_string": ("model.json", ["weights", 0, 0, 0], repr, "weights is not a numeric array"),
+        "model_bias_string": ("model.json", ["biases", 2, 4], repr, "biases is not a numeric array"),
+        "model_integer_whole_float": ("model.json", ["layer_dims", 0], 128.0, "layer_dims is not an integer array"),
+        "model_integer_fraction": ("model.json", ["layer_dims", 0], 128.9, "layer_dims is not an integer array"),
+        "features_number_bool": ("features.jsonl", ["values", 3], True, "values is not a numeric array"),
+        "features_number_string": ("features.jsonl", ["values", 3], repr, "values is not a numeric array"),
+        "features_string_number": ("features.jsonl", ["source_id"], 5, "source_id must be a string, not 5"),
+        "dataset_number_bool": ("dataset.jsonl", ["timestamp"], True, "timestamp must be a number, not true"),
+        "dataset_number_string": ("dataset.jsonl", ["sample_rate"], repr, "sample_rate must be a number, not {json}"),
+        "dataset_string_number": ("dataset.jsonl", ["id"], 5, "id must be a string, not 5"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_value_of_another_kind_exits_with_its_readers_code(self, trained_run, tmp_path, capsys, case):
+        name, keys, value, message = self.CASES[case]
+        command, exit_code, prefix = self.READERS[name]
+        out = tmp_path / "out"
+        shutil.copytree(trained_run, out)
+        path = out / name
+        # a JSON file is one object, a JSONL file one per line
+        first, *rest = path.read_text().splitlines(keepends=True) if name.endswith(".jsonl") else [path.read_text()]
+        obj = json.loads(first)
+        *parents, last = keys
+        holder = functools.reduce(lambda node, key: node[key], parents, obj)
+        holder[last] = value(holder[last]) if callable(value) else value
+        path.write_text("".join([json.dumps(obj) + "\n", *rest]))
+        capsys.readouterr()
+        code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
+        expected = prefix.format(path=path) + message.format(json=json.dumps(holder[last])) + "\n"
+        assert (code, capsys.readouterr().err) == (exit_code, expected)
+
+    def test_written_files_load_back_equal(self, trained_run):
+        """What a pipeline run writes, each reader takes back with equal values."""
+        params = json.loads((trained_run / "model.json").read_text())
+        mdl = model.load_model(trained_run / "model.json")
+        assert mdl.layer_dims == tuple(params["layer_dims"]) and {type(d) for d in mdl.layer_dims} == {int}
+        for got, written in zip([*mdl.weights, *mdl.biases], [*params["weights"], *params["biases"]]):
+            assert got.dtype == np.float64 and np.array_equal(got, np.array(written))
+        predictor = conformal.load_predictor(trained_run / "predictor.json")
+        assert asdict(predictor) == json.loads((trained_run / "predictor.json").read_text())
+        assert predictor.model_digest == model.model_digest(mdl)
+        lines = [json.loads(line) for line in (trained_run / "features.jsonl").read_text().splitlines()]
+        records = preprocess.load_features(trained_run / "features.jsonl")
+        assert [(fv.source_id, label.name) for fv, label in records] == [(o["source_id"], o["label"]) for o in lines]
+        assert np.array_equal(np.stack([fv.values for fv, _ in records]), np.array([o["values"] for o in lines]))
+        lines = [json.loads(line) for line in (trained_run / "dataset.jsonl").read_text().splitlines()]
+        manoeuvres = load_dataset(trained_run / "dataset.jsonl").manoeuvres
+        assert [core._manoeuvre_to_obj(m) for m in manoeuvres] == lines
+        assert all(np.array_equal(m.samples, np.array(o["samples"])) for m, o in zip(manoeuvres, lines))
 
 
 @pytest.fixture()

@@ -287,3 +287,23 @@ def test_feature_vector_is_built_only_by_load_features():
     inside = [("preprocess.py", node.lineno) for node in calls(load_features, builds)]
     assert everywhere == inside and len(inside) == 1
     assert "FeatureVector" not in mentioned(parse("cli.py"))
+
+
+def test_json_type_rule_lives_in_core():
+    """Which JSON value a field takes is one decision, core.json_type_error's:
+    no other module tests a value against bool with isinstance, and each
+    reader of a JSON file calls the rule."""
+
+    def names_bool(node) -> bool:
+        kinds = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds)
+
+    bool_tests = [(module, node.lineno) for module in MODULES if module != "core.py"
+                  for node in calls(parse(module), lambda f: isinstance(f, ast.Name) and f.id == "isinstance")
+                  if len(node.args) == 2 and names_bool(node.args[1])]
+    assert bool_tests == []
+    readers = {("model.py", "load_model"), ("preprocess.py", "load_features"), ("conformal.py", "load_predictor"),
+               ("cli.py", "_build_section"), ("core.py", "_manoeuvre_from_obj")}
+    for module, name in sorted(readers):
+        function = next(n for n in parse(module).body if isinstance(n, ast.FunctionDef) and n.name == name)
+        assert calls(function, lambda f: isinstance(f, ast.Name) and f.id == "json_type_error"), (module, name)

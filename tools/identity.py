@@ -22,9 +22,11 @@ classes, and diagnose prints "(set covers the true class at 70%)";
 the stage commands one after another, then diagnose; on a generated
 4000-manoeuvre stream, diagnose, preprocess, pipeline with paths.dataset
 and diagnose through /dev/stdin; error paths (a malformed config, a
-duplicate id, a flat signal, a non-finite sample, an empty dataset); and
-`train.batch_size` 887, which is compared BASE against HEAD on each CPU
-setting only. The inputs are made once, by HEAD's `generate`.
+duplicate id, a flat signal, a non-finite sample, an empty dataset, and
+diagnose with the small config's model.json whose `layer_dims[0]` reads
+128.0, which exits 3); and `train.batch_size` 887, which is compared BASE
+against HEAD on each CPU setting only. The inputs are made once, by HEAD's
+`generate`, and the small config's by HEAD's `pipeline`.
 
 Only the standard library is used, and nothing is downloaded.
 """
@@ -103,6 +105,10 @@ CASES = [
     *(Case(f"error_{name}", [["pipeline", "--config", f"{{inputs}}/{name}.json", "--out", "{out}"]], exit_code=code)
       for name, code in (("malformed_config", 2), ("duplicate_id", 4), ("flat_signal", 4), ("non_finite", 4),
                          ("empty_dataset", 4))),
+    Case("error_float_layer_dims", [["diagnose", "--config", "{inputs}/small.json", "--out", "{out}",
+                                     "--model", "{inputs}/float_layer_dims.json",
+                                     "--predictor", "{inputs}/small/predictor.json",
+                                     "--dataset", "{inputs}/small/dataset.jsonl"]], exit_code=3),
     Case("batch_size_887", [["pipeline", "--config", "{inputs}/batch_887.json", "--out", "{out}"]],
          small=False, across_cpus=False),
 ]
@@ -138,13 +144,16 @@ def make_inputs(tree: Path, inputs: Path, small_only: bool) -> None:
     def config(name: str, obj) -> None:
         (inputs / f"{name}.json").write_text(obj if isinstance(obj, str) else json.dumps(obj))
 
-    def generate(name: str, obj: dict) -> None:
+    def generate(name: str, obj: dict, command: str = "generate") -> None:
         config(name, obj)
-        code, _, err = cli(tree, ["generate", "--config", f"{name}.json", "--out", name], inputs)
+        code, _, err = cli(tree, [command, "--config", f"{name}.json", "--out", name], inputs)
         if code != 0:
-            raise RuntimeError(f"generate {name} exited {code}: {err.decode(errors='replace')}")
+            raise RuntimeError(f"{command} {name} exited {code}: {err.decode(errors='replace')}")
 
-    generate("small", SMALL_CONFIG)
+    generate("small", SMALL_CONFIG, "pipeline")
+    params = json.loads((inputs / "small" / "model.json").read_text())
+    params["layer_dims"][0] = float(params["layer_dims"][0])
+    (inputs / "float_layer_dims.json").write_text(json.dumps(params, sort_keys=True))
     config("alpha", {**SMALL_CONFIG, "conformal": {"alpha": 0.3}})
     lines = (inputs / "small" / "dataset.jsonl").read_text().splitlines(keepends=True)
 
