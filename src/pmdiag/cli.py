@@ -376,7 +376,10 @@ def _cpus() -> int:
 
 
 def _share_pieces(cuts: list, load, procs: int) -> list:
-    """[load(cuts[k], cuts[k + 1]) for each piece k], on up to `procs` processes.
+    """[load(cuts[k], cuts[k + 1]) for each piece k], on up to `procs`
+    processes. Where several pieces came back and one holds an error or a
+    failure, [load(cuts[0], cuts[-1])]: the whole input loaded again as one
+    piece here, whose error is by construction the first one process meets.
 
     A pipe holds one token per piece. This process, and one forked child per
     further process if there are several pieces, take tokens until the pipe
@@ -409,7 +412,11 @@ def _share_pieces(cuts: list, load, procs: int) -> list:
                 while (posted := child.recv()) is not None:
                     loaded.update([posted])
                 child.join()
-    return [loaded[k] if k in loaded else load(cuts[k], cuts[k + 1]) for k in range(count)]
+    pieces = [loaded.pop(k) if k in loaded else load(cuts[k], cuts[k + 1]) for k in range(count)]
+    if count == 1 or all(piece.error is None and piece.failure is None for piece in pieces):
+        return pieces
+    del pieces  # freed before the rerun holds the whole input
+    return [load(cuts[0], cuts[-1])]
 
 
 def _tokens(queue):
@@ -454,13 +461,14 @@ def _features(manoeuvres, cfg: preprocess.PreprocessConfig, validated: bool) -> 
     """Preprocess the manoeuvres of an iterable in one
     `preprocess.preprocess_rows` call.
 
-    Errors are returned, not raised, because `_check` ranks them across
-    chunks. A ParseError or ValidationError that the iterable raises is a
-    load error, where the chunk ends. A preprocess failure does not end the
-    chunk: a later load error or duplicate id outranks it. Unless
-    `validated` (by iter_manoeuvres), the first manoeuvre that fails
-    validation is a preprocess failure, unless a manoeuvre before it failed
-    preprocessing; no manoeuvre from it on is preprocessed.
+    Errors are returned, not raised: `_share_pieces` looks for them in every
+    chunk, and `_check` raises them. A ParseError or ValidationError that
+    the iterable raises is a load error, where the chunk ends. A preprocess
+    failure does not end the chunk: a later load error or duplicate id
+    outranks it. Unless `validated` (by iter_manoeuvres), the first
+    manoeuvre that fails validation is a preprocess failure, unless a
+    manoeuvre before it failed preprocessing; no manoeuvre from it on is
+    preprocessed.
     """
     read, end, invalid, error, failure = [], None, None, None, None
     try:
@@ -486,9 +494,9 @@ def _load(path, cfg: preprocess.PreprocessConfig, finish) -> list:
     loads and finishes (`_load_piece`) from a shared queue (`_share_pieces`),
     so no process holds the whole file. A dataset that is not a regular
     file, such as a pipe, is read whole and cut into the same pieces in
-    memory. The pieces hold their errors: `_check` raises the one that one
-    process would, loading, preprocessing and finishing the manoeuvres in
-    order.
+    memory. A file whose pieces hold an error is loaded again as one piece
+    (`_share_pieces`), whose error `_check` raises: the one that one process
+    meets, loading, preprocessing and finishing the manoeuvres in order.
     """
     path = Path(path)
     try:
@@ -503,14 +511,21 @@ def _load(path, cfg: preprocess.PreprocessConfig, finish) -> list:
 
 
 def _reader(file, path: Path):
-    """(read, size) of an open dataset file: read(n, offset) returns the up
-    to n bytes at offset. A file that is not regular, such as a pipe, cannot
-    be read at an offset, so it is read here whole."""
+    """(read, size) of an open dataset file: read(n, offset) returns the n
+    bytes at offset, or those up to the end. A file that is not regular,
+    such as a pipe, cannot be read at an offset, so it is read here whole."""
     fd = file.fileno()
+
+    def pread(n, offset):
+        data = os.pread(fd, n, offset)  # on Linux, at most 0x7ffff000 bytes
+        while len(data) < n and (more := os.pread(fd, n - len(data), offset + len(data))):
+            data += more
+        return data
+
     try:
         status = os.fstat(fd)
         if stat.S_ISREG(status.st_mode):
-            return (lambda n, offset: os.pread(fd, n, offset)), status.st_size
+            return pread, status.st_size
         data = file.readall()
     except OSError as exc:
         raise DatasetIoError(f"cannot read {path}: {exc}") from exc
@@ -555,17 +570,13 @@ def _past_line_feed(read, pos: int, count: int = 1) -> "int | None":
 def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.PreprocessConfig, finish) -> _Chunk:
     """The _Chunk of the dataset bytes from `start`, a line start, to `end`,
     as finish(chunk) returns it where it holds no error or failure. finish
-    may raise the StageError of a scoring failure."""
+    may raise the StageError of a scoring failure. An error numbers lines
+    and bytes from `start`; _share_pieces loads a failed file again whole."""
     try:
-        text = decode_text(read(end - start, start), path, start)
+        text = decode_text(read(end - start, start), path)
     except DatasetIoError as exc:
         return _Chunk([], np.empty((0, 0)), [], error=exc)
-
-    def lines_before():
-        blocks = range(0, start, _SCAN_BYTES)
-        return sum(read(min(_SCAN_BYTES, start - pos), pos).count(b"\n") for pos in blocks)
-
-    chunk = _features(iter_manoeuvres(text, lines_before), cfg, validated=True)
+    chunk = _features(iter_manoeuvres(text), cfg, validated=True)
     if chunk.error is not None or chunk.failure is not None:
         return chunk
     try:
@@ -575,23 +586,16 @@ def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.Preproce
 
 
 def _check(pieces) -> None:
-    """Raise the error that ranks first across pieces (_Chunk), as one
-    process that reads them in order would: bytes that are not UTF-8
-    anywhere, as a whole-file read would, then the first load error, then
-    the first repeated id, then the first preprocess failure, then the first
-    scoring failure."""
-    errors = [piece.error for piece in pieces if piece.error is not None]
-    for error in errors:
-        if isinstance(error, DatasetIoError):
-            raise error
-    if errors:
-        raise errors[0]
+    """Raise the errors of pieces (_Chunk) in the order one process meets
+    them: the load error, then the first repeated id, then the failure. Only
+    a lone piece holds an error or a failure (see _share_pieces)."""
+    for piece in pieces:
+        if piece.error is not None:
+            raise piece.error
     check_unique_ids(mid for piece in pieces for mid in piece.ids)
-    failures = [piece.failure for piece in pieces if piece.failure is not None]
-    if failures:
-        # a piece with a preprocess failure is not scored, and the first
-        # such failure outranks a scoring failure in an earlier piece
-        raise min(failures, key=lambda failure: failure.stage != "preprocess")
+    for piece in pieces:
+        if piece.failure is not None:
+            raise piece.failure
 
 
 def _joined(chunks) -> _Chunk:

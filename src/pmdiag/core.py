@@ -129,9 +129,9 @@ class TechnologyProfile:
 class Manoeuvre:
     """One raw current trace for a single blade movement.
 
-    Invariants (length >= 32, finite samples, positive sample rate) are not
-    enforced at construction; `validate_manoeuvre` screens them so that
-    malformed field data can still be represented and reported.
+    Invariants (length >= 32, finite samples and timestamp, positive sample
+    rate) are not enforced at construction; `validate_manoeuvre` screens
+    them so that malformed field data can still be represented and reported.
     """
 
     id: str
@@ -197,7 +197,7 @@ def validate_manoeuvre(m: Manoeuvre) -> ValidationError | None:
     ValidationError of the first violated rule.
 
     Never raises: rules are checked in a fixed order (TooShort,
-    NonFiniteSample, BadSampleRate).
+    NonFiniteSample, BadSampleRate, BadTimestamp).
     """
     if len(m.samples) < MIN_SAMPLES:
         return ValidationError(m.id, "TooShort", f"length {len(m.samples)} < {MIN_SAMPLES}")
@@ -207,6 +207,8 @@ def validate_manoeuvre(m: Manoeuvre) -> ValidationError | None:
         return ValidationError(m.id, "NonFiniteSample", str(idx))
     if not (math.isfinite(m.sample_rate) and m.sample_rate > 0):
         return ValidationError(m.id, "BadSampleRate", repr(m.sample_rate))
+    if not math.isfinite(m.timestamp):
+        return ValidationError(m.id, "BadTimestamp", repr(m.timestamp))
     return None
 
 
@@ -316,23 +318,16 @@ def read_jsonl_text(path: str | Path) -> str:
     return decode_text(data, path)
 
 
-def decode_text(data: bytes, path: str | Path, offset: int = 0) -> str:
-    """`data`, the bytes of file `path` from `offset` on, as UTF-8 text.
+def decode_text(data: bytes, path: str | Path) -> str:
+    """`data`, the bytes of file `path`, as UTF-8 text.
 
     No newline is translated: a lone CR stays a CR, which JSON reads as
-    whitespace. Bytes that are not UTF-8 raise DatasetIoError with the
-    message a decode of the whole file gives, which names the first bad byte
-    by its offset in the file.
+    whitespace. Bytes that are not UTF-8 raise DatasetIoError, whose message
+    names the first bad byte by its offset in `data`.
     """
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        if offset:
-            # the bytes before `offset` only pad the offsets: the message
-            # names the bad bytes, which lie in `data`
-            exc = UnicodeDecodeError(
-                exc.encoding, bytes(offset) + data, offset + exc.start, offset + exc.end, exc.reason
-            )
         raise DatasetIoError(f"cannot read {Path(path)}: {exc}") from exc
 
 
@@ -384,25 +379,18 @@ def _may_hold_bool(line: str) -> bool:
     return line.find("u", first, last) >= 0 or line.find("f", first, last) >= 0
 
 
-def iter_manoeuvres(text: str, lines_before=None):
+def iter_manoeuvres(text: str):
     """Parse and validate each manoeuvre line of text in order.
 
     Raises ParseError or ValidationError at the first bad line, after
-    yielding every manoeuvre before it. `text` may be a piece of a file that
-    starts at a line start: `lines_before()` then returns the number of
-    lines before it. It is called only to number a ParseError in the whole
-    file, so no other line is counted.
+    yielding every manoeuvre before it; a ParseError numbers its line from 1
+    at the start of `text`.
     """
-    try:
-        for line_number, line, obj in jsonl_objects(text):
-            m = _manoeuvre_from_obj(obj, line_number, _may_hold_bool(line))
-            if (error := validate_manoeuvre(m)) is not None:
-                raise error
-            yield m
-    except ParseError as exc:
-        if lines_before is None:
-            raise
-        raise ParseError(lines_before() + exc.line_number, exc.reason) from None
+    for line_number, line, obj in jsonl_objects(text):
+        m = _manoeuvre_from_obj(obj, line_number, _may_hold_bool(line))
+        if (error := validate_manoeuvre(m)) is not None:
+            raise error
+        yield m
 
 
 def load_dataset(path: str | Path) -> Dataset:

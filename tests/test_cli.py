@@ -1016,6 +1016,48 @@ class TestForkedLoad:
                 return None, f"pipeline failure in preprocess: manoeuvre {m.id!r}: {exc}\n"
         return preprocess.features_text([m.id for m in ds], np.concatenate(values), [m.label for m in ds]), None
 
+    @pytest.mark.parametrize("defect", ["none", "last_piece", "one_piece"])
+    def test_failed_input_and_only_it_is_loaded_again_whole(
+        self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, defect
+    ):
+        ds_path = long_dataset
+        if defect == "last_piece":
+            ds_path = self.defective(long_dataset, tmp_path, {300: self.DEFECTS["broken_json"]})
+        elif defect == "one_piece":
+            ds_path = tmp_path / "short.jsonl"
+            ds_path.write_text("".join(l + "\n" for l in long_dataset.read_text().splitlines()[:10]) + "{oops\n")
+        data = ds_path.read_bytes()
+        cuts = cli._cuts(lambda n, offset: data[offset : offset + n], len(data), 1)
+        pieces = list(zip(cuts, cuts[1:]))
+        assert len(pieces) == (1 if defect == "one_piece" else 5)
+        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        calls, load_piece = [], cli._load_piece
+
+        def recorded(read, start, end, *args):
+            calls.append((start, end))
+            return load_piece(read, start, end, *args)
+
+        monkeypatch.setattr(cli, "_load_piece", recorded)
+        capsys.readouterr()
+        code = run(self.command(trained_run, tmp_path, "diagnose", ds_path))
+        rerun = [(0, len(data))] if defect == "last_piece" else []
+        assert (code, calls) == (0 if defect == "none" else 4, pieces + rerun)
+
+    def test_short_reads_give_whole_pieces(self, trained_run, tmp_path, capsys, monkeypatch, forks):
+        # one pread may return fewer bytes than it was asked for: on Linux at
+        # most 0x7ffff000, here at most 4096
+        out = tmp_path / "out"
+        ds_path = trained_run / "dataset.jsonl"
+        whole = self.outcome(self.command(trained_run, tmp_path, "diagnose", ds_path), out, capsys)
+        pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, n, offset: pread(fd, min(n, 4096), offset))
+        assert self.outcome(self.command(trained_run, tmp_path, "diagnose", ds_path), out, capsys) == whole
+        assert whole[0] == 0 and len(forks) == 4
+        broken = self.defective(ds_path, tmp_path, {74: self.DEFECTS["broken_json"]})
+        code, stdout, err, files = self.outcome(self.command(trained_run, tmp_path, "diagnose", broken), out, capsys)
+        assert (code, stdout, files) == (4, "", {})
+        assert err.startswith("pipeline failure in load: line 75: invalid JSON: ")
+
     @pytest.mark.parametrize("lines", [1, 0, None], ids=["one_manoeuvre", "empty", "blank_lines"])
     def test_small_input_never_forks(self, trained_run, tmp_path, capsys, monkeypatch, lines):
         import multiprocessing
@@ -1035,6 +1077,24 @@ class TestForkedLoad:
         assert [r["source_id"] for r in rows] == [json.loads(l)["id"] for l in first]
 
 
+@pytest.mark.parametrize("command", ["diagnose", "pipeline"])
+def test_non_finite_timestamp_fails_to_load(trained_run, tmp_path, capsys, command):
+    # json.loads reads NaN; taken, it would go on into a written dataset.jsonl as NaN, which is not JSON
+    first = json.loads((trained_run / "dataset.jsonl").read_text().splitlines()[0])
+    ds_path = tmp_path / "nan.jsonl"
+    ds_path.write_text(json.dumps({**first, "timestamp": float("nan")}) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "paths": {"dataset": str(ds_path)}}))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(config), "--out", str(out)]
+    if command == "diagnose":
+        argv += ["--model", str(trained_run / "model.json"), "--predictor", str(trained_run / "predictor.json")]
+    capsys.readouterr()
+    expected = f"pipeline failure in load: manoeuvre {first['id']!r}: BadTimestamp (nan)\n"
+    assert (run(argv), capsys.readouterr().err) == (4, expected)
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize(
     "command, first_line",
     [("diagnose", "valid"), ("diagnose", "flat_signal"), ("preprocess", "valid"),
@@ -1042,7 +1102,9 @@ class TestForkedLoad:
 )
 def test_each_manoeuvre_validated_once(trained_run, tmp_path, capsys, monkeypatch, command, first_line):
     # a flat first line fails preprocessing, after which the other lines are
-    # still read, and validated, for a load error that would outrank it;
+    # still read, and validated, for a load error that would outrank it; a
+    # failed file of two pieces is then loaded again as one, so each of its
+    # manoeuvres is validated once in its piece and once in that load.
     # pipeline generates the manoeuvres of this dataset
     lines = (trained_run / "dataset.jsonl").read_text().splitlines()
     if first_line == "flat_signal":
@@ -1058,7 +1120,8 @@ def test_each_manoeuvre_validated_once(trained_run, tmp_path, capsys, monkeypatc
     validated = count_validations(monkeypatch)
     capsys.readouterr()
     assert run(argv) == (4 if first_line == "flat_signal" else 0)
-    assert sorted(validated) == sorted(json.loads(l)["id"] for l in lines)
+    loads = 2 if first_line == "flat_signal" else 1
+    assert sorted(validated) == sorted(json.loads(l)["id"] for l in lines * loads)
 
 
 def count_validations(monkeypatch) -> list:

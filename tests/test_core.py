@@ -71,6 +71,15 @@ class TestValidate:
         issue = validate_manoeuvre(make_manoeuvre(np.ones(64), rate=0.0))
         assert issue.rule == "BadSampleRate"
 
+    @pytest.mark.parametrize("timestamp", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp(self, timestamp):
+        m = Manoeuvre(id="m1", technology="MJ", timestamp=timestamp, samples=np.ones(64), sample_rate=100.0)
+        issue = validate_manoeuvre(m)
+        assert (issue.rule, issue.detail) == ("BadTimestamp", repr(timestamp))
+        # the sample rate's rule comes first
+        bad_rate = Manoeuvre(id="m1", technology="MJ", timestamp=timestamp, samples=np.ones(64), sample_rate=0.0)
+        assert validate_manoeuvre(bad_rate).rule == "BadSampleRate"
+
     def test_validation_is_total(self):
         # never raises, even on garbage values
         samples = np.full(64, np.inf)
@@ -122,6 +131,14 @@ class TestLoad:
             load_dataset(p)
         assert err.value.manoeuvre_id == "short"
         assert err.value.rule == "TooShort"
+
+    def test_nan_timestamp_fails_validation(self, tmp_path):
+        # json.dumps writes NaN, which json.loads reads back
+        p = tmp_path / "ds.jsonl"
+        p.write_text(self.line("a") + "\n" + self.line("b", timestamp=float("nan")) + "\n")
+        with pytest.raises(ValidationError) as err:
+            load_dataset(p)
+        assert str(err.value) == "manoeuvre 'b': BadTimestamp (nan)"
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "ds.jsonl"

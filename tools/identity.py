@@ -24,9 +24,15 @@ the stage commands one after another, then diagnose; on a generated
 and diagnose through /dev/stdin; error paths (a malformed config, a
 duplicate id, a flat signal, a non-finite sample, an empty dataset, and
 diagnose with the small config's model.json whose `layer_dims[0]` reads
-128.0, which exits 3); and `train.batch_size` 887, which is compared BASE
-against HEAD on each CPU setting only. The inputs are made once, by HEAD's
-`generate`, and the small config's by HEAD's `pipeline`.
+128.0, which exits 3); diagnose of the stream with a defect, each of which
+a file of several pieces reports as one process would (`{oops` on line
+3990, in the last piece, exits 4 with its whole-file line number; bytes
+ff fe inside line 2000, in a middle piece, exit 3 with their whole-file
+offset; a flat signal on line 10 plus `{oops` on line 3990 exits 4 with
+the load error, not the earlier preprocess failure); and
+`train.batch_size` 887, which is compared BASE against HEAD on each CPU
+setting only. The inputs are made once, by HEAD's `generate`, and the
+small config's by HEAD's `pipeline`.
 
 Only the standard library is used, and nothing is downloaded.
 """
@@ -58,6 +64,28 @@ SMALL_CONFIG = {
 # no command of a case takes a minute on 2 cores; a hung one is a difference
 TIMEOUT_S = 600
 STREAM_COUNTS = {"Nominal": 1300, "Obstacle": 1000, "Friction": 1250, "PowerSupply": 450}
+
+
+def _broken(line: bytes) -> bytes:
+    return b"{oops\n"
+
+
+def _not_utf8(line: bytes) -> bytes:
+    return line[:1000] + b"\xff\xfe" + line[1000:]
+
+
+def _flat(line: bytes) -> bytes:
+    """The stream line with every sample 0.0, a signal preprocessing rejects."""
+    obj = json.loads(line)
+    return json.dumps({**obj, "samples": [0.0] * len(obj["samples"])}).encode() + b"\n"
+
+
+# each defective stream: line index to the edit of that line's bytes
+STREAM_DEFECTS = {
+    "broken_json_last_piece": {3989: _broken},
+    "not_utf8_middle_piece": {1999: _not_utf8},
+    "flat_then_broken_json": {9: _flat, 3989: _broken},
+}
 
 
 class Case(NamedTuple):
@@ -105,6 +133,8 @@ CASES = [
     *(Case(f"error_{name}", [["pipeline", "--config", f"{{inputs}}/{name}.json", "--out", "{out}"]], exit_code=code)
       for name, code in (("malformed_config", 2), ("duplicate_id", 4), ("flat_signal", 4), ("non_finite", 4),
                          ("empty_dataset", 4))),
+    *(Case(f"stream_error_{name}", [_stream_diagnose(f"{{inputs}}/stream_{name}.jsonl")], small=False,
+           exit_code=3 if name == "not_utf8_middle_piece" else 4) for name in STREAM_DEFECTS),
     Case("error_float_layer_dims", [["diagnose", "--config", "{inputs}/small.json", "--out", "{out}",
                                      "--model", "{inputs}/float_layer_dims.json",
                                      "--predictor", "{inputs}/small/predictor.json",
@@ -173,6 +203,10 @@ def make_inputs(tree: Path, inputs: Path, small_only: bool) -> None:
     config("malformed_config", '{"train": {"epochs": 30,}}')
     if not small_only:
         generate("stream", {"synth": {"counts": STREAM_COUNTS, "seed": 5}})
+        stream = (inputs / "stream" / "dataset.jsonl").read_bytes().splitlines(keepends=True)
+        for name, edits in STREAM_DEFECTS.items():
+            (inputs / f"stream_{name}.jsonl").write_bytes(
+                b"".join(edits[k](line) if k in edits else line for k, line in enumerate(stream)))
         config("stream_paths", {"paths": {"dataset": str(inputs / "stream" / "dataset.jsonl")}})
         config("batch_887", {"train": {"batch_size": 887}})
         config("uniform", {"train": {"class_weights": [1, 1, 1, 1, 1]}})
