@@ -89,9 +89,6 @@ class StageError(PmDiagError):
         self.stage = stage
         self.cause = cause
 
-    def __reduce__(self):
-        return type(self), (self.stage, self.cause), self.__dict__
-
 
 DEFAULT_COUNTS = {
     FaultClass.Nominal: 356,
@@ -329,7 +326,7 @@ def _widen(connection) -> None:
 
 
 def _run_child(sender, fn, args) -> None:
-    """Body of a forked child."""
+    """Body of a forked child; an error stays in it: fn posts none, and one fn raises ends it."""
     try:
         fn(sender.send, *args)
     except Exception:
@@ -378,8 +375,9 @@ def _cpus() -> int:
 def _share_pieces(cuts: list, load, procs: int) -> list:
     """[load(cuts[k], cuts[k + 1]) for each piece k], on up to `procs`
     processes. Where several pieces came back and one holds an error or a
-    failure, [load(cuts[0], cuts[-1])]: the whole input loaded again as one
-    piece here, whose error is by construction the first one process meets.
+    failure, or a child posted it as None, [load(cuts[0], cuts[-1])]: the
+    whole input loaded again as one piece here, whose error is by
+    construction the first one process meets.
 
     A pipe holds one token per piece. This process, and one forked child per
     further process if there are several pieces, take tokens until the pipe
@@ -413,7 +411,7 @@ def _share_pieces(cuts: list, load, procs: int) -> list:
                     loaded.update([posted])
                 child.join()
     pieces = [loaded.pop(k) if k in loaded else load(cuts[k], cuts[k + 1]) for k in range(count)]
-    if count == 1 or all(piece.error is None and piece.failure is None for piece in pieces):
+    if count == 1 or all(piece is not None and piece.error is None and piece.failure is None for piece in pieces):
         return pieces
     del pieces  # freed before the rerun holds the whole input
     return [load(cuts[0], cuts[-1])]
@@ -428,9 +426,11 @@ def _tokens(queue):
 
 
 def _post_pieces(post, queue, cuts: list, load) -> None:
-    """Body of a child of _share_pieces: post (k, piece k) for each token it takes."""
+    """Body of a child of _share_pieces: post (k, piece k) for each token it
+    takes, or (k, None) if the piece failed: its error stays in this process."""
     for k in _tokens(queue):
-        post((k, load(cuts[k], cuts[k + 1])))
+        piece = load(cuts[k], cuts[k + 1])
+        post((k, piece if piece.error is None and piece.failure is None else None))
 
 
 class _Chunk(NamedTuple):
@@ -442,7 +442,8 @@ class _Chunk(NamedTuple):
     row per id unless `error` or `failure` is set. `error` is the first load
     error, where the chunk ends, or the DatasetIoError of bytes that are not
     UTF-8; `failure` is the StageError of the first preprocess, or else
-    scoring, failure. A piece that diagnose or preprocess finished
+    scoring, failure; a child posts no chunk that holds either
+    (`_post_pieces`). A piece that diagnose or preprocess finished
     (`_load_piece`) keeps only its ids and the lines made of it for the
     output file, `lines`, and for stdout, `shown`, and no features.
     """
@@ -720,7 +721,8 @@ def _diagnosed(mdl, predictor, chunk: _Chunk) -> _Chunk:
     shown = []
     for source_id, names, probabilities in d.sets():
         members = ", ".join(f"{name}:{prob:.3f}" for name, prob in zip(names, probabilities))
-        shown.append(f"{source_id}: {{{members}}} (set covers the true class at {guarantee}%)\n")
+        shown_id = json.dumps(source_id, ensure_ascii=False)[1:-1]  # one line, whatever the id holds
+        shown.append(f"{shown_id}: {{{members}}} (set covers the true class at {guarantee}%)\n")
     return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=conformal.diagnoses_text(d, chunk.labels), shown="".join(shown))
 
 

@@ -27,13 +27,7 @@ REQUIRED_DATASET_KEYS = DATASET_KEYS - {"label"}
 
 
 class PmDiagError(Exception):
-    """Base class for every toolkit error.
-
-    A subclass whose constructor takes other arguments than the message
-    defines ``__reduce__`` to rebuild itself from them: the default pickles
-    only the message, which such a constructor cannot take back, and an error
-    raised in a worker process reaches its parent through pickle.
-    """
+    """Base class for every toolkit error."""
 
 
 class DatasetIoError(PmDiagError):
@@ -48,9 +42,6 @@ class ParseError(PmDiagError):
         self.line_number = line_number
         self.reason = reason
 
-    def __reduce__(self):
-        return type(self), (self.line_number, self.reason), self.__dict__
-
 
 class ValidationError(PmDiagError):
     """A manoeuvre violated an invariant; carries the first broken rule."""
@@ -64,9 +55,6 @@ class ValidationError(PmDiagError):
         self.rule = rule
         self.detail = detail
 
-    def __reduce__(self):
-        return type(self), (self.manoeuvre_id, self.rule, self.detail), self.__dict__
-
 
 class DuplicateIdError(PmDiagError):
     """Two manoeuvres in one dataset share an id."""
@@ -74,9 +62,6 @@ class DuplicateIdError(PmDiagError):
     def __init__(self, manoeuvre_id: str):
         super().__init__(f"duplicate manoeuvre id {manoeuvre_id!r}")
         self.manoeuvre_id = manoeuvre_id
-
-    def __reduce__(self):
-        return type(self), (self.manoeuvre_id,), self.__dict__
 
 
 class FaultClass(IntEnum):

@@ -497,6 +497,24 @@ def test_diagnose_prints_one_minus_alpha_unrounded(trained_run, tmp_path, capsys
     assert all(line.endswith(f" (set covers the true class at {shown}%)") for line in lines)
 
 
+def test_diagnose_prints_one_line_per_manoeuvre_whatever_its_id(trained_run, tmp_path, capsys):
+    # an id is shown as its JSON string body: a line feed or carriage return
+    # in it is escaped, and an id with neither keeps its bytes
+    obj = json.loads((trained_run / "dataset.jsonl").read_text().splitlines()[0])
+    del obj["label"]
+    ids = ["a\nb", "c\rd", "weiche-ß 7"]
+    ds_path = tmp_path / "ids.jsonl"
+    ds_path.write_text("".join(json.dumps({**obj, "id": mid}) + "\n" for mid in ids), encoding="utf-8")
+    code = run([
+        "diagnose", "--config", str(trained_run / "config.json"), "--out", str(tmp_path),
+        "--model", str(trained_run / "model.json"), "--predictor", str(trained_run / "predictor.json"),
+        "--dataset", str(ds_path),
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and len(lines) == 3
+    assert [line.split(": ", 1)[0] for line in lines] == ["a\\nb", "c\\rd", "weiche-ß 7"]
+
+
 @pytest.mark.parametrize(
     "name", ["dataset.jsonl", "features.jsonl", "model.json", "predictor.json", "config.json"]
 )
@@ -1057,6 +1075,23 @@ class TestForkedLoad:
         code, stdout, err, files = self.outcome(self.command(trained_run, tmp_path, "diagnose", broken), out, capsys)
         assert (code, stdout, files) == (4, "", {})
         assert err.startswith("pipeline failure in load: line 75: invalid JSON: ")
+
+    def test_child_posts_a_failed_piece_as_none(self):
+        # no error object leaves the process that met it
+        clean = cli._Chunk(["m0"], np.zeros((1, 4)), [None])
+        chunks = [
+            clean,
+            cli._Chunk(["m1"], np.empty((0, 0)), [None], error=core.ParseError(1, "invalid JSON")),
+            cli._Chunk(["m2"], np.empty((0, 0)), [None],
+                       failure=cli.StageError("preprocess", PmDiagError("too short"))),
+        ]
+        queue_end, feed_end = os.pipe()
+        with open(feed_end, "wb", buffering=0) as feed:
+            feed.write(b"".join(k.to_bytes(cli._TOKEN_BYTES, "little") for k in range(3)))
+        posts = []
+        with open(queue_end, "rb", buffering=0) as queue:
+            cli._post_pieces(posts.append, queue, [0, 1, 2, 3], lambda start, end: chunks[start])
+        assert posts == [(0, clean), (1, None), (2, None)]
 
     @pytest.mark.parametrize("lines", [1, 0, None], ids=["one_manoeuvre", "empty", "blank_lines"])
     def test_small_input_never_forks(self, trained_run, tmp_path, capsys, monkeypatch, lines):

@@ -29,7 +29,10 @@ a file of several pieces reports as one process would (`{oops` on line
 3990, in the last piece, exits 4 with its whole-file line number; bytes
 ff fe inside line 2000, in a middle piece, exit 3 with their whole-file
 offset; a flat signal on line 10 plus `{oops` on line 3990 exits 4 with
-the load error, not the earlier preprocess failure); and
+the load error, not the earlier preprocess failure; a flat signal on
+every 50th line from line 10, so that every piece but the short last one
+holds one and every forked child meets a failed piece, exits 4 naming
+line 10's manoeuvre); and
 `train.batch_size` 887, which is compared BASE against HEAD on each CPU
 setting only. The inputs are made once, by HEAD's `generate`, and the
 small config's by HEAD's `pipeline`.
@@ -85,6 +88,7 @@ STREAM_DEFECTS = {
     "broken_json_last_piece": {3989: _broken},
     "not_utf8_middle_piece": {1999: _not_utf8},
     "flat_then_broken_json": {9: _flat, 3989: _broken},
+    "flat_every_piece": {k: _flat for k in range(9, 4000, 50)},
 }
 
 
