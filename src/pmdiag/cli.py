@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .core import (
     json_error,
     json_is,
     json_type_error,
+    remove_temp_files,
     save_dataset,
     validate_manoeuvre,
 )
@@ -68,7 +69,7 @@ FORK_MIN_LINES = 64
 _TOKEN_BYTES = 2
 # every token goes into the pipe in one write that never blocks
 _MAX_PIECES = select.PIPE_BUF // _TOKEN_BYTES
-# A forked child posts a piece of a dataset (about 460 KB for 64 generated
+# A forked child posts a piece of a dataset (about 460 KB for 64 loaded
 # manoeuvres) while this process is busy with a piece of its own; a pipe of
 # this size holds two such posts, so the child need not wait for the read.
 # It is Linux's default pipe-max-size; elsewhere a pipe keeps its own size.
@@ -340,6 +341,7 @@ class _Child:
 
     def __init__(self, process, receiver):
         self.process = process
+        self.pid = process.pid
         self.receiver = receiver
 
     def recv(self, wait: bool = True):
@@ -374,10 +376,12 @@ def _cpus() -> int:
 
 def _share_pieces(cuts: list, load, procs: int) -> list:
     """[load(cuts[k], cuts[k + 1]) for each piece k], on up to `procs`
-    processes. Where several pieces came back and one holds an error or a
+    processes. Where there are several pieces and one holds an error or a
     failure, or a child posted it as None, [load(cuts[0], cuts[-1])]: the
     whole input loaded again as one piece here, whose error is by
-    construction the first one process meets.
+    construction the first one process meets. A process that meets a failed
+    piece drains the pipe, so no process takes another piece, and the
+    pieces nobody sent back are not loaded.
 
     A pipe holds one token per piece. This process, and one forked child per
     further process if there are several pieces, take tokens until the pipe
@@ -401,20 +405,30 @@ def _share_pieces(cuts: list, load, procs: int) -> list:
         children = [child for child in forked if child is not None]
         try:
             for k in _tokens(queue):
-                loaded[k] = load(cuts[k], cuts[k + 1])
+                came = [(k, load(cuts[k], cuts[k + 1]))]
                 for child in children:
                     while (posted := child.recv(wait=False)) is not None:
-                        loaded.update([posted])
+                        came.append(posted)
+                loaded.update(came)
+                if any(_failed(piece) for _, piece in came):
+                    queue.read()  # every token left: no process takes another piece
         finally:
             for child in children:
                 while (posted := child.recv()) is not None:
                     loaded.update([posted])
                 child.join()
-    pieces = [loaded.pop(k) if k in loaded else load(cuts[k], cuts[k + 1]) for k in range(count)]
-    if count == 1 or all(piece is not None and piece.error is None and piece.failure is None for piece in pieces):
-        return pieces
-    del pieces  # freed before the rerun holds the whole input
+    if not any(map(_failed, loaded.values())):  # else the pieces nobody sent back are not needed
+        loaded.update((k, load(cuts[k], cuts[k + 1])) for k in range(count) if k not in loaded)
+    if count == 1 or not any(map(_failed, loaded.values())):
+        return [loaded.pop(k) for k in range(count)]
+    loaded.clear()  # freed before the rerun holds the whole input
     return [load(cuts[0], cuts[-1])]
+
+
+def _failed(piece) -> bool:
+    """Whether a piece of _share_pieces failed: it holds an error or a
+    failure, or a child posted it as None."""
+    return piece is None or piece.error is not None or piece.failure is not None
 
 
 def _tokens(queue):
@@ -427,23 +441,30 @@ def _tokens(queue):
 
 def _post_pieces(post, queue, cuts: list, load) -> None:
     """Body of a child of _share_pieces: post (k, piece k) for each token it
-    takes, or (k, None) if the piece failed: its error stays in this process."""
+    takes. At the first piece that failed, drain the pipe, post (k, None)
+    and return: its error stays in this process."""
     for k in _tokens(queue):
         piece = load(cuts[k], cuts[k + 1])
-        post((k, piece if piece.error is None and piece.failure is None else None))
+        if _failed(piece):
+            queue.read()
+            post((k, None))
+            return
+        post((k, piece))
 
 
 class _Chunk(NamedTuple):
     """What one process made of a run of manoeuvres, such as a piece of a
     dataset file.
 
-    `ids` and `labels` hold every manoeuvre read, in order, and `manoeuvres`
-    the manoeuvres themselves; `features`, an (n, width) matrix, holds one
-    row per id unless `error` or `failure` is set. `error` is the first load
-    error, where the chunk ends, or the DatasetIoError of bytes that are not
-    UTF-8; `failure` is the StageError of the first preprocess, or else
-    scoring, failure; a child posts no chunk that holds either
-    (`_post_pieces`). A piece that diagnose or preprocess finished
+    `ids` and `labels` hold every manoeuvre read, in order, and
+    `manoeuvres` the manoeuvres themselves where they were loaded from a
+    file; a generated piece holds none, since its traces are generated
+    again where they are written (`_pipeline_inputs`). `features`, an
+    (n, width) matrix, holds one row per id unless `error` or `failure` is
+    set. `error` is the first load error, where the chunk ends, or the
+    DatasetIoError of bytes that are not UTF-8; `failure` is the StageError
+    of the first preprocess, or else scoring, failure; a child posts no
+    chunk that holds either (`_post_pieces`). A piece that diagnose or preprocess finished
     (`_load_piece`) keeps only its ids and the lines made of it for the
     output file, `lines`, and for stdout, `shown`, and no features.
     """
@@ -600,14 +621,13 @@ def _check(pieces) -> None:
 
 
 def _joined(chunks) -> _Chunk:
-    """The rows and manoeuvres of the chunks, in order, as one _Chunk, where
-    `_check`, in stage load, raises no error."""
+    """The rows of the chunks, in order, as one _Chunk of no manoeuvres,
+    where `_check`, in stage load, raises no error."""
     _stage("load", _check, chunks)
     return _Chunk(
         [mid for chunk in chunks for mid in chunk.ids],
         np.concatenate([chunk.features for chunk in chunks]),
         [label for chunk in chunks for label in chunk.labels],
-        [m for chunk in chunks for m in chunk.manoeuvres],
     )
 
 
@@ -763,9 +783,11 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _save_inputs(data: _Chunk, out: Path) -> None:
-    save_dataset(data.manoeuvres, out / DATASET_FILE)
-    atomic_write_text(out / FEATURES_FILE, preprocess.features_text(data.ids, data.features, data.labels))
+def _save_inputs(manoeuvres, data: _Chunk, out: Path) -> None:
+    """pipeline's input files, each written line by line: dataset.jsonl of
+    the manoeuvres of an iterable, and features.jsonl of the rows of data."""
+    save_dataset(manoeuvres, out / DATASET_FILE)
+    atomic_write_text(out / FEATURES_FILE, preprocess.features_lines(data.ids, data.features, data.labels))
 
 
 def _position_cuts(n: int, procs: int) -> list:
@@ -776,32 +798,42 @@ def _position_cuts(n: int, procs: int) -> list:
     return [*range(0, n, step), n]
 
 
-def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list]":
-    """The provenance of pipeline's dataset and its _Chunks in dataset
-    order, each piece loaded (`_load`), or generated, and preprocessed on
-    every CPU."""
+def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list, Callable]":
+    """The provenance of pipeline's dataset, its _Chunks in dataset order,
+    each piece loaded (`_load`), or generated, and preprocessed on every
+    CPU, and traces(), which returns the dataset's manoeuvres in order.
+
+    A generated piece keeps no manoeuvre: traces() generates them again
+    (`DatasetPlan.manoeuvre` gives the same bits every time), one at a
+    time, so no process holds them all. Loaded manoeuvres are held, since
+    parsing a trace again costs about twice as much as generating it.
+    """
     pcfg = cfg.preprocess_cfg
     if "dataset" in cfg.paths:
         path = cfg.paths["dataset"]
-        return str(Path(path)), _load(path, pcfg, lambda chunk: chunk)
+        chunks = _load(path, pcfg, lambda chunk: chunk)
+        manoeuvres = [m for chunk in chunks for m in chunk.manoeuvres]
+        return str(Path(path)), chunks, lambda: manoeuvres
     plan = _stage("generate", synth.plan_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range)
     procs = _cpus()
     cuts = _position_cuts(len(plan), procs)
 
     def generated(start, end):
-        return _features([plan.manoeuvre(p) for p in range(start, end)], pcfg, validated=False)
+        chunk = _features([plan.manoeuvre(p) for p in range(start, end)], pcfg, validated=False)
+        return chunk._replace(manoeuvres=())
 
-    return plan.provenance, _stage("generate", _share_pieces, cuts, generated, procs)
+    chunks = _stage("generate", _share_pieces, cuts, generated, procs)
+    return plan.provenance, chunks, lambda: map(plan.manoeuvre, range(len(plan)))
 
 
 def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
-    provenance, chunks = _pipeline_inputs(cfg)
+    provenance, chunks, traces = _pipeline_inputs(cfg)
     try:
         data = _joined(chunks)
     except StageError as exc:
         if exc.stage == "preprocess":
             # a run that fails in preprocessing still leaves the dataset it failed on
-            save_dataset([m for chunk in chunks for m in chunk.manoeuvres], out / DATASET_FILE)
+            save_dataset(traces(), out / DATASET_FILE)
         raise
     del chunks  # data holds a copy of their features
     # a forked writer writes the input files while the split and training
@@ -810,19 +842,22 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     # forked or did not exit 0, the files are written here, so a write
     # failure is reported as without the writer, and outranks a failure in
     # the split or training.
-    writer = _start_forked(lambda _post: _save_inputs(data, out))
+    writer = _start_forked(lambda _post: _save_inputs(traces(), data, out))
     try:
-        train_at, test_at = _stage("split", evaluation.stratified_split, data.manoeuvres, cfg.split_spec)
+        train_at, test_at = _stage("split", evaluation.stratified_split, data.ids, data.labels, cfg.split_spec)
         train = _rows(data, train_at)
         train_cfg, layer_dims = _train_config(cfg, train)
         result = _stage("train", model.train, train.features, train.labels, train_cfg, layer_dims)
     finally:
         if writer is None or not writer.join():
-            _save_inputs(data, out)
+            if writer is not None:  # a writer that died within a write leaves its temp file
+                for name in (DATASET_FILE, FEATURES_FILE):
+                    remove_temp_files(out / name, writer.pid)
+            _save_inputs(traces(), data, out)
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=provenance)
 
-    cal_in, hold_in = _stage("calibrate", evaluation.split_calibration,
-                             [data.manoeuvres[p] for p in test_at], cfg.split_spec)
+    cal_in, hold_in = _stage("calibrate", evaluation.split_calibration, [data.ids[p] for p in test_at],
+                             [data.labels[p] for p in test_at], cfg.split_spec)
     cal_at, hold_at = [test_at[k] for k in cal_in], [test_at[k] for k in hold_in]
     # each test manoeuvre goes through the model once, the calibration half
     # first: calibration reads its probabilities, the classification metrics

@@ -386,42 +386,60 @@ def load_dataset(path: str | Path) -> Dataset:
 
 
 def save_dataset(manoeuvres, path: str | Path) -> None:
-    """Write manoeuvres, such as a Dataset's, as JSONL (atomic: temp file + rename)."""
-    atomic_write_text(path, jsonl_text(_manoeuvre_to_obj(m) for m in manoeuvres))
+    """Write the manoeuvres of an iterable, such as a Dataset or a generator,
+    as JSONL (atomic: temp file + rename). Each line is written as soon as
+    it is made, so no more than one line of the file is held at a time."""
+    atomic_write_text(path, jsonl_lines(map(_manoeuvre_to_obj, manoeuvres)))
+
+
+def jsonl_lines(objs):
+    """Yield each object as one JSON line ending in LF."""
+    for obj in objs:
+        yield json.dumps(obj) + "\n"
 
 
 def jsonl_text(objs) -> str:
-    """Each object as one JSON line, each line ending in LF. The texts of
-    consecutive runs of objects, joined, are the text of all of them."""
-    lines = [json.dumps(obj) for obj in objs]
-    text = "\n".join(lines)
-    if lines:
-        text += "\n"
-    return text
+    """The jsonl_lines of the objects, joined. The texts of consecutive runs
+    of objects, joined, are the text of all of them."""
+    return "".join(jsonl_lines(objs))
 
 
-def atomic_write_text(path: str | Path, *parts: str) -> None:
-    """Write the texts `parts`, one after another, to path via a
-    same-directory temp file and rename, so that pieces of a file need not
-    be joined first.
+def atomic_write_text(path: str | Path, *parts) -> None:
+    """Write `parts`, one after another, to path via a same-directory temp
+    file and rename. A part is a text or an iterable of texts, such as a
+    generator of lines, so that pieces of a file need not be joined first
+    and a file can be written as its lines are made.
 
     The file gets the mode a plain open(path, "w") gives it, 0o666 less the
     umask, where tempfile.mkstemp would give 0o600.
     """
     path = Path(path)
-    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    # named after this process, so that remove_temp_files finds it should
+    # the process end within the write
+    tmp = path.parent / f"{path.name}.{os.getpid()}.{os.urandom(8).hex()}.tmp"
     try:
         # O_EXCL: the temp file is new, never one that was already there
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(parts)
+                for part in parts:
+                    fh.writelines([part] if isinstance(part, str) else part)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
     except OSError as exc:
         raise DatasetIoError(f"cannot write {path}: {exc}") from exc
+
+
+def remove_temp_files(path: str | Path, pid: int) -> None:
+    """Delete the temp files of `path` that atomic_write_text left in process
+    `pid`, which ended within the write without cleaning up (killed, say)."""
+    path = Path(path)
+    prefix = f"{path.name}.{pid}."
+    for name in os.listdir(path.parent):
+        if name.startswith(prefix) and name.endswith(".tmp"):
+            (path.parent / name).unlink(missing_ok=True)
 
 
 def sha256_of_obj(obj) -> str:

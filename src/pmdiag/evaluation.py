@@ -57,21 +57,21 @@ class MetricsReport:
     per_class: dict
 
 
-def _grouped_indices(manoeuvres) -> "dict[FaultClass, list[int]]":
+def _grouped_indices(ids, labels) -> "dict[FaultClass, list[int]]":
     groups: dict[FaultClass, list[int]] = {}
-    for i, m in enumerate(manoeuvres):
-        if m.label is None:
-            raise UnlabelledError(f"manoeuvre {m.id!r} is unlabelled; splits need labels")
-        groups.setdefault(m.label, []).append(i)
+    for i, (mid, label) in enumerate(zip(ids, labels, strict=True)):
+        if label is None:
+            raise UnlabelledError(f"manoeuvre {mid!r} is unlabelled; splits need labels")
+        groups.setdefault(label, []).append(i)
     return groups
 
 
 def _take_split(
-    manoeuvres, frac: float, rng: np.random.Generator, min_per_class: int
+    ids, labels, frac: float, rng: np.random.Generator, min_per_class: int
 ) -> tuple[list[int], list[int]]:
-    if not len(manoeuvres):
+    if not len(labels):
         raise ClassTooSmallError("no manoeuvres to split")
-    groups = _grouped_indices(manoeuvres)
+    groups = _grouped_indices(ids, labels)
     first, second = [], []
     for cls in sorted(groups, key=int):
         idx = groups[cls]
@@ -84,20 +84,21 @@ def _take_split(
     return sorted(first), sorted(second)
 
 
-def stratified_split(manoeuvres, spec: SplitSpec) -> tuple[list[int], list[int]]:
-    """Per-label seeded split of a sequence of labelled manoeuvres:
-    floor(n_c * train_frac) to train, rest to test, as sorted positions."""
+def stratified_split(ids, labels, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Per-label seeded split of manoeuvres, given as their ids and their
+    FaultClass labels (an id names an unlabelled one): floor(n_c *
+    train_frac) to train, rest to test, as sorted positions."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    return _take_split(manoeuvres, spec.train_frac, rng, min_per_class=2)
+    return _take_split(ids, labels, spec.train_frac, rng, min_per_class=2)
 
 
-def split_calibration(test, spec: SplitSpec) -> tuple[list[int], list[int]]:
-    """Stratified seeded split of the test manoeuvres into calibration and
-    holdout, as sorted positions into `test`."""
-    if len(test) < 4:
-        raise TestTooSmallError(f"test set has only {len(test)} manoeuvres")
+def split_calibration(ids, labels, spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Stratified seeded split of the test manoeuvres, given as their ids
+    and labels, into calibration and holdout, as sorted positions into them."""
+    if len(labels) < 4:
+        raise TestTooSmallError(f"test set has only {len(labels)} manoeuvres")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(1,)))
-    return _take_split(test, spec.calibration_frac_of_test, rng, min_per_class=1)
+    return _take_split(ids, labels, spec.calibration_frac_of_test, rng, min_per_class=1)
 
 
 def binary_metrics(conf: np.ndarray) -> tuple[float, float, float]:

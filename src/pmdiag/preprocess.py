@@ -320,6 +320,13 @@ def features_text(ids, values, labels) -> str:
     return jsonl_text(_feature_to_obj(*record) for record in zip(ids, values, labels, strict=True))
 
 
+def features_lines(ids, values, labels):
+    """Yield the features_text of each manoeuvre alone, in order: the lines
+    of features.jsonl one at a time, so that a writer holds one line."""
+    for source_id, row, label in zip(ids, values, labels, strict=True):
+        yield features_text([source_id], [row], [label])
+
+
 def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | None]]":
     records: list[tuple[FeatureVector, FaultClass | None]] = []
     for line_number, _, obj in jsonl_objects(read_jsonl_text(path)):

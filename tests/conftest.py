@@ -103,9 +103,9 @@ def small_run(mj_profile):
     ds = synth.generate_dataset(counts, cfg, (0.3, 1.0))
     features = preprocessed(ds)
     spec = evaluation.SplitSpec(seed=5)
-    train_at, test_at = evaluation.stratified_split(ds, spec)
+    train_at, test_at = evaluation.stratified_split([m.id for m in ds], [m.label for m in ds], spec)
     train, test = [ds.manoeuvres[p] for p in train_at], [ds.manoeuvres[p] for p in test_at]
-    cal_at, hold_at = evaluation.split_calibration(test, spec)
+    cal_at, hold_at = evaluation.split_calibration([m.id for m in test], [m.label for m in test], spec)
     weights = model.weight_vector(model.class_weights(collections.Counter(m.label for m in train)))
     result = model.train(
         features[train_at],

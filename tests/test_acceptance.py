@@ -38,7 +38,7 @@ def run_experiment(seed):
     ds = synth.generate_dataset(MJ_COUNTS, cfg, (0.3, 1.0))
     features = preprocessed(ds, PCFG)
     spec = evaluation.SplitSpec(seed=seed)
-    train_at, test_at = evaluation.stratified_split(ds, spec)
+    train_at, test_at = evaluation.stratified_split([m.id for m in ds], [m.label for m in ds], spec)
     train, test = [ds.manoeuvres[p] for p in train_at], [ds.manoeuvres[p] for p in test_at]
     weights = mlp.weight_vector(mlp.class_weights(collections.Counter(m.label for m in train)))
     result = mlp.train(
@@ -87,7 +87,8 @@ def test_criterion_2_conformal_coverage(seed1_experiment):
     coverages = []
     for i in range(50):
         spec = evaluation.SplitSpec(seed=10_000 + i)
-        cal_at, hold_at = evaluation.split_calibration(exp["test"], spec)
+        cal_at, hold_at = evaluation.split_calibration([m.id for m in exp["test"]], [m.label for m in exp["test"]],
+                                                       spec)
         cal, hold = [exp["test"][k] for k in cal_at], [exp["test"][k] for k in hold_at]
         predictor = calibrated(exp["model"], cal, rows_of(exp, cal))
         coverage, _ = evaluation.coverage_eval(diagnosed(predictor, exp["model"], hold, rows_of(exp, hold)),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -1034,13 +1035,14 @@ class TestForkedLoad:
                 return None, f"pipeline failure in preprocess: manoeuvre {m.id!r}: {exc}\n"
         return preprocess.features_text([m.id for m in ds], np.concatenate(values), [m.label for m in ds]), None
 
-    @pytest.mark.parametrize("defect", ["none", "last_piece", "one_piece"])
+    @pytest.mark.parametrize("defect", ["none", "last_piece", "one_piece", "first_piece"])
     def test_failed_input_and_only_it_is_loaded_again_whole(
         self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, defect
     ):
         ds_path = long_dataset
-        if defect == "last_piece":
-            ds_path = self.defective(long_dataset, tmp_path, {300: self.DEFECTS["broken_json"]})
+        if defect in ("last_piece", "first_piece"):
+            line = 300 if defect == "last_piece" else 3
+            ds_path = self.defective(long_dataset, tmp_path, {line: self.DEFECTS["broken_json"]})
         elif defect == "one_piece":
             ds_path = tmp_path / "short.jsonl"
             ds_path.write_text("".join(l + "\n" for l in long_dataset.read_text().splitlines()[:10]) + "{oops\n")
@@ -1058,8 +1060,9 @@ class TestForkedLoad:
         monkeypatch.setattr(cli, "_load_piece", recorded)
         capsys.readouterr()
         code = run(self.command(trained_run, tmp_path, "diagnose", ds_path))
-        rerun = [(0, len(data))] if defect == "last_piece" else []
-        assert (code, calls) == (0 if defect == "none" else 4, pieces + rerun)
+        # a failed piece stops the loads: the pieces after it are never loaded
+        loads = {"last_piece": pieces + [(0, len(data))], "first_piece": pieces[:1] + [(0, len(data))]}
+        assert (code, calls) == (0 if defect == "none" else 4, loads.get(defect, pieces))
 
     def test_short_reads_give_whole_pieces(self, trained_run, tmp_path, capsys, monkeypatch, forks):
         # one pread may return fewer bytes than it was asked for: on Linux at
@@ -1091,7 +1094,8 @@ class TestForkedLoad:
         posts = []
         with open(queue_end, "rb", buffering=0) as queue:
             cli._post_pieces(posts.append, queue, [0, 1, 2, 3], lambda start, end: chunks[start])
-        assert posts == [(0, clean), (1, None), (2, None)]
+        # at the first failed piece the child drains the pipe and returns
+        assert posts == [(0, clean), (1, None)]
 
     @pytest.mark.parametrize("lines", [1, 0, None], ids=["one_manoeuvre", "empty", "blank_lines"])
     def test_small_input_never_forks(self, trained_run, tmp_path, capsys, monkeypatch, lines):
@@ -1136,11 +1140,12 @@ def test_non_finite_timestamp_fails_to_load(trained_run, tmp_path, capsys, comma
      ("preprocess", "flat_signal"), ("pipeline", "valid")],
 )
 def test_each_manoeuvre_validated_once(trained_run, tmp_path, capsys, monkeypatch, command, first_line):
-    # a flat first line fails preprocessing, after which the other lines are
-    # still read, and validated, for a load error that would outrank it; a
-    # failed file of two pieces is then loaded again as one, so each of its
-    # manoeuvres is validated once in its piece and once in that load.
-    # pipeline generates the manoeuvres of this dataset
+    # a flat first line fails preprocessing, after which the other lines of
+    # its piece are still read, and validated, for a load error that would
+    # outrank it; a failed file of two pieces is then loaded again as one,
+    # and its second piece is never loaded, so each manoeuvre of the first
+    # piece is validated once in it and once in that load, and every other
+    # manoeuvre once. pipeline generates the manoeuvres of this dataset
     lines = (trained_run / "dataset.jsonl").read_text().splitlines()
     if first_line == "flat_signal":
         lines[0] = json.dumps({**json.loads(lines[0]), "samples": [0.0] * 100})
@@ -1155,8 +1160,8 @@ def test_each_manoeuvre_validated_once(trained_run, tmp_path, capsys, monkeypatc
     validated = count_validations(monkeypatch)
     capsys.readouterr()
     assert run(argv) == (4 if first_line == "flat_signal" else 0)
-    loads = 2 if first_line == "flat_signal" else 1
-    assert sorted(validated) == sorted(json.loads(l)["id"] for l in lines * loads)
+    seen = lines[: cli.FORK_MIN_LINES] + lines if first_line == "flat_signal" else lines
+    assert len(lines) > cli.FORK_MIN_LINES and sorted(validated) == sorted(json.loads(l)["id"] for l in seen)
 
 
 def count_validations(monkeypatch) -> list:
@@ -1182,6 +1187,48 @@ def test_pipeline_validates_its_dataset_once(trained_run, tmp_path, monkeypatch)
     assert run(["pipeline", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     lines = (trained_run / "dataset.jsonl").read_text().splitlines()
     assert sorted(validated) == sorted(json.loads(l)["id"] for l in lines)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pipeline_parent_holds_no_generated_trace(config_path, monkeypatch, cpus):
+    # the writer generates the traces again; the parent keeps ids, labels and features
+    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+    cfg = cli.load_run_config(config_path)
+    _, chunks, traces = cli._pipeline_inputs(cfg)
+    assert_no_child_processes()
+    assert len(chunks) == 2
+    for chunk in [*chunks, cli._joined(chunks)]:
+        assert chunk.manoeuvres == ()
+        assert not any(isinstance(v, Manoeuvre) for field in chunk if isinstance(field, list) for v in field)
+    generated = synth.generate_dataset(cfg.counts, cfg.synth_cfg, cfg.severity_range)
+    assert list(traces()) == list(generated) == list(traces())
+
+
+@pytest.mark.parametrize("written", ["dataset", "features"])
+def test_pipeline_writers_stream(tmp_path, written):
+    # each input file is written as its lines are made, never held whole
+    cfg = cli.load_run_config(None)
+    plan = synth.plan_dataset(dict.fromkeys(cli.DEFAULT_COUNTS, 50), cfg.synth_cfg, cfg.severity_range)
+    path = tmp_path / f"{written}.jsonl"
+    if written == "dataset":
+        def write():
+            save_dataset((plan.manoeuvre(p) for p in range(len(plan))), path)
+    else:
+        manoeuvres = [plan.manoeuvre(p) for p in range(len(plan))]
+        values, _ = preprocess.preprocess_rows(manoeuvres, cfg.preprocess_cfg)
+        ids, labels = [m.id for m in manoeuvres], [m.label for m in manoeuvres]
+        del manoeuvres
+
+        def write():
+            core.atomic_write_text(path, preprocess.features_lines(ids, values, labels))
+    write()  # first calls fill caches, which a streamed write does not hold
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == 200 and peak < path.stat().st_size / 10
 
 
 # a number JSON reads as an integer beyond float range, and one of more
@@ -1588,9 +1635,10 @@ class TestStageCommands:
         """The (train, calibration) manoeuvres of a pipeline run's dataset, split as its config splits them."""
         spec = cli.load_run_config(str(run_dir / "config.json")).split_spec
         ds = load_dataset(run_dir / "dataset.jsonl").manoeuvres
-        train_at, test_at = evaluation.stratified_split(ds, spec)
+        train_at, test_at = evaluation.stratified_split([m.id for m in ds], [m.label for m in ds], spec)
         test = [ds[p] for p in test_at]
-        return [ds[p] for p in train_at], [test[k] for k in evaluation.split_calibration(test, spec)[0]]
+        cal_at = evaluation.split_calibration([m.id for m in test], [m.label for m in test], spec)[0]
+        return [ds[p] for p in train_at], [test[k] for k in cal_at]
 
     @staticmethod
     def stage_config(run_dir, tmp_path, manoeuvres, **paths):

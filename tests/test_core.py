@@ -16,6 +16,7 @@ from pmdiag.core import (
     ValidationError,
     atomic_write_text,
     load_dataset,
+    remove_temp_files,
     save_dataset,
     validate_manoeuvre,
 )
@@ -292,6 +293,18 @@ class TestSaveRoundTrip:
         atomic_write_text(tmp_path / "out.jsonl", "a\n", "", "bc\n", "d")
         assert (tmp_path / "out.jsonl").read_bytes() == b"a\nbc\nd"
         assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_parts_may_be_iterables_of_texts(self, tmp_path):
+        atomic_write_text(tmp_path / "out.jsonl", "a\n", (line for line in ["b\n", "", "c"]), ["d\n"])
+        assert (tmp_path / "out.jsonl").read_bytes() == b"a\nb\ncd\n"
+
+    def test_remove_temp_files_takes_only_those_of_its_process(self, tmp_path):
+        names = ["out.jsonl.11.a.tmp", "out.jsonl.11.b.tmp", "out.jsonl", "out.jsonl.110.a.tmp",
+                 "out.jsonl.12.a.tmp", "other.jsonl.11.a.tmp"]
+        for name in names:
+            (tmp_path / name).write_text("")
+        remove_temp_files(tmp_path / "out.jsonl", 11)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names[2:])
 
     def test_part_that_fails_mid_write_leaves_no_file(self, tmp_path):
         # the first part is larger than the write buffer, so it reaches the

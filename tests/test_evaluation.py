@@ -44,6 +44,11 @@ def labelled_dataset(counts, seed=0):
     return Dataset(manoeuvres=tuple(manoeuvres), provenance="test")
 
 
+def id_labels(manoeuvres):
+    """The ids and the labels of manoeuvres, the rows a split takes."""
+    return [m.id for m in manoeuvres], [m.label for m in manoeuvres]
+
+
 def label_counts(manoeuvres, positions):
     """Class counts of the manoeuvres at `positions`."""
     return dict(collections.Counter(manoeuvres[p].label for p in positions))
@@ -59,7 +64,7 @@ def assert_partition(first, second, n):
 class TestStratifiedSplit:
     def test_mj_counts_floor_arithmetic(self):
         ds = labelled_dataset(MJ_COUNTS)
-        train, test = stratified_split(ds, SplitSpec(seed=3))
+        train, test = stratified_split(*id_labels(ds), SplitSpec(seed=3))
         assert label_counts(ds.manoeuvres, train) == {
             FaultClass.Nominal: 284,
             FaultClass.Obstacle: 219,
@@ -75,46 +80,46 @@ class TestStratifiedSplit:
 
     def test_partition(self):
         ds = labelled_dataset({FaultClass.Nominal: 20, FaultClass.Obstacle: 13})
-        train, test = stratified_split(ds, SplitSpec(seed=1))
+        train, test = stratified_split(*id_labels(ds), SplitSpec(seed=1))
         assert_partition(train, test, len(ds))
 
     def test_deterministic(self):
         ds = labelled_dataset({FaultClass.Nominal: 20, FaultClass.Friction: 20})
-        a1, b1 = stratified_split(ds, SplitSpec(seed=7))
-        a2, b2 = stratified_split(ds, SplitSpec(seed=7))
+        a1, b1 = stratified_split(*id_labels(ds), SplitSpec(seed=7))
+        a2, b2 = stratified_split(*id_labels(ds), SplitSpec(seed=7))
         assert a1 == a2
         assert b1 == b2
 
     def test_plain_list_gives_the_positions_of_a_dataset(self):
         ds = labelled_dataset({FaultClass.Nominal: 30, FaultClass.Obstacle: 17, FaultClass.Friction: 9}, seed=4)
         for seed in range(5):
-            train, test = stratified_split(list(ds), SplitSpec(seed=seed))
-            assert (train, test) == stratified_split(ds, SplitSpec(seed=seed))
+            train, test = stratified_split(*id_labels(ds), SplitSpec(seed=seed))
+            assert (train, test) == stratified_split(*map(tuple, id_labels(ds)), SplitSpec(seed=seed))
             assert_partition(train, test, len(ds))
 
     def test_class_too_small(self):
         ds = labelled_dataset({FaultClass.Nominal: 5, FaultClass.Obstacle: 1})
         with pytest.raises(ClassTooSmallError):
-            stratified_split(ds, SplitSpec(seed=1))
+            stratified_split(*id_labels(ds), SplitSpec(seed=1))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ClassTooSmallError, match="^no manoeuvres to split$"):
-            stratified_split(Dataset(manoeuvres=(), provenance="x"), SplitSpec(seed=1))
+            stratified_split(*id_labels(Dataset(manoeuvres=(), provenance="x")), SplitSpec(seed=1))
 
     def test_unlabelled_rejected(self):
         m = Manoeuvre("u", "MJ", 0.0, np.ones(64), 100.0)
         ds = Dataset(manoeuvres=(m,), provenance="x")
         with pytest.raises(UnlabelledError, match="^manoeuvre 'u' is unlabelled; splits need labels$"):
-            stratified_split(ds, SplitSpec(seed=1))
+            stratified_split(*id_labels(ds), SplitSpec(seed=1))
 
 
 class TestSplitCalibration:
     def test_half_split_counts(self):
         ds = labelled_dataset(MJ_COUNTS)
-        _, test_at = stratified_split(ds, SplitSpec(seed=3))
+        _, test_at = stratified_split(*id_labels(ds), SplitSpec(seed=3))
         assert len(test_at) == 223
         test = [ds.manoeuvres[p] for p in test_at]
-        cal, hold = split_calibration(test, SplitSpec(seed=3))
+        cal, hold = split_calibration(*id_labels(test), SplitSpec(seed=3))
         assert len(cal) == 110
         assert len(hold) == 113
         assert label_counts(test, cal) == {
@@ -126,20 +131,20 @@ class TestSplitCalibration:
 
     def test_partition(self):
         ds = labelled_dataset({FaultClass.Nominal: 9, FaultClass.Obstacle: 8})
-        cal, hold = split_calibration(ds, SplitSpec(seed=2))
+        cal, hold = split_calibration(*id_labels(ds), SplitSpec(seed=2))
         assert_partition(cal, hold, len(ds))
 
     def test_plain_list_gives_the_positions_of_a_dataset(self):
         ds = labelled_dataset({FaultClass.Nominal: 11, FaultClass.Obstacle: 8, FaultClass.PowerSupply: 3}, seed=6)
         for seed in range(5):
-            cal, hold = split_calibration(list(ds), SplitSpec(seed=seed))
-            assert (cal, hold) == split_calibration(ds, SplitSpec(seed=seed))
+            cal, hold = split_calibration(*id_labels(ds), SplitSpec(seed=seed))
+            assert (cal, hold) == split_calibration(*map(tuple, id_labels(ds)), SplitSpec(seed=seed))
             assert_partition(cal, hold, len(ds))
 
     def test_too_small(self):
         ds = labelled_dataset({FaultClass.Nominal: 2})
         with pytest.raises(SplitTooSmallError):
-            split_calibration(ds, SplitSpec(seed=1))
+            split_calibration(*id_labels(ds), SplitSpec(seed=1))
 
 
 def counted_binary_metrics(pairs):

@@ -22,9 +22,11 @@ classes, and diagnose prints "(set covers the true class at 70%)";
 the stage commands one after another, then diagnose; on a generated
 4000-manoeuvre stream, diagnose, preprocess, pipeline with paths.dataset
 and diagnose through /dev/stdin; error paths (a malformed config, a
-duplicate id, a flat signal, a non-finite sample, an empty dataset, and
+duplicate id, a flat signal, a non-finite sample, an empty dataset,
 diagnose with the small config's model.json whose `layer_dims[0]` reads
-128.0, which exits 3); diagnose of the stream with a defect, each of which
+128.0, which exits 3, and the small config's pipeline with a 1-Hz profile,
+whose generated manoeuvres are too short to preprocess: it exits 4 naming
+synth-Obstacle-4 and leaves the dataset.jsonl it generated again); diagnose of the stream with a defect, each of which
 a file of several pieces reports as one process would (`{oops` on line
 3990, in the last piece, exits 4 with its whole-file line number; bytes
 ff fe inside line 2000, in a middle piece, exit 3 with their whole-file
@@ -139,6 +141,8 @@ CASES = [
                          ("empty_dataset", 4))),
     *(Case(f"stream_error_{name}", [_stream_diagnose(f"{{inputs}}/stream_{name}.jsonl")], small=False,
            exit_code=3 if name == "not_utf8_middle_piece" else 4) for name in STREAM_DEFECTS),
+    Case("error_generated_too_short", [["pipeline", "--config", "{inputs}/too_short.json", "--out", "{out}"]],
+         exit_code=4),
     Case("error_float_layer_dims", [["diagnose", "--config", "{inputs}/small.json", "--out", "{out}",
                                      "--model", "{inputs}/float_layer_dims.json",
                                      "--predictor", "{inputs}/small/predictor.json",
@@ -205,6 +209,10 @@ def make_inputs(tree: Path, inputs: Path, small_only: bool) -> None:
         (inputs / f"{name}.jsonl").write_text("".join(dataset))
         config(name, {**SMALL_CONFIG, "paths": {"dataset": str(inputs / f"{name}.jsonl")}})
     config("malformed_config", '{"train": {"epochs": 30,}}')
+    # at 1 Hz a 5-s move gives manoeuvres of 11 samples
+    config("too_short", {**SMALL_CONFIG, "synth": {**SMALL_CONFIG["synth"], "profile": {
+        "name": "slow", "supply": "AC", "sample_rate": 1.0, "nominal_peak_amps": 8.0, "plateau_amps": 3.0,
+        "move_duration": 5.0}}})
     if not small_only:
         generate("stream", {"synth": {"counts": STREAM_COUNTS, "seed": 5}})
         stream = (inputs / "stream" / "dataset.jsonl").read_bytes().splitlines(keepends=True)
