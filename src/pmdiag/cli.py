@@ -274,13 +274,12 @@ def _stage(name: str, fn, *args, **kwargs):
 
 
 def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
-    ds = _stage(
-        "generate", synth.generate_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range
-    )
-    save_dataset(ds, out / DATASET_FILE)
+    plan = _stage("generate", synth.plan_dataset, cfg.counts, cfg.synth_cfg, cfg.severity_range)
+    # each trace is written as it is generated, as pipeline's writer does
+    _stage("generate", save_dataset, plan.manoeuvres(), out / DATASET_FILE)
     for cls in sorted(cfg.counts, key=int):
         print(f"{cls.name}: {cfg.counts[cls]}")
-    print(f"wrote {len(ds)} manoeuvres to {out / DATASET_FILE}")
+    print(f"wrote {len(plan)} manoeuvres to {out / DATASET_FILE}")
     return 0
 
 
@@ -465,8 +464,8 @@ class _Chunk(NamedTuple):
     DatasetIoError of bytes that are not UTF-8; `failure` is the StageError
     of the first preprocess, or else scoring, failure; a child posts no
     chunk that holds either (`_post_pieces`). A piece that diagnose or preprocess finished
-    (`_load_piece`) keeps only its ids and the lines made of it for the
-    output file, `lines`, and for stdout, `shown`, and no features.
+    (`_load_piece`) keeps only its ids and the lists of lines made of it
+    for the output file, `lines`, and for stdout, `shown`, and no features.
     """
 
     ids: list
@@ -475,8 +474,8 @@ class _Chunk(NamedTuple):
     manoeuvres: "list | tuple" = ()
     error: "ParseError | ValidationError | DatasetIoError | None" = None
     failure: "StageError | None" = None
-    lines: str = ""
-    shown: str = ""
+    lines: "list | tuple" = ()
+    shown: "list | tuple" = ()
 
 
 def _features(manoeuvres, cfg: preprocess.PreprocessConfig, validated: bool) -> _Chunk:
@@ -638,7 +637,8 @@ def _rows(chunk: _Chunk, positions: list) -> _Chunk:
 
 def _features_lines(chunk: _Chunk) -> _Chunk:
     """preprocess's finish (see _load_piece): the ids and features.jsonl lines of a chunk."""
-    return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=preprocess.features_text(chunk.ids, chunk.features, chunk.labels))
+    lines = list(preprocess.features_lines(chunk.ids, chunk.features, chunk.labels))
+    return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=lines)
 
 
 def cmd_preprocess(args, cfg: RunConfig, out: Path) -> int:
@@ -703,7 +703,7 @@ def _evaluate(cfg: RunConfig, diagnosed, labels, covered: slice, out: Path, **ex
         "metrics": asdict(metrics),
     }
     evaluation.write_report(report, out / REPORT_FILE)
-    atomic_write_text(out / DIAGNOSES_JSONL, conformal.diagnoses_text(diagnosed[covered], labels[covered]))
+    atomic_write_text(out / DIAGNOSES_JSONL, conformal.diagnoses_lines(diagnosed[covered], labels[covered]))
     return metrics
 
 
@@ -743,7 +743,7 @@ def _diagnosed(mdl, predictor, chunk: _Chunk) -> _Chunk:
         members = ", ".join(f"{name}:{prob:.3f}" for name, prob in zip(names, probabilities))
         shown_id = json.dumps(source_id, ensure_ascii=False)[1:-1]  # one line, whatever the id holds
         shown.append(f"{shown_id}: {{{members}}} (set covers the true class at {guarantee}%)\n")
-    return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=conformal.diagnoses_text(d, chunk.labels), shown="".join(shown))
+    return _Chunk(chunk.ids, np.empty((0, 0)), [], lines=list(conformal.diagnoses_lines(d, chunk.labels)), shown=shown)
 
 
 def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
@@ -761,7 +761,7 @@ def cmd_diagnose(args, cfg: RunConfig, out: Path) -> int:
     pieces = _load(dataset_path, cfg.preprocess_cfg, lambda chunk: _diagnosed(mdl, predictor, chunk))
     _stage("load", _check, pieces)
     atomic_write_text(out / DIAGNOSES_JSONL, *(piece.lines for piece in pieces))
-    sys.stdout.writelines(piece.shown for piece in pieces)
+    sys.stdout.writelines(line for piece in pieces for line in piece.shown)
     return 0
 
 
@@ -791,11 +791,9 @@ def _save_inputs(manoeuvres, data: _Chunk, out: Path) -> None:
 
 
 def _position_cuts(n: int, procs: int) -> list:
-    """Cuts of n dataset positions into pieces, as `_cuts` cuts a file of n lines."""
-    if n < FORK_MIN_LINES:
-        return [0, n]
-    step = max(min(FORK_MIN_LINES, n // procs), -(-n // _MAX_PIECES))
-    return [*range(0, n, step), n]
+    """Cuts of n dataset positions into pieces: the `_cuts` of a file of n empty lines."""
+    lines = b"\n" * n
+    return _cuts(lambda k, offset: lines[offset : offset + k], n, procs)
 
 
 def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list, Callable]":
@@ -803,10 +801,11 @@ def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list, Callable]":
     each piece loaded (`_load`), or generated, and preprocessed on every
     CPU, and traces(), which returns the dataset's manoeuvres in order.
 
-    A generated piece keeps no manoeuvre: traces() generates them again
-    (`DatasetPlan.manoeuvre` gives the same bits every time), one at a
-    time, so no process holds them all. Loaded manoeuvres are held, since
-    parsing a trace again costs about twice as much as generating it.
+    A generated piece keeps no manoeuvre: traces() is
+    `DatasetPlan.manoeuvres`, which generates them again (the plan gives
+    the same bits every time), one at a time, so no process holds them all.
+    Loaded manoeuvres are held, since parsing a trace again costs about
+    twice as much as generating it.
     """
     pcfg = cfg.preprocess_cfg
     if "dataset" in cfg.paths:
@@ -823,7 +822,7 @@ def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list, Callable]":
         return chunk._replace(manoeuvres=())
 
     chunks = _stage("generate", _share_pieces, cuts, generated, procs)
-    return plan.provenance, chunks, lambda: map(plan.manoeuvre, range(len(plan)))
+    return plan.provenance, chunks, plan.manoeuvres
 
 
 def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, json_type_error, jsonl_text, read_json
+from .core import DatasetIoError, FaultClass, PmDiagError, atomic_write_text, json_type_error, read_json
 from .model import CLASS_NAMES, MlpModel, RowError, model_digest
 
 PROB_SUM_TOL = 1e-9
@@ -185,26 +185,21 @@ def diagnoses(predictor: ConformalPredictor, source_ids, probs) -> Diagnoses:
                      predictor.alpha, predictor.qhat)
 
 
-def diagnoses_text(d: Diagnoses, labels) -> str:
-    """The diagnoses.jsonl lines of `d`, one object per manoeuvre (see
-    core.jsonl_text), with its true FaultClass in `labels` written as
-    `label` where it is not None."""
+def diagnoses_lines(d: Diagnoses, labels):
+    """Yield the diagnoses.jsonl line of each manoeuvre of `d`, with its true
+    FaultClass in `labels` written as `label` where it is not None.
 
-    def row_obj(row, label) -> dict:
-        source_id, names, probabilities = row
-        obj = {
-            "source_id": source_id,
-            "prediction_set": [{"class": name, "probability": prob} for name, prob in zip(names, probabilities)],
-            "alpha": d.alpha,
-            "qhat": d.qhat,
-            "singleton": len(names) == 1,
-            "argmax_class": names[0],
-        }
-        if label is not None:
-            obj["label"] = label.name
-        return obj
-
-    return jsonl_text(map(row_obj, d.sets(), labels))
+    Each line has the bytes json.dumps gives its object, formatted from a
+    fixed template: a class name needs no escape, and a probability, finite
+    by `diagnoses`, is written as its repr, as json.dumps writes a float.
+    """
+    tail = f'], "alpha": {json.dumps(d.alpha)}, "qhat": {json.dumps(d.qhat)}, "singleton": '
+    for (source_id, names, probabilities), label in zip(d.sets(), labels):
+        members = ", ".join(f'{{"class": "{name}", "probability": {prob!r}}}'
+                            for name, prob in zip(names, probabilities))
+        end = "" if label is None else f', "label": "{label.name}"'
+        yield (f'{{"source_id": {json.dumps(source_id)}, "prediction_set": [{members}{tail}'
+               f'{"true" if len(names) == 1 else "false"}, "argmax_class": "{names[0]}"{end}}}\n')
 
 
 def save_predictor(predictor: ConformalPredictor, path: str | Path) -> None:

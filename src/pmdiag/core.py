@@ -398,12 +398,6 @@ def jsonl_lines(objs):
         yield json.dumps(obj) + "\n"
 
 
-def jsonl_text(objs) -> str:
-    """The jsonl_lines of the objects, joined. The texts of consecutive runs
-    of objects, joined, are the text of all of them."""
-    return "".join(jsonl_lines(objs))
-
-
 def atomic_write_text(path: str | Path, *parts) -> None:
     """Write `parts`, one after another, to path via a same-directory temp
     file and rename. A part is a text or an iterable of texts, such as a

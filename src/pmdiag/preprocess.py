@@ -23,8 +23,8 @@ from .core import (
     ParseError,
     PmDiagError,
     json_type_error,
+    jsonl_lines,
     jsonl_objects,
-    jsonl_text,
     read_jsonl_text,
 )
 
@@ -313,18 +313,11 @@ def _feature_to_obj(source_id: str, row: np.ndarray, label: "FaultClass | None")
     return obj
 
 
-def features_text(ids, values, labels) -> str:
-    """The features.jsonl lines of manoeuvres `ids`, their rows of an
-    (n, width) matrix `values`, and their FaultClass labels or None, passed
-    through (see core.jsonl_text)."""
-    return jsonl_text(_feature_to_obj(*record) for record in zip(ids, values, labels, strict=True))
-
-
 def features_lines(ids, values, labels):
-    """Yield the features_text of each manoeuvre alone, in order: the lines
-    of features.jsonl one at a time, so that a writer holds one line."""
-    for source_id, row, label in zip(ids, values, labels, strict=True):
-        yield features_text([source_id], [row], [label])
+    """The features.jsonl lines of manoeuvres `ids`, their rows of an
+    (n, width) matrix `values`, and their FaultClass labels or None, as an
+    iterator that makes each line as it is taken (see core.jsonl_lines)."""
+    return jsonl_lines(_feature_to_obj(*record) for record in zip(ids, values, labels, strict=True))
 
 
 def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | None]]":

@@ -16,6 +16,7 @@ Generation is pure given a seed; per-manoeuvre sub-streams are spawned from
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -160,11 +161,7 @@ def build_curve(p: CurveParams) -> np.ndarray:
     """
 
     def seg(n: int, start: float, end: float) -> np.ndarray:
-        # half-cosine ease from start to end; cos(pi*n/n) = -1 exactly, so
-        # the last sample lands exactly on `end`
-        j = np.arange(1, n + 1, dtype=np.float64)
-        w = (1.0 - np.cos(np.pi * j / n)) / 2.0
-        return start + (end - start) * w
+        return start + (end - start) * _ease(n)
 
     parts = [
         np.zeros(p.n_pad),
@@ -176,6 +173,17 @@ def build_curve(p: CurveParams) -> np.ndarray:
         np.zeros(p.n_pad),
     ]
     return np.concatenate(parts)
+
+
+@functools.lru_cache(maxsize=256)
+def _ease(n: int) -> np.ndarray:
+    """The half-cosine ease of n samples from 0 to 1, read-only; cos(pi*n/n)
+    = -1 exactly, so the last sample is exactly 1. Cached: every trace
+    takes four, of a few lengths."""
+    j = np.arange(1, n + 1, dtype=np.float64)
+    w = (1.0 - np.cos(np.pi * j / n)) / 2.0
+    w.flags.writeable = False
+    return w
 
 
 def _seed_sequence(rng) -> np.random.SeedSequence:
@@ -309,6 +317,10 @@ class DatasetPlan:
         spec = FaultSpec(cls, float(self.severities[i]))
         return inject_fault(self.cfg, spec, seed, manoeuvre_id=mid, timestamp=ts)
 
+    def manoeuvres(self):
+        """The manoeuvres of the dataset in order, each generated as it is taken."""
+        return map(self.manoeuvre, range(len(self)))
+
 
 def _child_seed(root: np.random.SeedSequence, i: int) -> np.random.SeedSequence:
     """Child i of `root`, as the i-th child `root.spawn` gives, without
@@ -364,7 +376,4 @@ def generate_dataset(
     seeded by cfg.seed. Fault severities are uniform in severity_range.
     """
     plan = plan_dataset(counts, cfg, severity_range)
-    return Dataset(
-        manoeuvres=tuple(plan.manoeuvre(p) for p in range(len(plan))),
-        provenance=plan.provenance,
-    )
+    return Dataset(manoeuvres=tuple(plan.manoeuvres()), provenance=plan.provenance)

@@ -878,13 +878,13 @@ class TestForkedLoad:
         ms = list(load_dataset(ds_path))
         values = [preprocessed([m]) for m in ms]
         if name == "preprocess":
-            text = preprocess.features_text([m.id for m in ms], np.concatenate(values), [m.label for m in ms])
+            text = "".join(preprocess.features_lines([m.id for m in ms], np.concatenate(values), [m.label for m in ms]))
             shown = f"wrote {len(ms)} feature vectors to {out / 'features.jsonl'}\n"
             return 0, shown, "", {"features.jsonl": text.encode()}
         mdl = model.load_model(trained_run / "model.json")
         predictor = conformal.load_predictor(trained_run / "predictor.json")
         alone = [diagnosed(predictor, mdl, [m], x) for m, x in zip(ms, values)]
-        text = "".join(conformal.diagnoses_text(d, [m.label]) for m, d in zip(ms, alone))
+        text = "".join(line for m, d in zip(ms, alone) for line in conformal.diagnoses_lines(d, [m.label]))
         shown = "".join(
             f"{m.id}: {{{', '.join(f'{cls.name}:{p:.3f}' for cls, p in members(d)[0])}}}"
             " (set covers the true class at 95%)\n"
@@ -1033,7 +1033,7 @@ class TestForkedLoad:
                 values.append(preprocessed([m]))
             except PmDiagError as exc:
                 return None, f"pipeline failure in preprocess: manoeuvre {m.id!r}: {exc}\n"
-        return preprocess.features_text([m.id for m in ds], np.concatenate(values), [m.label for m in ds]), None
+        return "".join(preprocess.features_lines([m.id for m in ds], np.concatenate(values), [m.label for m in ds])), None
 
     @pytest.mark.parametrize("defect", ["none", "last_piece", "one_piece", "first_piece"])
     def test_failed_input_and_only_it_is_loaded_again_whole(
@@ -1204,6 +1204,36 @@ def test_pipeline_parent_holds_no_generated_trace(config_path, monkeypatch, cpus
     assert list(traces()) == list(generated) == list(traces())
 
 
+def test_position_cuts_follow_the_piece_rule():
+    # the rule of _cuts written out for positions: a head of FORK_MIN_LINES,
+    # pieces of at most 1/procs of the input, and no more than _MAX_PIECES
+    def rule(n, procs):
+        if n < cli.FORK_MIN_LINES:
+            return [0, n]
+        step = max(min(cli.FORK_MIN_LINES, n // procs), -(-n // cli._MAX_PIECES))
+        return [*range(0, n, step), n]
+
+    for procs in range(1, 5):
+        assert [cli._position_cuts(n, procs) for n in range(3001)] == [rule(n, procs) for n in range(3001)]
+
+
+def test_generate_streams(tmp_path, capsys):
+    # generate writes each trace as it is made, as pipeline's writer does
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"counts": {cls.name: 50 for cls in cli.DEFAULT_COUNTS}}}))
+    argv = ["generate", "--config", str(config), "--out", str(tmp_path)]
+    assert run(argv) == 0  # the first call fills caches, which a streamed write does not hold
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    path = tmp_path / "dataset.jsonl"
+    assert capsys.readouterr().out.endswith(f"wrote 200 manoeuvres to {path}\n")
+    assert peak < path.stat().st_size / 10
+
+
 @pytest.mark.parametrize("written", ["dataset", "features"])
 def test_pipeline_writers_stream(tmp_path, written):
     # each input file is written as its lines are made, never held whole
@@ -1332,16 +1362,16 @@ class TestPipelineOnEveryCpu:
         # the child has written dataset.jsonl and dies before features.jsonl
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
         died = tmp_path / "died"
-        parent, features_text = os.getpid(), preprocess.features_text
+        parent, features_lines = os.getpid(), preprocess.features_lines
 
         def die_in_child(*args):
             if os.getpid() != parent:
                 if (Path(argv[-1]) / "dataset.jsonl").exists():
                     died.touch()
                 os._exit(1)
-            return features_text(*args)
+            return features_lines(*args)
 
-        monkeypatch.setattr(preprocess, "features_text", die_in_child)
+        monkeypatch.setattr(preprocess, "features_lines", die_in_child)
         assert self.outcome(argv, capsys) == alone
         assert died.exists()
 

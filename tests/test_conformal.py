@@ -9,6 +9,7 @@ from pmdiag.conformal import (
     BadDistributionError,
     ConformalConfig,
     ConformalPredictor,
+    Diagnoses,
     DigestMismatchError,
     EmptyCalibrationError,
     _aps_scores,
@@ -16,14 +17,14 @@ from pmdiag.conformal import (
     check_digest,
     load_predictor,
     diagnoses,
-    diagnoses_text,
+    diagnoses_lines,
     quantile_threshold,
     save_predictor,
 )
 from pmdiag.core import DatasetIoError, FaultClass, Manoeuvre
 from pmdiag.model import MlpModel
 
-from conftest import calibrated, diagnosed, members, preprocessed, rows_of
+from conftest import AWKWARD_FLOATS, calibrated, diagnosed, members, preprocessed, rows_of
 
 
 def brute_force_set(probs, qhat):
@@ -190,13 +191,13 @@ class TestPredictSet:
     def test_singleton(self):
         d = diagnoses(predictor_with(0.85), ["x"], np.array([[0.90, 0.05, 0.03, 0.01, 0.01]]))
         assert [c for c, _ in members(d)[0]] == [FaultClass.Nominal]
-        assert json.loads(diagnoses_text(d, [None]))["singleton"]
+        assert json.loads("".join(diagnoses_lines(d, [None])))["singleton"]
         assert FaultClass(int(d.classes[0, 0])) is FaultClass.Nominal
 
     def test_two_classes(self):
         d = diagnoses(predictor_with(0.85), ["x"], PROBS[None])
         assert [c for c, _ in members(d)[0]] == [FaultClass.Nominal, FaultClass.Obstacle]
-        assert not json.loads(diagnoses_text(d, [None]))["singleton"]
+        assert not json.loads("".join(diagnoses_lines(d, [None])))["singleton"]
 
     def test_qhat_one_gives_all_classes(self):
         ps = sets(predictor_with(1.0), PROBS[None])[0]
@@ -327,7 +328,42 @@ class TestPredictSets:
         assert members(got) == [reference_set(row, 0.85) for row in probs]
         assert (got.alpha, got.qhat) == (0.05, 0.85)
         empty = diagnoses(predictor, [], np.empty((0, 5)))
-        assert (empty.source_ids, members(empty), diagnoses_text(empty, [])) == ([], [], "")
+        assert (empty.source_ids, members(empty), "".join(diagnoses_lines(empty, []))) == ([], [], "")
+
+
+def reference_lines(d, labels) -> list:
+    """The diagnoses.jsonl lines of `d` as a dict per row and json.dumps make them."""
+    lines = []
+    for (source_id, names, probabilities), label in zip(d.sets(), labels):
+        obj = {
+            "source_id": source_id,
+            "prediction_set": [{"class": name, "probability": prob} for name, prob in zip(names, probabilities)],
+            "alpha": d.alpha,
+            "qhat": d.qhat,
+            "singleton": len(names) == 1,
+            "argmax_class": names[0],
+        }
+        if label is not None:
+            obj["label"] = label.name
+        lines.append(json.dumps(obj) + "\n")
+    return lines
+
+
+# a quote, a backslash, a control character, non-ASCII text and U+2028
+AWKWARD_IDS = ['say "hi"', "back\\slash", "bell\x07", "Weiche-Zürich", "line\u2028sep", "plain"]
+
+
+# an integer qhat is written as json.dumps writes it, 1 and not 1.0
+@pytest.mark.parametrize("alpha, qhat", [(0.05, 0.85), (1e-05, 1)])
+def test_lines_match_json_dumps_of_a_dict(alpha, qhat):
+    n = 30
+    ids = [f"{AWKWARD_IDS[k % len(AWKWARD_IDS)]}-{k}" for k in range(n)]
+    classes = np.array([np.roll(np.arange(5), k) for k in range(n)])
+    probabilities = np.array([[AWKWARD_FLOATS[(k + c) % len(AWKWARD_FLOATS)] for c in range(5)] for k in range(n)])
+    sizes = np.arange(n) % 5 + 1  # sets of 1 to 5 classes
+    labels = [None if k % 2 else FaultClass(k % 5) for k in range(n)]
+    d = Diagnoses(ids, classes, probabilities, sizes, alpha, qhat)
+    assert list(diagnoses_lines(d, labels)) == reference_lines(d, labels)
 
 
 class TestDiagnose:
@@ -380,7 +416,7 @@ class TestDiagnose:
         mdl = small_run["model"]
         hold = small_run["holdout"]
         d = diagnosed(predictor, mdl, hold, rows_of(small_run, hold))
-        objs = [json.loads(line) for line in diagnoses_text(d, [None] * len(hold)).splitlines()]
+        objs = [json.loads(line) for line in diagnoses_lines(d, [None] * len(hold))]
         for prediction_set, code, obj in zip(members(d), d.classes[:, 0], objs, strict=True):
             assert prediction_set[0][0] is FaultClass(int(code))
             assert obj["argmax_class"] == prediction_set[0][0].name

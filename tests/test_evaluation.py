@@ -301,7 +301,7 @@ class TestReports:
         d = diagnosed(predictor, small_run["model"], hold, rows_of(small_run, hold))
         # every other row as from unlabelled field data
         labels = [m.label if k % 2 else None for k, m in enumerate(hold)]
-        objs = [json.loads(line) for line in conformal.diagnoses_text(d, labels).splitlines()]
+        objs = [json.loads(line) for line in conformal.diagnoses_lines(d, labels)]
         assert len(objs) == len(hold)
         for m, label, prediction_set, obj in zip(hold, labels, members(d), objs):
             assert obj["source_id"] == m.id
@@ -399,4 +399,4 @@ class TestBatchedOracle:
                 obj["label"] = label.name
             lines.append(json.dumps(obj) + "\n")
         assert {len(line.split('"class"')) - 1 for line in lines} >= {1, 2}
-        assert conformal.diagnoses_text(d, labels) == "".join(lines)
+        assert "".join(conformal.diagnoses_lines(d, labels)) == "".join(lines)

@@ -14,7 +14,7 @@ from pmdiag.preprocess import (
     PreprocessConfig,
     SegmentationFailedError,
     WindowTooLargeError,
-    features_text,
+    features_lines,
     load_features,
 )
 from pmdiag.synth import FaultSpec, SynthConfig
@@ -575,7 +575,7 @@ class TestFeatureIo:
         ms = [synth.generate_nominal(noisy_cfg, s, manoeuvre_id=f"m{s}") for s in range(3)]
         ids, values, labels = [m.id for m in ms], preprocessed(ms), [None, FaultClass.Nominal, FaultClass.Nominal]
         p = tmp_path / "features.jsonl"
-        p.write_text(features_text(ids, values, labels))
+        p.write_text("".join(features_lines(ids, values, labels)))
         back = load_features(p)
         assert len(back) == 3
         for source_id, row, label, (fv, label2) in zip(ids, values, labels, back):
@@ -593,12 +593,12 @@ class TestFeatureIo:
             }) + "\n"
             for source_id, row, label in zip("ab", matrix, labels)
         )
-        assert features_text(["a", "b"], matrix, labels) == reference
+        assert "".join(features_lines(["a", "b"], matrix, labels)) == reference
 
     @pytest.mark.parametrize("ids, labels", [(["a"], [None, None]), (["a", "b", "c"], [None] * 3)])
     def test_text_needs_one_id_and_label_per_row(self, ids, labels):
         with pytest.raises(ValueError):
-            features_text(ids, np.ones((2, 4)), labels)
+            "".join(features_lines(ids, np.ones((2, 4)), labels))
 
     @pytest.mark.parametrize("values", [[], [[]]])
     def test_record_without_values_rejected(self, tmp_path, values):

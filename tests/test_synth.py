@@ -35,6 +35,14 @@ class TestNominal:
         assert lock.max() >= 0.8 * 8.0
         assert m.samples[-1] == 0.0 and m.samples[0] == 0.0
 
+    def test_curve_is_a_fresh_writeable_array(self, clean_cfg):
+        # the ramps are cached read-only; inject_fault edits the curve in place
+        params = synth.nominal_params(clean_cfg)
+        curve = synth.build_curve(params)
+        first = curve.copy()
+        curve += 1.0
+        assert np.array_equal(synth.build_curve(params), first)
+
     def test_deterministic(self, clean_cfg):
         a = synth.generate_nominal(clean_cfg, 42)
         b = synth.generate_nominal(clean_cfg, 42)
@@ -183,6 +191,7 @@ class TestGenerateDataset:
         assert backwards[::-1] == list(ds)
         # a position generated again is the same manoeuvre
         assert plan.manoeuvre(3) == ds.manoeuvres[3]
+        assert list(plan.manoeuvres()) == list(ds)
         assert plan.provenance == ds.provenance
 
     def test_bad_severity_range(self, noisy_cfg):

@@ -19,7 +19,10 @@ The cases are the default pipeline, at `--seed 3`, with uniform
 the small config's pipeline at `conformal.alpha` 0.3, then diagnose of its
 dataset: at that alpha its diagnoses.jsonl holds sets of one, two and three
 classes, and diagnose prints "(set covers the true class at 70%)";
-the stage commands one after another, then diagnose; on a generated
+the stage commands one after another, then diagnose; generate at the
+default config (1110 manoeuvres), since every other input is made by
+HEAD's generate and the stage commands run it at the small config only;
+on a generated
 4000-manoeuvre stream, diagnose, preprocess, pipeline with paths.dataset
 and diagnose through /dev/stdin; error paths (a malformed config, a
 duplicate id, a flat signal, a non-finite sample, an empty dataset,
@@ -132,6 +135,7 @@ CASES = [
                           "--model", "{out}/model.json", "--predictor", "{out}/predictor.json",
                           "--dataset", "{out}/dataset.jsonl"]]),
     Case("stages_small", _stages()),
+    Case("generate_default", [["generate", "--out", "{out}"]], small=False),
     Case("stream_diagnose", [_stream_diagnose("{inputs}/stream/dataset.jsonl")], small=False),
     Case("stream_preprocess", [["preprocess", "--config", "{inputs}/stream_paths.json", "--out", "{out}"]], small=False),
     Case("stream_pipeline", [["pipeline", "--config", "{inputs}/stream_paths.json", "--out", "{out}"]], small=False),
