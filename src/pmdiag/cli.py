@@ -40,7 +40,7 @@ from .core import (
     json_type_error,
     remove_temp_files,
     save_dataset,
-    validate_manoeuvre,
+    valid_manoeuvres,
 )
 
 DATASET_FILE = "dataset.jsonl"
@@ -255,7 +255,7 @@ def load_run_config(path: "str | None", seed_override: "int | None" = None) -> R
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {json_error(exc)}") from None
     return parse_run_config(obj, seed_override)
 
@@ -478,33 +478,24 @@ class _Chunk(NamedTuple):
     shown: "list | tuple" = ()
 
 
-def _features(manoeuvres, cfg: preprocess.PreprocessConfig, validated: bool) -> _Chunk:
-    """Preprocess the manoeuvres of an iterable in one
-    `preprocess.preprocess_rows` call.
+def _features(manoeuvres, cfg: preprocess.PreprocessConfig) -> _Chunk:
+    """Preprocess the manoeuvres of an iterable that validates them, such as
+    iter_manoeuvres, in one `preprocess.preprocess_rows` call.
 
     Errors are returned, not raised: `_share_pieces` looks for them in every
     chunk, and `_check` raises them. A ParseError or ValidationError that
     the iterable raises is a load error, where the chunk ends. A preprocess
     failure does not end the chunk: a later load error or duplicate id
-    outranks it. Unless `validated` (by iter_manoeuvres), the first
-    manoeuvre that fails validation is a preprocess failure, unless a
-    manoeuvre before it failed preprocessing; no manoeuvre from it on is
-    preprocessed.
+    outranks it.
     """
-    read, end, invalid, error, failure = [], None, None, None, None
+    read, error = [], None
     try:
         for m in manoeuvres:
-            if end is None and not validated and (invalid := validate_manoeuvre(m)) is not None:
-                end = len(read)
             read.append(m)
     except (ParseError, ValidationError) as exc:
         error = exc
-    rows, errors = preprocess.preprocess_rows(read[:end], cfg)
-    failed = next((p for p, exc in enumerate(errors) if exc is not None), None)
-    if failed is not None:
-        failure = _manoeuvre_failure("preprocess", read[failed].id, errors[failed])
-    elif end is not None:
-        failure = StageError("preprocess", invalid)  # a ValidationError names its manoeuvre
+    rows, errors = preprocess.preprocess_rows(read, cfg)
+    failure = next((_manoeuvre_failure("preprocess", m.id, exc) for m, exc in zip(read, errors) if exc), None)
     return _Chunk([m.id for m in read], rows, [m.label for m in read], read, error, failure)
 
 
@@ -597,7 +588,7 @@ def _load_piece(read, start: int, end: int, path: Path, cfg: preprocess.Preproce
         text = decode_text(read(end - start, start), path)
     except DatasetIoError as exc:
         return _Chunk([], np.empty((0, 0)), [], error=exc)
-    chunk = _features(iter_manoeuvres(text), cfg, validated=True)
+    chunk = _features(iter_manoeuvres(text), cfg)
     if chunk.error is not None or chunk.failure is not None:
         return chunk
     try:
@@ -660,14 +651,13 @@ def _labelled(features_path, stage: str) -> _Chunk:
                   [label for _, label in labelled])
 
 
-def _train_config(cfg: RunConfig, train: _Chunk) -> "tuple[model.TrainConfig, tuple]":
+def _train_config(cfg: RunConfig, train: _Chunk) -> model.TrainConfig:
     """train's config for the rows of a chunk: class weights from their
-    label counts unless the config pinned them, and the layer dims."""
-    train_cfg = cfg.train_cfg
-    if not cfg.class_weights_given:
-        weights = _stage("train", model.class_weights, collections.Counter(train.labels))
-        train_cfg = replace(train_cfg, class_weights=model.weight_vector(weights))
-    return train_cfg, (train.features.shape[1], *model.DEFAULT_LAYER_DIMS[1:])
+    label counts unless the config pinned them."""
+    if cfg.class_weights_given:
+        return cfg.train_cfg
+    weights = _stage("train", model.class_weights, collections.Counter(train.labels))
+    return replace(cfg.train_cfg, class_weights=model.weight_vector(weights))
 
 
 def _probabilities(mdl, chunk: _Chunk, stage: str) -> np.ndarray:
@@ -710,8 +700,8 @@ def _evaluate(cfg: RunConfig, diagnosed, labels, covered: slice, out: Path, **ex
 def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     labelled = _labelled(features_path, "train")
-    train_cfg, layer_dims = _train_config(cfg, labelled)
-    result = _stage("train", model.train, labelled.features, labelled.labels, train_cfg, layer_dims)
+    train_cfg = _train_config(cfg, labelled)
+    result = _stage("train", model.train, labelled.features, labelled.labels, train_cfg)
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=str(features_path))
     evaluation.write_report({"epoch_losses": result.epoch_losses}, out / TRAINING_LOG_FILE)
     print(f"trained on {len(labelled.ids)} features; final loss {result.epoch_losses[-1]:.6f}")
@@ -818,8 +808,11 @@ def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list, Callable]":
     cuts = _position_cuts(len(plan), procs)
 
     def generated(start, end):
-        chunk = _features([plan.manoeuvre(p) for p in range(start, end)], pcfg, validated=False)
-        return chunk._replace(manoeuvres=())
+        # a generated manoeuvre that fails validation fails preprocessing,
+        # unless one before it did; no later position is generated
+        chunk = _features(valid_manoeuvres(map(plan.manoeuvre, range(start, end))), pcfg)
+        failure = chunk.failure or (chunk.error and StageError("preprocess", chunk.error))
+        return chunk._replace(manoeuvres=(), error=None, failure=failure)
 
     chunks = _stage("generate", _share_pieces, cuts, generated, procs)
     return plan.provenance, chunks, plan.manoeuvres
@@ -845,8 +838,8 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     try:
         train_at, test_at = _stage("split", evaluation.stratified_split, data.ids, data.labels, cfg.split_spec)
         train = _rows(data, train_at)
-        train_cfg, layer_dims = _train_config(cfg, train)
-        result = _stage("train", model.train, train.features, train.labels, train_cfg, layer_dims)
+        train_cfg = _train_config(cfg, train)
+        result = _stage("train", model.train, train.features, train.labels, train_cfg)
     finally:
         if writer is None or not writer.join():
             if writer is not None:  # a writer that died within a write leaves its temp file

@@ -268,14 +268,16 @@ JSON_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"), "
 
 def json_is(value, kind: str) -> bool:
     """Whether a value is of JSON kind `kind`: a bool is no number, and an
-    array is tested by the set of its items' types, taken in one pass."""
+    array is tested by its items' types, one nesting level at a time, with no recursion."""
     types = JSON_TYPES[kind][0]
     if not isinstance(types, set):
         return isinstance(value, types) and not isinstance(value, bool)
     if not isinstance(value, (list, tuple)):
         return False
-    found = set(map(type, value))
-    return found <= types and (list not in found or all(json_is(v, kind) for v in value if type(v) is list))
+    level = [value]
+    while level and set().union(*(map(type, items) for items in level)) <= types:
+        level = [v for items in level for v in items if type(v) is list]
+    return not level
 
 
 def json_type_error(obj, kinds: dict) -> "str | None":
@@ -320,14 +322,14 @@ def read_json(path: str | Path):
     """The JSON value a file holds; DatasetIoError when it cannot be read or parsed."""
     try:
         return json.loads(read_jsonl_text(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DatasetIoError(f"{Path(path)} is not valid JSON: {json_error(exc)}") from None
 
 
-def json_error(exc: ValueError) -> str:
+def json_error(exc: "ValueError | RecursionError") -> str:
     """Why json.loads failed, in one line. Besides a JSONDecodeError it
-    raises a plain ValueError for an integer of more digits than Python
-    converts (4300 by default)."""
+    raises a plain ValueError for an integer of more than 4300 digits, and a
+    RecursionError for a value nested about 1000 deep."""
     return exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
 
 
@@ -348,7 +350,7 @@ def jsonl_objects(text: str):
         if line.strip():
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ParseError(line_number, f"invalid JSON: {json_error(exc)}") from None
             yield line_number, line, obj
         start = stop + 1
@@ -364,6 +366,14 @@ def _may_hold_bool(line: str) -> bool:
     return line.find("u", first, last) >= 0 or line.find("f", first, last) >= 0
 
 
+def valid_manoeuvres(manoeuvres):
+    """Yield the manoeuvres of an iterable until validate_manoeuvre rejects one; raise its ValidationError."""
+    for m in manoeuvres:
+        if (error := validate_manoeuvre(m)) is not None:
+            raise error
+        yield m
+
+
 def iter_manoeuvres(text: str):
     """Parse and validate each manoeuvre line of text in order.
 
@@ -371,11 +381,8 @@ def iter_manoeuvres(text: str):
     yielding every manoeuvre before it; a ParseError numbers its line from 1
     at the start of `text`.
     """
-    for line_number, line, obj in jsonl_objects(text):
-        m = _manoeuvre_from_obj(obj, line_number, _may_hold_bool(line))
-        if (error := validate_manoeuvre(m)) is not None:
-            raise error
-        yield m
+    return valid_manoeuvres(_manoeuvre_from_obj(obj, line_number, _may_hold_bool(line))
+                            for line_number, line, obj in jsonl_objects(text))
 
 
 def load_dataset(path: str | Path) -> Dataset:

@@ -174,17 +174,13 @@ def _forward_batch(
             f"input width {x.shape[-1]} != layer_dims[0] {model.layer_dims[0]}"
         )
     activations = [x]
-    a = x
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = matmul(a, w)
+    for w, b in zip(model.weights[:-1], model.biases[:-1]):
+        z = matmul(activations[-1], w)
         z += b
-        if l < last:
-            a = np.maximum(z, 0.0)
-            activations.append(a)
-        else:
-            return _softmax(z), activations
-    raise AssertionError("unreachable")
+        activations.append(np.maximum(z, 0.0))
+    z = matmul(activations[-1], model.weights[-1])
+    z += model.biases[-1]
+    return _softmax(z), activations
 
 
 def _row_products(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -317,29 +313,30 @@ def _layer_views(flat: np.ndarray, model: MlpModel) -> tuple[list[np.ndarray], l
     return views[: len(model.weights)], views[len(model.weights) :]
 
 
-def train(features, labels, cfg: TrainConfig, layer_dims=DEFAULT_LAYER_DIMS) -> TrainResult:
+def train(features, labels, cfg: TrainConfig) -> TrainResult:
     """Mini-batch momentum SGD over the rows of an (n, width) feature matrix.
 
-    `labels` holds each row's FaultClass. The epoch shuffle is seeded, so
-    results are bit-reproducible for a fixed config.
-    The learning rate decays linearly from cfg.learning_rate to zero across
-    the epochs, so the final model settles instead of bouncing on gradient
-    noise. The per-epoch log records the full-dataset loss after each epoch.
+    `labels` holds each row's FaultClass; the input layer is as wide as the
+    rows. The epoch shuffle is seeded, so results are bit-reproducible for a
+    fixed config. The learning rate decays linearly from cfg.learning_rate
+    to zero across the epochs, so the final model settles instead of bouncing
+    on gradient noise. The per-epoch log records the full-dataset loss after
+    each epoch.
     """
     if len(labels) == 0:
         raise DegenerateDataError("no training data")
     x = np.asarray(features, dtype=np.float64)
-    if x.shape != (len(labels), layer_dims[0]):
-        raise DimensionMismatchError(
-            f"features of shape {x.shape} for {len(labels)} labels; need ({len(labels)}, {layer_dims[0]})"
-        )
+    if x.ndim != 2 or x.shape[1] == 0 or len(x) != len(labels):
+        width = x.shape[1] if x.ndim == 2 and x.shape[1] else "width >= 1"
+        raise DimensionMismatchError(f"features of shape {x.shape} for {len(labels)} labels; "
+                                     f"need ({len(labels)}, {width})")
     if len(set(labels)) < 2:
         raise DegenerateDataError("training data holds a single class")
     y = np.asarray([int(label) for label in labels], dtype=np.int64)
     # each row weighted by its class weight
     w = np.asarray(cfg.class_weights)[y]
 
-    mdl = init_params(layer_dims, cfg.seed)
+    mdl = init_params((x.shape[1], *DEFAULT_LAYER_DIMS[1:]), cfg.seed)
     # parameters, gradients and velocity each live in one flat vector, so the
     # momentum step is three whole-vector statements; the model's and the
     # gradient's arrays are views into those vectors

@@ -287,20 +287,22 @@ def preprocess_rows(manoeuvres, cfg: PreprocessConfig = PreprocessConfig()) -> "
 
     The kernel takes the manoeuvres in consecutive blocks of at most
     BLOCK_CELLS cells, rows times the longest padded row; a longer trace is
-    a block of its own.
+    a block of its own. Each block's rows are copied into the matrix as it
+    is done, so that no more than one block's arrays are held at a time.
     """
     traces = [m.samples for m in manoeuvres]
-    blocks, start, pad = [], 0, cfg.smooth_window - 1
+    values, errors, start, pad = np.empty((len(traces), cfg.feature_length)), [], 0, cfg.smooth_window - 1
     while start < len(traces):
         end, width = start + 1, traces[start].size + pad
         while end < len(traces) and (end + 1 - start) * max(width, traces[end].size + pad) <= BLOCK_CELLS:
             width = max(width, traces[end].size + pad)
             end += 1
-        blocks.append(_kernel(traces[start:end], cfg))
+        block = _kernel(traces[start:end], cfg)
+        values[start:end] = block.values
+        errors += block.errors
         start = end
-    if not blocks:
-        return np.empty((0, cfg.feature_length)), []
-    return np.concatenate([block.values for block in blocks]), [e for block in blocks for e in block.errors]
+        del block  # freed before the next block is made
+    return values, errors
 
 
 FEATURE_KEYS = {"source_id", "values", "label"}

@@ -1173,8 +1173,7 @@ def count_validations(monkeypatch) -> list:
         validated.append(m.id)
         return real(m)
 
-    for module in (core, cli):
-        monkeypatch.setattr(module, "validate_manoeuvre", counting)
+    monkeypatch.setattr(core, "validate_manoeuvre", counting)
     monkeypatch.setattr(cli, "_cpus", lambda: 1)
     return validated
 
@@ -1202,6 +1201,28 @@ def test_pipeline_parent_holds_no_generated_trace(config_path, monkeypatch, cpus
         assert not any(isinstance(v, Manoeuvre) for field in chunk if isinstance(field, list) for v in field)
     generated = synth.generate_dataset(cfg.counts, cfg.synth_cfg, cfg.severity_range)
     assert list(traces()) == list(generated) == list(traces())
+
+
+@pytest.mark.parametrize("invalid_at", [20, 70], ids=["first_piece", "last_piece"])
+def test_generation_stops_at_an_invalid_manoeuvre(config_path, monkeypatch, invalid_at):
+    # on one CPU the 76 positions are two pieces, taken in order; the piece
+    # that holds the invalid manoeuvre, and the load of the whole dataset
+    # again that follows it, generate no position after it
+    generate, positions = synth.DatasetPlan.manoeuvre, []
+
+    def counted(plan, position):
+        positions.append(position)
+        m = generate(plan, position)
+        if position == invalid_at:
+            return Manoeuvre(m.id, m.technology, m.timestamp, m.samples[:10], m.sample_rate, m.label)
+        return m
+
+    monkeypatch.setattr(synth.DatasetPlan, "manoeuvre", counted)
+    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    _, chunks, _ = cli._pipeline_inputs(cli.load_run_config(config_path))
+    assert max(positions) == invalid_at and positions.count(invalid_at) == 2
+    [chunk] = chunks
+    assert (chunk.error, chunk.failure.stage, chunk.failure.cause.rule) == (None, "preprocess", "TooShort")
 
 
 def test_position_cuts_follow_the_piece_rule():
@@ -1295,6 +1316,54 @@ def test_huge_integer_exits_with_one_line(trained_run, tmp_path, capsys, name, e
     err = capsys.readouterr().err
     assert (code, err[: len(expected[1])]) == expected
     assert err.count("\n") == 1
+
+
+def nested(depth: int) -> str:
+    """A JSON array nested `depth` deep."""
+    return "[" * depth + "]" * depth
+
+
+@pytest.mark.parametrize(
+    "name, command, at, text, expected",
+    [
+        ("dataset.jsonl", "diagnose", 69, nested(100_000),
+         (4, "pipeline failure in load: line 70: invalid JSON: maximum recursion depth exceeded")),
+        ("features.jsonl", "train", 0, nested(100_000),
+         (4, "pipeline failure in load: line 1: invalid JSON: maximum recursion depth exceeded")),
+        ("model.json", "diagnose", None, nested(100_000),
+         (3, "i/o error: {path} is not valid JSON: maximum recursion depth exceeded")),
+        ("predictor.json", "diagnose", None, nested(100_000),
+         (3, "i/o error: {path} is not valid JSON: maximum recursion depth exceeded")),
+        ("config.json", "diagnose", None, nested(100_000),
+         (2, "config error: config {path} is not valid JSON: maximum recursion depth exceeded")),
+        # parsed, then type-checked one nesting level at a time
+        ("model.json", "diagnose", None, '{"weights": %s}' % nested(500),
+         (3, "i/o error: {path} is not a valid model file: ")),
+        ("features.jsonl", "train", 0, '{"source_id": "x", "values": %s}' % nested(500),
+         (4, "pipeline failure in load: line 1: bad feature record: ")),
+    ],
+    ids=["dataset", "features", "model", "predictor", "config", "model_weights_500", "feature_values_500"],
+)
+def test_deeply_nested_value_exits_with_one_line(trained_run, tmp_path, capsys, name, command, at, text, expected):
+    # `at` is the index of the line replaced in a JSONL file; a JSON file is replaced whole
+    out = tmp_path / "out"
+    shutil.copytree(trained_run, out)
+    path = out / name
+    if at is None:
+        path.write_text(text)
+    else:
+        lines = path.read_text().splitlines(keepends=True)
+        lines[at] = text + "\n"
+        path.write_text("".join(lines))
+        # the dataset's line lies in its second piece
+        assert name != "dataset.jsonl" or cli.FORK_MIN_LINES <= at < len(lines)
+    capsys.readouterr()
+    code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
+    err = capsys.readouterr().err
+    prefix = expected[1].format(path=path)
+    assert (code, err[: len(prefix)]) == (expected[0], prefix)
+    assert err.count("\n") == 1
+    assert_no_child_processes()
 
 
 class TestPipelineOnEveryCpu:

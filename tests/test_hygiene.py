@@ -134,6 +134,28 @@ def test_split_does_not_name_dataset():
     assert "Dataset" not in mentioned(parse("evaluation.py"))
 
 
+def test_cli_leaves_validation_and_layer_widths_to_their_owners():
+    """core validates every manoeuvre stream (iter_manoeuvres,
+    valid_manoeuvres), and model.train takes its input width from its rows:
+    cli.py names neither validate_manoeuvre nor DEFAULT_LAYER_DIMS, and
+    _features takes no switch for its caller."""
+    tree = parse("cli.py")
+    assert mentioned(tree) & {"validate_manoeuvre", "DEFAULT_LAYER_DIMS"} == set()
+    assert parameters(tree, "_features") == ["manoeuvres", "cfg"]
+
+
+def test_train_takes_rows_labels_and_config():
+    """The layer widths are the rows' width and DEFAULT_LAYER_DIMS[1:]; no
+    parameter restates the width."""
+    assert parameters(parse("model.py"), "train") == ["features", "labels", "cfg"]
+
+
+def parameters(tree: ast.Module, function: str) -> list:
+    """The parameter names of a module-level function."""
+    a = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function).args
+    return [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+
+
 def test_cli_does_not_name_dataset():
     """Every command hands its manoeuvres on as a plain sequence, and
     pipeline its provenance as a string: cli.py neither imports nor reads
@@ -145,10 +167,7 @@ def test_cli_does_not_name_dataset():
 def test_generated_dataset_has_one_seed(function):
     """A generated dataset is seeded by its SynthConfig's seed alone: the
     function takes no seed parameter."""
-    tree = parse("synth.py")
-    node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
-    a = node.args
-    assert "seed" not in [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+    assert "seed" not in parameters(parse("synth.py"), function)
 
 
 def calls(tree: ast.AST, match) -> list:

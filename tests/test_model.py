@@ -420,10 +420,17 @@ class TestTrain:
         with pytest.raises(DegenerateDataError):
             mlp.train(x, [FaultClass.Nominal] * len(labels), TrainConfig(epochs=1))
 
-    def test_wrong_feature_length(self):
+    def test_input_width_comes_from_the_rows(self):
         x, labels = feature_rows(10, dim=64)
-        with pytest.raises(DimensionMismatchError):
-            mlp.train(x, labels, TrainConfig(epochs=1))
+        mdl = mlp.train(x, labels, TrainConfig(epochs=1)).model
+        assert mdl.layer_dims == (64, 64, 32, 5)
+        assert [w.shape for w in mdl.weights] == [(64, 64), (64, 32), (32, 5)]
+
+    @pytest.mark.parametrize("shape", [(10, 0), (10,), (10, 4, 4)], ids=["zero_width", "1d", "3d"])
+    def test_rows_must_be_a_matrix_of_some_width(self, shape):
+        _, labels = feature_rows(10)
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"features of shape {shape} for 10 labels")):
+            mlp.train(np.ones(shape), labels, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("labels", [9, 11])
     def test_row_count_must_match_labels(self, labels):

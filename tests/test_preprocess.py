@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from pmdiag import preprocess, synth
+from pmdiag import cli, preprocess, synth
 from pmdiag.core import (
     FaultClass, Manoeuvre, ParseError, PmDiagError, validate_manoeuvre,
 )
@@ -240,6 +241,24 @@ class TestPreprocess:
         m = Manoeuvre("negative", "MJ", 0.0, -np.ones(64), 100.0)
         with pytest.raises(SegmentationFailedError, match=r"active window too short \(0 samples\)"):
             features_of(m, PreprocessConfig(noise_floor=-5.0))
+
+    def test_memory_grows_with_the_output_not_the_blocks(self):
+        # each block's matrices are dropped once its rows are copied out, so
+        # three times the default plan's traces add about the output's growth
+        cfg = cli.load_run_config(None)
+
+        def peak_and_output(scale):
+            counts = {cls: n * scale for cls, n in cfg.counts.items()}
+            manoeuvres = list(synth.plan_dataset(counts, cfg.synth_cfg, cfg.severity_range).manoeuvres())
+            tracemalloc.start()
+            try:
+                values, _ = preprocess.preprocess_rows(manoeuvres)
+                return tracemalloc.get_traced_memory()[1], values.nbytes
+            finally:
+                tracemalloc.stop()
+
+        (peak_1, output_1), (peak_3, output_3) = peak_and_output(1), peak_and_output(3)
+        assert peak_3 - peak_1 < 2 * (output_3 - output_1)
 
 
 # A reference kernel in plain numpy: np.pad(..., mode="reflect") for the
