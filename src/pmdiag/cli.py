@@ -664,9 +664,12 @@ def _probabilities(mdl, chunk: _Chunk, stage: str) -> np.ndarray:
     """Class probabilities of a chunk's feature rows, in order, from one
     `model.forward_rows` call: each row is its own one-row product, so a
     row's bits do not depend on the rows beside it, nor on the process that
-    scores them. A failure names the first failing manoeuvre."""
+    scores them. A bad row's failure names its manoeuvre; a matrix of
+    another width than the model's names both widths and no manoeuvre."""
     try:
         return model.forward_rows(mdl, chunk.features)
+    except model.DimensionMismatchError as exc:
+        raise StageError(stage, exc) from exc
     except model.RowError as exc:
         raise _manoeuvre_failure(stage, chunk.ids[exc.row], exc) from exc
 

@@ -22,6 +22,7 @@ from .core import (
     FaultClass,
     ParseError,
     PmDiagError,
+    check_unique_ids,
     json_type_error,
     jsonl_lines,
     jsonl_objects,
@@ -348,4 +349,6 @@ def load_features(path: str | Path) -> "list[tuple[FeatureVector, FaultClass | N
             raise ParseError(line_number, f"values of {fv.source_id!r} have shape "
                              f"{fv.values.shape}, not ({width},) as in the first record")
         records.append((fv, label))
+    # each row is one manoeuvre, as in a dataset
+    check_unique_ids(fv.source_id for fv, _ in records)
     return records

@@ -25,7 +25,6 @@ from .core import (
     Dataset,
     FaultClass,
     Manoeuvre,
-    PmDiagError,
     SupplyKind,
     TechnologyProfile,
     sha256_of_obj,
@@ -47,10 +46,6 @@ DEFAULT_PROFILES = {
     "P80": TechnologyProfile("P80", SupplyKind.DC, 100.0, 6.0, 2.5, 6.0),
     "EbiSwitch": TechnologyProfile("EbiSwitch", SupplyKind.AC, 100.0, 5.0, 2.0, 4.0),
 }
-
-
-class InvalidFaultError(PmDiagError):
-    """A fault spec names the Nominal class."""
 
 
 @dataclass(frozen=True)
@@ -78,24 +73,6 @@ class SynthConfig:
                 raise ValueError(f"{name} must be in [0, 1)")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Fault class plus severity.
-
-    The PowerSupply ripple is phase-locked to the start of the trace: the
-    supply sag oscillation responds to the load step, so its phase is not free.
-    """
-
-    fault_class: FaultClass
-    severity: float
-
-    def __post_init__(self):
-        if self.fault_class == FaultClass.Nominal:
-            raise InvalidFaultError("fault class must not be Nominal")
-        if not 0 <= self.severity <= 1:
-            raise ValueError("severity must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -186,68 +163,47 @@ def _ease(n: int) -> np.ndarray:
     return w
 
 
-def _seed_sequence(rng) -> np.random.SeedSequence:
-    if isinstance(rng, np.random.SeedSequence):
-        return rng
-    return np.random.SeedSequence(rng)
-
-
-def _draw(cfg: SynthConfig, rng) -> tuple[CurveParams, np.random.SeedSequence, np.random.SeedSequence]:
-    """A trace's jittered nominal layout, and its noise and fault streams."""
-    jitter_ss, noise_ss, fault_ss = _seed_sequence(cfg.seed if rng is None else rng).spawn(3)
-    jitter = np.random.default_rng(jitter_ss)
-    amp_scale = 1.0 + jitter.uniform(-cfg.amplitude_jitter, cfg.amplitude_jitter)
-    dur_scale = 1.0 + jitter.uniform(-cfg.duration_jitter, cfg.duration_jitter)
-    return nominal_params(cfg, amp_scale, dur_scale), noise_ss, fault_ss
-
-
-def _finish(cfg, curve, noise_ss, manoeuvre_id, timestamp, label) -> Manoeuvre:
-    if cfg.noise_sigma > 0:
-        noise = np.random.default_rng(noise_ss).normal(0.0, cfg.noise_sigma, size=curve.shape)
-        curve = curve + noise
-    return Manoeuvre(
-        id=manoeuvre_id,
-        technology=cfg.profile.name,
-        timestamp=timestamp,
-        samples=curve,
-        sample_rate=cfg.profile.sample_rate,
-        label=label,
-    )
-
-
-def generate_nominal(
+def generate_manoeuvre(
     cfg: SynthConfig,
-    rng: "int | np.random.SeedSequence | None" = None,
-    *,
-    manoeuvre_id: str = "synth-Nominal-0",
-    timestamp: float = 0.0,
-) -> Manoeuvre:
-    """Generate one healthy manoeuvre; bit-identical for a given seed."""
-    params, noise_ss, _ = _draw(cfg, rng)
-    curve = build_curve(params)
-    return _finish(cfg, curve, noise_ss, manoeuvre_id, timestamp, FaultClass.Nominal)
-
-
-def inject_fault(
-    cfg: SynthConfig,
-    spec: FaultSpec,
-    rng: "int | np.random.SeedSequence | None" = None,
+    label: FaultClass,
+    severity: float,
+    seed: "int | np.random.SeedSequence",
     *,
     manoeuvre_id: str | None = None,
     timestamp: float = 0.0,
 ) -> Manoeuvre:
-    """Generate a faulty manoeuvre: same-seed twin of the nominal trace.
+    """One manoeuvre of class `label` at fault severity `severity` in [0, 1];
+    bit-identical for a given seed.
 
-    The nominal jitter and noise streams are shared with `generate_nominal`,
-    so for equal seeds the faulty trace differs from its nominal twin only by
-    the fault deformation (and by length, for Misalignment).
+    The seed spawns a jitter, a noise and a fault stream. Every class draws
+    its jitter and noise alike, so a faulty trace differs from the Nominal
+    trace of the same seed only by its deformation (and by length, for
+    Misalignment). A Nominal trace does not read `severity`. The PowerSupply
+    ripple is phase-locked to the start of the trace: the supply sag
+    oscillation responds to the load step, so its phase is not free.
     """
-    params, noise_ss, fault_ss = _draw(cfg, rng)
-    s = spec.severity
-    fs = cfg.profile.sample_rate
+    if not 0 <= severity <= 1:
+        raise ValueError("severity must be in [0, 1]")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    jitter_ss, noise_ss, fault_ss = seed.spawn(3)
+    jitter = np.random.default_rng(jitter_ss)
+    amp_scale = 1.0 + jitter.uniform(-cfg.amplitude_jitter, cfg.amplitude_jitter)
+    dur_scale = 1.0 + jitter.uniform(-cfg.duration_jitter, cfg.duration_jitter)
+    params = nominal_params(cfg, amp_scale, dur_scale)
+    s = severity
 
-    if spec.fault_class == FaultClass.Obstacle:
-        curve = build_curve(params)
+    if label == FaultClass.Misalignment:
+        lock_widen = 1.0 + 2.0 * s
+        params = replace(
+            params,
+            n_lock_rise=max(1, round(params.n_lock_rise * lock_widen)),
+            n_lock_fall=max(1, round(params.n_lock_fall * lock_widen)),
+            a_lock=params.a_lock * (1.0 - 0.3 * s),
+            n_move=params.n_move + round(0.2 * s * params.n_move),
+        )
+    curve = build_curve(params)
+    if label == FaultClass.Obstacle:
         width = max(1, round((0.05 + 0.15 * s) * params.n_move))
         center_frac = np.random.default_rng(fault_ss).uniform(0.1, 0.9)
         center = params.move_start + center_frac * params.n_move
@@ -257,30 +213,25 @@ def inject_fault(
         j = np.arange(width, dtype=np.float64)
         bump = amp * (1.0 - np.cos(2.0 * np.pi * j / max(width - 1, 1))) / 2.0
         curve[start : start + width] += bump
-    elif spec.fault_class == FaultClass.Friction:
-        curve = build_curve(params)
+    elif label == FaultClass.Friction:
         curve[params.move_start : params.move_end] *= 1.0 + 0.2 + 0.4 * s
-    elif spec.fault_class == FaultClass.PowerSupply:
-        curve = build_curve(params)
+    elif label == FaultClass.PowerSupply:
         ripple_hz = 2.0 * SUPPLY_RIPPLE_HZ[cfg.profile.supply]
-        t = np.arange(curve.size, dtype=np.float64) / fs
+        t = np.arange(curve.size, dtype=np.float64) / cfg.profile.sample_rate
         scale = 1.0 - 0.2 - 0.3 * s
         ripple = 0.05 * s * np.sin(2.0 * np.pi * ripple_hz * t)
         curve = curve * scale * (1.0 + ripple)
-    else:  # Misalignment
-        lock_widen = 1.0 + 2.0 * s
-        params = replace(
-            params,
-            n_lock_rise=max(1, round(params.n_lock_rise * lock_widen)),
-            n_lock_fall=max(1, round(params.n_lock_fall * lock_widen)),
-            a_lock=params.a_lock * (1.0 - 0.3 * s),
-            n_move=params.n_move + round(0.2 * s * params.n_move),
-        )
-        curve = build_curve(params)
 
-    if manoeuvre_id is None:
-        manoeuvre_id = f"synth-{spec.fault_class.name}-0"
-    return _finish(cfg, curve, noise_ss, manoeuvre_id, timestamp, spec.fault_class)
+    if cfg.noise_sigma > 0:
+        curve = curve + np.random.default_rng(noise_ss).normal(0.0, cfg.noise_sigma, size=curve.shape)
+    return Manoeuvre(
+        id=f"synth-{label.name}-0" if manoeuvre_id is None else manoeuvre_id,
+        technology=cfg.profile.name,
+        timestamp=timestamp,
+        samples=curve,
+        sample_rate=cfg.profile.sample_rate,
+        label=label,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,13 +260,8 @@ class DatasetPlan:
         """The manoeuvre at `position` of the dataset."""
         i = int(self.order[position])
         cls, j = self.plan[i]
-        seed = _child_seed(self.root, i)
-        mid = f"synth-{cls.name}-{j}"
-        ts = 60.0 * i
-        if cls == FaultClass.Nominal:
-            return generate_nominal(self.cfg, seed, manoeuvre_id=mid, timestamp=ts)
-        spec = FaultSpec(cls, float(self.severities[i]))
-        return inject_fault(self.cfg, spec, seed, manoeuvre_id=mid, timestamp=ts)
+        return generate_manoeuvre(self.cfg, cls, float(self.severities[i]), _child_seed(self.root, i),
+                                  manoeuvre_id=f"synth-{cls.name}-{j}", timestamp=60.0 * i)
 
     def manoeuvres(self):
         """The manoeuvres of the dataset in order, each generated as it is taken."""
@@ -346,7 +292,7 @@ def plan_dataset(
         plan.extend((cls, j) for j in range(counts[cls]))
     total = len(plan)
 
-    root = _seed_sequence(cfg.seed)
+    root = np.random.SeedSequence(cfg.seed)
     provenance = "synth:" + sha256_of_obj(
         {
             "counts": {cls.name: counts[cls] for cls in sorted(counts, key=int)},

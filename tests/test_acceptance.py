@@ -158,15 +158,11 @@ def test_criterion_6_preprocessing_invariance():
     cfg = synth.SynthConfig(
         profile=profile, noise_sigma=0.09, amplitude_jitter=0.05, duration_jitter=0.05
     )
-    classes = [None, FaultClass.Obstacle, FaultClass.Friction,
-               FaultClass.PowerSupply, FaultClass.Misalignment]
+    classes = list(FaultClass)
     worst_scale = 0.0
     for i in range(100):
         cls = classes[i % len(classes)]
-        if cls is None:
-            m = synth.generate_nominal(cfg, i)
-        else:
-            m = synth.inject_fault(cfg, synth.FaultSpec(cls, 0.3 + 0.007 * i), i)
+        m = synth.generate_manoeuvre(cfg, cls, 0.3 + 0.007 * i, i)
         scaled = [Manoeuvre(m.id, m.technology, m.timestamp, m.samples * k, m.sample_rate, m.label)
                   for k in (1.0, 0.5, 0.9, 2.0)]
         base, *others = preprocessed(scaled, PCFG)
@@ -181,7 +177,7 @@ def test_criterion_6_preprocessing_invariance():
     for seed in range(100):
         cfg100 = synth.SynthConfig(profile=profile_at_rate(profile, 100.0), amplitude_jitter=0.05)
         cfg200 = synth.SynthConfig(profile=profile_at_rate(profile, 200.0), amplitude_jitter=0.05)
-        pair = [synth.generate_nominal(cfg100, seed), synth.generate_nominal(cfg200, seed)]
+        pair = [synth.generate_manoeuvre(c, FaultClass.Nominal, 0.0, seed) for c in (cfg100, cfg200)]
         f100, f200 = preprocessed(pair, PCFG)
         worst_rate = max(worst_rate, float(np.abs(f100 - f200).max()))
     ok_rate = worst_rate <= 0.02

@@ -286,7 +286,8 @@ class TestPipeline:
     def test_flat_signal_exits_4_naming_stage(self, tmp_path, capsys):
         cfg = synth.SynthConfig(profile=synth.DEFAULT_PROFILES["MJ"], noise_sigma=0.05)
         good = [
-            synth.generate_nominal(cfg, s, manoeuvre_id=f"good-{s}") for s in range(4)
+            synth.generate_manoeuvre(cfg, FaultClass.Nominal, 0.0, s, manoeuvre_id=f"good-{s}")
+            for s in range(4)
         ]
         flat = Manoeuvre("flat-1", "MJ", 0.0, np.zeros(100), 100.0, label=FaultClass.Nominal)
         ds = Dataset(manoeuvres=(*good, flat), provenance="handmade")
@@ -354,8 +355,7 @@ class TestDiagnose:
         cfg = synth.SynthConfig(
             profile=synth.DEFAULT_PROFILES["MJ"], noise_sigma=0.09, seed=5
         )
-        m = synth.inject_fault(cfg, synth.FaultSpec(FaultClass.Obstacle, 0.9), 50,
-                               manoeuvre_id="field-1")
+        m = synth.generate_manoeuvre(cfg, FaultClass.Obstacle, 0.9, 50, manoeuvre_id="field-1")
         ds_path = tmp_path / "one.jsonl"
         save_dataset(Dataset(manoeuvres=(m,), provenance="field"), ds_path)
         code = run([
@@ -1728,6 +1728,33 @@ class TestStageCommands:
         code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
         assert (code, capsys.readouterr().err) == (
             4, f"pipeline failure in load: line 1: no values in features of {objs[0]['source_id']!r}\n")
+
+    @pytest.mark.parametrize("command", ["train", "calibrate", "evaluate"])
+    def test_repeated_feature_id_exits_4(self, trained_run, tmp_path, capsys, command):
+        # a features file names each manoeuvre once, as a dataset does
+        out = tmp_path / "out"
+        shutil.copytree(trained_run, out)
+        objs = [json.loads(l) for l in (out / "features.jsonl").read_text().splitlines()]
+        for k in (2, 30, 60):
+            objs[k]["source_id"] = "dup"
+        (out / "features.jsonl").write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+        before = output_files(out)
+        capsys.readouterr()
+        code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (4, "pipeline failure in load: duplicate manoeuvre id 'dup'\n")
+        assert output_files(out) == before
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate"])
+    def test_features_narrower_than_the_model_exit_4_naming_no_manoeuvre(self, trained_run, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        shutil.copytree(trained_run, out)
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({**SMALL_CONFIG, "preprocess": {"feature_length": 64}}))
+        assert run(["preprocess", "--config", str(narrow), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = run([command, "--config", str(narrow), "--out", str(out)])
+        assert (code, capsys.readouterr().err) == (
+            4, f"pipeline failure in {command}: input length 64 != layer_dims[0] 128\n")
 
     @staticmethod
     def split_of(run_dir):

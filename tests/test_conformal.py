@@ -367,13 +367,8 @@ def test_lines_match_json_dumps_of_a_dict(alpha, qhat):
 
 
 class TestDiagnose:
-    def fresh_trace(self, small_run, fault=None, seed=77, severity=0.8):
-        cfg = small_run["cfg"]
-        if fault is None:
-            return synth.generate_nominal(cfg, seed, manoeuvre_id="fresh")
-        return synth.inject_fault(
-            cfg, synth.FaultSpec(fault, severity), seed, manoeuvre_id="fresh"
-        )
+    def fresh_trace(self, small_run, fault=FaultClass.Nominal, seed=77, severity=0.8):
+        return synth.generate_manoeuvre(small_run["cfg"], fault, severity, seed, manoeuvre_id="fresh")
 
     def predictor(self, small_run):
         cal = small_run["calibration"]

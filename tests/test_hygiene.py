@@ -326,3 +326,13 @@ def test_json_type_rule_lives_in_core():
     for module, name in sorted(readers):
         function = next(n for n in parse(module).body if isinstance(n, ast.FunctionDef) and n.name == name)
         assert calls(function, lambda f: isinstance(f, ast.Name) and f.id == "json_type_error"), (module, name)
+
+
+def test_synth_has_one_manoeuvre_generator():
+    """Every class of trace comes from one call: synth.py builds a Manoeuvre
+    in one place, and DatasetPlan.manoeuvre has no branch on the class."""
+    tree = parse("synth.py")
+    assert len(calls(tree, lambda f: isinstance(f, ast.Name) and f.id == "Manoeuvre")) == 1
+    plan = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DatasetPlan")
+    manoeuvre = next(n for n in plan.body if isinstance(n, ast.FunctionDef) and n.name == "manoeuvre")
+    assert not any(isinstance(node, (ast.If, ast.IfExp)) for node in ast.walk(manoeuvre))

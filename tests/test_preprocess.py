@@ -18,7 +18,7 @@ from pmdiag.preprocess import (
     features_lines,
     load_features,
 )
-from pmdiag.synth import FaultSpec, SynthConfig
+from pmdiag.synth import SynthConfig
 
 from conftest import AWKWARD_FLOATS, preprocessed, profile_at_rate
 
@@ -129,7 +129,7 @@ class TestSmooth:
 
 class TestActiveWindow:
     def test_pads_excluded(self, clean_cfg):
-        m = synth.generate_nominal(clean_cfg, 3)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 3)
         p = synth.nominal_params(clean_cfg)
         a, b = detect_active_window(m.samples, PCFG)
         assert a >= p.n_pad
@@ -146,13 +146,13 @@ class TestActiveWindow:
 
 class TestSegmentPhases:
     def test_noiseless_plateau_exact(self, clean_cfg):
-        seg = phases_of(synth.generate_nominal(clean_cfg, 1))
+        seg = phases_of(synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 1))
         assert abs(seg.plateau_level - 3.0) < 1e-9
 
     def test_boundaries_near_band_crossings(self, clean_cfg):
         # oracle: band rule applied to the raw noiseless curve with the
         # true plateau level
-        m = synth.generate_nominal(clean_cfg, 4)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 4)
         raw = m.samples
         band = 1.15 * 3.0
         above = np.flatnonzero(raw > band)
@@ -166,7 +166,7 @@ class TestSegmentPhases:
 
     def test_phase_ordering_and_partition(self, noisy_cfg):
         for seed in range(20):
-            seg = phases_of(synth.generate_nominal(noisy_cfg, seed))
+            seg = phases_of(synth.generate_manoeuvre(noisy_cfg, FaultClass.Nominal, 0.0, seed))
             a, b = seg.active
             assert a == seg.unlock_peak[0] < seg.unlock_peak[1]
             assert seg.unlock_peak[1] == seg.movement[0] < seg.movement[1]
@@ -174,7 +174,7 @@ class TestSegmentPhases:
             assert seg.lock_peak[1] == b
 
     def test_friction_plateau(self, clean_cfg):
-        m = synth.inject_fault(clean_cfg, FaultSpec(FaultClass.Friction, 0.5), 3)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.Friction, 0.5, 3)
         seg = phases_of(m)
         assert abs(seg.plateau_level - 4.2) / 4.2 < 0.02
 
@@ -185,7 +185,7 @@ class TestSegmentPhases:
 
 class TestPreprocess:
     def test_length_and_normalization(self, noisy_cfg):
-        v = features_of(synth.generate_nominal(noisy_cfg, 1))
+        v = features_of(synth.generate_manoeuvre(noisy_cfg, FaultClass.Nominal, 0.0, 1))
         assert v.shape == (128,)
         assert np.isfinite(v).all()
         assert (v >= 0).all()
@@ -197,11 +197,11 @@ class TestPreprocess:
             prof = profile_at_rate(mj_profile, 100.0)
             prof = type(prof)(prof.name, prof.supply, 100.0, 8.0, 3.0, move)
             cfg = SynthConfig(profile=prof, noise_sigma=0.05)
-            assert features_of(synth.generate_nominal(cfg, 2)).shape == (128,)
+            assert features_of(synth.generate_manoeuvre(cfg, FaultClass.Nominal, 0.0, 2)).shape == (128,)
 
     def test_scale_invariance(self, noisy_cfg):
         for seed in range(10):
-            m = synth.generate_nominal(noisy_cfg, seed)
+            m = synth.generate_manoeuvre(noisy_cfg, FaultClass.Nominal, 0.0, seed)
             base = features_of(m)
             for k in (0.5, 0.9, 2.0):
                 v = features_of(scaled(m, k))
@@ -212,8 +212,8 @@ class TestPreprocess:
         for seed in range(10):
             cfg100 = SynthConfig(profile=profile_at_rate(mj_profile, 100.0), amplitude_jitter=0.05)
             cfg200 = SynthConfig(profile=profile_at_rate(mj_profile, 200.0), amplitude_jitter=0.05)
-            f100 = features_of(synth.generate_nominal(cfg100, seed))
-            f200 = features_of(synth.generate_nominal(cfg200, seed))
+            f100 = features_of(synth.generate_manoeuvre(cfg100, FaultClass.Nominal, 0.0, seed))
+            f200 = features_of(synth.generate_manoeuvre(cfg200, FaultClass.Nominal, 0.0, seed))
             assert np.abs(f100 - f200).max() <= 0.02
 
     def test_shape_fidelity_vs_analytic_resample(self, clean_cfg, mj_profile):
@@ -225,7 +225,7 @@ class TestPreprocess:
         grid = a + (b - a) * np.arange(128) / 127.0
         oracle = np.interp(grid, np.arange(fine.size), fine) / 3.0
 
-        v = features_of(synth.generate_nominal(clean_cfg, 6))
+        v = features_of(synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 6))
         rms = float(np.sqrt(np.mean((v - oracle) ** 2)))
         assert rms <= 0.01
 
@@ -375,9 +375,7 @@ def reference_traces():
             cfg = SynthConfig(profile=profile, noise_sigma=noise, amplitude_jitter=0.05,
                               duration_jitter=0.05)
             for seed, severity in enumerate((0.3, 0.65, 1.0)):
-                traces.append(synth.generate_nominal(cfg, seed))
-                traces += [synth.inject_fault(cfg, FaultSpec(cls, severity), seed)
-                           for cls in FaultClass if cls is not FaultClass.Nominal]
+                traces += [synth.generate_manoeuvre(cfg, cls, severity, seed) for cls in FaultClass]
     return traces
 
 
@@ -591,7 +589,8 @@ class TestBlockKernel:
 
 class TestFeatureIo:
     def test_round_trip(self, tmp_path, noisy_cfg):
-        ms = [synth.generate_nominal(noisy_cfg, s, manoeuvre_id=f"m{s}") for s in range(3)]
+        ms = [synth.generate_manoeuvre(noisy_cfg, FaultClass.Nominal, 0.0, s, manoeuvre_id=f"m{s}")
+              for s in range(3)]
         ids, values, labels = [m.id for m in ms], preprocessed(ms), [None, FaultClass.Nominal, FaultClass.Nominal]
         p = tmp_path / "features.jsonl"
         p.write_text("".join(features_lines(ids, values, labels)))

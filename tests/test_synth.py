@@ -7,7 +7,7 @@ import pytest
 
 from pmdiag import preprocess, synth
 from pmdiag.core import FaultClass
-from pmdiag.synth import FaultSpec, InvalidFaultError, SynthConfig
+from pmdiag.synth import SynthConfig
 
 from conftest import MJ_COUNTS
 
@@ -20,7 +20,7 @@ def active_window(samples, frac=0.1):
 
 class TestNominal:
     def test_noiseless_peak_and_plateau(self, clean_cfg):
-        m = synth.generate_nominal(clean_cfg, 1)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 1)
         assert abs(m.samples.max() - 8.0) < 1e-9
         a, b = active_window(m.samples)
         n = b - a
@@ -29,14 +29,14 @@ class TestNominal:
         assert m.label is FaultClass.Nominal
 
     def test_three_phase_shape(self, clean_cfg):
-        m = synth.generate_nominal(clean_cfg, 2)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 2)
         p = synth.nominal_params(clean_cfg)
         lock = m.samples[p.lock_support[0] : p.lock_support[1]]
         assert lock.max() >= 0.8 * 8.0
         assert m.samples[-1] == 0.0 and m.samples[0] == 0.0
 
     def test_curve_is_a_fresh_writeable_array(self, clean_cfg):
-        # the ramps are cached read-only; inject_fault edits the curve in place
+        # the ramps are cached read-only; generate_manoeuvre edits the curve in place
         params = synth.nominal_params(clean_cfg)
         curve = synth.build_curve(params)
         first = curve.copy()
@@ -44,20 +44,14 @@ class TestNominal:
         assert np.array_equal(synth.build_curve(params), first)
 
     def test_deterministic(self, clean_cfg):
-        a = synth.generate_nominal(clean_cfg, 42)
-        b = synth.generate_nominal(clean_cfg, 42)
+        a = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 42)
+        b = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 42)
         assert np.array_equal(a.samples, b.samples)
-
-    def test_default_seed_from_config(self, mj_profile):
-        cfg = SynthConfig(profile=mj_profile, noise_sigma=0.05, seed=9)
-        assert np.array_equal(
-            synth.generate_nominal(cfg).samples, synth.generate_nominal(cfg, 9).samples
-        )
 
     def test_segmenter_recovers_plateau_under_noise(self, mj_profile):
         cfg = SynthConfig(profile=mj_profile, noise_sigma=0.05)
-        block = preprocess._kernel([synth.generate_nominal(cfg, seed).samples for seed in range(100)],
-                                   preprocess.PreprocessConfig())
+        traces = [synth.generate_manoeuvre(cfg, FaultClass.Nominal, 0.0, seed).samples for seed in range(100)]
+        block = preprocess._kernel(traces, preprocess.PreprocessConfig())
         assert block.errors == [None] * 100
         _, _, plateau_level = block.phases
         assert (abs(plateau_level - 3.0) / 3.0 < 0.02).all()
@@ -65,8 +59,8 @@ class TestNominal:
 
 class TestInjectFault:
     def test_obstacle_bump(self, clean_cfg):
-        m = synth.inject_fault(clean_cfg, FaultSpec(FaultClass.Obstacle, 1.0), 5)
-        twin = synth.generate_nominal(clean_cfg, 5)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.Obstacle, 1.0, 5)
+        twin = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 5)
         p = synth.nominal_params(clean_cfg)
         unlock_diff = np.abs(m.samples[: p.move_start] - twin.samples[: p.move_start]).max()
         assert unlock_diff < 1e-9
@@ -74,20 +68,20 @@ class TestInjectFault:
         assert m.label is FaultClass.Obstacle
 
     def test_friction_plateau_factor(self, clean_cfg):
-        m = synth.inject_fault(clean_cfg, FaultSpec(FaultClass.Friction, 0.5), 3)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.Friction, 0.5, 3)
         p = synth.nominal_params(clean_cfg)
         med = np.median(m.samples[p.move_start : p.move_end])
         assert abs(med - 1.4 * p.a_plat) < 1e-9
 
     def test_power_supply_scale_and_ripple(self, clean_cfg):
-        m = synth.inject_fault(clean_cfg, FaultSpec(FaultClass.PowerSupply, 1.0), 6)
-        twin = synth.generate_nominal(clean_cfg, 6)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.PowerSupply, 1.0, 6)
+        twin = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 6)
         ripple_amp = 0.05 * 0.5 * twin.samples.max()
         assert abs(m.samples.max() - 0.5 * twin.samples.max()) <= ripple_amp
 
     def test_misalignment_widens_and_attenuates_lock(self, clean_cfg):
-        m = synth.inject_fault(clean_cfg, FaultSpec(FaultClass.Misalignment, 1.0), 7)
-        twin = synth.generate_nominal(clean_cfg, 7)
+        m = synth.generate_manoeuvre(clean_cfg, FaultClass.Misalignment, 1.0, 7)
+        twin = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 7)
         p = synth.nominal_params(clean_cfg)
         assert len(m.samples) > len(twin.samples)
         # lock peak max attenuated by 0.3 at severity 1
@@ -95,18 +89,14 @@ class TestInjectFault:
         lock_max = m.samples[p.move_end :].max()
         assert abs(lock_max - 0.7 * p.a_lock) < 1e-9
 
-    def test_nominal_class_rejected(self, clean_cfg):
-        with pytest.raises(InvalidFaultError):
-            FaultSpec(FaultClass.Nominal, 0.5)
-
-    def test_severity_range_checked(self):
+    def test_severity_range_checked(self, clean_cfg):
         with pytest.raises(ValueError):
-            FaultSpec(FaultClass.Obstacle, 1.5)
+            synth.generate_manoeuvre(clean_cfg, FaultClass.Obstacle, 1.5, 0)
 
     def test_label_soundness(self, noisy_cfg):
         for cls in (FaultClass.Obstacle, FaultClass.Friction,
                     FaultClass.PowerSupply, FaultClass.Misalignment):
-            m = synth.inject_fault(noisy_cfg, FaultSpec(cls, 0.7), 11)
+            m = synth.generate_manoeuvre(noisy_cfg, cls, 0.7, 11)
             assert m.label is cls
 
 
@@ -123,9 +113,9 @@ class TestSeparability:
             FaultClass.Misalignment: (p.lock_support[0], p.lock_support[1]),
         }
         for seed in range(10):
-            twin = synth.generate_nominal(cfg, seed)
+            twin = synth.generate_manoeuvre(cfg, FaultClass.Nominal, 0.0, seed)
             for cls, (lo, hi) in regions.items():
-                m = synth.inject_fault(cfg, FaultSpec(cls, 0.3), seed)
+                m = synth.generate_manoeuvre(cfg, cls, 0.3, seed)
                 n = min(len(m.samples), len(twin.samples))
                 hi = min(hi, n)
                 diff = np.abs(m.samples[lo:hi] - twin.samples[lo:hi]).max()

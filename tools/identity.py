@@ -22,7 +22,8 @@ classes, and diagnose prints "(set covers the true class at 70%)";
 the stage commands one after another, then diagnose; generate at the
 default config (1110 manoeuvres), since every other input is made by
 HEAD's generate and the stage commands run it at the small config only;
-on a generated
+generate_p80, generate at the small config's counts on the P80 profile, the
+one DC supply, whose PowerSupply ripple no other case draws; on a generated
 4000-manoeuvre stream, diagnose, preprocess, pipeline with paths.dataset
 and diagnose through /dev/stdin; error paths (a malformed config, a
 duplicate id, a flat signal, a non-finite sample, an empty dataset,
@@ -136,6 +137,7 @@ CASES = [
                           "--dataset", "{out}/dataset.jsonl"]]),
     Case("stages_small", _stages()),
     Case("generate_default", [["generate", "--out", "{out}"]], small=False),
+    Case("generate_p80", [["generate", "--config", "{inputs}/p80.json", "--out", "{out}"]]),
     Case("stream_diagnose", [_stream_diagnose("{inputs}/stream/dataset.jsonl")], small=False),
     Case("stream_preprocess", [["preprocess", "--config", "{inputs}/stream_paths.json", "--out", "{out}"]], small=False),
     Case("stream_pipeline", [["pipeline", "--config", "{inputs}/stream_paths.json", "--out", "{out}"]], small=False),
@@ -197,6 +199,7 @@ def make_inputs(tree: Path, inputs: Path, small_only: bool) -> None:
     params["layer_dims"][0] = float(params["layer_dims"][0])
     (inputs / "float_layer_dims.json").write_text(json.dumps(params, sort_keys=True))
     config("alpha", {**SMALL_CONFIG, "conformal": {"alpha": 0.3}})
+    config("p80", {**SMALL_CONFIG, "synth": {**SMALL_CONFIG["synth"], "profile": "P80"}})
     lines = (inputs / "small" / "dataset.jsonl").read_text().splitlines(keepends=True)
 
     def edited(k: int, **changes) -> str:
