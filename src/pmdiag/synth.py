@@ -186,7 +186,8 @@ def generate_manoeuvre(
         raise ValueError("severity must be in [0, 1]")
     if not isinstance(seed, np.random.SeedSequence):
         seed = np.random.SeedSequence(seed)
-    jitter_ss, noise_ss, fault_ss = seed.spawn(3)
+    # not seed.spawn(3), which counts them spawned: a sequence passed again would differ
+    jitter_ss, noise_ss, fault_ss = (_child_seed(seed, k) for k in range(3))
     jitter = np.random.default_rng(jitter_ss)
     amp_scale = 1.0 + jitter.uniform(-cfg.amplitude_jitter, cfg.amplitude_jitter)
     dur_scale = 1.0 + jitter.uniform(-cfg.duration_jitter, cfg.duration_jitter)

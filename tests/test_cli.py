@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmdiag import cli, conformal, core, evaluation, model, preprocess, synth
+from pmdiag import cli, config, conformal, core, evaluation, model, pieces, preprocess, synth
 from pmdiag.core import FaultClass, Manoeuvre, Dataset, PmDiagError, save_dataset, load_dataset
 
 from conftest import diagnosed, members, preprocessed
@@ -453,7 +453,7 @@ class TestDiagnose:
     def test_batch_of_one_equals_batch_of_n(self, tmp_path, trained_out, config_path, forks):
         # a whole file: loaded on three processes and scored as one matrix
         picked = list(load_dataset(trained_out / "dataset.jsonl"))
-        assert len(picked) >= cli.FORK_MIN_LINES
+        assert len(picked) >= pieces.FORK_MIN_LINES
         bound = ["--model", str(trained_out / "model.json"),
                  "--predictor", str(trained_out / "predictor.json")]
 
@@ -629,7 +629,7 @@ def forks(monkeypatch):
         started.append(self)
         start(self)
 
-    monkeypatch.setattr(cli, "_cpus", lambda: 3)
+    monkeypatch.setattr(pieces, "_cpus", lambda: 3)
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
     return started
 
@@ -704,7 +704,7 @@ class TestForkedLoad:
         self, trained_run, tmp_path, capsys, monkeypatch, forks, name
     ):
         ds_path = trained_run / "dataset.jsonl"
-        assert len(ds_path.read_text().splitlines()) >= cli.FORK_MIN_LINES
+        assert len(ds_path.read_text().splitlines()) >= pieces.FORK_MIN_LINES
         argv = self.command(trained_run, tmp_path, name, ds_path)
         out = tmp_path / "out"
         forked = self.outcome(argv, out, capsys)
@@ -770,7 +770,7 @@ class TestForkedLoad:
     ):
         # line 150 lies in the third of five pieces, which three processes load
         data = long_dataset.read_bytes()
-        cuts = cli._cuts(lambda n, offset: data[offset : offset + n], len(data), 3)
+        cuts = pieces._cuts(lambda n, offset: data[offset : offset + n], len(data), 3)
         assert len(cuts) - 1 == 5 and cuts[2] < len(b"".join(data.splitlines(True)[:149])) < cuts[3]
         ds_path = self.defective(long_dataset, tmp_path, {149: self.DEFECTS[defect]})
         self.assert_fails_as_in_process(trained_run, tmp_path, capsys, monkeypatch, forks, ds_path)
@@ -827,7 +827,7 @@ class TestForkedLoad:
         fed = functools.partial(fifo_fed, fifo, long_dataset.read_bytes())
         assert self.outcome(argv, out, capsys, during=fed) == from_file
         assert len(forks) == 4
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 1)
         argv = self.command(trained_run, tmp_path, "diagnose", long_dataset)
         assert self.outcome(argv, out, capsys) == from_file
         assert len(forks) == 4
@@ -839,10 +839,10 @@ class TestForkedLoad:
         # token lost or taken twice would drop or repeat a diagnosis
         argv = self.command(trained_run, tmp_path, "diagnose", long_dataset)
         out = tmp_path / "out"
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 1)
         alone = self.outcome(argv, out, capsys)
         assert alone[0] == 0 and len(alone[1].splitlines()) == 304 and forks == []
-        monkeypatch.setattr(cli, "_cpus", lambda: 8)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 8)
         assert self.outcome(argv, out, capsys) == alone
         assert len(forks) == 7
 
@@ -898,7 +898,7 @@ class TestForkedLoad:
         self, trained_run, long_dataset, tmp_path, capsys, monkeypatch, forks, name, cpus
     ):
         # each piece is scored and its lines encoded where it is loaded
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(pieces, "_cpus", lambda: cpus)
         out = tmp_path / "out"
         argv = self.command(trained_run, tmp_path, name, long_dataset)
         assert self.outcome(argv, out, capsys) == self.expected(trained_run, name, long_dataset, out)
@@ -922,7 +922,7 @@ class TestForkedLoad:
         def refuse(self):
             pytest.fail("a one-manoeuvre file forked")
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 4)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 4)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         ds_path = tmp_path / "one.jsonl"
         ds_path.write_text((trained_run / "dataset.jsonl").read_text().splitlines()[0] + "\n")
@@ -977,7 +977,7 @@ class TestForkedLoad:
         with monkeypatch.context() as patch:
             no_fork(patch, "no_fork_method")
             alone = self.outcome(argv, out, capsys)
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 2)
         died = tmp_path / "died"
         parent, load_piece, in_parent, in_child = os.getpid(), cli._load_piece, [], []
 
@@ -987,14 +987,14 @@ class TestForkedLoad:
                 if in_child:
                     died.touch()
                     os._exit(1)
-                in_child.append(args[1])
+                in_child.append(args[0])
             else:
                 if not in_parent:
                     # this process takes its second token only once the child died
                     deadline = time.monotonic() + 60
                     while not died.exists() and time.monotonic() < deadline:
                         time.sleep(0.01)
-                in_parent.append(args[1])
+                in_parent.append(args[0])
             return load_piece(*args)
 
         monkeypatch.setattr(cli, "_load_piece", post_one_then_die)
@@ -1003,7 +1003,7 @@ class TestForkedLoad:
         # five pieces: the one the child posted, and four loaded here, one
         # of them the piece the child took when it died
         data = long_dataset.read_bytes()
-        assert len(cli._cuts(lambda n, offset: data[offset : offset + n], len(data), 2)) - 1 == 5
+        assert len(pieces._cuts(lambda n, offset: data[offset : offset + n], len(data), 2)) - 1 == 5
         assert len(in_parent) == 4 and len(set(in_parent)) == 4
 
     @pytest.mark.parametrize("samples", ["all", "one"])
@@ -1047,22 +1047,23 @@ class TestForkedLoad:
             ds_path = tmp_path / "short.jsonl"
             ds_path.write_text("".join(l + "\n" for l in long_dataset.read_text().splitlines()[:10]) + "{oops\n")
         data = ds_path.read_bytes()
-        cuts = cli._cuts(lambda n, offset: data[offset : offset + n], len(data), 1)
-        pieces = list(zip(cuts, cuts[1:]))
-        assert len(pieces) == (1 if defect == "one_piece" else 5)
-        monkeypatch.setattr(cli, "_cpus", lambda: 1)
+        cuts = pieces._cuts(lambda n, offset: data[offset : offset + n], len(data), 1)
+        spans = list(zip(cuts, cuts[1:]))
+        assert len(spans) == (1 if defect == "one_piece" else 5)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 1)
         calls, load_piece = [], cli._load_piece
 
-        def recorded(read, start, end, *args):
-            calls.append((start, end))
-            return load_piece(read, start, end, *args)
+        def recorded(piece, *args):
+            calls.append(piece)
+            return load_piece(piece, *args)
 
         monkeypatch.setattr(cli, "_load_piece", recorded)
         capsys.readouterr()
         code = run(self.command(trained_run, tmp_path, "diagnose", ds_path))
         # a failed piece stops the loads: the pieces after it are never loaded
-        loads = {"last_piece": pieces + [(0, len(data))], "first_piece": pieces[:1] + [(0, len(data))]}
-        assert (code, calls) == (0 if defect == "none" else 4, loads.get(defect, pieces))
+        loads = {"last_piece": spans + [(0, len(data))], "first_piece": spans[:1] + [(0, len(data))]}
+        expected = [data[start:end] for start, end in loads.get(defect, spans)]
+        assert (code, calls) == (0 if defect == "none" else 4, expected)
 
     def test_short_reads_give_whole_pieces(self, trained_run, tmp_path, capsys, monkeypatch, forks):
         # one pread may return fewer bytes than it was asked for: on Linux at
@@ -1079,24 +1080,6 @@ class TestForkedLoad:
         assert (code, stdout, files) == (4, "", {})
         assert err.startswith("pipeline failure in load: line 75: invalid JSON: ")
 
-    def test_child_posts_a_failed_piece_as_none(self):
-        # no error object leaves the process that met it
-        clean = cli._Chunk(["m0"], np.zeros((1, 4)), [None])
-        chunks = [
-            clean,
-            cli._Chunk(["m1"], np.empty((0, 0)), [None], error=core.ParseError(1, "invalid JSON")),
-            cli._Chunk(["m2"], np.empty((0, 0)), [None],
-                       failure=cli.StageError("preprocess", PmDiagError("too short"))),
-        ]
-        queue_end, feed_end = os.pipe()
-        with open(feed_end, "wb", buffering=0) as feed:
-            feed.write(b"".join(k.to_bytes(cli._TOKEN_BYTES, "little") for k in range(3)))
-        posts = []
-        with open(queue_end, "rb", buffering=0) as queue:
-            cli._post_pieces(posts.append, queue, [0, 1, 2, 3], lambda start, end: chunks[start])
-        # at the first failed piece the child drains the pipe and returns
-        assert posts == [(0, clean), (1, None)]
-
     @pytest.mark.parametrize("lines", [1, 0, None], ids=["one_manoeuvre", "empty", "blank_lines"])
     def test_small_input_never_forks(self, trained_run, tmp_path, capsys, monkeypatch, lines):
         import multiprocessing
@@ -1104,7 +1087,7 @@ class TestForkedLoad:
         def refuse(self):
             pytest.fail("a small input forked")
 
-        monkeypatch.setattr(cli, "_cpus", lambda: 4)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 4)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
         first = (trained_run / "dataset.jsonl").read_text().splitlines()[: lines or 0]
         ds_path = tmp_path / "small.jsonl"
@@ -1160,8 +1143,8 @@ def test_each_manoeuvre_validated_once(trained_run, tmp_path, capsys, monkeypatc
     validated = count_validations(monkeypatch)
     capsys.readouterr()
     assert run(argv) == (4 if first_line == "flat_signal" else 0)
-    seen = lines[: cli.FORK_MIN_LINES] + lines if first_line == "flat_signal" else lines
-    assert len(lines) > cli.FORK_MIN_LINES and sorted(validated) == sorted(json.loads(l)["id"] for l in seen)
+    seen = lines[: pieces.FORK_MIN_LINES] + lines if first_line == "flat_signal" else lines
+    assert len(lines) > pieces.FORK_MIN_LINES and sorted(validated) == sorted(json.loads(l)["id"] for l in seen)
 
 
 def count_validations(monkeypatch) -> list:
@@ -1174,7 +1157,7 @@ def count_validations(monkeypatch) -> list:
         return real(m)
 
     monkeypatch.setattr(core, "validate_manoeuvre", counting)
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
+    monkeypatch.setattr(pieces, "_cpus", lambda: 1)
     return validated
 
 
@@ -1191,8 +1174,8 @@ def test_pipeline_validates_its_dataset_once(trained_run, tmp_path, monkeypatch)
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_pipeline_parent_holds_no_generated_trace(config_path, monkeypatch, cpus):
     # the writer generates the traces again; the parent keeps ids, labels and features
-    monkeypatch.setattr(cli, "_cpus", lambda: cpus)
-    cfg = cli.load_run_config(config_path)
+    monkeypatch.setattr(pieces, "_cpus", lambda: cpus)
+    cfg = config.load_run_config(config_path)
     _, chunks, traces = cli._pipeline_inputs(cfg)
     assert_no_child_processes()
     assert len(chunks) == 2
@@ -1218,31 +1201,18 @@ def test_generation_stops_at_an_invalid_manoeuvre(config_path, monkeypatch, inva
         return m
 
     monkeypatch.setattr(synth.DatasetPlan, "manoeuvre", counted)
-    monkeypatch.setattr(cli, "_cpus", lambda: 1)
-    _, chunks, _ = cli._pipeline_inputs(cli.load_run_config(config_path))
+    monkeypatch.setattr(pieces, "_cpus", lambda: 1)
+    _, chunks, _ = cli._pipeline_inputs(config.load_run_config(config_path))
     assert max(positions) == invalid_at and positions.count(invalid_at) == 2
     [chunk] = chunks
     assert (chunk.error, chunk.failure.stage, chunk.failure.cause.rule) == (None, "preprocess", "TooShort")
 
 
-def test_position_cuts_follow_the_piece_rule():
-    # the rule of _cuts written out for positions: a head of FORK_MIN_LINES,
-    # pieces of at most 1/procs of the input, and no more than _MAX_PIECES
-    def rule(n, procs):
-        if n < cli.FORK_MIN_LINES:
-            return [0, n]
-        step = max(min(cli.FORK_MIN_LINES, n // procs), -(-n // cli._MAX_PIECES))
-        return [*range(0, n, step), n]
-
-    for procs in range(1, 5):
-        assert [cli._position_cuts(n, procs) for n in range(3001)] == [rule(n, procs) for n in range(3001)]
-
-
 def test_generate_streams(tmp_path, capsys):
     # generate writes each trace as it is made, as pipeline's writer does
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"synth": {"counts": {cls.name: 50 for cls in cli.DEFAULT_COUNTS}}}))
-    argv = ["generate", "--config", str(config), "--out", str(tmp_path)]
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"synth": {"counts": {cls.name: 50 for cls in config.DEFAULT_COUNTS}}}))
+    argv = ["generate", "--config", str(config_file), "--out", str(tmp_path)]
     assert run(argv) == 0  # the first call fills caches, which a streamed write does not hold
     tracemalloc.start()
     try:
@@ -1258,8 +1228,8 @@ def test_generate_streams(tmp_path, capsys):
 @pytest.mark.parametrize("written", ["dataset", "features"])
 def test_pipeline_writers_stream(tmp_path, written):
     # each input file is written as its lines are made, never held whole
-    cfg = cli.load_run_config(None)
-    plan = synth.plan_dataset(dict.fromkeys(cli.DEFAULT_COUNTS, 50), cfg.synth_cfg, cfg.severity_range)
+    cfg = config.load_run_config(None)
+    plan = synth.plan_dataset(dict.fromkeys(config.DEFAULT_COUNTS, 50), cfg.synth_cfg, cfg.severity_range)
     path = tmp_path / f"{written}.jsonl"
     if written == "dataset":
         def write():
@@ -1356,7 +1326,7 @@ def test_deeply_nested_value_exits_with_one_line(trained_run, tmp_path, capsys, 
         lines[at] = text + "\n"
         path.write_text("".join(lines))
         # the dataset's line lies in its second piece
-        assert name != "dataset.jsonl" or cli.FORK_MIN_LINES <= at < len(lines)
+        assert name != "dataset.jsonl" or pieces.FORK_MIN_LINES <= at < len(lines)
     capsys.readouterr()
     code = run([command, "--config", str(out / "config.json"), "--out", str(out)])
     err = capsys.readouterr().err
@@ -1402,13 +1372,13 @@ class TestPipelineOnEveryCpu:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_any_cpu_count_matches_one_process(self, argv, alone, capsys, monkeypatch, forks, cpus):
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(pieces, "_cpus", lambda: cpus)
         assert self.outcome(argv, capsys) == alone
         # 76 positions make at least `cpus` pieces: a child per further CPU, and the writer
         assert len(forks) == cpus
 
     def test_writer_that_finishes_after_training(self, argv, alone, capsys, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 2)
         trained = tmp_path / "trained"
         train, save_inputs = model.train, cli._save_inputs
 
@@ -1429,7 +1399,7 @@ class TestPipelineOnEveryCpu:
 
     def test_writer_that_dies_mid_write(self, argv, alone, capsys, monkeypatch, tmp_path):
         # the child has written dataset.jsonl and dies before features.jsonl
-        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 2)
         died = tmp_path / "died"
         parent, features_lines = os.getpid(), preprocess.features_lines
 
@@ -1457,7 +1427,7 @@ class TestPipelineOnEveryCpu:
             return values, [PmDiagError("poisoned") if m.id in poisoned else e for m, e in zip(manoeuvres, errors)]
 
         monkeypatch.setattr(preprocess, "preprocess_rows", poison)
-        monkeypatch.setattr(cli, "_cpus", lambda: 3)
+        monkeypatch.setattr(pieces, "_cpus", lambda: 3)
         code, stdout, err, files = self.outcome(argv, capsys)
         assert len(forks) == 2
         assert (code, stdout, err) == (4, "", f"pipeline failure in preprocess: manoeuvre {ids[30]!r}: poisoned\n")
@@ -1553,7 +1523,7 @@ class TestLoadedPipelineOnEveryCpu:
     def test_any_cpu_count_matches_one_process(
         self, tmp_path, long_dataset, alone, capsys, monkeypatch, forks, cpus
     ):
-        monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+        monkeypatch.setattr(pieces, "_cpus", lambda: cpus)
         assert self.outcome(self.command(tmp_path, long_dataset), capsys) == alone
         # a child per further CPU loads pieces, and the writer writes the inputs
         assert len(forks) == cpus
@@ -1759,7 +1729,7 @@ class TestStageCommands:
     @staticmethod
     def split_of(run_dir):
         """The (train, calibration) manoeuvres of a pipeline run's dataset, split as its config splits them."""
-        spec = cli.load_run_config(str(run_dir / "config.json")).split_spec
+        spec = config.load_run_config(str(run_dir / "config.json")).split_spec
         ds = load_dataset(run_dir / "dataset.jsonl").manoeuvres
         train_at, test_at = evaluation.stratified_split([m.id for m in ds], [m.label for m in ds], spec)
         test = [ds[p] for p in test_at]

@@ -45,7 +45,8 @@ def loaded_names(tree: ast.AST) -> set:
 
 
 def test_every_module_is_checked():
-    assert {"cli.py", "conformal.py", "core.py", "evaluation.py", "model.py", "preprocess.py", "synth.py"} <= set(MODULES)
+    assert {"cli.py", "config.py", "conformal.py", "core.py", "evaluation.py", "model.py", "pieces.py", "preprocess.py",
+            "synth.py"} <= set(MODULES)
 
 
 def test_package_namespace_holds_only_version():
@@ -194,7 +195,7 @@ def test_preprocess_has_one_kernel():
 
 ROOT = SRC.parents[1]
 PACKAGE_MODULES = {Path(name).stem for name in MODULES}
-# the tests load datasets through it, as the reference for cli._load
+# the tests load datasets through it, as the reference for pieces.share
 UNNAMED_PUBLIC = {("core", "load_dataset")}
 
 
@@ -241,9 +242,10 @@ def test_every_public_name_is_used():
 
 
 def test_children_are_forked_in_one_place():
-    """One shape of child: cli.py names multiprocessing, Pipe and Process
-    only inside _start_forked, so every child and its pipe start there."""
-    tree = parse("cli.py")
+    """One shape of child: pieces.py names multiprocessing, Pipe and Process
+    only inside start_forked, so every child and its pipe start there, and
+    cli.py names none of them."""
+    tree = parse("pieces.py")
     forking = {"multiprocessing", "Pipe", "Process"}
 
     def named(node) -> set:
@@ -257,11 +259,33 @@ def test_children_are_forked_in_one_place():
             return set((node.module or "").split("."))
         return set()
 
-    start_forked = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_start_forked")
+    start_forked = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "start_forked")
     inside = {id(node) for node in ast.walk(start_forked)}
     assert any(named(node) & forking for node in ast.walk(start_forked))
     outside = [node for node in ast.walk(tree) if id(node) not in inside and named(node) & forking]
     assert [(node.lineno, sorted(named(node) & forking)) for node in outside] == []
+    in_cli = [node for node in ast.walk(parse("cli.py")) if named(node) & forking]
+    assert [(node.lineno, sorted(named(node) & forking)) for node in in_cli] == []
+
+
+def package_imports(tree: ast.Module) -> set:
+    """The package modules a module imports, relatively (`from . import m`,
+    `from .m import x`) or by the package's name (`pmdiag.m`)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names if alias.name.startswith("pmdiag.")}
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "pmdiag"):
+            parts = (node.module or "").split(".")[0 if node.level else 1 :]
+            found |= {parts[0]} if parts and parts[0] else {alias.name for alias in node.names}
+    return found
+
+
+def test_run_config_and_pieces_stand_apart_from_the_cli():
+    """pieces.py imports no package module but core, so it shares out any
+    load; config.py and pieces.py import nothing from cli.py."""
+    assert package_imports(parse("pieces.py")) == {"core"}
+    assert "cli" not in package_imports(parse("config.py"))
 
 
 def test_docstrings_and_unused_imports_are_caught():
@@ -322,7 +346,7 @@ def test_json_type_rule_lives_in_core():
                   if len(node.args) == 2 and names_bool(node.args[1])]
     assert bool_tests == []
     readers = {("model.py", "load_model"), ("preprocess.py", "load_features"), ("conformal.py", "load_predictor"),
-               ("cli.py", "_build_section"), ("core.py", "_manoeuvre_from_obj")}
+               ("config.py", "_build_section"), ("core.py", "_manoeuvre_from_obj")}
     for module, name in sorted(readers):
         function = next(n for n in parse(module).body if isinstance(n, ast.FunctionDef) and n.name == name)
         assert calls(function, lambda f: isinstance(f, ast.Name) and f.id == "json_type_error"), (module, name)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,22 @@ class TestTrain:
             whole = mlp._loss_arrays(m, x, y, w)
             for block_rows in (1, 2, 7, 32, 64):
                 assert mlp._blocked_loss(m, x, y, w, block_rows) == whole, (n, block_rows)
+
+    def test_epoch_loss_streams_its_rows(self):
+        # the activations of a few blocks at a time, not of every row: one
+        # pass over 4000 rows holds about 5 MB of them
+        rng = np.random.default_rng(1)
+        m = mlp.init_params(seed=3)
+        x = rng.uniform(0, 3, (4000, 128))
+        y = rng.integers(0, 5, 4000)
+        w = rng.uniform(0.5, 2, 4000)
+        tracemalloc.start()
+        try:
+            mlp._blocked_loss(m, x, y, w, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("batch_size", [1, 2, 7, 32, 41])
     @pytest.mark.parametrize("seed", [0, 5])

@@ -48,6 +48,14 @@ class TestNominal:
         b = synth.generate_manoeuvre(clean_cfg, FaultClass.Nominal, 0.0, 42)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("cls", [FaultClass.Nominal, FaultClass.Misalignment], ids=lambda cls: cls.name)
+    def test_seed_sequence_passed_twice_gives_the_int_seeds_trace(self, noisy_cfg, cls):
+        # the streams are the sequence's children, not ones it counts as spawned
+        seed = np.random.SeedSequence(5)
+        expected = synth.generate_manoeuvre(noisy_cfg, cls, 0.6, 5).samples
+        for _ in range(2):
+            assert np.array_equal(synth.generate_manoeuvre(noisy_cfg, cls, 0.6, seed).samples, expected)
+
     def test_segmenter_recovers_plateau_under_noise(self, mj_profile):
         cfg = SynthConfig(profile=mj_profile, noise_sigma=0.05)
         traces = [synth.generate_manoeuvre(cfg, FaultClass.Nominal, 0.0, seed).samples for seed in range(100)]
