@@ -178,22 +178,6 @@ def _check(chunks) -> None:
             raise chunk.failure
 
 
-def _joined(chunks) -> _Chunk:
-    """The rows of the chunks, in order, as one _Chunk of no manoeuvres,
-    where `_check`, in stage load, raises no error."""
-    _stage("load", _check, chunks)
-    return _Chunk(
-        [mid for chunk in chunks for mid in chunk.ids],
-        np.concatenate([chunk.features for chunk in chunks]),
-        [label for chunk in chunks for label in chunk.labels],
-    )
-
-
-def _rows(chunk: _Chunk, positions: list) -> _Chunk:
-    """The _Chunk of the rows of a chunk at `positions`, in that order."""
-    return _Chunk([chunk.ids[p] for p in positions], chunk.features[positions], [chunk.labels[p] for p in positions])
-
-
 def _features_lines(chunk: _Chunk) -> _Chunk:
     """preprocess's finish (see _load_piece): the ids and features.jsonl lines of a chunk."""
     lines = list(preprocess.features_lines(chunk.ids, chunk.features, chunk.labels))
@@ -219,12 +203,12 @@ def _labelled(features_path, stage: str) -> _Chunk:
                   [label for _, label in labelled])
 
 
-def _train_config(cfg: RunConfig, train: _Chunk) -> model.TrainConfig:
-    """train's config for the rows of a chunk: class weights from their
-    label counts unless the config pinned them."""
+def _train_config(cfg: RunConfig, labels) -> model.TrainConfig:
+    """train's config for rows of FaultClass `labels`: class weights from
+    their counts unless the config pinned them."""
     if cfg.class_weights_given:
         return cfg.train_cfg
-    weights = _stage("train", model.class_weights, collections.Counter(train.labels))
+    weights = _stage("train", model.class_weights, collections.Counter(labels))
     return replace(cfg.train_cfg, class_weights=model.weight_vector(weights))
 
 
@@ -271,7 +255,7 @@ def _evaluate(cfg: RunConfig, diagnosed, labels, covered: slice, out: Path, **ex
 def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     features_path = cfg.paths.get("features", str(out / FEATURES_FILE))
     labelled = _labelled(features_path, "train")
-    train_cfg = _train_config(cfg, labelled)
+    train_cfg = _train_config(cfg, labelled.labels)
     result = _stage("train", model.train, labelled.features, labelled.labels, train_cfg)
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=str(features_path))
     evaluation.write_report({"epoch_losses": result.epoch_losses}, out / TRAINING_LOG_FILE)
@@ -344,13 +328,6 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _save_inputs(manoeuvres, data: _Chunk, out: Path) -> None:
-    """pipeline's input files, each written line by line: dataset.jsonl of
-    the manoeuvres of an iterable, and features.jsonl of the rows of data."""
-    save_dataset(manoeuvres, out / DATASET_FILE)
-    atomic_write_text(out / FEATURES_FILE, preprocess.features_lines(data.ids, data.features, data.labels))
-
-
 def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list, Callable]":
     """The provenance of pipeline's dataset, its _Chunks in dataset order,
     each piece loaded (`_load`), or generated, and preprocessed on every
@@ -384,40 +361,59 @@ def _pipeline_inputs(cfg: RunConfig) -> "tuple[str, list, Callable]":
 def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
     provenance, chunks, traces = _pipeline_inputs(cfg)
     try:
-        data = _joined(chunks)
+        _stage("load", _check, chunks)
     except StageError as exc:
         if exc.stage == "preprocess":
             # a run that fails in preprocessing still leaves the dataset it failed on
             save_dataset(traces(), out / DATASET_FILE)
         raise
-    del chunks  # data holds a copy of their features
+    ids = [mid for chunk in chunks for mid in chunk.ids]
+    labels = [label for chunk in chunks for label in chunk.labels]
+
+    def save_inputs(_post=None):
+        # each file line by line: dataset.jsonl of the traces, and
+        # features.jsonl of the pieces' rows, in dataset order
+        save_dataset(traces(), out / DATASET_FILE)
+        atomic_write_text(out / FEATURES_FILE, *(preprocess.features_lines(chunk.ids, chunk.features, chunk.labels)
+                                                 for chunk in chunks))
+
     # a forked writer writes the input files while the split and training
     # run; they are complete once it is joined, also when either failed, and
     # model.json is written only after that. Where the writer could not be
     # forked or did not exit 0, the files are written here, so a write
     # failure is reported as without the writer, and outranks a failure in
     # the split or training.
-    writer = pieces.start_forked(lambda _post: _save_inputs(traces(), data, out))
+    writer = pieces.start_forked(save_inputs)
     try:
-        train_at, test_at = _stage("split", evaluation.stratified_split, data.ids, data.labels, cfg.split_spec)
-        train = _rows(data, train_at)
-        train_cfg = _train_config(cfg, train)
-        result = _stage("train", model.train, train.features, train.labels, train_cfg)
+        train_at, test_at = _stage("split", evaluation.stratified_split, ids, labels, cfg.split_spec)
+        # the one matrix of the pieces' rows, training rows first: train
+        # takes a view of it, and the test rows are gathered from it once
+        row_of = np.empty(len(ids), dtype=np.intp)
+        row_of[train_at + test_at] = np.arange(len(ids))
+        x, start = np.empty((len(ids), cfg.preprocess_cfg.feature_length)), 0
+        for chunk in chunks:
+            x[row_of[start : start + len(chunk.ids)]] = chunk.features
+            start += len(chunk.ids)
+        train_labels = [labels[p] for p in train_at]
+        train_cfg = _train_config(cfg, train_labels)
+        result = _stage("train", model.train, x[: len(train_at)], train_labels, train_cfg)
     finally:
         if writer is None or not writer.join():
             if writer is not None:  # a writer that died within a write leaves its temp file
                 for name in (DATASET_FILE, FEATURES_FILE):
                     remove_temp_files(out / name, writer.pid)
-            _save_inputs(traces(), data, out)
+            save_inputs()
+    del chunks  # their rows are written, and x holds them
     model.save_model(result.model, out / MODEL_FILE, train_cfg, provenance=provenance)
 
-    cal_in, hold_in = _stage("calibrate", evaluation.split_calibration, [data.ids[p] for p in test_at],
-                             [data.labels[p] for p in test_at], cfg.split_spec)
+    cal_in, hold_in = _stage("calibrate", evaluation.split_calibration, [ids[p] for p in test_at],
+                             [labels[p] for p in test_at], cfg.split_spec)
     cal_at, hold_at = [test_at[k] for k in cal_in], [test_at[k] for k in hold_in]
     # each test manoeuvre goes through the model once, the calibration half
     # first: calibration reads its probabilities, the classification metrics
     # the whole test split's diagnoses, coverage and diagnoses.jsonl the holdout's
-    test = _rows(data, cal_at + hold_at)
+    test = _Chunk([ids[p] for p in cal_at + hold_at], x[len(train_at) :][cal_in + hold_in],
+                  [labels[p] for p in cal_at + hold_at])
     probs = _probabilities(result.model, test, "calibrate")
     predictor = _calibrate(cfg, result.model, test.labels[: len(cal_at)], probs[: len(cal_at)], out)
     diagnosed = _stage("diagnose", conformal.diagnoses, predictor, test.ids, probs)
@@ -428,7 +424,7 @@ def cmd_pipeline(args, cfg: RunConfig, out: Path) -> int:
         slice(len(cal_at), None),
         out,
         provenance={"dataset": provenance, "model_digest": predictor.model_digest},
-        counts=_counts_at(data.labels, dataset=range(len(data.ids)), train=train_at, test=test_at,
+        counts=_counts_at(labels, dataset=range(len(ids)), train=train_at, test=test_at,
                           calibration=cal_at, holdout=hold_at),
         conformal={"alpha": predictor.alpha, "qhat": predictor.qhat, "n_calibration": predictor.n_calibration},
         training_log=result.epoch_losses,

@@ -1179,11 +1179,32 @@ def test_pipeline_parent_holds_no_generated_trace(config_path, monkeypatch, cpus
     _, chunks, traces = cli._pipeline_inputs(cfg)
     assert_no_child_processes()
     assert len(chunks) == 2
-    for chunk in [*chunks, cli._joined(chunks)]:
+    for chunk in chunks:
         assert chunk.manoeuvres == ()
         assert not any(isinstance(v, Manoeuvre) for field in chunk if isinstance(field, list) for v in field)
     generated = synth.generate_dataset(cfg.counts, cfg.synth_cfg, cfg.severity_range)
     assert list(traces()) == list(generated) == list(traces())
+
+
+def test_pipeline_trains_on_a_view_of_one_matrix(config_path, tmp_path, monkeypatch):
+    # train takes the leading rows of the one matrix of the pieces' rows, not a gather of its own
+    cfg = config.load_run_config(config_path)
+    _, chunks, _ = cli._pipeline_inputs(cfg)
+    ids = [mid for chunk in chunks for mid in chunk.ids]
+    labels = [label for chunk in chunks for label in chunk.labels]
+    train_at, _ = evaluation.stratified_split(ids, labels, cfg.split_spec)
+    rows = np.concatenate([chunk.features for chunk in chunks])[train_at]
+    trained, train = [], model.train
+
+    def recorded(features, *args, **kwargs):
+        trained.append(features)
+        return train(features, *args, **kwargs)
+
+    monkeypatch.setattr(model, "train", recorded)
+    assert run(["pipeline", "--config", config_path, "--out", str(tmp_path / "out")]) == 0
+    [features] = trained
+    assert features.base is not None
+    assert np.array_equal(features, rows)
 
 
 @pytest.mark.parametrize("invalid_at", [20, 70], ids=["first_piece", "last_piece"])
@@ -1380,7 +1401,7 @@ class TestPipelineOnEveryCpu:
     def test_writer_that_finishes_after_training(self, argv, alone, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(pieces, "_cpus", lambda: 2)
         trained = tmp_path / "trained"
-        train, save_inputs = model.train, cli._save_inputs
+        train, save_dataset = model.train, cli.save_dataset
 
         def train_then_mark(*args, **kwargs):
             result = train(*args, **kwargs)
@@ -1391,10 +1412,11 @@ class TestPipelineOnEveryCpu:
             deadline = time.monotonic() + 60
             while not trained.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
-            save_inputs(*args)
+            save_dataset(*args)
 
         monkeypatch.setattr(model, "train", train_then_mark)
-        monkeypatch.setattr(cli, "_save_inputs", save_after_training)
+        # the writer's first write, dataset.jsonl, waits until training is done
+        monkeypatch.setattr(cli, "save_dataset", save_after_training)
         assert self.outcome(argv, capsys) == alone
 
     def test_writer_that_dies_mid_write(self, argv, alone, capsys, monkeypatch, tmp_path):

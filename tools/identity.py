@@ -15,7 +15,10 @@ difference, and the exit status is 1 on any difference, else 0. A command
 that runs past TIMEOUT_S is stopped and reported as exiting with None.
 
 The cases are the default pipeline, at `--seed 3`, with uniform
-`train.class_weights`, and at a small config;
+`train.class_weights`, with `split.train_frac` 0.6 and
+`split.calibration_frac_of_test` 0.3 (pipeline_split, whose train, test,
+calibration and holdout sizes differ from every other case's), and at a
+small config;
 the small config's pipeline at `conformal.alpha` 0.3, then diagnose of its
 dataset: at that alpha its diagnoses.jsonl holds sets of one, two and three
 classes, and diagnose prints "(set covers the true class at 70%)";
@@ -130,6 +133,7 @@ CASES = [
     Case("pipeline_seed_3", [["pipeline", "--seed", "3", "--out", "{out}"]], small=False),
     Case("pipeline_uniform_weights", [["pipeline", "--config", "{inputs}/uniform.json", "--out", "{out}"]],
          small=False),
+    Case("pipeline_split", [["pipeline", "--config", "{inputs}/split.json", "--out", "{out}"]], small=False),
     Case("pipeline_small", [["pipeline", "--config", "{inputs}/small.json", "--out", "{out}"]]),
     Case("alpha_small", [["pipeline", "--config", "{inputs}/alpha.json", "--out", "{out}"],
                          ["diagnose", "--config", "{inputs}/alpha.json", "--out", "{out}/diagnose",
@@ -229,6 +233,7 @@ def make_inputs(tree: Path, inputs: Path, small_only: bool) -> None:
         config("stream_paths", {"paths": {"dataset": str(inputs / "stream" / "dataset.jsonl")}})
         config("batch_887", {"train": {"batch_size": 887}})
         config("uniform", {"train": {"class_weights": [1, 1, 1, 1, 1]}})
+        config("split", {"split": {"train_frac": 0.6, "calibration_frac_of_test": 0.3}})
 
 
 def _timestamp_blanked(data: bytes) -> bytes:
